@@ -2,104 +2,45 @@
 
 from .backtest import (
     INTERVALS,
-    BacktestReport,
+    DayTable,
     SplitSpec,
     horizon_sweep,
-    mape,
     run_backtest,
-    trend_labels,
     window_sweep,
 )
-from .ensemble import EnsembleWeights, HorizonEnsemble, decay_weights, integrate, predict_price
+from .ensemble import decay_weights
 from .errors import TxPatternError
-from .features import (
-    Dataset,
-    Scaler,
-    apply_scaler,
-    build_dataset,
-    day_feature_table,
-    fit_scaler,
-)
-from .ingest import (
-    DayWindow,
-    PriceSeries,
-    TransactionRecord,
-    parse_prices,
-    parse_transactions,
-    partition_daily,
-)
-from .kernels import active_backend, use_backend
-from .korder import (
-    CLAMP,
-    GRID_CELLS,
-    OccurrenceMatrix,
-    SparseBoolMatrix,
-    build_P,
-    build_Q,
-    feature_vector,
-    occurrence_matrices,
-    occurrence_matrix,
-    occurrence_matrix_oracle,
-    subgraph_shape,
-    transition_matrix,
-)
-from .regress import FittedModel, RegressorSpec, fit, load_model, predict, save_model
+from .features import day_feature_table
+from .ingest import parse_prices, parse_transactions, partition_daily
+from .korder import occurrence_matrices, occurrence_matrix_oracle
+from .regress import RegressorSpec, load_model, predict, save_model
 from .synth import SynthSpec, generate, write_synth
-from .txgraph import TransactionGraph, build_graph, input_sets
+from .txgraph import build_graph
 
 __version__ = "0.1.0"
 
+# the names the README's library example and the CLI subcommands use
 __all__ = [
-    "BacktestReport",
-    "CLAMP",
-    "Dataset",
-    "DayWindow",
-    "EnsembleWeights",
-    "FittedModel",
-    "GRID_CELLS",
-    "HorizonEnsemble",
+    "DayTable",
     "INTERVALS",
-    "OccurrenceMatrix",
-    "PriceSeries",
     "RegressorSpec",
-    "Scaler",
-    "SparseBoolMatrix",
     "SplitSpec",
     "SynthSpec",
-    "TransactionGraph",
-    "TransactionRecord",
     "TxPatternError",
-    "active_backend",
-    "apply_scaler",
-    "build_P",
-    "build_Q",
-    "build_dataset",
     "build_graph",
     "day_feature_table",
     "decay_weights",
-    "feature_vector",
-    "fit",
-    "fit_scaler",
     "generate",
     "horizon_sweep",
-    "input_sets",
-    "integrate",
     "load_model",
-    "mape",
     "occurrence_matrices",
-    "occurrence_matrix",
     "occurrence_matrix_oracle",
     "parse_prices",
     "parse_transactions",
     "partition_daily",
     "predict",
-    "predict_price",
     "run_backtest",
     "save_model",
-    "subgraph_shape",
-    "transition_matrix",
-    "trend_labels",
-    "use_backend",
     "window_sweep",
     "write_synth",
 ]

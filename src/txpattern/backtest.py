@@ -28,6 +28,7 @@ import numpy as np
 
 from .ensemble import HorizonEnsemble, decay_weights, predict_price
 from .errors import (
+    BadSpec,
     EmptyInput,
     InsufficientData,
     LengthMismatch,
@@ -35,7 +36,7 @@ from .errors import (
     PriceMissing,
 )
 from .features import apply_scaler, day_feature_table, fit_scaler
-from .ingest import PriceSeries, TransactionRecord, partition_daily
+from .ingest import DayWindow, PriceSeries, TransactionRecord, partition_daily
 from .regress import RegressorSpec, fit
 
 REPORT_SCHEMA_VERSION = 1
@@ -50,7 +51,7 @@ class SplitSpec:
 
     def __post_init__(self):
         if not (0.0 < self.train_fraction < 1.0):
-            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+            raise BadSpec(f"train_fraction must be in (0, 1), got {self.train_fraction}")
 
 
 INTERVALS = {
@@ -177,28 +178,20 @@ class BacktestReport:
         )
 
 
-class _Prepared:
-    """Per-day features + prices, split chronologically. Shared by sweeps."""
+class DayTable:
+    """Per-day features and closes, and the one builder of training targets.
+
+    ``train`` builds it over every window and cuts targets at the last
+    close; the backtest and the sweeps build it over the split's windows and
+    cut at the last training day."""
 
     def __init__(
         self,
-        records: list[TransactionRecord],
+        windows: list[DayWindow],
         prices: PriceSeries,
-        split: SplitSpec,
         max_order: int,
         threads: int | None,
     ):
-        windows = partition_daily(records)
-        if split.start is not None:
-            windows = [
-                w for w in windows
-                if split.start <= w.date <= (split.end or w.date)
-            ]
-        if len(windows) < 3:
-            raise InsufficientData(
-                f"need at least 3 day windows in range, got {len(windows)}"
-            )
-        self.split = split
         self.prices = prices
         self.dates, self.x = day_feature_table(windows, max_order, threads)
         self.date_index = {d: i for i, d in enumerate(self.dates)}
@@ -208,25 +201,29 @@ class _Prepared:
             if p is None:
                 raise PriceMissing(d)
             self.base[i] = p
-        n = len(self.dates)
-        self.n_train = min(max(int(split.train_fraction * n), 1), n - 1)
-        self.first_test_date = self.dates[self.n_train]
-        self.last_train_date = self.dates[self.n_train - 1]
 
-    def fit_offset(self, offset: int, spec: RegressorSpec):
-        """Train the offset model on rows whose target date stays inside the
-        training region; returns (model, scaler, OffsetInfo)."""
+    def targets(self, offset: int, cut: dt.date) -> tuple[list[int], np.ndarray]:
+        """Rows whose target date ``date + offset`` is on or before ``cut``
+        and has a close, with targets ``price(date + offset) - price(date)``."""
+        if offset < 1:
+            raise BadSpec(f"horizon must be >= 1, got {offset}")
         rows = []
         targets = []
-        for i in range(self.n_train):
-            target_date = self.dates[i] + dt.timedelta(days=offset)
-            if target_date > self.last_train_date:
+        for i, date in enumerate(self.dates):
+            target_date = date + dt.timedelta(days=offset)
+            if target_date > cut:
                 break
             p_future = self.prices.price_on(target_date)
             if p_future is None:
                 continue
             rows.append(i)
             targets.append(p_future - self.base[i])
+        return rows, np.array(targets)
+
+    def fit_offset(self, offset: int, spec: RegressorSpec, cut: dt.date):
+        """Train the offset model on the rows of :meth:`targets`; returns
+        (model, scaler, OffsetInfo)."""
+        rows, y = self.targets(offset, cut)
         if len(rows) < 2:
             raise InsufficientData(
                 f"offset {offset}: only {len(rows)} usable training rows"
@@ -238,7 +235,7 @@ class _Prepared:
         model = fit(
             spec,
             apply_scaler(scaler, x_train),
-            np.array(targets),
+            y,
             train_range=(train_start, train_end),
         )
         info = OffsetInfo(
@@ -248,19 +245,18 @@ class _Prepared:
             train_end=train_end,
             target_end=train_end + dt.timedelta(days=offset),
         )
-        if info.target_end >= self.first_test_date:
-            raise RuntimeError("chronology violation: training touched the test range")
         return model, scaler, info
 
-    def evaluate(self, ensemble: HorizonEnsemble):
-        """Walk the test days; skip days whose history offsets precede the data."""
+    def evaluate(self, ensemble: HorizonEnsemble, first: int):
+        """Walk the days from index ``first``; skip days whose history
+        offsets precede the data."""
         eval_dates: list[dt.date] = []
         truths: list[float] = []
         preds: list[float] = []
         bases: list[float] = []
         skipped = 0
         min_offset = min(ensemble.offsets)
-        for i in range(self.n_train, len(self.dates)):
+        for i in range(first, len(self.dates)):
             target = self.dates[i]
             feats: dict[int, np.ndarray] = {}
             base_prices: dict[int, float] = {}
@@ -282,6 +278,28 @@ class _Prepared:
         return eval_dates, np.array(truths), np.array(preds), np.array(bases), skipped
 
 
+def _split_table(
+    records: list[TransactionRecord],
+    prices: PriceSeries,
+    split: SplitSpec,
+    max_order: int,
+    threads: int | None,
+) -> DayTable:
+    """The table over the split's windows, with machine parallelism for
+    ``threads`` of None or 0."""
+    windows = partition_daily(records)
+    if split.start is not None:
+        windows = [
+            w for w in windows
+            if split.start <= w.date <= (split.end or w.date)
+        ]
+    if len(windows) < 3:
+        raise InsufficientData(
+            f"need at least 3 day windows in range, got {len(windows)}"
+        )
+    return DayTable(windows, prices, max_order, _resolve_threads(threads))
+
+
 def _resolve_threads(threads: int | None) -> int:
     return threads if threads is not None and threads > 0 else (os.cpu_count() or 1)
 
@@ -299,17 +317,16 @@ def run_backtest(
 ) -> BacktestReport:
     """Full end-to-end backtest; see module docstring for semantics."""
     t0 = time.perf_counter()
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    spec = spec or RegressorSpec()
-    prep = _Prepared(records, prices, split, max_order, _resolve_threads(threads))
-    report = _run_on_prepared(prep, max_order, r, window, spec, horizon)
+    table = _split_table(records, prices, split, max_order, threads)
+    report = _run_on_table(table, split, max_order, r, window,
+                           spec or RegressorSpec(), horizon)
     report.runtime_seconds = time.perf_counter() - t0
     return report
 
 
-def _run_on_prepared(
-    prep: _Prepared,
+def _run_on_table(
+    table: DayTable,
+    split: SplitSpec,
     max_order: int,
     r: float,
     window: int,
@@ -317,6 +334,9 @@ def _run_on_prepared(
     horizon: int,
     fitted: dict[int, tuple] | None = None,
 ) -> BacktestReport:
+    n_days = len(table.dates)
+    n_train = min(max(int(split.train_fraction * n_days), 1), n_days - 1)
+    first_test_date = table.dates[n_train]
     weights = decay_weights(r, window)
     offsets = [horizon + i for i in range(window)]
     models = []
@@ -325,31 +345,35 @@ def _run_on_prepared(
         if fitted is not None and offset in fitted:
             model, scaler, info = fitted[offset]
         else:
-            model, scaler, info = prep.fit_offset(offset, spec)
+            model, scaler, info = table.fit_offset(
+                offset, spec, table.dates[n_train - 1])
+            if info.target_end >= first_test_date:
+                raise RuntimeError(
+                    "chronology violation: training touched the test range")
             if fitted is not None:
                 fitted[offset] = (model, scaler, info)
         models.append((offset, model, scaler))
         infos.append(info)
     ensemble = HorizonEnsemble(models, weights)
-    eval_dates, truths, preds, bases, skipped = prep.evaluate(ensemble)
+    eval_dates, truths, preds, bases, skipped = table.evaluate(ensemble, n_train)
     if len(eval_dates) == 0:
         raise InsufficientData("no evaluable test days")
     pred_trend = trend_labels(preds, bases)
     true_trend = trend_labels(truths, bases)
     return BacktestReport(
-        interval=prep.split.name,
+        interval=split.name,
         max_order=max_order,
         r=r,
         window=window,
         horizon=horizon,
         model_kind=spec.kind,
         seed=spec.seed,
-        n_days=len(prep.dates),
-        n_train_days=prep.n_train,
-        n_test_days=len(prep.dates) - prep.n_train,
+        n_days=n_days,
+        n_train_days=n_train,
+        n_test_days=n_days - n_train,
         n_evaluated=len(eval_dates),
         n_skipped=skipped,
-        first_test_date=prep.first_test_date,
+        first_test_date=first_test_date,
         weights=[float(a) for a in weights.alphas],
         offsets=infos,
         dates=eval_dates,
@@ -374,14 +398,11 @@ def horizon_sweep(
     if not horizons:
         return []
     spec = spec or RegressorSpec()
-    prep = _Prepared(records, prices, split, max_order, _resolve_threads(threads))
-    out = []
-    for h in horizons:
-        if h < 1:
-            raise ValueError(f"horizon must be >= 1, got {h}")
-        report = _run_on_prepared(prep, max_order, r, 1, spec, h)
-        out.append((h, report.mape))
-    return out
+    table = _split_table(records, prices, split, max_order, threads)
+    return [
+        (h, _run_on_table(table, split, max_order, r, 1, spec, h).mape)
+        for h in horizons
+    ]
 
 
 def window_sweep(
@@ -399,10 +420,10 @@ def window_sweep(
     if not windows:
         return []
     spec = spec or RegressorSpec()
-    prep = _Prepared(records, prices, split, max_order, _resolve_threads(threads))
+    table = _split_table(records, prices, split, max_order, threads)
     cache: dict[int, tuple] = {}
-    out = []
-    for w in windows:
-        report = _run_on_prepared(prep, max_order, r, w, spec, horizon, fitted=cache)
-        out.append((w, report.mape))
-    return out
+    return [
+        (w, _run_on_table(table, split, max_order, r, w, spec, horizon,
+                          fitted=cache).mape)
+        for w in windows
+    ]

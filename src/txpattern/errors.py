@@ -11,6 +11,11 @@ class TxPatternError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class BadSpec(TxPatternError, ValueError):
+    """A parameter is out of range, or a model file is not one this version
+    can read.  Also a ``ValueError``, Python's exception for a bad argument."""
+
+
 # --- ingest ---------------------------------------------------------------
 
 class MissingFile(TxPatternError):
@@ -103,10 +108,4 @@ class NonPositiveTruth(TxPatternError):
 
 
 class InsufficientData(TxPatternError):
-    pass
-
-
-# --- synth ------------------------------------------------------------------
-
-class BadSpec(TxPatternError):
     pass

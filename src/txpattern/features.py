@@ -1,9 +1,9 @@
-"""Supervised dataset assembly: per-day pattern features and price-diff targets.
+"""Per-day pattern feature tables, their CSV dump, and column scaling.
 
-Targets are price differences, not prices: the day's features describe new
-transaction activity in that day, so they are fitted against
-``price(t + h) - price(t)``.  Days whose ``t + h`` price is unknown are kept
-as prediction-only rows (no target).
+A day's feature vector is the concatenation of its occurrence grids for
+orders 1..k.  Every day of the window range gets one row, empty days
+included; training targets are built from these rows by
+:class:`txpattern.backtest.DayTable`.
 
 Standardization is plain per-column z-scoring with population statistics,
 fitted on training rows only; zero-variance columns map to 0.
@@ -18,56 +18,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import PriceMissing, TooFewRows
-from .ingest import DayWindow, PriceSeries
+from .errors import TooFewRows
+from .ingest import DayWindow
 from .korder import GRID_CELLS, feature_vector
 from .txgraph import build_graph
-
-
-@dataclass(frozen=True)
-class FeatureRow:
-    date: dt.date
-    x: np.ndarray
-    base_price: float
-    target_diff: float | None
-    horizon: int
 
 
 @dataclass
 class Scaler:
     mean: np.ndarray
     std: np.ndarray
-
-
-@dataclass
-class Dataset:
-    dates: list[dt.date]
-    x: np.ndarray          # (n_days, 400*s) raw counts as float64
-    base_prices: np.ndarray
-    targets: np.ndarray    # NaN where t+h price is unknown
-    horizon: int
-    scaler: Scaler | None = None
-
-    @property
-    def feature_dim(self) -> int:
-        return self.x.shape[1]
-
-    @property
-    def rows(self) -> list[FeatureRow]:
-        return [
-            FeatureRow(
-                self.dates[i],
-                self.x[i],
-                float(self.base_prices[i]),
-                None if np.isnan(self.targets[i]) else float(self.targets[i]),
-                self.horizon,
-            )
-            for i in range(len(self.dates))
-        ]
-
-    def with_targets(self) -> np.ndarray:
-        """Indices of rows that carry a target."""
-        return np.flatnonzero(~np.isnan(self.targets))
 
 
 def day_feature_table(
@@ -94,31 +54,6 @@ def day_feature_table(
     return dates, table
 
 
-def build_dataset(
-    windows: list[DayWindow],
-    prices: PriceSeries,
-    horizon: int,
-    max_order: int,
-    threads: int | None = None,
-) -> Dataset:
-    """One row per window day: features, base price, and (when the future
-    price exists) the horizon price difference."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    dates, table = day_feature_table(windows, max_order, threads)
-    base = np.empty(len(dates), dtype=np.float64)
-    targets = np.full(len(dates), np.nan, dtype=np.float64)
-    for i, date in enumerate(dates):
-        p_now = prices.price_on(date)
-        if p_now is None:
-            raise PriceMissing(date)
-        base[i] = p_now
-        p_future = prices.price_on(date + dt.timedelta(days=horizon))
-        if p_future is not None:
-            targets[i] = p_future - p_now
-    return Dataset(dates, table, base, targets, horizon)
-
-
 def fit_scaler(x: np.ndarray) -> Scaler:
     """Per-column mean/std over training rows (population std)."""
     if x.shape[0] < 2:
@@ -143,40 +78,3 @@ def write_feature_csv(dates: list[dt.date], table: np.ndarray, path: str | Path)
         for i, date in enumerate(dates):
             vals = ",".join(str(int(v)) for v in table[i])
             fh.write(f"{date.isoformat()},{vals}\n")
-
-
-def write_dataset_csv(dataset: Dataset, path: str | Path) -> None:
-    dim = dataset.feature_dim
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(
-            "date,base_price,target_diff,"
-            + ",".join(f"f_{i}" for i in range(dim))
-            + "\n"
-        )
-        for i, date in enumerate(dataset.dates):
-            t = dataset.targets[i]
-            t_text = "" if np.isnan(t) else repr(float(t))
-            vals = ",".join(str(int(v)) for v in dataset.x[i])
-            fh.write(f"{date.isoformat()},{float(dataset.base_prices[i])!r},{t_text},{vals}\n")
-
-
-def read_dataset_csv(path: str | Path, horizon: int) -> Dataset:
-    dates: list[dt.date] = []
-    base: list[float] = []
-    targets: list[float] = []
-    rows: list[list[float]] = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        fh.readline()
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            dates.append(dt.date.fromisoformat(parts[0]))
-            base.append(float(parts[1]))
-            targets.append(float(parts[2]) if parts[2] else np.nan)
-            rows.append([float(v) for v in parts[3:]])
-    return Dataset(
-        dates,
-        np.array(rows, dtype=np.float64),
-        np.array(base, dtype=np.float64),
-        np.array(targets, dtype=np.float64),
-        horizon,
-    )

@@ -27,9 +27,9 @@ Two independent routes produce the grid:
 
 Boolean products are used instead of integer path counts: the tally only
 asks whether a reach entry is positive, and path counts blow up
-combinatorially.  :func:`transition_matrix_counts` provides the
-integer-count variant for small graphs so tests can confirm the two agree
-after thresholding.
+combinatorially.  The tests keep a dense integer path-count reference for
+small graphs and check that boolean products agree with it after
+thresholding.
 """
 
 from __future__ import annotations
@@ -108,12 +108,6 @@ class SparseBoolMatrix:
         dense[rows, self.indices] = True
         return dense
 
-    def transpose(self) -> "SparseBoolMatrix":
-        rows = np.repeat(np.arange(self.n_rows, dtype=np.int64), self.row_counts())
-        return SparseBoolMatrix.from_pairs(
-            self.n_cols, self.n_rows, self.indices, rows
-        )
-
     def matmul(self, other: "SparseBoolMatrix") -> "SparseBoolMatrix":
         if self.n_cols != other.n_rows:
             raise DimensionMismatch(
@@ -180,41 +174,6 @@ def build_Q(graph: TransactionGraph) -> SparseBoolMatrix:
         graph.out_indptr,
         graph.out_indices,
     )
-
-
-def transition_matrix(
-    P: SparseBoolMatrix, Q: SparseBoolMatrix, k: int
-) -> SparseBoolMatrix:
-    """|T| x |A| boolean reach matrix (QP)^(k-1) Q; row t is the exact
-    k-hop frontier of transaction t.  k=1 returns Q itself."""
-    if k < 1:
-        raise OrderOutOfRange(f"order must be >= 1, got {k}")
-    m = Q
-    if k > 1:
-        hop = Q @ P
-        for _ in range(k - 1):
-            m = hop @ m
-    return m
-
-
-def transition_matrix_counts(
-    P: SparseBoolMatrix, Q: SparseBoolMatrix, k: int, max_cells: int = 4_000_000
-) -> np.ndarray:
-    """Integer-count variant of the reach matrix (dense, small graphs only).
-
-    Entry (t, a) is the number of distinct k-hop paths from t to a.  Used to
-    check that boolean products agree with thresholded path counts."""
-    if k < 1:
-        raise OrderOutOfRange(f"order must be >= 1, got {k}")
-    if Q.n_rows * Q.n_cols > max_cells or Q.n_rows * Q.n_rows > max_cells:
-        raise ValueError("graph too large for dense integer-count mode")
-    qd = Q.to_dense().astype(np.int64)
-    pd = P.to_dense().astype(np.int64)
-    m = qd
-    hop = qd @ pd
-    for _ in range(k - 1):
-        m = hop @ m
-    return m
 
 
 def _tally(m_sizes: np.ndarray, n_sizes: np.ndarray) -> np.ndarray:

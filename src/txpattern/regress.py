@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .errors import DimensionMismatch, SingularSystem, TooFewRows
+from .errors import BadSpec, DimensionMismatch, MissingFile, SingularSystem, TooFewRows
 from .features import Scaler
 
 KINDS = ("ridge", "linear_svr")
@@ -41,15 +41,15 @@ class RegressorSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown regressor kind {self.kind!r}")
+            raise BadSpec(f"unknown regressor kind {self.kind!r}")
         if self.ridge_lambda < 0:
-            raise ValueError("ridge_lambda must be >= 0")
+            raise BadSpec("ridge_lambda must be >= 0")
         if self.svr_c <= 0:
-            raise ValueError("svr_c must be > 0")
+            raise BadSpec("svr_c must be > 0")
         if self.svr_epsilon < 0:
-            raise ValueError("svr_epsilon must be >= 0")
+            raise BadSpec("svr_epsilon must be >= 0")
         if self.svr_epochs < 1 or self.svr_learning_rate <= 0:
-            raise ValueError("bad optimizer controls")
+            raise BadSpec("bad optimizer controls")
 
 
 @dataclass
@@ -119,15 +119,6 @@ def predict(model: FittedModel, x: np.ndarray) -> float:
     return float(x @ model.weights) + model.bias
 
 
-def predict_batch(model: FittedModel, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[1] != model.feature_dim:
-        raise DimensionMismatch(
-            f"feature dim {x.shape[1]} does not match model {model.feature_dim}"
-        )
-    return x @ model.weights + model.bias
-
-
 MODEL_SCHEMA_VERSION = 1
 
 
@@ -164,9 +155,15 @@ def save_model(
 
 
 def load_model(path: str | Path) -> tuple[FittedModel, Scaler, int]:
-    payload = json.loads(Path(path).read_text())
+    path = Path(path)
+    if not path.exists():
+        raise MissingFile(str(path))
+    try:
+        payload = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise BadSpec(f"{path} is not a model file: {exc}") from None
     if payload.get("schema_version") != MODEL_SCHEMA_VERSION:
-        raise ValueError(f"unsupported model schema: {payload.get('schema_version')}")
+        raise BadSpec(f"unsupported model schema: {payload.get('schema_version')}")
     weights = np.array(payload["weights"], dtype=np.float64)
     if weights.shape[0] != payload["feature_dim"]:
         raise DimensionMismatch("stored weights do not match declared feature_dim")

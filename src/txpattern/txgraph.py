@@ -50,12 +50,6 @@ class TransactionGraph:
         return np.diff(self.in_indptr)
 
 
-@dataclass(frozen=True)
-class InputSet:
-    tx: str
-    members: tuple[int, ...]
-
-
 def build_graph(window: DayWindow) -> TransactionGraph:
     """Build the window's graph; coinbase records are skipped, not errors."""
     addr_ids: dict[str, int] = {}
@@ -91,21 +85,3 @@ def build_graph(window: DayWindow) -> TransactionGraph:
     return TransactionGraph(
         tx_ids, addresses, in_indptr, in_indices, out_indptr, out_indices, skipped
     )
-
-
-def input_sets(graph: TransactionGraph) -> list[InputSet]:
-    """One sorted input-address set per transaction, in tx index order."""
-    return [
-        InputSet(graph.tx_ids[t], tuple(int(a) for a in graph.input_ids(t)))
-        for t in range(graph.n_transactions)
-    ]
-
-
-def dump_text(graph: TransactionGraph) -> str:
-    """Adjacency listing for debugging, one line per transaction."""
-    lines = []
-    for t in range(graph.n_transactions):
-        ins = ",".join(graph.addresses[a] for a in graph.input_ids(t))
-        outs = ",".join(graph.addresses[a] for a in graph.output_ids(t))
-        lines.append(f"{graph.tx_ids[t]} | in: {ins} | out: {outs}")
-    return "\n".join(lines)

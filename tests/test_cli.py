@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -121,6 +122,47 @@ def test_missing_input_file_exit_1(capsys):
     code, _, err = run(capsys, "features", "--tx", "/nope.csv", "--out", "/tmp/f.csv")
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["backtest", "--svr-c", "0", "--prices", "PX"],
+    ["backtest", "--train-frac", "1.5", "--prices", "PX"],
+    ["backtest", "--horizon", "0", "--prices", "PX"],
+    ["backtest", "--r", "1.5", "--prices", "PX"],
+    ["sweep-horizon", "--horizons", "0,1", "--prices", "PX"],
+    ["sweep-window", "--horizon", "0", "--prices", "PX"],
+    ["train", "--horizon", "0", "--out", os.devnull, "--prices", "PX"],
+    ["predict", "--model-file", "PX", "--prices", "PX"],
+    ["oracle-check", "--sample", "-1"],
+])
+def test_bad_parameter_exit_1(corpus, capsys, argv):
+    tx, px = corpus
+    argv = [px if a == "PX" else a for a in argv]
+    code, _, err = run(capsys, *argv, "--tx", tx)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_predict_missing_model_file(corpus, tmp_path, capsys):
+    tx, px = corpus
+    code, _, err = run(capsys, "predict", "--model-file",
+                       str(tmp_path / "missing.json"), "--tx", tx, "--prices", px)
+    assert code == 1
+    assert "missing.json" in err
+
+
+def test_predict_header_only_transactions(corpus, tmp_path, capsys):
+    tx, px = corpus
+    model_path = str(tmp_path / "model.json")
+    assert main(["train", "--tx", tx, "--prices", px, "--out", model_path,
+                 "--k", "1"]) == 0
+    empty = tmp_path / "empty.csv"
+    empty.write_text(open(tx).readline())
+    code, _, err = run(capsys, "predict", "--model-file", model_path,
+                       "--tx", str(empty), "--prices", px)
+    assert code == 1
+    assert err.startswith("error: no transactions")
 
 
 def test_synth_deterministic(tmp_path, capsys):

@@ -3,14 +3,12 @@ import datetime as dt
 import numpy as np
 import pytest
 
+from txpattern.backtest import DayTable
 from txpattern.errors import PriceMissing, TooFewRows
 from txpattern.features import (
     apply_scaler,
-    build_dataset,
     day_feature_table,
     fit_scaler,
-    read_dataset_csv,
-    write_dataset_csv,
     write_feature_csv,
 )
 from txpattern.ingest import PriceSeries, TransactionRecord, partition_daily
@@ -96,12 +94,16 @@ def test_build_dataset_targets():
     windows = partition_daily(records)
     first = windows[0].date
     prices = _prices_over_days(first, 5)
-    ds = build_dataset(windows, prices, horizon=1, max_order=1)
-    assert ds.horizon == 1
-    assert np.array_equal(ds.base_prices, [100.0, 101.0, 102.0, 103.0, 104.0])
-    # price rises 1.0/day, so every known diff is exactly 1.0
-    assert np.array_equal(ds.targets[:4], np.ones(4))
-    assert np.isnan(ds.targets[4])  # no close beyond the last day
+    table = DayTable(windows, prices, max_order=1, threads=None)
+    assert np.array_equal(table.base, [100.0, 101.0, 102.0, 103.0, 104.0])
+    rows, targets = table.targets(1, prices.last_date)
+    # price rises 1.0/day, so every diff is exactly 1.0; the last day has no
+    # close beyond it and gets no row
+    assert rows == [0, 1, 2, 3]
+    assert np.array_equal(targets, np.ones(4))
+    # a backtest cuts at its last training day: no target date past it
+    rows, _ = table.targets(2, first + dt.timedelta(days=3))
+    assert rows == [0, 1]
 
 
 def test_build_dataset_missing_base_price():
@@ -109,32 +111,7 @@ def test_build_dataset_missing_base_price():
     first = windows[0].date
     short = _prices_over_days(first, 3)
     with pytest.raises(PriceMissing):
-        build_dataset(windows, short, horizon=1, max_order=1)
-
-
-def test_dataset_rows_view():
-    windows = partition_daily(_records_over_days(4))
-    prices = _prices_over_days(windows[0].date, 4)
-    ds = build_dataset(windows, prices, horizon=2, max_order=1)
-    rows = ds.rows
-    assert len(rows) == 4
-    assert rows[0].horizon == 2
-    assert rows[0].target_diff == 2.0
-    assert rows[-1].target_diff is None
-
-
-def test_dataset_csv_roundtrip(tmp_path):
-    windows = partition_daily(_records_over_days(4))
-    prices = _prices_over_days(windows[0].date, 4)
-    ds = build_dataset(windows, prices, horizon=1, max_order=1)
-    path = tmp_path / "ds.csv"
-    write_dataset_csv(ds, path)
-    back = read_dataset_csv(path, horizon=1)
-    assert back.dates == ds.dates
-    assert np.array_equal(back.x, ds.x)
-    assert np.array_equal(back.base_prices, ds.base_prices)
-    assert np.array_equal(back.targets[:-1], ds.targets[:-1])
-    assert np.isnan(back.targets[-1])
+        DayTable(windows, short, max_order=1, threads=None)
 
 
 def test_feature_csv_header(tmp_path):

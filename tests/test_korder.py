@@ -14,13 +14,25 @@ from txpattern.korder import (
     occurrence_matrix,
     occurrence_matrix_oracle,
     subgraph_shape,
-    transition_matrix,
-    transition_matrix_counts,
 )
 from txpattern.ingest import TransactionRecord, partition_daily
 from txpattern.txgraph import build_graph
 
 from conftest import DAY0_TS, random_window
+
+
+def transition_matrix_counts(
+    P: SparseBoolMatrix, Q: SparseBoolMatrix, k: int
+) -> np.ndarray:
+    """Dense integer reach matrix (QP)^(k-1) Q for small graphs: entry
+    (t, a) counts the distinct k-hop paths from transaction t to address a.
+    The reference that boolean products are checked against."""
+    qd = Q.to_dense().astype(np.int64)
+    hop = qd @ P.to_dense().astype(np.int64)
+    m = qd
+    for _ in range(k - 1):
+        m = hop @ m
+    return m
 
 
 def _expect_grid(cells: dict[tuple[int, int], int]) -> np.ndarray:
@@ -66,8 +78,8 @@ def test_toy_oracle_agrees(toy_graph):
 
 def test_toy_depth2_reach(toy_graph):
     a8 = toy_graph.addresses.index("a8")
-    m2 = transition_matrix(build_P(toy_graph), build_Q(toy_graph), 2)
-    assert m2.entries() == {(0, a8), (1, a8)}
+    P, Q = build_P(toy_graph), build_Q(toy_graph)
+    assert (Q @ P @ Q).entries() == {(0, a8), (1, a8)}
 
 
 def test_toy_depth2_path_counts(toy_graph):
@@ -80,13 +92,15 @@ def test_toy_depth2_path_counts(toy_graph):
     assert counts[1, a8] == 2
     assert counts[2].sum() == 0
     assert counts[3].sum() == 0
-    boolean = transition_matrix(P, Q, 2)
+    boolean = Q @ P @ Q
     assert boolean.entries() == {(t, a) for t, a in zip(*np.nonzero(counts))}
 
 
 def test_transition_order1_is_output_matrix(toy_graph):
+    # the order-1 frontier is the transaction's own output set
     Q = build_Q(toy_graph)
-    assert transition_matrix(build_P(toy_graph), Q, 1).entries() == Q.entries()
+    for t in range(toy_graph.n_transactions):
+        assert subgraph_shape(toy_graph, 1, t).n == Q.row_counts()[t]
 
 
 def test_subgraph_shapes(toy_graph):
@@ -316,25 +330,6 @@ def test_matmul_against_dense():
         b = SparseBoolMatrix.from_entries(ca, cb, set(zip(*np.nonzero(db))))
         want = (da.astype(int) @ db.astype(int)) > 0
         assert np.array_equal((a @ b).to_dense(), want)
-
-
-def test_transpose_involution():
-    rng = np.random.default_rng(5)
-    dense = rng.random((6, 9)) < 0.25
-    m = SparseBoolMatrix.from_entries(6, 9, set(zip(*np.nonzero(dense))))
-    assert m.transpose().transpose().entries() == m.entries()
-    assert np.array_equal(m.transpose().to_dense(), dense.T)
-
-
-def test_transpose_of_product():
-    rng = np.random.default_rng(17)
-    da = rng.random((7, 5)) < 0.35
-    db = rng.random((5, 6)) < 0.35
-    a = SparseBoolMatrix.from_entries(7, 5, set(zip(*np.nonzero(da))))
-    b = SparseBoolMatrix.from_entries(5, 6, set(zip(*np.nonzero(db))))
-    left = (a @ b).transpose()
-    right = b.transpose() @ a.transpose()
-    assert left.entries() == right.entries()
 
 
 # --- numba and numpy backends must agree bit for bit ---------------------------

@@ -11,7 +11,6 @@ from txpattern.regress import (
     fit,
     load_model,
     predict,
-    predict_batch,
     save_model,
 )
 
@@ -40,7 +39,7 @@ def test_ridge_recovers_clean_linear():
     model = fit(RegressorSpec(ridge_lambda=1e-10), x, y)
     assert np.allclose(model.weights, w_true, atol=1e-6)
     assert model.bias == pytest.approx(5.0, abs=1e-6)
-    assert np.allclose(predict_batch(model, x), y, atol=1e-6)
+    assert np.allclose(x @ model.weights + model.bias, y, atol=1e-6)
 
 
 def test_ridge_zero_penalty_matches_least_squares():
@@ -100,15 +99,6 @@ def test_predict_wrong_dimension():
         predict(model, np.ones(7))
 
 
-def test_predict_batch_matches_scalar():
-    x, y, _ = _linear_data(noise=0.2, seed=5)
-    model = fit(RegressorSpec(ridge_lambda=0.5), x, y)
-    batch = predict_batch(model, x[:7])
-    singles = np.array([predict(model, row) for row in x[:7]])
-    # blas may round gemm and dot differently; agreement is to tolerance only
-    assert np.allclose(batch, singles, rtol=0, atol=1e-10)
-
-
 def test_svr_loss_decreases():
     x, y, _ = _linear_data(n=80, noise=0.05, seed=6)
     spec = RegressorSpec(kind="linear_svr", svr_epochs=150,
@@ -124,7 +114,7 @@ def test_svr_approximates_linear_relation():
     spec = RegressorSpec(kind="linear_svr", svr_epochs=800,
                          svr_learning_rate=5e-2, svr_c=10.0, svr_epsilon=0.01)
     model = fit(spec, x, y)
-    pred = predict_batch(model, x)
+    pred = x @ model.weights + model.bias
     # subgradient training lands near, not on, the relation
     assert np.mean(np.abs(pred - y)) < 0.5
 

@@ -1,7 +1,7 @@
 import datetime as dt
 
 from txpattern.ingest import DayWindow, TransactionRecord, partition_daily
-from txpattern.txgraph import build_graph, dump_text, input_sets
+from txpattern.txgraph import build_graph
 
 from conftest import DAY0_TS
 
@@ -46,9 +46,8 @@ def test_repeated_input_address_deduplicated():
 
 def test_input_set_sizes(toy_graph):
     assert list(toy_graph.input_set_sizes) == [2, 1, 2, 2]
-    sets = input_sets(toy_graph)
-    assert sets[0].tx == "t1"
-    assert len(sets[0].members) == 2
+    assert toy_graph.tx_ids[0] == "t1"
+    assert len(toy_graph.input_ids(0)) == 2
 
 
 def test_csr_arrays_read_only(toy_graph):
@@ -61,12 +60,3 @@ def test_empty_window():
     graph = build_graph(DayWindow(dt.date(2015, 1, 1), ()))
     assert graph.n_transactions == 0
     assert graph.n_addresses == 0
-
-
-def test_dump_text(toy_graph):
-    text = dump_text(toy_graph)
-    lines = text.strip().splitlines()
-    assert len(lines) == 4
-    assert lines[0].startswith("t1 |")
-    assert "in: a1,a2" in lines[0]
-    assert "out: a5" in lines[0]

@@ -20,7 +20,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import kernels
 from .backtest import INTERVALS, DayTable, SplitSpec, horizon_sweep, run_backtest, window_sweep
 from .ensemble import decay_weights
 from .errors import BadSpec, InsufficientData, PriceMissing, TxPatternError
@@ -248,8 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", default=os.environ.get("TXPATTERN_CONFIG"),
                         help="key=value defaults file")
-    parser.add_argument("--backend", choices=("auto", "numba", "numpy"),
-                        default=None, help="kernel backend override")
     parser.add_argument("--show-weights", nargs=2, metavar=("R", "WINDOW"),
                         default=None,
                         help="print the decay weights for ratio R over WINDOW "
@@ -467,8 +464,6 @@ def main(argv: list[str] | None = None) -> int:
         if ns.command is None:
             parser.error("a subcommand is required")
         config = _read_config(ns.config) if ns.config else {}
-        if ns.backend:
-            kernels.use_backend(ns.backend)
         handler, opts = _HANDLERS[ns.command]
         values = _resolve(opts, ns, config, parser)
         return handler(values)

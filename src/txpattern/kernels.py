@@ -1,40 +1,25 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels, one numpy implementation each.
 
-The package ships a numba ``@njit`` implementation of each kernel and a pure
-numpy fallback.  The backend is chosen at import time from the environment
-variable ``TXPATTERN_BACKEND``:
-
-* ``auto`` (or unset) - numba when importable, numpy otherwise
-* ``numba``           - require numba, fail loudly if missing
-* ``numpy``           - force the fallback path
-
-``use_backend()`` switches at runtime (used by tests and the benchmark).
-Both backends implement identical semantics; the boolean kernels are
-bit-exact across backends, the float kernels agree to rounding error.
+``spgemm_bool`` is the boolean sparse product behind the k-order grids and
+``svr_epochs`` the linear SVR training loop.  Callers reach both, and
+``warmup``, through the module attribute (``kernels.spgemm_bool(...)``):
+the end-to-end benchmark in ``e2ebench/`` wraps them by these names to time
+them, so the names are kept stable.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        # decorator stub so the module still imports; numba backend stays
-        # unselectable
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+def _unique_sorted(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of an int64 array, as ``np.unique`` returns
+    them.  Sort plus a neighbour compare: numpy 2.x runs ``np.unique`` on
+    integers through a hash table, 7-57x slower on 1k-2M random keys."""
+    keys = np.sort(keys)
+    keep = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -47,39 +32,7 @@ except ImportError:  # pragma: no cover - exercised only without numba
 # idempotent, so only the set of populated positions matters.
 
 
-@njit(cache=True, nogil=True)
-def _spgemm_bool_numba(a_indptr, a_indices, b_indptr, b_indices, n_rows, n_cols):
-    # Gustavson two-pass with a per-column marker; marker[col] == current row
-    # means col already emitted for this row.
-    marker = np.full(n_cols, -1, np.int64)
-    c_indptr = np.zeros(n_rows + 1, np.int64)
-    for i in range(n_rows):
-        cnt = 0
-        for jj in range(a_indptr[i], a_indptr[i + 1]):
-            j = a_indices[jj]
-            for kk in range(b_indptr[j], b_indptr[j + 1]):
-                col = b_indices[kk]
-                if marker[col] != i:
-                    marker[col] = i
-                    cnt += 1
-        c_indptr[i + 1] = c_indptr[i] + cnt
-    c_indices = np.empty(c_indptr[n_rows], np.int64)
-    marker[:] = -1
-    for i in range(n_rows):
-        pos = c_indptr[i]
-        for jj in range(a_indptr[i], a_indptr[i + 1]):
-            j = a_indices[jj]
-            for kk in range(b_indptr[j], b_indptr[j + 1]):
-                col = b_indices[kk]
-                if marker[col] != i:
-                    marker[col] = i
-                    c_indices[pos] = col
-                    pos += 1
-        c_indices[c_indptr[i]:c_indptr[i + 1]].sort()
-    return c_indptr, c_indices
-
-
-def _spgemm_bool_numpy(a_indptr, a_indices, b_indptr, b_indices, n_rows, n_cols):
+def spgemm_bool(a_indptr, a_indices, b_indptr, b_indices, n_rows, n_cols):
     # Expand every (i,j) of A against row j of B, then dedupe (row,col) pairs
     # through a single int64 key.  No python loop over rows.
     a_nnz_per_row = np.diff(a_indptr)
@@ -94,7 +47,7 @@ def _spgemm_bool_numpy(a_indptr, a_indices, b_indptr, b_indices, n_rows, n_cols)
     offsets = np.arange(total, dtype=np.int64) - np.repeat(cum - lens, lens)
     cols = b_indices[np.repeat(starts, lens) + offsets]
     rows = np.repeat(a_rows, lens)
-    keys = np.unique(rows * np.int64(n_cols) + cols)
+    keys = _unique_sorted(rows * n_cols + cols)
     out_rows = keys // n_cols
     c_indptr = np.zeros(n_rows + 1, np.int64)
     np.cumsum(np.bincount(out_rows, minlength=n_rows), out=c_indptr[1:])
@@ -113,58 +66,13 @@ def _spgemm_bool_numpy(a_indptr, a_indices, b_indptr, b_indices, n_rows, n_cols)
 # drops below tol.
 
 
-@njit(cache=True, nogil=True)
-def _svr_epochs_numba(x, y, c, eps, epochs, lr0, tol):
+def svr_epochs(x, y, c, eps, epochs, lr0, tol):
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    y = np.ascontiguousarray(y, dtype=np.float64)
     n, d = x.shape
     w = np.zeros(d, np.float64)
     b = 0.0
-    losses = np.empty(epochs, np.float64)
-    used = 0
-    prev = np.inf
-    for epoch in range(epochs):
-        lr = lr0 / (1.0 + epoch)
-        for i in range(n):
-            pred = b
-            for j in range(d):
-                pred += w[j] * x[i, j]
-            r = pred - y[i]
-            g = 0.0
-            if r > eps:
-                g = 1.0
-            elif r < -eps:
-                g = -1.0
-            shrink = 1.0 - lr / n
-            for j in range(d):
-                w[j] *= shrink
-            if g != 0.0:
-                step = lr * c * g
-                for j in range(d):
-                    w[j] -= step * x[i, j]
-                b -= step
-        loss = 0.0
-        for j in range(d):
-            loss += 0.5 * w[j] * w[j]
-        for i in range(n):
-            pred = b
-            for j in range(d):
-                pred += w[j] * x[i, j]
-            excess = abs(pred - y[i]) - eps
-            if excess > 0.0:
-                loss += c * excess
-        losses[used] = loss
-        used += 1
-        if prev - loss < tol:
-            break
-        prev = loss
-    return w, b, losses, used
-
-
-def _svr_epochs_numpy(x, y, c, eps, epochs, lr0, tol):
-    n, d = x.shape
-    w = np.zeros(d, np.float64)
-    b = 0.0
-    losses = np.empty(epochs, np.float64)
-    used = 0
+    losses = []
     prev = np.inf
     for epoch in range(epochs):
         lr = lr0 / (1.0 + epoch)
@@ -178,69 +86,17 @@ def _svr_epochs_numpy(x, y, c, eps, epochs, lr0, tol):
                 b -= step
         margin = np.abs(x @ w + b - y) - eps
         loss = 0.5 * float(w @ w) + c * float(margin[margin > 0.0].sum())
-        losses[used] = loss
-        used += 1
+        losses.append(loss)
         if prev - loss < tol:
             break
         prev = loss
-    return w, b, losses, used
-
-
-# ---------------------------------------------------------------------------
-# Backend selection
-# ---------------------------------------------------------------------------
-
-_BACKENDS = {
-    "numba": {
-        "spgemm_bool": _spgemm_bool_numba,
-        "svr_epochs": _svr_epochs_numba,
-    },
-    "numpy": {
-        "spgemm_bool": _spgemm_bool_numpy,
-        "svr_epochs": _svr_epochs_numpy,
-    },
-}
-
-_active = "numpy"
-
-
-def use_backend(name: str) -> None:
-    """Select the kernel backend: 'numba', 'numpy' or 'auto'."""
-    global _active
-    if name == "auto" or name == "":
-        name = "numba" if NUMBA_AVAILABLE else "numpy"
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown backend {name!r} (expected numba/numpy/auto)")
-    if name == "numba" and not NUMBA_AVAILABLE:
-        raise ImportError("numba backend requested but numba is not installed")
-    _active = name
-
-
-def active_backend() -> str:
-    return _active
-
-
-def spgemm_bool(a_indptr, a_indices, b_indptr, b_indices, n_rows, n_cols):
-    return _BACKENDS[_active]["spgemm_bool"](
-        a_indptr, a_indices, b_indptr, b_indices, np.int64(n_rows), np.int64(n_cols)
-    )
-
-
-def svr_epochs(x, y, c, eps, epochs, lr0, tol):
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    w, b, losses, used = _BACKENDS[_active]["svr_epochs"](
-        x, y, float(c), float(eps), int(epochs), float(lr0), float(tol)
-    )
-    return w, float(b), losses[:used].copy()
+    return w, float(b), np.array(losses, dtype=np.float64)
 
 
 def warmup() -> None:
-    """Force JIT compilation of the active backend on tiny inputs."""
+    """Run each kernel once on tiny inputs, so one-time costs (imports,
+    first-call allocation) fall outside any timed region."""
     ip = np.array([0, 1], np.int64)
     ix = np.array([0], np.int64)
     spgemm_bool(ip, ix, ip, ix, 1, 1)
     svr_epochs(np.ones((2, 1)), np.zeros(2), 1.0, 0.1, 1, 1e-3, 0.0)
-
-
-use_backend(os.environ.get("TXPATTERN_BACKEND", "auto").strip().lower())

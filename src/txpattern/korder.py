@@ -35,7 +35,7 @@ thresholding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,7 +52,7 @@ class SubgraphShape(NamedTuple):
     n: int
 
 
-@dataclass
+@dataclass(eq=False)
 class SparseBoolMatrix:
     """Boolean sparse matrix in canonical CSR form (sorted, unique columns)."""
 
@@ -72,41 +72,19 @@ class SparseBoolMatrix:
                 raise ValueError("row index out of bounds")
             if cols.min() < 0 or cols.max() >= n_cols:
                 raise ValueError("column index out of bounds")
-            keys = np.unique(rows * np.int64(max(n_cols, 1)) + cols)
+            keys = kernels._unique_sorted(rows * max(n_cols, 1) + cols)
             rows = keys // max(n_cols, 1)
             cols = keys % max(n_cols, 1)
         indptr = np.zeros(n_rows + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
         return cls(n_rows, n_cols, indptr, cols)
 
-    @classmethod
-    def from_entries(
-        cls, n_rows: int, n_cols: int, entries: Iterable[tuple[int, int]]
-    ) -> "SparseBoolMatrix":
-        pairs = list(entries)
-        return cls.from_pairs(
-            n_rows, n_cols, [r for r, _ in pairs], [c for _, c in pairs]
-        )
-
     @property
     def nnz(self) -> int:
         return int(self.indptr[-1])
 
-    def row(self, i: int) -> np.ndarray:
-        return self.indices[self.indptr[i]:self.indptr[i + 1]]
-
     def row_counts(self) -> np.ndarray:
         return np.diff(self.indptr)
-
-    def entries(self) -> set[tuple[int, int]]:
-        rows = np.repeat(np.arange(self.n_rows), self.row_counts())
-        return set(zip(rows.tolist(), self.indices.tolist()))
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.n_rows, self.n_cols), dtype=bool)
-        rows = np.repeat(np.arange(self.n_rows), self.row_counts())
-        dense[rows, self.indices] = True
-        return dense
 
     def matmul(self, other: "SparseBoolMatrix") -> "SparseBoolMatrix":
         if self.n_cols != other.n_rows:
@@ -121,16 +99,6 @@ class SparseBoolMatrix:
 
     def __matmul__(self, other: "SparseBoolMatrix") -> "SparseBoolMatrix":
         return self.matmul(other)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparseBoolMatrix):
-            return NotImplemented
-        return (
-            self.n_rows == other.n_rows
-            and self.n_cols == other.n_cols
-            and np.array_equal(self.indptr, other.indptr)
-            and np.array_equal(self.indices, other.indices)
-        )
 
 
 @dataclass
@@ -186,11 +154,6 @@ def _tally(m_sizes: np.ndarray, n_sizes: np.ndarray) -> np.ndarray:
         flat = np.bincount(mi * CLAMP + ni, minlength=GRID_CELLS)
         grid += flat.reshape(CLAMP, CLAMP)
     return grid
-
-
-def occurrence_matrix(graph: TransactionGraph, k: int) -> OccurrenceMatrix:
-    """Order-k pattern counts via the sparse boolean matrix route."""
-    return occurrence_matrices(graph, k)[k - 1]
 
 
 def _first_entries(m: SparseBoolMatrix) -> SparseBoolMatrix:

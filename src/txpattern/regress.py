@@ -120,6 +120,10 @@ def predict(model: FittedModel, x: np.ndarray) -> float:
 
 
 MODEL_SCHEMA_VERSION = 1
+_MODEL_KEYS = (
+    "bias", "feature_dim", "horizon", "kind", "params", "scaler_mean",
+    "scaler_std", "train_range", "weights",
+)
 
 
 def save_model(
@@ -162,8 +166,13 @@ def load_model(path: str | Path) -> tuple[FittedModel, Scaler, int]:
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise BadSpec(f"{path} is not a model file: {exc}") from None
+    if not isinstance(payload, dict):
+        raise BadSpec(f"{path} is not a model file: not a JSON object")
     if payload.get("schema_version") != MODEL_SCHEMA_VERSION:
         raise BadSpec(f"unsupported model schema: {payload.get('schema_version')}")
+    missing = [key for key in _MODEL_KEYS if key not in payload]
+    if missing:
+        raise BadSpec(f"{path} is not a model file: missing {', '.join(missing)}")
     weights = np.array(payload["weights"], dtype=np.float64)
     if weights.shape[0] != payload["feature_dim"]:
         raise DimensionMismatch("stored weights do not match declared feature_dim")

@@ -152,6 +152,21 @@ def test_predict_missing_model_file(corpus, tmp_path, capsys):
     assert "missing.json" in err
 
 
+@pytest.mark.parametrize("payload, message", [
+    ("[]", "not a JSON object"),
+    ('{"schema_version": 1}', "missing bias"),
+])
+def test_predict_model_file_not_a_model(corpus, tmp_path, capsys, payload, message):
+    tx, px = corpus
+    bad = tmp_path / "bad.json"
+    bad.write_text(payload)
+    code, _, err = run(capsys, "predict", "--model-file", str(bad),
+                       "--tx", tx, "--prices", px)
+    assert code == 1
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_predict_header_only_transactions(corpus, tmp_path, capsys):
     tx, px = corpus
     model_path = str(tmp_path / "model.json")

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from txpattern import kernels
 from txpattern.errors import DimensionMismatch, OrderOutOfRange
 from txpattern.korder import (
     CLAMP,
@@ -11,7 +10,6 @@ from txpattern.korder import (
     build_Q,
     feature_vector,
     occurrence_matrices,
-    occurrence_matrix,
     occurrence_matrix_oracle,
     subgraph_shape,
 )
@@ -21,14 +19,33 @@ from txpattern.txgraph import build_graph
 from conftest import DAY0_TS, random_window
 
 
+def _grid(graph, k: int):
+    """The order-k grid of the matrix route."""
+    return occurrence_matrices(graph, k)[k - 1]
+
+
+def _from_dense(dense: np.ndarray) -> SparseBoolMatrix:
+    return SparseBoolMatrix.from_pairs(*dense.shape, *np.nonzero(dense))
+
+
+def _dense(m: SparseBoolMatrix) -> np.ndarray:
+    dense = np.zeros((m.n_rows, m.n_cols), dtype=bool)
+    dense[np.repeat(np.arange(m.n_rows), m.row_counts()), m.indices] = True
+    return dense
+
+
+def _entries(m: SparseBoolMatrix) -> set[tuple[int, int]]:
+    return {(int(r), int(c)) for r, c in zip(*np.nonzero(_dense(m)))}
+
+
 def transition_matrix_counts(
     P: SparseBoolMatrix, Q: SparseBoolMatrix, k: int
 ) -> np.ndarray:
     """Dense integer reach matrix (QP)^(k-1) Q for small graphs: entry
     (t, a) counts the distinct k-hop paths from transaction t to address a.
     The reference that boolean products are checked against."""
-    qd = Q.to_dense().astype(np.int64)
-    hop = qd @ P.to_dense().astype(np.int64)
+    qd = _dense(Q).astype(np.int64)
+    hop = qd @ _dense(P).astype(np.int64)
     m = qd
     for _ in range(k - 1):
         m = hop @ m
@@ -54,7 +71,7 @@ def test_toy_matrix_shapes(toy_graph):
 
 
 def test_toy_order1_grid(toy_graph):
-    oc = occurrence_matrix(toy_graph, 1)
+    oc = _grid(toy_graph, 1)
     assert np.array_equal(oc.counts, _expect_grid({(2, 1): 3, (1, 2): 1}))
     assert oc.cell(2, 1) == 3
     assert oc.cell(1, 2) == 1
@@ -62,24 +79,24 @@ def test_toy_order1_grid(toy_graph):
 
 
 def test_toy_order2_grid(toy_graph):
-    oc = occurrence_matrix(toy_graph, 2)
+    oc = _grid(toy_graph, 2)
     assert np.array_equal(oc.counts, _expect_grid({(2, 1): 1, (1, 1): 1}))
 
 
 def test_toy_order3_grid_empty(toy_graph):
     # nothing spends a8, so no transaction has a depth-3 frontier
-    assert occurrence_matrix(toy_graph, 3).total() == 0
+    assert _grid(toy_graph, 3).total() == 0
 
 
 def test_toy_oracle_agrees(toy_graph):
     for k in (1, 2, 3):
-        assert occurrence_matrix(toy_graph, k) == occurrence_matrix_oracle(toy_graph, k)
+        assert _grid(toy_graph, k) == occurrence_matrix_oracle(toy_graph, k)
 
 
 def test_toy_depth2_reach(toy_graph):
     a8 = toy_graph.addresses.index("a8")
     P, Q = build_P(toy_graph), build_Q(toy_graph)
-    assert (Q @ P @ Q).entries() == {(0, a8), (1, a8)}
+    assert _entries(Q @ P @ Q) == {(0, a8), (1, a8)}
 
 
 def test_toy_depth2_path_counts(toy_graph):
@@ -93,7 +110,7 @@ def test_toy_depth2_path_counts(toy_graph):
     assert counts[2].sum() == 0
     assert counts[3].sum() == 0
     boolean = Q @ P @ Q
-    assert boolean.entries() == {(t, a) for t, a in zip(*np.nonzero(counts))}
+    assert _entries(boolean) == {(t, a) for t, a in zip(*np.nonzero(counts))}
 
 
 def test_transition_order1_is_output_matrix(toy_graph):
@@ -185,7 +202,7 @@ def test_rows_straddling_the_clamp(straddle_graph):
 
 def test_order_out_of_range(toy_graph):
     with pytest.raises(OrderOutOfRange):
-        occurrence_matrix(toy_graph, 0)
+        _grid(toy_graph, 0)
     with pytest.raises(OrderOutOfRange):
         feature_vector(toy_graph, -1)
 
@@ -196,7 +213,7 @@ def test_clamp_inputs_to_last_row():
     many = tuple(f"i{j}" for j in range(25))
     records = [TransactionRecord("big", DAY0_TS, many, ("o1",))]
     graph = build_graph(partition_daily(records)[0])
-    oc = occurrence_matrix(graph, 1)
+    oc = _grid(graph, 1)
     assert oc.cell(CLAMP, 1) == 1
     assert oc.total() == 1
 
@@ -205,7 +222,7 @@ def test_clamp_outputs_to_last_column():
     outs = tuple(f"o{j}" for j in range(31))
     records = [TransactionRecord("wide", DAY0_TS, ("i1",), outs)]
     graph = build_graph(partition_daily(records)[0])
-    oc = occurrence_matrix(graph, 1)
+    oc = _grid(graph, 1)
     assert oc.cell(1, CLAMP) == 1
 
 
@@ -217,14 +234,14 @@ def test_exact_clamp_boundary():
                           tuple(f"d{j}" for j in range(21))),
     ]
     graph = build_graph(partition_daily(records)[0])
-    oc = occurrence_matrix(graph, 1)
+    oc = _grid(graph, 1)
     assert oc.cell(19, 20) == 1   # n=20 already sits in the last column
     assert oc.cell(20, 20) == 1   # m=20 and n=21 both clamp
 
 
 def test_empty_frontier_counts_nowhere(toy_graph):
     # 4 transactions, but only 2 have any depth-2 frontier
-    assert occurrence_matrix(toy_graph, 2).total() == 2
+    assert _grid(toy_graph, 2).total() == 2
 
 
 def test_total_bounded_by_transactions():
@@ -232,7 +249,7 @@ def test_total_bounded_by_transactions():
     for _ in range(20):
         graph = build_graph(random_window(rng, max_tx=60, max_addr=150))
         for k in (1, 2, 3):
-            assert occurrence_matrix(graph, k).total() <= graph.n_transactions
+            assert _grid(graph, k).total() <= graph.n_transactions
 
 
 def test_coinbase_excluded():
@@ -241,7 +258,7 @@ def test_coinbase_excluded():
         TransactionRecord("t1", DAY0_TS + 1, ("x",), ("y",)),
     ]
     graph = build_graph(partition_daily(records)[0])
-    oc = occurrence_matrix(graph, 1)
+    oc = _grid(graph, 1)
     assert oc.total() == 1
     assert oc.cell(1, 1) == 1
 
@@ -253,7 +270,7 @@ def test_oracle_equivalence_random_graphs():
     for i in range(40):
         graph = build_graph(random_window(rng, max_tx=80, max_addr=200))
         k = 1 + i % 4
-        assert occurrence_matrix(graph, k) == occurrence_matrix_oracle(graph, k), (
+        assert _grid(graph, k) == occurrence_matrix_oracle(graph, k), (
             f"divergence at instance {i}, order {k}"
         )
 
@@ -266,15 +283,16 @@ def test_oracle_equivalence_with_cycles():
     ]
     graph = build_graph(partition_daily(records)[0])
     for k in (1, 2, 3, 4, 5):
-        fast = occurrence_matrix(graph, k)
+        fast = _grid(graph, k)
         assert fast == occurrence_matrix_oracle(graph, k)
         assert fast.total() == 2  # the cycle never dies out
 
 
 def test_occurrence_matrices_match_single_calls(toy_graph):
+    # the order-k grid does not depend on how many orders are computed
     grids = occurrence_matrices(toy_graph, 3)
     for k, oc in enumerate(grids, start=1):
-        assert oc == occurrence_matrix(toy_graph, k)
+        assert oc == occurrence_matrices(toy_graph, k)[-1]
 
 
 # --- feature vector layout ----------------------------------------------------
@@ -291,20 +309,23 @@ def test_feature_vector_layout(toy_graph):
 
 # --- sparse boolean matrix algebra --------------------------------------------
 
-def test_from_entries_roundtrip():
-    entries = {(0, 1), (0, 3), (2, 0)}
-    m = SparseBoolMatrix.from_entries(3, 4, entries)
-    assert m.entries() == entries
+def test_from_pairs_roundtrip():
+    m = SparseBoolMatrix.from_pairs(3, 4, [2, 0, 0], [0, 3, 1])
+    assert _entries(m) == {(0, 1), (0, 3), (2, 0)}
     assert m.nnz == 3
-    assert list(m.row(0)) == [1, 3]
-    assert list(m.row(1)) == []
+    assert list(m.indptr) == [0, 2, 2, 3]
+    assert list(m.indices) == [1, 3, 0]
     assert list(m.row_counts()) == [2, 0, 1]
 
 
 def test_from_pairs_deduplicates():
     m = SparseBoolMatrix.from_pairs(2, 2, [0, 0, 1], [1, 1, 0])
-    assert m.entries() == {(0, 1), (1, 0)}
+    assert _entries(m) == {(0, 1), (1, 0)}
     assert m.nnz == 2
+    one = SparseBoolMatrix.from_pairs(2, 2, [1], [1])
+    assert list(one.indptr) == [0, 0, 1] and list(one.indices) == [1]
+    same = SparseBoolMatrix.from_pairs(2, 2, [1, 1, 1], [0, 0, 0])
+    assert list(same.indptr) == [0, 0, 1] and list(same.indices) == [0]
 
 
 def test_from_pairs_bounds_checked():
@@ -313,8 +334,8 @@ def test_from_pairs_bounds_checked():
 
 
 def test_matmul_dimension_mismatch():
-    a = SparseBoolMatrix.from_entries(2, 3, {(0, 0)})
-    b = SparseBoolMatrix.from_entries(2, 2, {(0, 0)})
+    a = SparseBoolMatrix.from_pairs(2, 3, [0], [0])
+    b = SparseBoolMatrix.from_pairs(2, 2, [0], [0])
     with pytest.raises(DimensionMismatch):
         a.matmul(b)
 
@@ -326,49 +347,6 @@ def test_matmul_against_dense():
         cb = int(rng.integers(1, 15))
         da = rng.random((ra, ca)) < 0.3
         db = rng.random((ca, cb)) < 0.3
-        a = SparseBoolMatrix.from_entries(ra, ca, set(zip(*np.nonzero(da))))
-        b = SparseBoolMatrix.from_entries(ca, cb, set(zip(*np.nonzero(db))))
         want = (da.astype(int) @ db.astype(int)) > 0
-        assert np.array_equal((a @ b).to_dense(), want)
+        assert np.array_equal(_dense(_from_dense(da) @ _from_dense(db)), want)
 
-
-# --- numba and numpy backends must agree bit for bit ---------------------------
-
-@pytest.mark.skipif(not kernels.NUMBA_AVAILABLE, reason="numba not installed")
-def test_backend_equality_occurrence_grids():
-    rng = np.random.default_rng(2024)
-    windows = [random_window(rng, max_tx=100, max_addr=250) for _ in range(10)]
-    before = kernels.active_backend()
-    try:
-        results = {}
-        for backend in ("numba", "numpy"):
-            kernels.use_backend(backend)
-            results[backend] = [
-                occurrence_matrix(build_graph(w), 1 + i % 3).counts
-                for i, w in enumerate(windows)
-            ]
-        for got, want in zip(results["numba"], results["numpy"]):
-            assert np.array_equal(got, want)
-    finally:
-        kernels.use_backend(before)
-
-
-@pytest.mark.skipif(not kernels.NUMBA_AVAILABLE, reason="numba not installed")
-def test_backend_equality_spgemm():
-    rng = np.random.default_rng(31)
-    before = kernels.active_backend()
-    try:
-        for _ in range(15):
-            ra, ca, cb = (int(rng.integers(1, 40)) for _ in range(3))
-            da = rng.random((ra, ca)) < 0.2
-            db = rng.random((ca, cb)) < 0.2
-            a = SparseBoolMatrix.from_entries(ra, ca, set(zip(*np.nonzero(da))))
-            b = SparseBoolMatrix.from_entries(ca, cb, set(zip(*np.nonzero(db))))
-            kernels.use_backend("numba")
-            fast = a @ b
-            kernels.use_backend("numpy")
-            slow = a @ b
-            assert np.array_equal(fast.indptr, slow.indptr)
-            assert np.array_equal(fast.indices, slow.indices)
-    finally:
-        kernels.use_backend(before)

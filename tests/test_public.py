@@ -1,9 +1,12 @@
+import importlib.util
 import re
 from pathlib import Path
 
 import txpattern
+from txpattern import backtest, cli, features, kernels, korder
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_all_names_resolve():
@@ -18,3 +21,21 @@ def test_readme_library_example_runs(capsys):
     assert {n.strip() for n in imported.split(",")} <= set(txpattern.__all__)
     exec(compile(code, str(README), "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def test_benchmark_tracer_installs(monkeypatch):
+    # e2ebench/tracer.py wraps package functions by name; a rename must fail
+    # here rather than in the benchmark
+    for mod in (backtest, cli, features, kernels, korder):
+        for name, value in list(vars(mod).items()):
+            if callable(value) and not name.startswith("__"):
+                monkeypatch.setattr(mod, name, value)
+    spec = importlib.util.spec_from_file_location(
+        "e2ebench_tracer", ROOT / "e2ebench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    tr = tracer.Tracer()
+    tracer.install(tr)
+    kernels.warmup()
+    assert tr.counters["kernels.spgemm_calls"] == 1
+    assert tr.counters["kernels.svr_epochs"] == 1

@@ -7,7 +7,7 @@ from scipy import stats
 from txpattern.errors import BadSpec
 from txpattern.features import day_feature_table
 from txpattern.ingest import parse_prices, parse_transactions, partition_daily
-from txpattern.korder import occurrence_matrix
+from txpattern.korder import occurrence_matrices
 from txpattern.synth import SynthSpec, generate, write_synth
 from txpattern.txgraph import build_graph
 
@@ -67,7 +67,7 @@ def test_no_spending_means_no_depth2_patterns():
                                     spend_probability=0.0))
     for window in partition_daily(records):
         graph = build_graph(window)
-        assert occurrence_matrix(graph, 2).total() == 0
+        assert occurrence_matrices(graph, 2)[1].total() == 0
 
 
 def test_spending_creates_depth2_patterns():
@@ -76,7 +76,7 @@ def test_spending_creates_depth2_patterns():
     total = 0
     for window in partition_daily(records):
         graph = build_graph(window)
-        total += occurrence_matrix(graph, 2).total()
+        total += occurrence_matrices(graph, 2)[1].total()
     assert total > 0
 
 

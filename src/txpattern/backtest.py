@@ -36,7 +36,7 @@ from .errors import (
     PriceMissing,
 )
 from .features import apply_scaler, day_feature_table, fit_scaler
-from .ingest import DayWindow, PriceSeries, TransactionRecord, partition_daily
+from .ingest import DayWindow, PriceSeries, TransactionTable, partition_daily
 from .regress import RegressorSpec, fit
 
 REPORT_SCHEMA_VERSION = 1
@@ -279,7 +279,7 @@ class DayTable:
 
 
 def _split_table(
-    records: list[TransactionRecord],
+    transactions: TransactionTable,
     prices: PriceSeries,
     split: SplitSpec,
     max_order: int,
@@ -287,7 +287,7 @@ def _split_table(
 ) -> DayTable:
     """The table over the split's windows, with machine parallelism for
     ``threads`` of None or 0."""
-    windows = partition_daily(records)
+    windows = partition_daily(transactions)
     if split.start is not None:
         windows = [
             w for w in windows
@@ -305,7 +305,7 @@ def _resolve_threads(threads: int | None) -> int:
 
 
 def run_backtest(
-    records: list[TransactionRecord],
+    transactions: TransactionTable,
     prices: PriceSeries,
     split: SplitSpec,
     max_order: int = 2,
@@ -317,7 +317,7 @@ def run_backtest(
 ) -> BacktestReport:
     """Full end-to-end backtest; see module docstring for semantics."""
     t0 = time.perf_counter()
-    table = _split_table(records, prices, split, max_order, threads)
+    table = _split_table(transactions, prices, split, max_order, threads)
     report = _run_on_table(table, split, max_order, r, window,
                            spec or RegressorSpec(), horizon)
     report.runtime_seconds = time.perf_counter() - t0
@@ -385,7 +385,7 @@ def _run_on_table(
 
 
 def horizon_sweep(
-    records: list[TransactionRecord],
+    transactions: TransactionTable,
     prices: PriceSeries,
     split: SplitSpec,
     horizons: list[int],
@@ -398,7 +398,7 @@ def horizon_sweep(
     if not horizons:
         return []
     spec = spec or RegressorSpec()
-    table = _split_table(records, prices, split, max_order, threads)
+    table = _split_table(transactions, prices, split, max_order, threads)
     return [
         (h, _run_on_table(table, split, max_order, r, 1, spec, h).mape)
         for h in horizons
@@ -406,7 +406,7 @@ def horizon_sweep(
 
 
 def window_sweep(
-    records: list[TransactionRecord],
+    transactions: TransactionTable,
     prices: PriceSeries,
     split: SplitSpec,
     windows: list[int],
@@ -420,7 +420,7 @@ def window_sweep(
     if not windows:
         return []
     spec = spec or RegressorSpec()
-    table = _split_table(records, prices, split, max_order, threads)
+    table = _split_table(transactions, prices, split, max_order, threads)
     cache: dict[int, tuple] = {}
     return [
         (w, _run_on_table(table, split, max_order, r, w, spec, horizon,

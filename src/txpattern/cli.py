@@ -86,11 +86,12 @@ def _path(flag: str, dest: str, help_text: str, required: bool = True) -> Opt:
 
 
 SEED = Opt(("--seed",), "seed", int, 42, "random seed")
-# 0 picks the thread count per command.  Threads shorten long runs but raise
-# peak memory on wide days.  On a 2-CPU machine a 365-day backtest took
-# 13.2 s on 1 thread and 11.3 s on 2, and `features` over a 100k-tx day and
-# two days with 700- and 1400-wide hub addresses peaked at 533 MB serial and
-# 648 MB on 2 threads.
+# 0 picks the thread count per command.  Threads do not shorten runs
+# measurably, and they raise peak memory on wide days.  On a 2-CPU machine a
+# 365-day backtest (730k tx) took 4.2-4.4 s on 1 thread and 3.8-4.4 s on 2,
+# both at 439 MB, and `features` over a 100k-tx day and two days with 700-
+# and 1400-wide hub addresses took 1.6 s at 394 MB serial and 1.7 s at
+# 419-453 MB on 2 threads.
 THREADS = Opt(("--threads",), "threads", int, 0,
               "worker threads for per-day features; 0 = machine parallelism "
               "for backtest and the sweeps, one thread for features, train "
@@ -339,9 +340,9 @@ def _cmd_features(v: dict) -> int:
 
 
 def _cmd_train(v: dict) -> int:
-    records = parse_transactions(v["tx"])
+    transactions = parse_transactions(v["tx"])
     prices = parse_prices(v["prices"])
-    table = DayTable(partition_daily(records), prices, v["order"], _threads(v))
+    table = DayTable(partition_daily(transactions), prices, v["order"], _threads(v))
     model, scaler, info = table.fit_offset(v["horizon"], _make_spec(v),
                                            prices.last_date)
     save_model(v["out"], model, scaler, v["horizon"])
@@ -351,9 +352,8 @@ def _cmd_train(v: dict) -> int:
 
 def _cmd_predict(v: dict) -> int:
     model, scaler, horizon = load_model(v["model_file"])
-    records = parse_transactions(v["tx"])
+    windows = partition_daily(parse_transactions(v["tx"]))
     prices = parse_prices(v["prices"])
-    windows = partition_daily(records)
     if not windows:
         raise InsufficientData(f"no transactions in {v['tx']}")
     date = v["date"] or windows[-1].date
@@ -371,9 +371,9 @@ def _cmd_predict(v: dict) -> int:
 
 
 def _cmd_backtest(v: dict) -> int:
-    records = parse_transactions(v["tx"])
+    transactions = parse_transactions(v["tx"])
     prices = parse_prices(v["prices"])
-    report = run_backtest(records, prices, _make_split(v), v["order"], v["r"],
+    report = run_backtest(transactions, prices, _make_split(v), v["order"], v["r"],
                           v["window"], _make_spec(v), v["horizon"], _threads(v))
     print(report.summary())
     if v["report"]:
@@ -386,9 +386,9 @@ def _cmd_backtest(v: dict) -> int:
 
 
 def _cmd_sweep_horizon(v: dict) -> int:
-    records = parse_transactions(v["tx"])
+    transactions = parse_transactions(v["tx"])
     prices = parse_prices(v["prices"])
-    rows = horizon_sweep(records, prices, _make_split(v), v["horizons"],
+    rows = horizon_sweep(transactions, prices, _make_split(v), v["horizons"],
                          v["order"], _make_spec(v), v["r"], _threads(v))
     print("horizon,mape_percent")
     for h, m in rows:
@@ -397,9 +397,9 @@ def _cmd_sweep_horizon(v: dict) -> int:
 
 
 def _cmd_sweep_window(v: dict) -> int:
-    records = parse_transactions(v["tx"])
+    transactions = parse_transactions(v["tx"])
     prices = parse_prices(v["prices"])
-    rows = window_sweep(records, prices, _make_split(v), v["windows"], v["r"],
+    rows = window_sweep(transactions, prices, _make_split(v), v["windows"], v["r"],
                         v["order"], _make_spec(v), v["horizon"], _threads(v))
     print("window,mape_percent")
     for w, m in rows:

@@ -173,19 +173,24 @@ def load_model(path: str | Path) -> tuple[FittedModel, Scaler, int]:
     missing = [key for key in _MODEL_KEYS if key not in payload]
     if missing:
         raise BadSpec(f"{path} is not a model file: missing {', '.join(missing)}")
-    weights = np.array(payload["weights"], dtype=np.float64)
-    if weights.shape[0] != payload["feature_dim"]:
+    try:
+        weights = np.array(payload["weights"], dtype=np.float64)
+        mean = np.array(payload["scaler_mean"], dtype=np.float64)
+        std = np.array(payload["scaler_std"], dtype=np.float64)
+        bias = float(payload["bias"])
+        horizon = int(payload["horizon"])
+        spec = RegressorSpec(kind=payload["kind"], **payload["params"])
+        train_range = None
+        if payload["train_range"]:
+            first, last = payload["train_range"]
+            train_range = (dt.date.fromisoformat(first), dt.date.fromisoformat(last))
+    except BadSpec:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise BadSpec(f"{path} is not a model file: {exc}") from None
+    if weights.shape != (payload["feature_dim"],):
         raise DimensionMismatch("stored weights do not match declared feature_dim")
-    mean = np.array(payload["scaler_mean"], dtype=np.float64)
-    std = np.array(payload["scaler_std"], dtype=np.float64)
     if mean.shape != weights.shape or std.shape != weights.shape:
         raise DimensionMismatch("stored scaler does not match feature_dim")
-    spec = RegressorSpec(kind=payload["kind"], **payload["params"])
-    train_range = None
-    if payload["train_range"]:
-        train_range = (
-            dt.date.fromisoformat(payload["train_range"][0]),
-            dt.date.fromisoformat(payload["train_range"][1]),
-        )
-    model = FittedModel(weights, float(payload["bias"]), spec, train_range)
-    return model, Scaler(mean, std), int(payload["horizon"])
+    model = FittedModel(weights, bias, spec, train_range)
+    return model, Scaler(mean, std), horizon

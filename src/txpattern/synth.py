@@ -26,15 +26,16 @@ import numpy as np
 
 from .errors import BadSpec
 from .ingest import (
+    SECONDS_PER_DAY,
+    DayWindow,
     PriceSeries,
     TransactionRecord,
+    TransactionTable,
     write_prices,
     write_transactions,
-    SECONDS_PER_DAY,
 )
 from .korder import CLAMP, GRID_CELLS, feature_vector
 from .txgraph import build_graph
-from .ingest import DayWindow
 
 DEFAULT_IN_SIZES = {1: 0.55, 2: 0.25, 3: 0.12, 5: 0.05, 25: 0.03}
 DEFAULT_OUT_SIZES = {1: 0.60, 2: 0.30, 4: 0.08, 22: 0.02}
@@ -126,7 +127,7 @@ class _Sampler:
         return int(rng.choice(self.sizes, p=self.probs))
 
 
-def generate(spec: SynthSpec) -> tuple[list[TransactionRecord], PriceSeries]:
+def generate(spec: SynthSpec) -> tuple[TransactionTable, PriceSeries]:
     """Deterministic for a given spec (including seed)."""
     rng = np.random.default_rng(spec.seed)
     in_sampler = _Sampler(spec.in_sizes)
@@ -189,7 +190,9 @@ def generate(spec: SynthSpec) -> tuple[list[TransactionRecord], PriceSeries]:
                 z = float(rng.standard_normal())
                 nxt = current * float(np.exp(spec.volatility * z - 0.5 * spec.volatility**2))
             else:
-                window = DayWindow(spec.start_date + dt.timedelta(days=day), day_records)
+                window = DayWindow(spec.start_date + dt.timedelta(days=day),
+                                   TransactionTable.from_records(day_records),
+                                   np.arange(len(day_records)))
                 graph = build_graph(window)
                 v = feature_vector(graph, spec.max_planted_order).astype(np.float64)
                 drift = float(planted_w @ v)
@@ -201,12 +204,12 @@ def generate(spec: SynthSpec) -> tuple[list[TransactionRecord], PriceSeries]:
             price_dates.append(spec.start_date + dt.timedelta(days=day + 1))
 
     prices = PriceSeries.from_entries(list(zip(price_dates, closes)))
-    return records, prices
+    return TransactionTable.from_records(records), prices
 
 
 def write_synth(spec: SynthSpec, tx_path, price_path) -> tuple[int, int]:
     """Generate and write both CSVs; returns (n_transactions, n_price_rows)."""
-    records, prices = generate(spec)
-    write_transactions(records, tx_path)
+    transactions, prices = generate(spec)
+    write_transactions(transactions, tx_path)
     write_prices(list(zip(prices.dates, prices.closes)), price_path)
-    return len(records), len(prices.dates)
+    return len(transactions), len(prices.dates)

@@ -3,7 +3,12 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from txpattern.ingest import DayWindow, TransactionRecord, partition_daily
+from txpattern.ingest import (
+    DayWindow,
+    TransactionRecord,
+    TransactionTable,
+    partition_daily,
+)
 from txpattern.txgraph import build_graph
 
 # any fixed day works; this one avoids epoch edge cases
@@ -66,7 +71,7 @@ def toy_records() -> list[TransactionRecord]:
 
 @pytest.fixture
 def toy_window() -> DayWindow:
-    return partition_daily(toy_records())[0]
+    return day_windows(toy_records())[0]
 
 
 @pytest.fixture
@@ -74,9 +79,9 @@ def toy_graph(toy_window):
     return build_graph(toy_window)
 
 
-def random_window(rng: np.random.Generator, max_tx: int = 200,
-                  max_addr: int = 600) -> DayWindow:
-    """Adversarial single-day window: heavy address reuse, so outputs feed
+def random_records(rng: np.random.Generator, max_tx: int = 200,
+                   max_addr: int = 600) -> list[TransactionRecord]:
+    """Adversarial single-day rows: heavy address reuse, so outputs feed
     back into inputs and the walk graph contains cycles; a few coinbase
     transactions mixed in; input/output sizes straddling the clamp."""
     n_tx = int(rng.integers(1, max_tx + 1))
@@ -92,8 +97,14 @@ def random_window(rng: np.random.Generator, max_tx: int = 200,
         k_out = min(int(rng.integers(1, 26)), n_addr)
         outs = tuple(pool[i] for i in rng.choice(n_addr, size=k_out, replace=False))
         records.append(TransactionRecord(f"t{t}", DAY0_TS + t, ins, outs))
-    return partition_daily(records)[0]
+    return records
 
 
-def as_day_windows(records: list[TransactionRecord]) -> list[DayWindow]:
-    return partition_daily(records)
+def random_window(rng: np.random.Generator, max_tx: int = 200,
+                  max_addr: int = 600) -> DayWindow:
+    """The one day window of :func:`random_records`."""
+    return day_windows(random_records(rng, max_tx, max_addr))[0]
+
+
+def day_windows(records: list[TransactionRecord]) -> list[DayWindow]:
+    return partition_daily(TransactionTable.from_records(records))

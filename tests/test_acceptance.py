@@ -25,7 +25,7 @@ from txpattern.regress import RegressorSpec, fit, predict
 from txpattern.synth import SynthSpec, generate
 from txpattern.txgraph import build_graph
 
-from conftest import random_window, toy_records
+from conftest import day_windows, random_window, toy_records
 
 
 def criterion(number: int, label: str):
@@ -47,7 +47,7 @@ def warm_kernels():
 
 @pytest.fixture(scope="module")
 def toy_graph():
-    return build_graph(partition_daily(toy_records())[0])
+    return build_graph(day_windows(toy_records())[0])
 
 
 @criterion(1, "toy fixture exactness")

@@ -167,10 +167,11 @@ def test_contiguous_days_never_skip():
     # day windows are gap-filled, so every test day has its full history and
     # the defensive skip counter stays at zero even for a clipped date range
     spec = SynthSpec(days=40, tx_per_day=20, seed=5)
-    records, prices = generate(spec)
-    start = records[0].day + dt.timedelta(days=24)
-    split = SplitSpec(0.5, "tail", start=start, end=records[-1].day)
-    report = run_backtest(records, prices, split, window=4, spec=_ridge(lam=1.0))
+    transactions, prices = generate(spec)
+    start = prices.first_date + dt.timedelta(days=24)
+    split = SplitSpec(0.5, "tail", start=start, end=prices.last_date)
+    report = run_backtest(transactions, prices, split, window=4,
+                          spec=_ridge(lam=1.0))
     assert report.n_skipped == 0
     assert report.n_evaluated == report.n_test_days
 

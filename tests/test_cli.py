@@ -152,9 +152,22 @@ def test_predict_missing_model_file(corpus, tmp_path, capsys):
     assert "missing.json" in err
 
 
+def _model_json(**changes) -> str:
+    payload = {"schema_version": 1, "kind": "ridge", "params": {},
+               "horizon": 1, "feature_dim": 1, "weights": [0.5], "bias": 0.0,
+               "scaler_mean": [0.0], "scaler_std": [1.0],
+               "train_range": ["2015-01-01", "2015-01-30"]}
+    payload.update(changes)
+    return json.dumps(payload)
+
+
 @pytest.mark.parametrize("payload, message", [
     ("[]", "not a JSON object"),
     ('{"schema_version": 1}', "missing bias"),
+    pytest.param(_model_json(params={"bogus": 1}), "bogus", id="unknown-param"),
+    pytest.param(_model_json(weights="abc"), "not a model file", id="text-weights"),
+    pytest.param(_model_json(train_range=["2015-01-01", "2015-13-40"]),
+                 "not a model file", id="bad-date"),
 ])
 def test_predict_model_file_not_a_model(corpus, tmp_path, capsys, payload, message):
     tx, px = corpus

@@ -11,10 +11,10 @@ from txpattern.features import (
     fit_scaler,
     write_feature_csv,
 )
-from txpattern.ingest import PriceSeries, TransactionRecord, partition_daily
+from txpattern.ingest import PriceSeries, TransactionRecord
 from txpattern.korder import GRID_CELLS
 
-from conftest import DAY0_TS
+from conftest import DAY0_TS, day_windows
 
 
 def _records_over_days(n_days: int, per_day: int = 3) -> list[TransactionRecord]:
@@ -37,7 +37,7 @@ def _prices_over_days(first: dt.date, n_days: int, start: float = 100.0) -> Pric
 
 
 def test_day_feature_table_shape_and_order():
-    windows = partition_daily(_records_over_days(5))
+    windows = day_windows(_records_over_days(5))
     dates, table = day_feature_table(windows, max_order=2)
     assert len(dates) == 5
     assert dates == sorted(dates)
@@ -47,7 +47,7 @@ def test_day_feature_table_shape_and_order():
 
 
 def test_day_feature_table_threads_agree():
-    windows = partition_daily(_records_over_days(8))
+    windows = day_windows(_records_over_days(8))
     _, serial = day_feature_table(windows, 2, threads=1)
     _, parallel = day_feature_table(windows, 2, threads=4)
     assert np.array_equal(serial, parallel)
@@ -58,7 +58,7 @@ def test_empty_day_gives_zero_row():
         TransactionRecord("t1", DAY0_TS, ("a", "b"), ("c",)),
         TransactionRecord("t2", DAY0_TS + 2 * 86400, ("d",), ("e",)),
     ]
-    dates, table = day_feature_table(partition_daily(records), 2)
+    dates, table = day_feature_table(day_windows(records), 2)
     assert len(dates) == 3
     assert table[1].sum() == 0
 
@@ -91,7 +91,7 @@ def test_fit_scaler_too_few_rows():
 
 def test_build_dataset_targets():
     records = _records_over_days(5)
-    windows = partition_daily(records)
+    windows = day_windows(records)
     first = windows[0].date
     prices = _prices_over_days(first, 5)
     table = DayTable(windows, prices, max_order=1, threads=None)
@@ -107,7 +107,7 @@ def test_build_dataset_targets():
 
 
 def test_build_dataset_missing_base_price():
-    windows = partition_daily(_records_over_days(5))
+    windows = day_windows(_records_over_days(5))
     first = windows[0].date
     short = _prices_over_days(first, 3)
     with pytest.raises(PriceMissing):
@@ -115,7 +115,7 @@ def test_build_dataset_missing_base_price():
 
 
 def test_feature_csv_header(tmp_path):
-    windows = partition_daily(_records_over_days(2))
+    windows = day_windows(_records_over_days(2))
     dates, table = day_feature_table(windows, 1)
     path = tmp_path / "f.csv"
     write_feature_csv(dates, table, path)

@@ -13,10 +13,10 @@ from txpattern.korder import (
     occurrence_matrix_oracle,
     subgraph_shape,
 )
-from txpattern.ingest import TransactionRecord, partition_daily
+from txpattern.ingest import TransactionRecord
 from txpattern.txgraph import build_graph
 
-from conftest import DAY0_TS, random_window
+from conftest import DAY0_TS, day_windows, random_window
 
 
 def _grid(graph, k: int):
@@ -169,7 +169,7 @@ def _straddle_records() -> list[TransactionRecord]:
 
 @pytest.fixture
 def straddle_graph():
-    return build_graph(partition_daily(_straddle_records())[0])
+    return build_graph(day_windows(_straddle_records())[0])
 
 
 def test_subgraph_shapes_unclamped(straddle_graph):
@@ -212,7 +212,7 @@ def test_order_out_of_range(toy_graph):
 def test_clamp_inputs_to_last_row():
     many = tuple(f"i{j}" for j in range(25))
     records = [TransactionRecord("big", DAY0_TS, many, ("o1",))]
-    graph = build_graph(partition_daily(records)[0])
+    graph = build_graph(day_windows(records)[0])
     oc = _grid(graph, 1)
     assert oc.cell(CLAMP, 1) == 1
     assert oc.total() == 1
@@ -221,7 +221,7 @@ def test_clamp_inputs_to_last_row():
 def test_clamp_outputs_to_last_column():
     outs = tuple(f"o{j}" for j in range(31))
     records = [TransactionRecord("wide", DAY0_TS, ("i1",), outs)]
-    graph = build_graph(partition_daily(records)[0])
+    graph = build_graph(day_windows(records)[0])
     oc = _grid(graph, 1)
     assert oc.cell(1, CLAMP) == 1
 
@@ -233,7 +233,7 @@ def test_exact_clamp_boundary():
         TransactionRecord("t20", DAY0_TS + 1, tuple(f"c{j}" for j in range(20)),
                           tuple(f"d{j}" for j in range(21))),
     ]
-    graph = build_graph(partition_daily(records)[0])
+    graph = build_graph(day_windows(records)[0])
     oc = _grid(graph, 1)
     assert oc.cell(19, 20) == 1   # n=20 already sits in the last column
     assert oc.cell(20, 20) == 1   # m=20 and n=21 both clamp
@@ -257,7 +257,7 @@ def test_coinbase_excluded():
         TransactionRecord("cb", DAY0_TS, (), ("x",)),
         TransactionRecord("t1", DAY0_TS + 1, ("x",), ("y",)),
     ]
-    graph = build_graph(partition_daily(records)[0])
+    graph = build_graph(day_windows(records)[0])
     oc = _grid(graph, 1)
     assert oc.total() == 1
     assert oc.cell(1, 1) == 1
@@ -281,7 +281,7 @@ def test_oracle_equivalence_with_cycles():
         TransactionRecord("t1", DAY0_TS, ("x",), ("y",)),
         TransactionRecord("t2", DAY0_TS + 1, ("y",), ("x",)),
     ]
-    graph = build_graph(partition_daily(records)[0])
+    graph = build_graph(day_windows(records)[0])
     for k in (1, 2, 3, 4, 5):
         fast = _grid(graph, k)
         assert fast == occurrence_matrix_oracle(graph, k)

@@ -23,7 +23,7 @@ def test_readme_library_example_runs(capsys):
     assert len(capsys.readouterr().out.splitlines()) == 2
 
 
-def test_benchmark_tracer_installs(monkeypatch):
+def test_benchmark_tracer_installs(monkeypatch, tmp_path):
     # e2ebench/tracer.py wraps package functions by name; a rename must fail
     # here rather than in the benchmark
     for mod in (backtest, cli, features, kernels, korder):
@@ -39,3 +39,16 @@ def test_benchmark_tracer_installs(monkeypatch):
     kernels.warmup()
     assert tr.counters["kernels.spgemm_calls"] == 1
     assert tr.counters["kernels.svr_epochs"] == 1
+    # the ingest counters read len() of the parsed table and of the day
+    # list, and two attributes of each graph
+    tx = tmp_path / "tx.csv"
+    tx.write_text("tx_id,timestamp,inputs,outputs\n"
+                  "t1,10,a;b,c\n"
+                  "cb,20,,d\n"
+                  "t2,172810,c,a;e\n")
+    for window in cli.partition_daily(cli.parse_transactions(tx)):
+        cli.build_graph(window)
+    assert tr.counters["ingest.records"] == 3
+    assert tr.counters["ingest.days"] == 3          # one empty gap day
+    assert tr.counters["txgraph.addresses"] == 3 + 0 + 3
+    assert tr.counters["txgraph.coinbase_skipped"] == 1

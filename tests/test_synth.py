@@ -86,7 +86,7 @@ def test_input_size_distribution():
                                     in_sizes=dist, coinbase_per_day=0,
                                     fixed_tx_count=True,
                                     spend_probability=0.0))
-    sizes = np.array([len(r.inputs) for r in records])
+    sizes = records.n_inputs
     observed = np.array([(sizes == s).sum() for s in dist])
     expected = np.array([p * len(sizes) for p in dist.values()])
     _, p_value = stats.chisquare(observed, expected)
@@ -99,12 +99,12 @@ def test_fixed_tx_count_exact():
                      coinbase_per_day=2)
     records, _ = generate(spec)
     for window in partition_daily(records):
-        assert len(window.transactions) == 25 + 2
+        assert window.rows.size == 25 + 2
 
 
 def test_poisson_counts_vary():
     records, _ = generate(SynthSpec(days=30, tx_per_day=25, seed=4))
-    counts = {len(w.transactions) for w in partition_daily(records)}
+    counts = {w.rows.size for w in partition_daily(records)}
     assert len(counts) > 1
 
 
@@ -112,7 +112,7 @@ def test_coinbase_per_day():
     records, _ = generate(SynthSpec(days=5, tx_per_day=10, seed=6,
                                     coinbase_per_day=3))
     for window in partition_daily(records):
-        assert sum(1 for r in window.transactions if r.is_coinbase) == 3
+        assert (records.n_inputs[window.rows] == 0).sum() == 3
 
 
 def test_planted_linear_price_relation():

@@ -39,7 +39,7 @@ from .features import apply_scaler, day_feature_table, fit_scaler
 from .ingest import DayWindow, PriceSeries, TransactionTable, partition_daily
 from .regress import RegressorSpec, fit
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,6 @@ class BacktestReport:
     window: int
     horizon: int
     model_kind: str
-    seed: int
     n_days: int
     n_train_days: int
     n_test_days: int
@@ -124,7 +123,6 @@ class BacktestReport:
             "window": self.window,
             "horizon": self.horizon,
             "model_kind": self.model_kind,
-            "seed": self.seed,
             "n_days": self.n_days,
             "n_train_days": self.n_train_days,
             "n_test_days": self.n_test_days,
@@ -367,7 +365,6 @@ def _run_on_table(
         window=window,
         horizon=horizon,
         model_kind=spec.kind,
-        seed=spec.seed,
         n_days=n_days,
         n_train_days=n_train,
         n_test_days=n_days - n_train,

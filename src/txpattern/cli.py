@@ -109,11 +109,8 @@ MODEL_OPTS = [
     Opt(("--ridge-lambda",), "ridge_lambda", float, 1.0, "ridge penalty"),
     Opt(("--svr-c",), "svr_c", float, 1.0, "svr loss weight"),
     Opt(("--svr-epsilon",), "svr_epsilon", float, 0.1, "svr tube half-width"),
-    Opt(("--svr-epochs",), "svr_epochs", int, 200, "svr training epochs"),
-    Opt(("--svr-lr",), "svr_learning_rate", float, 1e-3, "svr base learning rate"),
-    Opt(("--svr-tol",), "svr_tolerance", float, 0.0,
-        "stop when epoch loss improves less than this"),
-    SEED,
+    Opt(("--svr-tol",), "svr_tolerance", float, 1e-4,
+        "svr relative primal and dual residual tolerance"),
 ]
 
 SPLIT_OPTS = [
@@ -290,10 +287,7 @@ def _make_spec(v: dict) -> RegressorSpec:
         ridge_lambda=v["ridge_lambda"],
         svr_c=v["svr_c"],
         svr_epsilon=v["svr_epsilon"],
-        svr_epochs=v["svr_epochs"],
-        svr_learning_rate=v["svr_learning_rate"],
         svr_tolerance=v["svr_tolerance"],
-        seed=v["seed"],
     )
 
 

@@ -8,7 +8,8 @@ File formats:
 * ``prices.csv`` - header ``date,close`` with ISO dates and decimal closes.
 
 Timestamps are seconds since epoch, interpreted as UTC; day boundaries sit
-at UTC midnight.
+at UTC midnight.  They must fall on a day ``datetime.date`` can hold, years
+1 to 9999.
 
 Transactions are held as one :class:`TransactionTable` of flat columns in
 file order: ids, int64 timestamps, per-row input and output counts, and
@@ -41,6 +42,8 @@ from .errors import (
 
 _EPOCH = dt.date(1970, 1, 1)
 SECONDS_PER_DAY = 86400
+_FIRST_SECOND = (dt.date.min - _EPOCH).days * SECONDS_PER_DAY
+_LAST_SECOND = ((dt.date.max - _EPOCH).days + 1) * SECONDS_PER_DAY - 1
 
 TX_HEADER = "tx_id,timestamp,inputs,outputs"
 PRICE_HEADER = "date,close"
@@ -204,7 +207,9 @@ class _Columns:
             return False
         try:
             stamps = np.fromiter(map(int, fields[1::4]), np.int64, n)
-        except ValueError:
+        except (ValueError, OverflowError):
+            return False
+        if stamps.min() < _FIRST_SECOND or stamps.max() > _LAST_SECOND:
             return False
         n_out, outputs = _split_tokens(fields[3::4])
         if not n_out.all():
@@ -270,9 +275,11 @@ def _raise_first_bad_line(path: Path) -> NoReturn:
             if tx_id in seen:
                 raise DuplicateTxId(tx_id, seen[tx_id], lineno)
             try:
-                int(ts_text)
+                stamp = int(ts_text)
             except ValueError:
                 raise MalformedRow(lineno, f"bad timestamp {ts_text!r}") from None
+            if not _FIRST_SECOND <= stamp <= _LAST_SECOND:
+                raise MalformedRow(lineno, f"timestamp {ts_text!r} out of range")
             if not any(out_text.split(";")):
                 raise MalformedRow(lineno, "transaction has no outputs")
             seen[tx_id] = lineno

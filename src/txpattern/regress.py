@@ -5,17 +5,20 @@ Two built-in families:
 * ``ridge`` - closed-form solution of the regularized normal equations,
   intercept unpenalized.  Deterministic and independently checkable, so it
   doubles as the test oracle for everything downstream.
-* ``linear_svr`` - linear epsilon-insensitive regression fitted by
-  deterministic epoch-ordered subgradient descent (see kernels.svr_epochs).
+* ``linear_svr`` - linear epsilon-insensitive regression, intercept
+  unpenalized, solved to a relative residual tolerance by deterministic ADMM
+  (see kernels.svr_epochs).  A fit that reaches the iteration cap first is
+  kept, marked ``converged = False``, and reported on stderr.
 
-Neither the decay schedule nor the hyperparameter defaults are tuned; they
-are documented, CLI-overridable values.
+The hyperparameter defaults are not tuned; they are documented,
+CLI-overridable values.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,10 +37,7 @@ class RegressorSpec:
     ridge_lambda: float = 1.0
     svr_c: float = 1.0
     svr_epsilon: float = 0.1
-    svr_epochs: int = 200
-    svr_learning_rate: float = 1e-3
-    svr_tolerance: float = 0.0
-    seed: int = 42
+    svr_tolerance: float = 1e-4
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -48,8 +48,8 @@ class RegressorSpec:
             raise BadSpec("svr_c must be > 0")
         if self.svr_epsilon < 0:
             raise BadSpec("svr_epsilon must be >= 0")
-        if self.svr_epochs < 1 or self.svr_learning_rate <= 0:
-            raise BadSpec("bad optimizer controls")
+        if not self.svr_tolerance > 0:
+            raise BadSpec("svr_tolerance must be > 0")
 
 
 @dataclass
@@ -58,7 +58,10 @@ class FittedModel:
     bias: float
     spec: RegressorSpec
     train_range: tuple[dt.date, dt.date] | None = None
+    # linear_svr: the objective after each ADMM iteration, and whether the
+    # residuals met svr_tolerance before kernels.SVR_MAX_ITER
     epoch_losses: np.ndarray = field(default_factory=lambda: np.empty(0))
+    converged: bool = True
 
     @property
     def feature_dim(self) -> int:
@@ -98,15 +101,16 @@ def fit(
         raise TooFewRows(f"need at least 2 training rows, got {x.shape[0]}")
     if np.isnan(y).any():
         raise ValueError("training targets contain missing values")
-    losses = np.empty(0)
     if spec.kind == "ridge":
         w, b = _fit_ridge(x, y, spec.ridge_lambda)
-    else:
-        w, b, losses = kernels.svr_epochs(
-            x, y, spec.svr_c, spec.svr_epsilon,
-            spec.svr_epochs, spec.svr_learning_rate, spec.svr_tolerance,
-        )
-    return FittedModel(w, b, spec, train_range, losses)
+        return FittedModel(w, b, spec, train_range)
+    cap = kernels.SVR_MAX_ITER
+    w, b, losses, converged = kernels.svr_epochs(
+        x, y, spec.svr_c, spec.svr_epsilon, spec.svr_tolerance, cap)
+    if not converged:
+        print(f"warning: linear_svr stopped at {cap} iterations before "
+              f"reaching svr_tolerance {spec.svr_tolerance}", file=sys.stderr)
+    return FittedModel(w, b, spec, train_range, losses, converged)
 
 
 def predict(model: FittedModel, x: np.ndarray) -> float:
@@ -119,7 +123,7 @@ def predict(model: FittedModel, x: np.ndarray) -> float:
     return float(x @ model.weights) + model.bias
 
 
-MODEL_SCHEMA_VERSION = 1
+MODEL_SCHEMA_VERSION = 2
 _MODEL_KEYS = (
     "bias", "feature_dim", "horizon", "kind", "params", "scaler_mean",
     "scaler_std", "train_range", "weights",
@@ -138,10 +142,7 @@ def save_model(
             "ridge_lambda": spec.ridge_lambda,
             "svr_c": spec.svr_c,
             "svr_epsilon": spec.svr_epsilon,
-            "svr_epochs": spec.svr_epochs,
-            "svr_learning_rate": spec.svr_learning_rate,
             "svr_tolerance": spec.svr_tolerance,
-            "seed": spec.seed,
         },
         "horizon": horizon,
         "feature_dim": model.feature_dim,

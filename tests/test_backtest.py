@@ -121,9 +121,10 @@ def test_report_json_shape(planted_corpus):
     records, prices = planted_corpus
     report = run_backtest(records, prices, SplitSpec(0.75, "t"), spec=_ridge())
     payload = json.loads(report.to_json())
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert payload["n_evaluated"] == len(payload["records"])
     assert "runtime" not in report.to_json()
+    assert "seed" not in payload
     got = [r["predicted"] for r in payload["records"]]
     assert np.allclose(got, report.predicted_prices)
 
@@ -192,8 +193,7 @@ def test_bad_horizon(planted_corpus):
 
 def test_svr_backtest_runs(planted_corpus):
     records, prices = planted_corpus
-    spec = RegressorSpec(kind="linear_svr", svr_epochs=60,
-                         svr_learning_rate=1e-2)
+    spec = RegressorSpec(kind="linear_svr")
     report = run_backtest(records, prices, SplitSpec(0.75, "t"), window=2,
                           spec=spec)
     assert report.model_kind == "linear_svr"

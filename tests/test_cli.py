@@ -4,7 +4,7 @@ import os
 import pytest
 
 from txpattern.cli import main
-from txpattern.regress import load_model
+from txpattern.regress import MODEL_SCHEMA_VERSION, load_model
 
 
 def run(capsys, *argv):
@@ -112,6 +112,14 @@ def test_usage_error_exit_2():
     assert exc.value.code == 2
 
 
+def test_model_commands_take_no_seed(corpus):
+    # the regressors are deterministic, so a seed would change nothing
+    tx, px = corpus
+    with pytest.raises(SystemExit) as exc:
+        main(["backtest", "--tx", tx, "--prices", px, "--seed", "1"])
+    assert exc.value.code == 2
+
+
 def test_invalid_choice_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["weights", "--r", "abc"])
@@ -144,6 +152,15 @@ def test_bad_parameter_exit_1(corpus, capsys, argv):
     assert "Traceback" not in err
 
 
+def test_timestamp_out_of_range_exit_1(tmp_path, capsys):
+    tx = tmp_path / "tx.csv"
+    tx.write_text("tx_id,timestamp,inputs,outputs\nt1,1000000000000000,a,b\n")
+    code, _, err = run(capsys, "features", "--tx", str(tx),
+                       "--out", str(tmp_path / "f.csv"))
+    assert code == 1
+    assert err == "error: line 2: timestamp '1000000000000000' out of range\n"
+
+
 def test_predict_missing_model_file(corpus, tmp_path, capsys):
     tx, px = corpus
     code, _, err = run(capsys, "predict", "--model-file",
@@ -153,7 +170,7 @@ def test_predict_missing_model_file(corpus, tmp_path, capsys):
 
 
 def _model_json(**changes) -> str:
-    payload = {"schema_version": 1, "kind": "ridge", "params": {},
+    payload = {"schema_version": MODEL_SCHEMA_VERSION, "kind": "ridge", "params": {},
                "horizon": 1, "feature_dim": 1, "weights": [0.5], "bias": 0.0,
                "scaler_mean": [0.0], "scaler_std": [1.0],
                "train_range": ["2015-01-01", "2015-01-30"]}
@@ -163,7 +180,9 @@ def _model_json(**changes) -> str:
 
 @pytest.mark.parametrize("payload, message", [
     ("[]", "not a JSON object"),
-    ('{"schema_version": 1}', "missing bias"),
+    ('{"schema_version": 2}', "missing bias"),
+    pytest.param(_model_json(schema_version=1), "unsupported model schema: 1",
+                 id="schema-1"),
     pytest.param(_model_json(params={"bogus": 1}), "bogus", id="unknown-param"),
     pytest.param(_model_json(weights="abc"), "not a model file", id="text-weights"),
     pytest.param(_model_json(train_range=["2015-01-01", "2015-13-40"]),
@@ -239,10 +258,11 @@ def test_model_svr_alias(corpus, tmp_path, capsys):
     model_path = str(tmp_path / "svr.json")
     code, _, _ = run(capsys, "train", "--tx", tx, "--prices", px,
                      "--out", model_path, "--model", "svr",
-                     "--svr-epochs", "5")
+                     "--svr-tol", "1e-3")
     assert code == 0
     model, _, _ = load_model(model_path)
     assert model.spec.kind == "linear_svr"
+    assert model.spec.svr_tolerance == 1e-3
 
 
 def test_train_and_predict(corpus, tmp_path, capsys):
@@ -278,7 +298,7 @@ def test_backtest_report(corpus, tmp_path, capsys):
     assert "MAPE=" in out
     payload = json.loads(open(report_path).read())
     assert payload["window"] == 2
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
 
 
 def test_backtest_threads_identical_report(corpus, tmp_path, capsys):

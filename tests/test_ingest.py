@@ -184,6 +184,17 @@ def test_day_boundary():
     assert day_of(86400) == dt.date(1970, 1, 2)
 
 
+@pytest.mark.parametrize("stamp, date", [
+    (-62135596800, dt.date(1, 1, 1)),
+    (253402300799, dt.date(9999, 12, 31)),
+])
+def test_first_and_last_representable_second(tmp_path, stamp, date):
+    path = tmp_path / "tx.csv"
+    path.write_text(HEADER + f"t1,{stamp},a,b\n")
+    [window] = partition_daily(parse_transactions(path))
+    assert window.date == date
+
+
 def test_partition_daily_keeps_gap_days():
     records = [
         TransactionRecord("t1", 0 * 86400 + 5, ("a",), ("b",)),
@@ -233,6 +244,13 @@ GOOD = "t1,100,a;b,c\nt2,200,,d\n"
     ("t1,300,a,b", DuplicateTxId, "duplicate tx_id 't1' on lines 2 and 6"),
     ("t9,3x0,a,b", MalformedRow, "line 6: bad timestamp '3x0'"),
     ("t9,,a,b", MalformedRow, "line 6: bad timestamp ''"),
+    # past year 9999, and past int64
+    ("t9,1000000000000000,a,b", MalformedRow,
+     "line 6: timestamp '1000000000000000' out of range"),
+    ("t9,99999999999999999999,a,b", MalformedRow,
+     "line 6: timestamp '99999999999999999999' out of range"),
+    ("t9,-62135596801,a,b", MalformedRow,
+     "line 6: timestamp '-62135596801' out of range"),
     ("t9,300,a,", MalformedRow, "line 6: transaction has no outputs"),
     ("t9,300,a,;;", MalformedRow, "line 6: transaction has no outputs"),
 ])
@@ -287,6 +305,8 @@ def _big_file(path, n: int, bad: dict[int, str]) -> None:
      "duplicate tx_id 'tx000000007' on lines 9 and 140142"),
     ({140_000: "y,1.5,a,b\n"}, MalformedRow, "line 140142: bad timestamp '1.5'"),
     ({149_999: "y,1,a\n"}, MalformedRow, "line 150150: expected 4 fields, got 3"),
+    ({140_000: "y,253402300800,a,b\n"}, MalformedRow,
+     "line 140142: timestamp '253402300800' out of range"),
 ])
 def test_bad_row_past_first_chunk(tmp_path, bad, error, message):
     path = tmp_path / "tx.csv"

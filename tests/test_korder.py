@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from txpattern.errors import DimensionMismatch, OrderOutOfRange
 from txpattern.korder import (
@@ -350,3 +352,37 @@ def test_matmul_against_dense():
         want = (da.astype(int) @ db.astype(int)) > 0
         assert np.array_equal(_dense(_from_dense(da) @ _from_dense(db)), want)
 
+
+
+@st.composite
+def adversarial_day(draw):
+    """One day of rows over a pool of up to 40 addresses plus a hub address
+    that any row may pay and spend, so frontiers can pass the 20-wide
+    clamp.  Empty inputs make coinbase rows; lists may repeat an address
+    within a row; a row may pay one of its own inputs (a self-spend); reuse
+    across rows makes cycles."""
+    pool = [f"a{i}" for i in range(draw(st.integers(1, 40)))]
+    address = st.sampled_from(pool)
+    records = []
+    for t in range(draw(st.integers(1, 30))):
+        ins = draw(st.lists(address, max_size=5))
+        outs = draw(st.lists(address, min_size=1, max_size=5))
+        if draw(st.booleans()):
+            ins.append("hub")
+        if draw(st.booleans()):
+            outs.append("hub")
+        if ins and draw(st.booleans()):
+            outs.append(ins[0])
+        records.append(TransactionRecord(f"t{t}", DAY0_TS + t,
+                                         tuple(ins), tuple(outs)))
+    return records
+
+
+@given(records=adversarial_day())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_matrix_route_matches_oracle_property(records):
+    graph = build_graph(day_windows(records)[0])
+    grids = occurrence_matrices(graph, 4)
+    for k in range(1, 5):
+        assert grids[k - 1] == occurrence_matrix_oracle(graph, k), k

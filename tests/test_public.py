@@ -1,5 +1,8 @@
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import txpattern
@@ -21,6 +24,25 @@ def test_readme_library_example_runs(capsys):
     assert {n.strip() for n in imported.split(",")} <= set(txpattern.__all__)
     exec(compile(code, str(README), "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def test_package_runs_without_scipy():
+    # scipy is a test extra: every module must import, and the kernels run,
+    # with any scipy import failing
+    code = ("import importlib, pkgutil, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import txpattern\n"
+            "names = [m.name for m in pkgutil.iter_modules(txpattern.__path__)]\n"
+            "for name in names:\n"
+            "    importlib.import_module('txpattern.' + name)\n"
+            "txpattern.kernels.warmup()\n"
+            "print(len(names))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert int(out) == len(list((ROOT / "src" / "txpattern").glob("*.py"))) - 1
 
 
 def test_benchmark_tracer_installs(monkeypatch, tmp_path):

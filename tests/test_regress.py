@@ -3,6 +3,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
+from txpattern import kernels
 from txpattern.errors import DimensionMismatch, SingularSystem, TooFewRows
 from txpattern.features import Scaler
 from txpattern.regress import (
@@ -28,8 +29,9 @@ def test_spec_validation():
         RegressorSpec(kind="forest")
     with pytest.raises(ValueError):
         RegressorSpec(ridge_lambda=-1.0)
-    with pytest.raises(ValueError):
-        RegressorSpec(kind="linear_svr", svr_epochs=0)
+    for tol in (0.0, -1e-4, float("nan")):
+        with pytest.raises(ValueError):
+            RegressorSpec(kind="linear_svr", svr_tolerance=tol)
     with pytest.raises(ValueError):
         RegressorSpec(kind="linear_svr", svr_epsilon=-0.1)
 
@@ -99,38 +101,117 @@ def test_predict_wrong_dimension():
         predict(model, np.ones(7))
 
 
+def _svr_objective(x, y, w, b, c=1.0, eps=0.1):
+    return 0.5 * float(w @ w) + c * float(
+        np.maximum(np.abs(x @ w + b - y) - eps, 0.0).sum())
+
+
+def _planted_uncentred(n=41, seed=0):
+    """Columns far from zero mean and of unequal scale, a nonzero bias."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 3)) * [1.0, 3.0, 0.5] + [5.0, -3.0, 10.0]
+    y = x @ np.array([3.0, -2.0, 0.5]) + 5.0 + 0.5 * rng.normal(size=n)
+    return x, y
+
+
 def test_svr_loss_decreases():
     x, y, _ = _linear_data(n=80, noise=0.05, seed=6)
-    spec = RegressorSpec(kind="linear_svr", svr_epochs=150,
-                         svr_learning_rate=1e-2, svr_c=1.0)
-    model = fit(spec, x, y)
-    losses = model.epoch_losses
-    assert len(losses) == 150
-    assert losses[-1] < losses[0]
+    model = fit(RegressorSpec(kind="linear_svr", svr_c=1.0), x, y)
+    assert model.converged
+    assert model.epoch_losses[-1] == pytest.approx(
+        _svr_objective(x, y, model.weights, model.bias), rel=1e-9)
+    at_zero = _svr_objective(x, y, np.zeros(x.shape[1]), 0.0)
+    assert model.epoch_losses[-1] <= at_zero
 
 
 def test_svr_approximates_linear_relation():
     x, y, w_true = _linear_data(n=200, noise=0.0, seed=7)
-    spec = RegressorSpec(kind="linear_svr", svr_epochs=800,
-                         svr_learning_rate=5e-2, svr_c=10.0, svr_epsilon=0.01)
+    spec = RegressorSpec(kind="linear_svr", svr_c=10.0, svr_epsilon=0.01)
     model = fit(spec, x, y)
     pred = x @ model.weights + model.bias
-    # subgradient training lands near, not on, the relation
+    # the weight penalty pulls the fit off the exact relation, but only
+    # slightly at this C
     assert np.mean(np.abs(pred - y)) < 0.5
 
 
 def test_svr_tolerance_stops_early():
     x, y, _ = _linear_data(n=80, seed=8)
-    lax = RegressorSpec(kind="linear_svr", svr_epochs=500,
-                        svr_learning_rate=1e-2, svr_tolerance=0.5)
-    strict = RegressorSpec(kind="linear_svr", svr_epochs=500,
-                           svr_learning_rate=1e-2, svr_tolerance=0.0)
-    assert len(fit(lax, x, y).epoch_losses) < len(fit(strict, x, y).epoch_losses)
+    iterations = [
+        len(fit(RegressorSpec(kind="linear_svr", svr_tolerance=tol), x, y).epoch_losses)
+        for tol in (1e-2, 1e-4, 1e-7)
+    ]
+    assert iterations == sorted(iterations)
+    assert iterations[0] < iterations[-1]
+
+
+def test_svr_matches_scipy_reference():
+    # the slack-form primal: min 0.5|w|^2 + C sum(xi) subject to
+    # |x w + b - y| <= eps + xi and xi >= 0, with b unpenalised
+    optimize = pytest.importorskip("scipy.optimize")
+    x, y = _planted_uncentred()
+    n, d = x.shape
+    c, eps = 1.0, 0.1
+    a = np.hstack([x, np.ones((n, 1))])
+    eye = np.eye(n)
+    constraint = optimize.LinearConstraint(
+        np.vstack([np.hstack([a, -eye]), np.hstack([-a, -eye])]),
+        -np.inf, np.concatenate([eps + y, eps - y]))
+    hess = np.zeros((d + 1 + n, d + 1 + n))
+    hess[np.arange(d), np.arange(d)] = 1.0
+    lower = np.full(d + 1 + n, -np.inf)
+    lower[d + 1:] = 0.0
+    start = np.zeros(d + 1 + n)
+    start[d + 1:] = np.maximum(np.abs(y) - eps, 0.0)
+
+    def objective(v):
+        return 0.5 * float(v[:d] @ v[:d]) + c * float(v[d + 1:].sum())
+
+    def gradient(v):
+        g = np.full_like(v, c)
+        g[:d] = v[:d]
+        g[d] = 0.0
+        return g
+
+    res = optimize.minimize(
+        objective, start, jac=gradient, hess=lambda v: hess,
+        method="trust-constr", constraints=[constraint],
+        bounds=optimize.Bounds(lower, np.inf),
+        options={"gtol": 1e-10, "xtol": 1e-12, "maxiter": 5000})
+    reference = _svr_objective(x, y, res.x[:d], res.x[d], c, eps)
+    model = fit(RegressorSpec(kind="linear_svr", svr_c=c, svr_epsilon=eps), x, y)
+    assert model.converged
+    ours = _svr_objective(x, y, model.weights, model.bias, c, eps)
+    assert abs(ours - reference) <= 1e-3 * reference
+
+
+def test_svr_constant_columns_get_zero_weight():
+    x, y = _planted_uncentred(seed=2)
+    # 41 copies of 0.1 do not average to exactly 0.1
+    with_const = np.hstack([x[:, :1], np.full((len(x), 1), 0.1), x[:, 1:]])
+    spec = RegressorSpec(kind="linear_svr")
+    full = fit(spec, with_const, y)
+    plain = fit(spec, x, y)
+    assert full.weights[1] == 0.0
+    assert np.array_equal(np.delete(full.weights, 1), plain.weights)
+    assert full.bias == pytest.approx(plain.bias, rel=1e-12)
+    assert np.array_equal(full.epoch_losses, plain.epoch_losses)
+
+
+def test_svr_iteration_cap_not_converged(monkeypatch, capsys):
+    x, y = _planted_uncentred(seed=1)
+    monkeypatch.setattr(kernels, "SVR_MAX_ITER", 3)
+    model = fit(RegressorSpec(kind="linear_svr"), x, y)
+    assert model.converged is False
+    assert len(model.epoch_losses) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line.split(":")[0] for line in captured.err.splitlines()] == ["warning"]
+    assert fit(RegressorSpec(), x, y).converged is True
 
 
 def test_svr_deterministic():
     x, y, _ = _linear_data(n=60, noise=0.1, seed=10)
-    spec = RegressorSpec(kind="linear_svr", svr_epochs=100, svr_learning_rate=1e-2)
+    spec = RegressorSpec(kind="linear_svr")
     a = fit(spec, x, y)
     b = fit(spec, x, y)
     assert np.array_equal(a.weights, b.weights)

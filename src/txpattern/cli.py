@@ -87,11 +87,12 @@ def _path(flag: str, dest: str, help_text: str, required: bool = True) -> Opt:
 
 SEED = Opt(("--seed",), "seed", int, 42, "random seed")
 # 0 picks the thread count per command.  Threads do not shorten runs
-# measurably, and they raise peak memory on wide days.  On a 2-CPU machine a
-# 365-day backtest (730k tx) took 4.2-4.4 s on 1 thread and 3.8-4.4 s on 2,
-# both at 439 MB, and `features` over a 100k-tx day and two days with 700-
-# and 1400-wide hub addresses took 1.6 s at 394 MB serial and 1.7 s at
-# 419-453 MB on 2 threads.
+# measurably, and they raise peak memory on wide days.  On a 2-CPU machine
+# (three runs each, process start included) a 365-day backtest (730k tx)
+# took 3.3-4.3 s on 1 thread and 3.9-4.6 s on 2, both at 415 MB, and
+# `features --k 3` over a 100k-tx day and two days with 700- and 1400-wide
+# hub addresses took 1.3-1.4 s on either, at 155 MB serial and 172 MB on
+# 2 threads.
 THREADS = Opt(("--threads",), "threads", int, 0,
               "worker threads for per-day features; 0 = machine parallelism "
               "for backtest and the sweeps, one thread for features, train "

@@ -52,6 +52,11 @@ PRICE_HEADER = "date,close"
 _CHUNK_CHARS = 1 << 20
 
 
+def _in_range(stamp: int) -> bool:
+    """Whether an epoch timestamp falls on a day ``datetime.date`` holds."""
+    return _FIRST_SECOND <= stamp <= _LAST_SECOND
+
+
 def day_of(timestamp: int) -> dt.date:
     """UTC calendar day containing the given epoch timestamp."""
     return _EPOCH + dt.timedelta(days=int(timestamp) // SECONDS_PER_DAY)
@@ -93,7 +98,13 @@ class TransactionTable:
 
     @classmethod
     def from_records(cls, records: list[TransactionRecord]) -> "TransactionTable":
-        """The table of the given rows, in order, tokens kept as given."""
+        """The table of the given rows, in order, tokens kept as given.
+
+        A timestamp out of range raises :class:`MalformedRow` with the
+        1-based number of its record."""
+        for number, r in enumerate(records, start=1):
+            if not _in_range(r.timestamp):
+                raise MalformedRow(number, f"timestamp {r.timestamp!r} out of range")
         return cls(
             [r.tx_id for r in records],
             [r.timestamp for r in records],
@@ -209,7 +220,7 @@ class _Columns:
             stamps = np.fromiter(map(int, fields[1::4]), np.int64, n)
         except (ValueError, OverflowError):
             return False
-        if stamps.min() < _FIRST_SECOND or stamps.max() > _LAST_SECOND:
+        if not (_in_range(stamps.min()) and _in_range(stamps.max())):
             return False
         n_out, outputs = _split_tokens(fields[3::4])
         if not n_out.all():
@@ -278,7 +289,7 @@ def _raise_first_bad_line(path: Path) -> NoReturn:
                 stamp = int(ts_text)
             except ValueError:
                 raise MalformedRow(lineno, f"bad timestamp {ts_text!r}") from None
-            if not _FIRST_SECOND <= stamp <= _LAST_SECOND:
+            if not _in_range(stamp):
                 raise MalformedRow(lineno, f"timestamp {ts_text!r} out of range")
             if not any(out_text.split(";")):
                 raise MalformedRow(lineno, "transaction has no outputs")

@@ -11,16 +11,25 @@ grids of Akcora et al., "Forecasting Bitcoin Price with Graph Chainlets"
 
 Two independent routes produce the grid:
 
-* :func:`occurrence_matrices` - sparse boolean linear algebra.  With P the
-  address->tx input matrix and Q the tx->address output matrix, the order-k
-  reach matrix is (QP)^(k-1) Q under the boolean semiring.  Each reach row
-  is kept to its first ``CLAMP`` entries after every product, so n is the
-  row population count only up to the clamp: a capped row holds
-  min(|frontier|, 20) members of the true frontier.  The grid stays exact,
-  because a union of capped rows has at least 20 members exactly when the
-  union of the true rows does, and below 20 every capped row is whole.
-  The per-transaction row selector is an identity here, so rows are keyed
-  directly by transaction index.
+* :func:`occurrence_matrices` - sparse boolean linear algebra.  Q is the
+  tx->address output matrix.  The linked addresses L are those that some
+  transaction of the window pays and some transaction spends; P_L is the
+  L->tx spender matrix and Q_L the tx->L part of Q.  Under the boolean
+  semiring ``reach_1 = Q`` and ``reach_{k+1} = Q_L (P_L reach_k)``: row a
+  of ``P_L reach_k`` is the union of the order-k rows of a's spenders, and
+  a transaction's order-(k+1) row is the union of those rows over the
+  linked addresses it pays.  An address outside L has no spender or no
+  payer, so dropping it changes no row, and the tx x tx hop ``Q P`` is
+  never formed.  After every stage each row is kept to its first
+  ``CLAMP`` entries, so n is the row population count only up to the
+  clamp: a capped row holds min(|frontier|, 20) members of the true one.
+  The grid stays exact, because at each stage a union of capped rows has
+  at least 20 members exactly when the union of the true rows does, and
+  below 20 every capped row is whole.  Each product therefore expands at
+  most ``CLAMP`` entries per entry of its left operand, and an order costs
+  at most ``CLAMP * (nnz(P_L) + nnz(Q_L))``: linear in the window's edges,
+  however wide a hub address is.  Rows are keyed directly by transaction
+  index.
 * :func:`occurrence_matrix_oracle` - explicit per-transaction frontier
   expansion with python sets, kept deliberately free of the matrix code.
   It computes the exact, unclamped frontier and clamps only when it tallies.
@@ -123,27 +132,6 @@ class OccurrenceMatrix:
         return self.order == other.order and np.array_equal(self.counts, other.counts)
 
 
-def build_P(graph: TransactionGraph) -> SparseBoolMatrix:
-    """|A| x |T| input matrix: (a, t) set iff address a funds transaction t."""
-    rows = graph.in_indices
-    cols = np.repeat(
-        np.arange(graph.n_transactions, dtype=np.int64), graph.input_set_sizes
-    )
-    return SparseBoolMatrix.from_pairs(
-        graph.n_addresses, graph.n_transactions, rows, cols
-    )
-
-
-def build_Q(graph: TransactionGraph) -> SparseBoolMatrix:
-    """|T| x |A| output matrix: (t, a) set iff transaction t pays address a."""
-    return SparseBoolMatrix(
-        graph.n_transactions,
-        graph.n_addresses,
-        graph.out_indptr,
-        graph.out_indices,
-    )
-
-
 def _tally(m_sizes: np.ndarray, n_sizes: np.ndarray) -> np.ndarray:
     """Clamp (m, n) pairs at 20 and count them; n == 0 contributes nothing."""
     grid = np.zeros((CLAMP, CLAMP), dtype=np.int64)
@@ -168,27 +156,67 @@ def _first_entries(m: SparseBoolMatrix) -> SparseBoolMatrix:
     return SparseBoolMatrix(m.n_rows, m.n_cols, indptr, m.indices[rank < CLAMP])
 
 
-def occurrence_matrices(graph: TransactionGraph, max_order: int) -> list[OccurrenceMatrix]:
-    """All of OC^1..OC^max_order, sharing one spend-hop product.
+def _linked(graph: TransactionGraph) -> tuple[SparseBoolMatrix, SparseBoolMatrix]:
+    """``(P_L, Q_L)`` over the linked addresses L, those that some
+    transaction pays and some transaction spends, numbered in id order.
+    ``P_L`` is |L| x |T| (row a: the spenders of a) and ``Q_L`` is |T| x |L|
+    (row t: the linked addresses t pays); both are canonical CSR."""
+    spent = np.zeros(graph.n_addresses, dtype=bool)
+    spent[graph.in_indices] = True
+    paid = np.zeros(graph.n_addresses, dtype=bool)
+    paid[graph.out_indices] = True
+    linked = spent & paid
+    n_linked = int(linked.sum())
+    renumber = np.cumsum(linked) - 1
+    n_tx = graph.n_transactions
+    width = max(n_tx, 1)
 
-    Reach rows are kept to their first ``CLAMP`` entries at every order, so
-    each product expands a hop entry against at most ``CLAMP`` addresses.
-    A row's population count is min(n, CLAMP), not n, and the grids equal
-    those of the full reach matrix (see the module docstring)."""
+    # P_L from the input CSR: its linked entries, sorted by (address, tx)
+    kept = linked[graph.in_indices]
+    spender = np.repeat(np.arange(n_tx, dtype=np.int64), graph.input_set_sizes)
+    keys = np.sort(renumber[graph.in_indices[kept]] * width + spender[kept])
+    p_indptr = np.zeros(n_linked + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // width, minlength=n_linked), out=p_indptr[1:])
+    p_l = SparseBoolMatrix(n_linked, n_tx, p_indptr, keys % width)
+
+    # Q_L is Q with its unlinked columns dropped; renumbering in id order
+    # keeps each row sorted
+    kept = linked[graph.out_indices]
+    kept_before = np.zeros(kept.size + 1, dtype=np.int64)
+    np.cumsum(kept, out=kept_before[1:])
+    q_l = SparseBoolMatrix(n_tx, n_linked, kept_before[graph.out_indptr],
+                           renumber[graph.out_indices[kept]])
+    return p_l, q_l
+
+
+def occurrence_matrices(graph: TransactionGraph, max_order: int) -> list[OccurrenceMatrix]:
+    """All of OC^1..OC^max_order, sharing one pair of linked-address
+    matrices ``P_L`` and ``Q_L``.
+
+    ``reach_1 = cap(Q)`` and ``reach_{k+1} = cap(Q_L . cap(P_L . reach_k))``,
+    where ``cap`` keeps each row's first ``CLAMP`` entries.  The tx x tx
+    hop ``Q . P`` is never formed, so an order expands at most
+    ``CLAMP * (nnz(P_L) + nnz(Q_L))`` entries, and none when no address is
+    linked.  A row's population count is min(n, CLAMP), not n, and the
+    grids equal those of the full reach matrix (see the module
+    docstring)."""
     if max_order < 1:
         raise OrderOutOfRange(f"order must be >= 1, got {max_order}")
-    p = build_P(graph)
-    q = build_Q(graph)
     m_sizes = graph.input_set_sizes
-    out = []
-    reach = _first_entries(q)
-    hop = None
-    for k in range(1, max_order + 1):
-        if k > 1:
-            if hop is None:
-                hop = q @ p
-            reach = _first_entries(hop @ reach)
-        out.append(OccurrenceMatrix(k, _tally(m_sizes, reach.row_counts())))
+    reach = _first_entries(SparseBoolMatrix(
+        graph.n_transactions, graph.n_addresses,
+        graph.out_indptr, graph.out_indices,
+    ))
+    out = [OccurrenceMatrix(1, _tally(m_sizes, reach.row_counts()))]
+    if max_order > 1:
+        p_l, q_l = _linked(graph)
+        for k in range(2, max_order + 1):
+            if p_l.n_rows:
+                reach = _first_entries(q_l @ _first_entries(p_l @ reach))
+                n_sizes = reach.row_counts()
+            else:
+                n_sizes = np.zeros(graph.n_transactions, dtype=np.int64)
+            out.append(OccurrenceMatrix(k, _tally(m_sizes, n_sizes)))
     return out
 
 

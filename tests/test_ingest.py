@@ -285,6 +285,17 @@ def test_duplicate_checked_before_timestamp(tmp_path):
     assert (err.value.first_line, err.value.second_line) == (3, 4)
 
 
+@pytest.mark.parametrize("stamp", [10**15, 10**20, -62135596801])
+def test_from_records_bounds_timestamps(stamp):
+    # the same bound as parsing, so a table built in code cannot overflow
+    # the date arithmetic of partition_daily
+    records = [TransactionRecord("t1", DAY0_TS, ("a",), ("b",)),
+               TransactionRecord("t2", stamp, (), ("a",))]
+    with pytest.raises(MalformedRow) as err:
+        partition_daily(TransactionTable.from_records(records))
+    assert str(err.value) == f"line 2: timestamp {stamp} out of range"
+
+
 def _big_file(path, n: int, bad: dict[int, str]) -> None:
     # rows long enough that the file spans several read chunks; a blank
     # line after every 1000th row shifts line numbers off the row count

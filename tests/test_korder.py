@@ -3,13 +3,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from txpattern import kernels
 from txpattern.errors import DimensionMismatch, OrderOutOfRange
 from txpattern.korder import (
     CLAMP,
     GRID_CELLS,
     SparseBoolMatrix,
-    build_P,
-    build_Q,
     feature_vector,
     occurrence_matrices,
     occurrence_matrix_oracle,
@@ -38,6 +37,19 @@ def _dense(m: SparseBoolMatrix) -> np.ndarray:
 
 def _entries(m: SparseBoolMatrix) -> set[tuple[int, int]]:
     return {(int(r), int(c)) for r, c in zip(*np.nonzero(_dense(m)))}
+
+
+def build_P(graph) -> SparseBoolMatrix:
+    """|A| x |T| input matrix: (a, t) set iff address a funds transaction t."""
+    cols = np.repeat(np.arange(graph.n_transactions), graph.input_set_sizes)
+    return SparseBoolMatrix.from_pairs(
+        graph.n_addresses, graph.n_transactions, graph.in_indices, cols)
+
+
+def build_Q(graph) -> SparseBoolMatrix:
+    """|T| x |A| output matrix: (t, a) set iff transaction t pays address a."""
+    return SparseBoolMatrix(graph.n_transactions, graph.n_addresses,
+                            graph.out_indptr, graph.out_indices)
 
 
 def transition_matrix_counts(
@@ -133,20 +145,24 @@ def test_subgraph_shapes(toy_graph):
 def _straddle_records() -> list[TransactionRecord]:
     """A day whose order-2 and order-3 frontiers straddle the clamp.
 
-    Each hub X pays one address s_X that two spenders share, so X's order-2
-    frontier is the union of the spenders' outputs:
+    Each hub X pays one linked address s_X that two spenders share, so X's
+    order-2 frontier is the union of the spenders' outputs, which is the
+    row of s_X in the address stage of the product:
 
     * A: 25 addresses b0..b24, and 5 that repeat b22..b24 (dropped when
       the first row is cut to its first 20) plus c0, c1 (27 in all);
     * B: 12 and 10 addresses sharing 3 (19 in all);
     * C: 20 addresses and one of them again (20 in all);
-    * D: 21 addresses and d20, the one cut from them, again (21 in all).
+    * D: 21 addresses and d20, the one cut from them, again (21 in all);
+    * F: 10 and 10 distinct addresses (20 in all);
+    * H: 11 and 10 distinct addresses (21 in all).
 
-    A predecessor E_X pays X's first input, so E_X's order-3 frontier is
-    X's order-2 frontier.  G pays the first inputs of A and D, so its
-    order-3 frontier is the union of both (48 addresses).  Hub X has m = 1..4
-    inputs, E_X has m = 5..8 and G has m = 9, so every pattern lands in a
-    cell of its own.
+    For F and H every spender's row is whole, so only the union reaches
+    the clamp.  A predecessor E_X pays X's first input, so E_X's order-3
+    frontier is X's order-2 frontier.  G pays the first inputs of A and D,
+    so its order-3 frontier is the union of both (48 addresses).  Hub X has
+    m = 1..6 inputs, E_X has m = 7..12 and G has m = 13, so every pattern
+    lands in a cell of its own.
     """
     def names(prefix: str, lo: int, hi: int) -> tuple[str, ...]:
         return tuple(f"{prefix}{j}" for j in range(lo, hi))
@@ -156,12 +172,15 @@ def _straddle_records() -> list[TransactionRecord]:
         "B": (names("e", 0, 12), names("e", 9, 19)),
         "C": (names("f", 0, 20), ("f19",)),
         "D": (names("d", 0, 21), ("d20",)),
+        "F": (names("u", 0, 10), names("u", 10, 20)),
+        "H": (names("v", 0, 11), names("v", 11, 21)),
     }
+    hubs = "ABCDFH"
     txs = []
-    for m, hub in enumerate("ABCD", start=1):
-        txs.append((f"E{hub}", names(f"pre{hub}_", 0, m + 4), (f"x{hub}",)))
-    txs.append(("G", names("g", 0, 9), ("xA", "xD")))
-    for m, hub in enumerate("ABCD", start=1):
+    for m, hub in enumerate(hubs, start=len(hubs) + 1):
+        txs.append((f"E{hub}", names(f"pre{hub}_", 0, m), (f"x{hub}",)))
+    txs.append(("G", names("g", 0, 2 * len(hubs) + 1), ("xA", "xD")))
+    for m, hub in enumerate(hubs, start=1):
         txs.append((hub, (f"x{hub}",) + names(f"in{hub}_", 1, m), (f"s{hub}",)))
         for j, outs in enumerate(spends[hub], start=1):
             txs.append((f"S{hub}{j}", (f"s{hub}",), outs))
@@ -180,19 +199,23 @@ def test_subgraph_shapes_unclamped(straddle_graph):
     assert subgraph_shape(straddle_graph, 2, t("A")) == (1, 27)
     assert subgraph_shape(straddle_graph, 2, t("B")) == (2, 19)
     assert subgraph_shape(straddle_graph, 2, t("D")) == (4, 21)
-    assert subgraph_shape(straddle_graph, 3, t("EA")) == (5, 27)
-    assert subgraph_shape(straddle_graph, 3, t("G")) == (9, 48)
+    assert subgraph_shape(straddle_graph, 2, t("F")) == (5, 20)
+    assert subgraph_shape(straddle_graph, 2, t("H")) == (6, 21)
+    assert subgraph_shape(straddle_graph, 3, t("EA")) == (7, 27)
+    assert subgraph_shape(straddle_graph, 3, t("G")) == (13, 48)
     assert subgraph_shape(straddle_graph, 1, t("SA1")) == (1, 25)
 
 
 def test_rows_straddling_the_clamp(straddle_graph):
     order2 = _expect_grid({
         (1, 20): 1, (2, 19): 1, (3, 20): 1, (4, 20): 1,     # A, B, C, D
-        (5, 1): 1, (6, 1): 1, (7, 1): 1, (8, 1): 1,         # E_X -> s_X
-        (9, 2): 1,                                          # G -> sA, sD
+        (5, 20): 1, (6, 20): 1,                             # F, H
+        **{(m, 1): 1 for m in range(7, 13)},                # E_X -> s_X
+        (13, 2): 1,                                         # G -> sA, sD
     })
     order3 = _expect_grid({
-        (5, 20): 1, (6, 19): 1, (7, 20): 1, (8, 20): 1, (9, 20): 1,
+        (7, 20): 1, (8, 19): 1, (9, 20): 1, (10, 20): 1,
+        (11, 20): 1, (12, 20): 1, (13, 20): 1,
     })
     grids = occurrence_matrices(straddle_graph, 4)
     assert np.array_equal(grids[1].counts, order2)
@@ -265,6 +288,59 @@ def test_coinbase_excluded():
     assert oc.cell(1, 1) == 1
 
 
+# --- hub days: one address that many transactions pay and spend ----------
+
+def _hub_records(width: int) -> list[TransactionRecord]:
+    """A day around one address that ``width`` payers fund and ``width``
+    spenders spend.  Payer i spends p_i and pays the hub and c_i; spender j
+    spends the hub and pays o_j and p_(j+1), the input of the next payer, so
+    reach runs through the hub at every order.  Every m is 1."""
+    txs = [(f"P{i}", (f"p{i}",), ("hub", f"c{i}")) for i in range(width)]
+    txs += [(f"S{j}", ("hub",), (f"o{j}", f"p{(j + 1) % width}"))
+            for j in range(width)]
+    return [TransactionRecord(tx, DAY0_TS + i, ins, outs)
+            for i, (tx, ins, outs) in enumerate(txs)]
+
+
+def test_wide_hub_expansion_linear_in_edges(monkeypatch):
+    # the tx x tx hop matrix would pair all 2000 payers with all 2000
+    # spenders (4M pairs); each product may expand at most CLAMP entries
+    # per graph edge
+    graph = build_graph(day_windows(_hub_records(2000))[0])
+    expansions = []
+    spgemm = kernels.spgemm_bool
+
+    def recording(a_indptr, a_indices, b_indptr, *rest):
+        expansions.append(int(np.diff(b_indptr)[a_indices].sum()))
+        return spgemm(a_indptr, a_indices, b_indptr, *rest)
+
+    monkeypatch.setattr(kernels, "spgemm_bool", recording)
+    grids = occurrence_matrices(graph, 3)
+    assert expansions
+    assert max(expansions) <= CLAMP * (len(graph.in_indices)
+                                       + len(graph.out_indices))
+    # order 1: every row pays 2; order 2: a payer reaches every spender's
+    # outputs, a spender the next payer's two; order 3: past the clamp
+    assert np.array_equal(grids[0].counts, _expect_grid({(1, 2): 4000}))
+    assert np.array_equal(grids[1].counts,
+                          _expect_grid({(1, 20): 2000, (1, 2): 2000}))
+    assert np.array_equal(grids[2].counts, _expect_grid({(1, 20): 4000}))
+
+
+def test_no_linked_address_runs_no_product(monkeypatch):
+    # nothing spends what the day pays, so orders 2 and up are empty
+    records = [TransactionRecord("t1", DAY0_TS, ("a",), ("b",)),
+               TransactionRecord("t2", DAY0_TS + 1, ("c",), ("d", "e"))]
+    graph = build_graph(day_windows(records)[0])
+    calls = []
+    monkeypatch.setattr(kernels, "spgemm_bool",
+                        lambda *args: calls.append(args))
+    grids = occurrence_matrices(graph, 3)
+    assert not calls
+    assert grids[0].total() == 2
+    assert grids[1].total() == grids[2].total() == 0
+
+
 # --- the two independent routes must agree ----------------------------------
 
 def test_oracle_equivalence_random_graphs():
@@ -275,6 +351,13 @@ def test_oracle_equivalence_random_graphs():
         assert _grid(graph, k) == occurrence_matrix_oracle(graph, k), (
             f"divergence at instance {i}, order {k}"
         )
+    # days around one hub address, from below the clamp to past it
+    for width in (3, 9, 10, 19, 20, 30):
+        graph = build_graph(day_windows(_hub_records(width))[0])
+        for k in (1, 2, 3, 4):
+            assert _grid(graph, k) == occurrence_matrix_oracle(graph, k), (
+                f"divergence at hub width {width}, order {k}"
+            )
 
 
 def test_oracle_equivalence_with_cycles():
@@ -358,19 +441,27 @@ def test_matmul_against_dense():
 def adversarial_day(draw):
     """One day of rows over a pool of up to 40 addresses plus a hub address
     that any row may pay and spend, so frontiers can pass the 20-wide
-    clamp.  Empty inputs make coinbase rows; lists may repeat an address
-    within a row; a row may pay one of its own inputs (a self-spend); reuse
-    across rows makes cycles."""
+    clamp.  A second hub is chained behind it: rows that spend the hub may
+    pay it and any row may spend it, so the union of wide reach rows at the
+    address stage of the product passes the clamp too.  Empty inputs make
+    coinbase rows; lists may repeat an address within a row; a row may pay
+    one of its own inputs (a self-spend); reuse across rows makes
+    cycles."""
     pool = [f"a{i}" for i in range(draw(st.integers(1, 40)))]
     address = st.sampled_from(pool)
     records = []
     for t in range(draw(st.integers(1, 30))):
         ins = draw(st.lists(address, max_size=5))
         outs = draw(st.lists(address, min_size=1, max_size=5))
-        if draw(st.booleans()):
+        spends_hub = draw(st.booleans())
+        if spends_hub:
             ins.append("hub")
         if draw(st.booleans()):
+            ins.append("hub2")
+        if draw(st.booleans()):
             outs.append("hub")
+        if spends_hub and draw(st.booleans()):
+            outs.append("hub2")
         if ins and draw(st.booleans()):
             outs.append(ins[0])
         records.append(TransactionRecord(f"t{t}", DAY0_TS + t,

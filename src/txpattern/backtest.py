@@ -10,18 +10,15 @@ the offset-j model is trained to map a day's features to the j-day price
 difference, and at evaluation time contributes price(t'-j) + predicted
 diff.  Per-day features are computed once and shared by all offsets.
 
-Reports serialize to JSON and CSV.  Wall-clock timing is kept on the report
-object but deliberately left out of the JSON so identical runs produce
-byte-identical report files.
+Reports serialize to JSON and CSV; identical runs produce byte-identical
+report files.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import json
-import os
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -112,7 +109,6 @@ class BacktestReport:
     predicted_prices: np.ndarray
     mape: float
     trend_accuracy: float
-    runtime_seconds: float = field(default=0.0, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -153,8 +149,6 @@ class BacktestReport:
         }
 
     def to_json(self) -> str:
-        # runtime is intentionally not serialized: identical inputs must
-        # yield byte-identical reports
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def write_json(self, path: str | Path) -> None:
@@ -183,15 +177,9 @@ class DayTable:
     close; the backtest and the sweeps build it over the split's windows and
     cut at the last training day."""
 
-    def __init__(
-        self,
-        windows: list[DayWindow],
-        prices: PriceSeries,
-        max_order: int,
-        threads: int | None,
-    ):
+    def __init__(self, windows: list[DayWindow], prices: PriceSeries, max_order: int):
         self.prices = prices
-        self.dates, self.x = day_feature_table(windows, max_order, threads)
+        self.dates, self.x = day_feature_table(windows, max_order)
         self.date_index = {d: i for i, d in enumerate(self.dates)}
         self.base = np.empty(len(self.dates))
         for i, d in enumerate(self.dates):
@@ -281,10 +269,8 @@ def _split_table(
     prices: PriceSeries,
     split: SplitSpec,
     max_order: int,
-    threads: int | None,
 ) -> DayTable:
-    """The table over the split's windows, with machine parallelism for
-    ``threads`` of None or 0."""
+    """The table over the split's windows."""
     windows = partition_daily(transactions)
     if split.start is not None:
         windows = [
@@ -295,11 +281,7 @@ def _split_table(
         raise InsufficientData(
             f"need at least 3 day windows in range, got {len(windows)}"
         )
-    return DayTable(windows, prices, max_order, _resolve_threads(threads))
-
-
-def _resolve_threads(threads: int | None) -> int:
-    return threads if threads is not None and threads > 0 else (os.cpu_count() or 1)
+    return DayTable(windows, prices, max_order)
 
 
 def run_backtest(
@@ -311,15 +293,11 @@ def run_backtest(
     window: int = 2,
     spec: RegressorSpec | None = None,
     horizon: int = 1,
-    threads: int | None = None,
 ) -> BacktestReport:
     """Full end-to-end backtest; see module docstring for semantics."""
-    t0 = time.perf_counter()
-    table = _split_table(transactions, prices, split, max_order, threads)
-    report = _run_on_table(table, split, max_order, r, window,
-                           spec or RegressorSpec(), horizon)
-    report.runtime_seconds = time.perf_counter() - t0
-    return report
+    table = _split_table(transactions, prices, split, max_order)
+    return _run_on_table(table, split, max_order, r, window,
+                         spec or RegressorSpec(), horizon)
 
 
 def _run_on_table(
@@ -389,13 +367,12 @@ def horizon_sweep(
     max_order: int = 2,
     spec: RegressorSpec | None = None,
     r: float = 0.8,
-    threads: int | None = None,
 ) -> list[tuple[int, float]]:
     """Single-model (window 1) backtest per horizon; features computed once."""
     if not horizons:
         return []
     spec = spec or RegressorSpec()
-    table = _split_table(transactions, prices, split, max_order, threads)
+    table = _split_table(transactions, prices, split, max_order)
     return [
         (h, _run_on_table(table, split, max_order, r, 1, spec, h).mape)
         for h in horizons
@@ -411,13 +388,12 @@ def window_sweep(
     max_order: int = 2,
     spec: RegressorSpec | None = None,
     horizon: int = 1,
-    threads: int | None = None,
 ) -> list[tuple[int, float]]:
     """Backtest per window size, reusing offset models shared between runs."""
     if not windows:
         return []
     spec = spec or RegressorSpec()
-    table = _split_table(transactions, prices, split, max_order, threads)
+    table = _split_table(transactions, prices, split, max_order)
     cache: dict[int, tuple] = {}
     return [
         (w, _run_on_table(table, split, max_order, r, w, spec, horizon,

@@ -86,17 +86,6 @@ def _path(flag: str, dest: str, help_text: str, required: bool = True) -> Opt:
 
 
 SEED = Opt(("--seed",), "seed", int, 42, "random seed")
-# 0 picks the thread count per command.  Threads do not shorten runs
-# measurably, and they raise peak memory on wide days.  On a 2-CPU machine
-# (three runs each, process start included) a 365-day backtest (730k tx)
-# took 3.3-4.3 s on 1 thread and 3.9-4.6 s on 2, both at 415 MB, and
-# `features --k 3` over a 100k-tx day and two days with 700- and 1400-wide
-# hub addresses took 1.3-1.4 s on either, at 155 MB serial and 172 MB on
-# 2 threads.
-THREADS = Opt(("--threads",), "threads", int, 0,
-              "worker threads for per-day features; 0 = machine parallelism "
-              "for backtest and the sweeps, one thread for features, train "
-              "and predict")
 ORDER = Opt(("--k", "--order"), "order", int, 2, "highest subgraph order to extract")
 HORIZON = Opt(("--horizon",), "horizon", int, 1, "days ahead to predict")
 DECAY_R = Opt(("--r",), "r", float, 0.8, "geometric decay ratio")
@@ -146,14 +135,13 @@ SYNTH_OPTS = [
     SEED,
 ]
 
-FEATURES_OPTS = [TX, _path("--out", "out", "feature CSV to write"), ORDER, THREADS]
+FEATURES_OPTS = [TX, _path("--out", "out", "feature CSV to write"), ORDER]
 TRAIN_OPTS = [TX, PRICES, _path("--out", "out", "model JSON to write"),
-              ORDER, THREADS, HORIZON] + MODEL_OPTS
+              ORDER, HORIZON] + MODEL_OPTS
 PREDICT_OPTS = [_path("--model-file", "model_file", "model JSON from train"),
                 TX, PRICES,
                 Opt(("--date",), "date", _iso_date, None,
-                    "feature day (default: last day in the data)"),
-                THREADS]
+                    "feature day (default: last day in the data)")]
 BACKTEST_OPTS = [TX, PRICES,
                  _path("--report", "report", "write the full report JSON here",
                        required=False),
@@ -162,13 +150,13 @@ BACKTEST_OPTS = [TX, PRICES,
                  ] + SPLIT_OPTS + [ORDER, DECAY_R,
                                    Opt(("--window",), "window", int, 2,
                                        "number of history offsets combined"),
-                                   HORIZON, THREADS] + MODEL_OPTS
+                                   HORIZON] + MODEL_OPTS
 SWEEP_H_OPTS = [TX, PRICES] + SPLIT_OPTS + [
-    ORDER, THREADS, DECAY_R,
+    ORDER, DECAY_R,
     Opt(("--horizons",), "horizons", _int_list, [1, 2, 7],
         "comma separated horizons")] + MODEL_OPTS
 SWEEP_W_OPTS = [TX, PRICES] + SPLIT_OPTS + [
-    ORDER, THREADS, DECAY_R, HORIZON,
+    ORDER, DECAY_R, HORIZON,
     Opt(("--windows",), "windows", _int_list, [1, 2, 3],
         "comma separated window sizes")] + MODEL_OPTS
 WEIGHTS_OPTS = [DECAY_R, Opt(("--window",), "window", int, 2, "number of weights")]
@@ -246,11 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", default=os.environ.get("TXPATTERN_CONFIG"),
                         help="key=value defaults file")
-    parser.add_argument("--show-weights", nargs=2, metavar=("R", "WINDOW"),
-                        default=None,
-                        help="print the decay weights for ratio R over WINDOW "
-                             "offsets and exit")
-    sub = parser.add_subparsers(dest="command", required=False)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("synth", help="generate a synthetic corpus")
     _add(sp, SYNTH_OPTS)
@@ -298,10 +282,6 @@ def _make_split(v: dict) -> SplitSpec:
     return SplitSpec(v["train_frac"], "custom", v["start"], v["end"])
 
 
-def _threads(v: dict) -> int | None:
-    return v["threads"] if v["threads"] else None
-
-
 def _order_of(model) -> int:
     dim = model.weights.shape[0]
     if dim % GRID_CELLS:
@@ -328,7 +308,7 @@ def _cmd_synth(v: dict) -> int:
 
 def _cmd_features(v: dict) -> int:
     windows = partition_daily(parse_transactions(v["tx"]))
-    dates, table = day_feature_table(windows, v["order"], _threads(v))
+    dates, table = day_feature_table(windows, v["order"])
     write_feature_csv(dates, table, v["out"])
     print(f"wrote {len(dates)} rows x {table.shape[1]} features to {v['out']}")
     return 0
@@ -337,7 +317,7 @@ def _cmd_features(v: dict) -> int:
 def _cmd_train(v: dict) -> int:
     transactions = parse_transactions(v["tx"])
     prices = parse_prices(v["prices"])
-    table = DayTable(partition_daily(transactions), prices, v["order"], _threads(v))
+    table = DayTable(partition_daily(transactions), prices, v["order"])
     model, scaler, info = table.fit_offset(v["horizon"], _make_spec(v),
                                            prices.last_date)
     save_model(v["out"], model, scaler, v["horizon"])
@@ -358,7 +338,7 @@ def _cmd_predict(v: dict) -> int:
     base = prices.price_on(date)
     if base is None:
         raise PriceMissing(date)
-    _, table = day_feature_table([by_date[date]], _order_of(model), _threads(v))
+    _, table = day_feature_table([by_date[date]], _order_of(model))
     diff = predict(model, apply_scaler(scaler, table[0]))
     target = date + dt.timedelta(days=horizon)
     print(f"{target.isoformat()} {base + diff!r}")
@@ -369,7 +349,7 @@ def _cmd_backtest(v: dict) -> int:
     transactions = parse_transactions(v["tx"])
     prices = parse_prices(v["prices"])
     report = run_backtest(transactions, prices, _make_split(v), v["order"], v["r"],
-                          v["window"], _make_spec(v), v["horizon"], _threads(v))
+                          v["window"], _make_spec(v), v["horizon"])
     print(report.summary())
     if v["report"]:
         report.write_json(v["report"])
@@ -384,7 +364,7 @@ def _cmd_sweep_horizon(v: dict) -> int:
     transactions = parse_transactions(v["tx"])
     prices = parse_prices(v["prices"])
     rows = horizon_sweep(transactions, prices, _make_split(v), v["horizons"],
-                         v["order"], _make_spec(v), v["r"], _threads(v))
+                         v["order"], _make_spec(v), v["r"])
     print("horizon,mape_percent")
     for h, m in rows:
         print(f"{h},{m:.6f}")
@@ -395,7 +375,7 @@ def _cmd_sweep_window(v: dict) -> int:
     transactions = parse_transactions(v["tx"])
     prices = parse_prices(v["prices"])
     rows = window_sweep(transactions, prices, _make_split(v), v["windows"], v["r"],
-                        v["order"], _make_spec(v), v["horizon"], _threads(v))
+                        v["order"], _make_spec(v), v["horizon"])
     print("window,mape_percent")
     for w, m in rows:
         print(f"{w},{m:.6f}")
@@ -447,17 +427,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        if ns.show_weights is not None:
-            raw_r, raw_window = ns.show_weights
-            try:
-                r, window = float(raw_r), int(raw_window)
-            except ValueError:
-                parser.error(f"--show-weights takes R WINDOW, "
-                             f"got {raw_r!r} {raw_window!r}")
-            print(" ".join(f"{a:g}" for a in decay_weights(r, window).alphas))
-            return 0
-        if ns.command is None:
-            parser.error("a subcommand is required")
         config = _read_config(ns.config) if ns.config else {}
         handler, opts = _HANDLERS[ns.command]
         values = _resolve(opts, ns, config, parser)

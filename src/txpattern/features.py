@@ -12,7 +12,6 @@ fitted on training rows only; zero-variance columns map to 0.
 from __future__ import annotations
 
 import datetime as dt
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,27 +30,13 @@ class Scaler:
 
 
 def day_feature_table(
-    windows: list[DayWindow], max_order: int, threads: int | None = None
+    windows: list[DayWindow], max_order: int
 ) -> tuple[list[dt.date], np.ndarray]:
-    """Feature vectors for every window, in date order.
-
-    Extraction is embarrassingly parallel across days; results are placed by
-    index so the table is identical for any thread count."""
-    dates = [w.date for w in windows]
-    dim = GRID_CELLS * max_order
-
-    def one(window: DayWindow) -> np.ndarray:
-        return feature_vector(build_graph(window), max_order)
-
-    if threads is not None and threads > 1 and len(windows) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            vecs = list(pool.map(one, windows))
-    else:
-        vecs = [one(w) for w in windows]
-    table = np.zeros((len(windows), dim), dtype=np.float64)
-    for i, v in enumerate(vecs):
-        table[i] = v
-    return dates, table
+    """Feature vectors for every window, one row per window in date order."""
+    table = np.zeros((len(windows), GRID_CELLS * max_order), dtype=np.float64)
+    for i, w in enumerate(windows):
+        table[i] = feature_vector(build_graph(w), max_order)
+    return [w.date for w in windows], table
 
 
 def fit_scaler(x: np.ndarray) -> Scaler:

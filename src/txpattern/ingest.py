@@ -16,13 +16,13 @@ file order: ids, int64 timestamps, per-row input and output counts, and
 the input and output address tokens of all rows laid end to end.  There is
 no object per transaction.  A :class:`DayWindow` is a date plus the row
 indices of the table that fall on it, so every day of a file shares the one
-table.  Nothing is modified after parsing, so all of it is safe to share
-across threads.
+table.  Nothing is modified after parsing.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
@@ -335,7 +335,9 @@ def parse_prices(path: str | Path) -> PriceSeries:
             try:
                 close = float(parts[1])
             except ValueError:
-                raise MalformedRow(lineno, f"bad close {parts[1]!r}") from None
+                close = math.nan
+            if not math.isfinite(close):
+                raise MalformedRow(lineno, f"bad close {parts[1]!r}")
             if close <= 0:
                 raise NonPositivePrice(date)
             if date in seen_dates:

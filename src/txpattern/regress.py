@@ -42,11 +42,11 @@ class RegressorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise BadSpec(f"unknown regressor kind {self.kind!r}")
-        if self.ridge_lambda < 0:
+        if not self.ridge_lambda >= 0:
             raise BadSpec("ridge_lambda must be >= 0")
-        if self.svr_c <= 0:
+        if not self.svr_c > 0:
             raise BadSpec("svr_c must be > 0")
-        if self.svr_epsilon < 0:
+        if not self.svr_epsilon >= 0:
             raise BadSpec("svr_epsilon must be >= 0")
         if not self.svr_tolerance > 0:
             raise BadSpec("svr_tolerance must be > 0")
@@ -100,7 +100,7 @@ def fit(
     if x.shape[0] < 2:
         raise TooFewRows(f"need at least 2 training rows, got {x.shape[0]}")
     if np.isnan(y).any():
-        raise ValueError("training targets contain missing values")
+        raise BadSpec("training targets contain missing values")
     if spec.kind == "ridge":
         w, b = _fit_ridge(x, y, spec.ridge_lambda)
         return FittedModel(w, b, spec, train_range)

@@ -91,9 +91,9 @@ class SynthSpec:
             raise BadSpec("coinbase_per_day must be >= 0")
         if self.price_model not in PRICE_MODELS:
             raise BadSpec(f"unknown price model {self.price_model!r}")
-        if self.start_price <= 0:
-            raise BadSpec("start_price must be positive")
-        if self.volatility < 0 or self.noise_sigma < 0:
+        if not 0 < self.start_price < np.inf:
+            raise BadSpec("start_price must be positive and finite")
+        if not (self.volatility >= 0 and self.noise_sigma >= 0):
             raise BadSpec("volatility and noise_sigma must be >= 0")
         _check_dist("in_sizes", self.in_sizes)
         _check_dist("out_sizes", self.out_sizes)

@@ -36,18 +36,6 @@ def test_weights_default_window(capsys):
     assert out.strip() == "0.5 0.5"
 
 
-def test_show_weights_top_level(capsys):
-    code, out, _ = run(capsys, "--show-weights", "0.8", "3")
-    assert code == 0
-    assert out.strip() == "0.8 0.16 0.04"
-
-
-def test_show_weights_bad_args_exit_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["--show-weights", "0.8", "many"])
-    assert exc.value.code == 2
-
-
 def test_no_subcommand_exit_2():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -142,6 +130,10 @@ def test_missing_input_file_exit_1(capsys):
     ["train", "--horizon", "0", "--out", os.devnull, "--prices", "PX"],
     ["predict", "--model-file", "PX", "--prices", "PX"],
     ["oracle-check", "--sample", "-1"],
+    ["backtest", "--ridge-lambda", "nan", "--prices", "PX"],
+    ["backtest", "--model", "svr", "--svr-c", "nan", "--prices", "PX"],
+    ["backtest", "--model", "svr", "--svr-epsilon", "nan", "--prices", "PX"],
+    ["train", "--ridge-lambda", "nan", "--out", os.devnull, "--prices", "PX"],
 ])
 def test_bad_parameter_exit_1(corpus, capsys, argv):
     tx, px = corpus
@@ -159,6 +151,26 @@ def test_timestamp_out_of_range_exit_1(tmp_path, capsys):
                        "--out", str(tmp_path / "f.csv"))
     assert code == 1
     assert err == "error: line 2: timestamp '1000000000000000' out of range\n"
+
+
+def test_synth_nan_parameter_exit_1(tmp_path, capsys):
+    code, _, err = run(capsys, "synth", "--out-tx", str(tmp_path / "tx.csv"),
+                       "--out-prices", str(tmp_path / "px.csv"),
+                       "--start-price", "nan")
+    assert code == 1
+    assert err == "error: start_price must be positive and finite\n"
+
+
+@pytest.mark.parametrize("close", ["nan", "inf"])
+def test_non_finite_close_exit_1(corpus, tmp_path, capsys, close):
+    tx, px = corpus
+    bad = tmp_path / "px.csv"
+    lines = open(px).read().splitlines()
+    lines[3] = lines[3].split(",")[0] + "," + close
+    bad.write_text("\n".join(lines) + "\n")
+    code, _, err = run(capsys, "backtest", "--tx", tx, "--prices", str(bad))
+    assert code == 1
+    assert err == f"error: line 4: bad close '{close}'\n"
 
 
 def test_predict_missing_model_file(corpus, tmp_path, capsys):
@@ -303,12 +315,12 @@ def test_backtest_report(corpus, tmp_path, capsys):
 
 def test_backtest_threads_identical_report(corpus, tmp_path, capsys):
     tx, px = corpus
-    p1, p8 = str(tmp_path / "r1.json"), str(tmp_path / "r8.json")
+    p1, p2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
     base = ["backtest", "--tx", tx, "--prices", px, "--train-frac", "0.7"]
-    assert main(base + ["--threads", "1", "--report", p1]) == 0
-    assert main(base + ["--threads", "8", "--report", p8]) == 0
+    assert main(base + ["--report", p1]) == 0
+    assert main(base + ["--report", p2]) == 0
     capsys.readouterr()
-    assert open(p1, "rb").read() == open(p8, "rb").read()
+    assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
 def test_sweep_horizon_output(corpus, capsys):

@@ -48,9 +48,9 @@ def test_day_feature_table_shape_and_order():
 
 def test_day_feature_table_threads_agree():
     windows = day_windows(_records_over_days(8))
-    _, serial = day_feature_table(windows, 2, threads=1)
-    _, parallel = day_feature_table(windows, 2, threads=4)
-    assert np.array_equal(serial, parallel)
+    _, first = day_feature_table(windows, 2)
+    _, second = day_feature_table(windows, 2)
+    assert np.array_equal(first, second)
 
 
 def test_empty_day_gives_zero_row():
@@ -94,7 +94,7 @@ def test_build_dataset_targets():
     windows = day_windows(records)
     first = windows[0].date
     prices = _prices_over_days(first, 5)
-    table = DayTable(windows, prices, max_order=1, threads=None)
+    table = DayTable(windows, prices, max_order=1)
     assert np.array_equal(table.base, [100.0, 101.0, 102.0, 103.0, 104.0])
     rows, targets = table.targets(1, prices.last_date)
     # price rises 1.0/day, so every diff is exactly 1.0; the last day has no
@@ -111,7 +111,7 @@ def test_build_dataset_missing_base_price():
     first = windows[0].date
     short = _prices_over_days(first, 3)
     with pytest.raises(PriceMissing):
-        DayTable(windows, short, max_order=1, threads=None)
+        DayTable(windows, short, max_order=1)
 
 
 def test_feature_csv_header(tmp_path):

@@ -162,6 +162,12 @@ def test_non_positive_price(tmp_path):
     path.write_text("date,close\n2015-01-01,0.0\n")
     with pytest.raises(NonPositivePrice):
         parse_prices(path)
+    # closes that are not finite numbers are malformed rows
+    for close in ("nan", "inf", "-inf", "NaN"):
+        path.write_text(f"date,close\n2015-01-01,100.0\n2015-01-02,{close}\n")
+        with pytest.raises(MalformedRow) as err:
+            parse_prices(path)
+        assert str(err.value) == f"line 3: bad close '{close}'"
 
 
 def test_unparseable_date(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from txpattern import kernels
-from txpattern.errors import DimensionMismatch, SingularSystem, TooFewRows
+from txpattern.errors import BadSpec, DimensionMismatch, SingularSystem, TooFewRows
 from txpattern.features import Scaler
 from txpattern.regress import (
     FittedModel,
@@ -27,13 +27,19 @@ def _linear_data(n=60, d=4, seed=0, noise=0.0):
 def test_spec_validation():
     with pytest.raises(ValueError):
         RegressorSpec(kind="forest")
-    with pytest.raises(ValueError):
-        RegressorSpec(ridge_lambda=-1.0)
-    for tol in (0.0, -1e-4, float("nan")):
-        with pytest.raises(ValueError):
+    nan = float("nan")
+    for lam in (-1.0, nan):
+        with pytest.raises(BadSpec):
+            RegressorSpec(ridge_lambda=lam)
+    for c in (0.0, nan):
+        with pytest.raises(BadSpec):
+            RegressorSpec(kind="linear_svr", svr_c=c)
+    for tol in (0.0, -1e-4, nan):
+        with pytest.raises(BadSpec):
             RegressorSpec(kind="linear_svr", svr_tolerance=tol)
-    with pytest.raises(ValueError):
-        RegressorSpec(kind="linear_svr", svr_epsilon=-0.1)
+    for eps in (-0.1, nan):
+        with pytest.raises(BadSpec):
+            RegressorSpec(kind="linear_svr", svr_epsilon=eps)
 
 
 def test_ridge_recovers_clean_linear():
@@ -90,7 +96,7 @@ def test_shape_mismatch():
 
 def test_nan_targets_rejected():
     x = np.ones((3, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(BadSpec):
         fit(RegressorSpec(), x, np.array([1.0, np.nan, 2.0]))
 
 

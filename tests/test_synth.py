@@ -48,10 +48,13 @@ def test_bad_specs():
         SynthSpec(spend_probability=1.5)
     with pytest.raises(BadSpec):
         SynthSpec(price_model="brownian")
-    with pytest.raises(BadSpec):
-        SynthSpec(start_price=0.0)
-    with pytest.raises(BadSpec):
-        SynthSpec(noise_sigma=-0.1)
+    nan = float("nan")
+    for bad in (dict(start_price=0.0), dict(start_price=nan),
+                dict(start_price=float("inf")),
+                dict(noise_sigma=-0.1), dict(noise_sigma=nan),
+                dict(volatility=nan)):
+        with pytest.raises(BadSpec):
+            SynthSpec(**bad)
     with pytest.raises(BadSpec):
         SynthSpec(in_sizes={1: 0.5, 2: 0.4})   # does not sum to 1
     with pytest.raises(BadSpec):

@@ -271,12 +271,9 @@ def _split_table(
     max_order: int,
 ) -> DayTable:
     """The table over the split's windows."""
-    windows = partition_daily(transactions)
-    if split.start is not None:
-        windows = [
-            w for w in windows
-            if split.start <= w.date <= (split.end or w.date)
-        ]
+    first = split.start or dt.date.min
+    last = split.end or dt.date.max
+    windows = [w for w in partition_daily(transactions) if first <= w.date <= last]
     if len(windows) < 3:
         raise InsufficientData(
             f"need at least 3 day windows in range, got {len(windows)}"

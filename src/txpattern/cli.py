@@ -1,9 +1,12 @@
 """Command line front end.
 
-Every flag, paths included, resolves in precedence order: command line,
-then ``TXPATTERN_<NAME>`` environment variable, then ``key=value`` line in
-the file given by ``--config`` (or ``TXPATTERN_CONFIG``), then the built-in
-default.
+One argparse parser with a subcommand per step of the pipeline.  Options
+that several subcommands share come from parent parsers, so each is
+declared once with its type, default and help.
+
+An argument ``@FILE`` is replaced by the arguments in FILE, one per line
+(``--r=0.8``); blank lines and ``#`` lines are skipped, and a flag given
+after ``@FILE`` overrides the file's value.
 
 Exit codes: 0 success, 1 data or input errors, 2 usage errors.
 """
@@ -12,11 +15,7 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
-import os
 import sys
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -29,18 +28,6 @@ from .korder import GRID_CELLS, occurrence_matrices, occurrence_matrix_oracle
 from .regress import RegressorSpec, load_model, predict, save_model
 from .synth import SynthSpec, write_synth
 from .txgraph import build_graph
-
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
-
-
-def _bool(text: str) -> bool:
-    low = str(text).strip().lower()
-    if low in _TRUE:
-        return True
-    if low in _FALSE:
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
 
 
 def _iso_date(text: str) -> dt.date:
@@ -69,200 +56,128 @@ def _model_kind(text: str) -> str:
     return {"svr": "linear_svr"}.get(low, low)
 
 
-@dataclass(frozen=True)
-class Opt:
-    flags: tuple[str, ...]
-    dest: str
-    conv: Callable | None
-    default: object
-    help: str
-    is_flag: bool = False
-    choices: tuple | None = None
-    required: bool = False
+class _Parser(argparse.ArgumentParser):
+    def convert_arg_line_to_args(self, arg_line: str) -> list[str]:
+        """One argument per line of an ``@FILE``; blank and ``#`` lines skipped."""
+        line = arg_line.strip()
+        return [line] if line and not line.startswith("#") else []
 
 
-def _path(flag: str, dest: str, help_text: str, required: bool = True) -> Opt:
-    return Opt((flag,), dest, str, None, help_text, required=required)
-
-
-SEED = Opt(("--seed",), "seed", int, 42, "random seed")
-ORDER = Opt(("--k", "--order"), "order", int, 2, "highest subgraph order to extract")
-HORIZON = Opt(("--horizon",), "horizon", int, 1, "days ahead to predict")
-DECAY_R = Opt(("--r",), "r", float, 0.8, "geometric decay ratio")
-TX = _path("--tx", "tx", "transactions CSV")
-PRICES = _path("--prices", "prices", "prices CSV")
-
-MODEL_OPTS = [
-    Opt(("--model",), "model", _model_kind, "ridge",
-        "regressor kind, svr is shorthand for linear_svr",
-        choices=("ridge", "linear_svr")),
-    Opt(("--ridge-lambda",), "ridge_lambda", float, 1.0, "ridge penalty"),
-    Opt(("--svr-c",), "svr_c", float, 1.0, "svr loss weight"),
-    Opt(("--svr-epsilon",), "svr_epsilon", float, 0.1, "svr tube half-width"),
-    Opt(("--svr-tol",), "svr_tolerance", float, 1e-4,
-        "svr relative primal and dual residual tolerance"),
-]
-
-SPLIT_OPTS = [
-    Opt(("--interval",), "interval", str, "custom",
-        "named evaluation window", choices=("custom",) + tuple(INTERVALS)),
-    Opt(("--train-frac",), "train_frac", float, 0.8,
-        "chronological training fraction (custom interval)"),
-    Opt(("--start",), "start", _iso_date, None, "first day, custom interval"),
-    Opt(("--end",), "end", _iso_date, None, "last day, custom interval"),
-]
-
-SYNTH_OPTS = [
-    _path("--out-tx", "out_tx", "transactions CSV to write"),
-    _path("--out-prices", "out_prices", "prices CSV to write"),
-    Opt(("--days",), "days", int, 30, "number of day windows"),
-    Opt(("--tx-per-day",), "tx_per_day", int, 200, "mean transactions per day"),
-    Opt(("--spend-prob",), "spend_probability", float, 0.35,
-        "chance an input reuses an earlier output address"),
-    Opt(("--coinbase-per-day",), "coinbase_per_day", int, 1,
-        "inputless transactions per day"),
-    Opt(("--fixed-tx-count",), "fixed_tx_count", None, False,
-        "exact instead of Poisson transaction counts", is_flag=True),
-    Opt(("--price-model",), "price_model", str, "random_walk",
-        "price process", choices=("random_walk", "planted_linear")),
-    Opt(("--start-date",), "start_date", _iso_date, dt.date(2015, 1, 1), "first day"),
-    Opt(("--start-price",), "start_price", float, 1000.0, "initial close"),
-    Opt(("--volatility",), "volatility", float, 0.02, "random walk log-sigma"),
-    Opt(("--noise-sigma",), "noise_sigma", float, 0.01,
-        "planted model noise, as a fraction of price"),
-    Opt(("--planted",), "planted", _planted, None,
-        "planted weights, 'order,m,n:coeff;...' (default: built in)"),
-    SEED,
-]
-
-FEATURES_OPTS = [TX, _path("--out", "out", "feature CSV to write"), ORDER]
-TRAIN_OPTS = [TX, PRICES, _path("--out", "out", "model JSON to write"),
-              ORDER, HORIZON] + MODEL_OPTS
-PREDICT_OPTS = [_path("--model-file", "model_file", "model JSON from train"),
-                TX, PRICES,
-                Opt(("--date",), "date", _iso_date, None,
-                    "feature day (default: last day in the data)")]
-BACKTEST_OPTS = [TX, PRICES,
-                 _path("--report", "report", "write the full report JSON here",
-                       required=False),
-                 _path("--csv", "csv", "write per-day predictions CSV here",
-                       required=False),
-                 ] + SPLIT_OPTS + [ORDER, DECAY_R,
-                                   Opt(("--window",), "window", int, 2,
-                                       "number of history offsets combined"),
-                                   HORIZON] + MODEL_OPTS
-SWEEP_H_OPTS = [TX, PRICES] + SPLIT_OPTS + [
-    ORDER, DECAY_R,
-    Opt(("--horizons",), "horizons", _int_list, [1, 2, 7],
-        "comma separated horizons")] + MODEL_OPTS
-SWEEP_W_OPTS = [TX, PRICES] + SPLIT_OPTS + [
-    ORDER, DECAY_R, HORIZON,
-    Opt(("--windows",), "windows", _int_list, [1, 2, 3],
-        "comma separated window sizes")] + MODEL_OPTS
-WEIGHTS_OPTS = [DECAY_R, Opt(("--window",), "window", int, 2, "number of weights")]
-ORACLE_OPTS = [TX, ORDER, SEED,
-               Opt(("--sample",), "sample", int, 0,
-                   "check at most this many days, 0 = all")]
-
-
-def _add(sp: argparse.ArgumentParser, opts: list[Opt]) -> None:
-    for o in opts:
-        if o.required:
-            text = f"{o.help} (required)"
-        elif o.default is None:
-            text = o.help
-        else:
-            text = f"{o.help} (default: {o.default})"
-        if o.is_flag:
-            sp.add_argument(*o.flags, dest=o.dest, action="store_true",
-                            default=argparse.SUPPRESS, help=text)
-        else:
-            sp.add_argument(*o.flags, dest=o.dest, type=o.conv,
-                            default=argparse.SUPPRESS, choices=o.choices, help=text)
-
-
-def _read_config(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    p = Path(path)
-    if not p.is_file():
-        raise TxPatternError(f"config file not found: {path}")
-    for raw in p.read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise TxPatternError(f"config line is not key=value: {raw!r}")
-        out[key.strip()] = value.strip()
-    return out
-
-
-def _resolve(opts: list[Opt], ns: argparse.Namespace,
-             config: dict[str, str], parser: argparse.ArgumentParser) -> dict:
-    values: dict[str, object] = {}
-    for o in opts:
-        conv = _bool if o.is_flag else o.conv
-        value = o.default
-        if o.dest in config:
-            raw = config[o.dest]
-            try:
-                value = conv(raw) if conv else raw
-            except ValueError as exc:
-                parser.error(f"config {o.dest}={raw!r}: {exc}")
-        env_key = f"TXPATTERN_{o.dest.upper()}"
-        if env_key in os.environ:
-            raw = os.environ[env_key]
-            try:
-                value = conv(raw) if conv else raw
-            except ValueError as exc:
-                parser.error(f"{env_key}={raw!r}: {exc}")
-        if hasattr(ns, o.dest):
-            value = getattr(ns, o.dest)
-        if o.choices is not None and value not in o.choices:
-            parser.error(f"{o.dest} must be one of {o.choices}, got {value!r}")
-        if o.required and value is None:
-            parser.error(f"{o.flags[0]} is required")
-        values[o.dest] = value
-    return values
+def _shared(*flags: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one option that several subcommands share."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    tx = _shared("--tx", required=True, help="transactions CSV")
+    prices = _shared("--prices", required=True, help="prices CSV")
+    order = _shared("--k", "--order", dest="order", type=int, default=2,
+                    help="highest subgraph order to extract")
+    horizon = _shared("--horizon", type=int, default=1, help="days ahead to predict")
+    decay_r = _shared("--r", type=float, default=0.8, help="geometric decay ratio")
+    seed = _shared("--seed", type=int, default=42, help="random seed")
+
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--model", type=_model_kind, default="ridge",
+                       choices=("ridge", "linear_svr"),
+                       help="regressor kind, svr is shorthand for linear_svr")
+    model.add_argument("--ridge-lambda", type=float, default=1.0, help="ridge penalty")
+    model.add_argument("--svr-c", type=float, default=1.0, help="svr loss weight")
+    model.add_argument("--svr-epsilon", type=float, default=0.1,
+                       help="svr tube half-width")
+    model.add_argument("--svr-tol", dest="svr_tolerance", type=float, default=1e-4,
+                       help="svr relative primal and dual residual tolerance")
+
+    split = argparse.ArgumentParser(add_help=False)
+    split.add_argument("--interval", default="custom",
+                       choices=("custom",) + tuple(INTERVALS),
+                       help="named evaluation window")
+    split.add_argument("--train-frac", type=float, default=0.8,
+                       help="chronological training fraction (custom interval)")
+    split.add_argument("--start", type=_iso_date, help="first day, custom interval")
+    split.add_argument("--end", type=_iso_date, help="last day, custom interval")
+
+    parser = _Parser(
         prog="txpattern",
         description="subgraph-pattern features and price backtests "
                     "for transaction graphs",
+        fromfile_prefix_chars="@",
     )
-    parser.add_argument("--config", default=os.environ.get("TXPATTERN_CONFIG"),
-                        help="key=value defaults file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("synth", help="generate a synthetic corpus")
-    _add(sp, SYNTH_OPTS)
+    def command(name, handler, help_text, parents):
+        sp = sub.add_parser(name, help=help_text, parents=parents,
+                            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        sp.set_defaults(handler=handler)
+        return sp
 
-    sp = sub.add_parser("features", help="per-day feature table to CSV")
-    _add(sp, FEATURES_OPTS)
+    sp = command("synth", _cmd_synth, "generate a synthetic corpus", [seed])
+    sp.add_argument("--out-tx", required=True, help="transactions CSV to write")
+    sp.add_argument("--out-prices", required=True, help="prices CSV to write")
+    sp.add_argument("--days", type=int, default=30, help="number of day windows")
+    sp.add_argument("--tx-per-day", type=int, default=200,
+                    help="mean transactions per day")
+    sp.add_argument("--spend-prob", dest="spend_probability", type=float, default=0.35,
+                    help="chance an input reuses an earlier output address")
+    sp.add_argument("--coinbase-per-day", type=int, default=1,
+                    help="inputless transactions per day")
+    sp.add_argument("--fixed-tx-count", action="store_true",
+                    help="exact instead of Poisson transaction counts")
+    sp.add_argument("--price-model", default="random_walk",
+                    choices=("random_walk", "planted_linear"), help="price process")
+    sp.add_argument("--start-date", type=_iso_date, default=dt.date(2015, 1, 1),
+                    help="first day")
+    sp.add_argument("--start-price", type=float, default=1000.0, help="initial close")
+    sp.add_argument("--volatility", type=float, default=0.02,
+                    help="random walk log-sigma")
+    sp.add_argument("--noise-sigma", type=float, default=0.01,
+                    help="planted model noise, as a fraction of price")
+    sp.add_argument("--planted", type=_planted,
+                    help="planted weights 'order,m,n:coeff;...', "
+                         "None for the built-in set")
 
-    sp = sub.add_parser("train", help="fit one offset model and save it")
-    _add(sp, TRAIN_OPTS)
+    sp = command("features", _cmd_features, "per-day feature table to CSV",
+                 [tx, order])
+    sp.add_argument("--out", required=True, help="feature CSV to write")
 
-    sp = sub.add_parser("predict", help="predict one day with a saved model")
-    _add(sp, PREDICT_OPTS)
+    sp = command("train", _cmd_train, "fit one offset model and save it",
+                 [tx, prices, order, horizon, model])
+    sp.add_argument("--out", required=True, help="model JSON to write")
 
-    sp = sub.add_parser("backtest", help="chronological train/test evaluation")
-    _add(sp, BACKTEST_OPTS)
+    sp = command("predict", _cmd_predict, "predict one day with a saved model",
+                 [tx, prices])
+    sp.add_argument("--model-file", required=True, help="model JSON from train")
+    sp.add_argument("--date", type=_iso_date,
+                    help="feature day, None for the last day in the data")
 
-    sp = sub.add_parser("sweep-horizon", help="MAPE for several horizons")
-    _add(sp, SWEEP_H_OPTS)
+    sp = command("backtest", _cmd_backtest, "chronological train/test evaluation",
+                 [tx, prices, split, order, decay_r, horizon, model])
+    sp.add_argument("--report", help="write the full report JSON here")
+    sp.add_argument("--csv", help="write per-day predictions CSV here")
+    sp.add_argument("--window", type=int, default=2,
+                    help="number of history offsets combined")
 
-    sp = sub.add_parser("sweep-window", help="MAPE for several ensemble windows")
-    _add(sp, SWEEP_W_OPTS)
+    sp = command("sweep-horizon", _cmd_sweep_horizon, "MAPE for several horizons",
+                 [tx, prices, split, order, decay_r, model])
+    sp.add_argument("--horizons", type=_int_list, default=[1, 2, 7],
+                    help="comma separated horizons")
 
-    sp = sub.add_parser("weights", help="print the decay weights for r and window")
-    _add(sp, WEIGHTS_OPTS)
+    sp = command("sweep-window", _cmd_sweep_window, "MAPE for several ensemble windows",
+                 [tx, prices, split, order, decay_r, horizon, model])
+    sp.add_argument("--windows", type=_int_list, default=[1, 2, 3],
+                    help="comma separated window sizes")
 
-    sp = sub.add_parser("oracle-check", help="cross-check the matrix pipeline "
-                                             "against a direct per-transaction walk")
-    _add(sp, ORACLE_OPTS)
+    sp = command("weights", _cmd_weights, "print the decay weights for r and window",
+                 [decay_r])
+    sp.add_argument("--window", type=int, default=2, help="number of weights")
+
+    sp = command("oracle-check", _cmd_oracle_check,
+                 "cross-check the matrix pipeline against a direct "
+                 "per-transaction walk", [tx, order, seed])
+    sp.add_argument("--sample", type=int, default=0,
+                    help="check at most this many days, 0 = all")
     return parser
 
 
@@ -410,27 +325,10 @@ def _cmd_oracle_check(v: dict) -> int:
     return 0
 
 
-_HANDLERS = {
-    "synth": (_cmd_synth, SYNTH_OPTS),
-    "features": (_cmd_features, FEATURES_OPTS),
-    "train": (_cmd_train, TRAIN_OPTS),
-    "predict": (_cmd_predict, PREDICT_OPTS),
-    "backtest": (_cmd_backtest, BACKTEST_OPTS),
-    "sweep-horizon": (_cmd_sweep_horizon, SWEEP_H_OPTS),
-    "sweep-window": (_cmd_sweep_window, SWEEP_W_OPTS),
-    "weights": (_cmd_weights, WEIGHTS_OPTS),
-    "oracle-check": (_cmd_oracle_check, ORACLE_OPTS),
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
-        config = _read_config(ns.config) if ns.config else {}
-        handler, opts = _HANDLERS[ns.command]
-        values = _resolve(opts, ns, config, parser)
-        return handler(values)
+        return ns.handler(vars(ns))
     except TxPatternError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

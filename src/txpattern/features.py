@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import TooFewRows
+from .errors import OrderOutOfRange, TooFewRows
 from .ingest import DayWindow
 from .korder import GRID_CELLS, feature_vector
 from .txgraph import build_graph
@@ -33,6 +33,8 @@ def day_feature_table(
     windows: list[DayWindow], max_order: int
 ) -> tuple[list[dt.date], np.ndarray]:
     """Feature vectors for every window, one row per window in date order."""
+    if max_order < 1:
+        raise OrderOutOfRange(f"order must be >= 1, got {max_order}")
     table = np.zeros((len(windows), GRID_CELLS * max_order), dtype=np.float64)
     for i, w in enumerate(windows):
         table[i] = feature_vector(build_graph(w), max_order)

@@ -97,10 +97,12 @@ class SynthSpec:
             raise BadSpec("volatility and noise_sigma must be >= 0")
         _check_dist("in_sizes", self.in_sizes)
         _check_dist("out_sizes", self.out_sizes)
-        for key in self.planted_weights:
+        for key, coeff in self.planted_weights.items():
             order, m, n = key
             if order < 1 or not (1 <= m <= CLAMP) or not (1 <= n <= CLAMP):
                 raise BadSpec(f"planted weight key out of range: {key}")
+            if not np.isfinite(coeff):
+                raise BadSpec(f"planted weight {key} must be finite, got {coeff}")
 
     @property
     def max_planted_order(self) -> int:

@@ -176,6 +176,17 @@ def test_contiguous_days_never_skip():
     assert report.n_evaluated == report.n_test_days
 
 
+def test_end_alone_bounds_the_range(planted_corpus):
+    records, prices = planted_corpus
+    end = prices.first_date + dt.timedelta(days=39)
+    report = run_backtest(records, prices, SplitSpec(0.8, end=end), spec=_ridge())
+    assert report.n_days == 40
+    assert report.dates[-1] == end
+    both = SplitSpec(0.8, start=prices.first_date, end=end)
+    assert report.to_json() == run_backtest(records, prices, both,
+                                            spec=_ridge()).to_json()
+
+
 def test_insufficient_data():
     spec = SynthSpec(days=3, tx_per_day=10, seed=1)
     records, prices = generate(spec)

@@ -42,56 +42,58 @@ def test_no_subcommand_exit_2():
     assert exc.value.code == 2
 
 
-def test_env_overrides_default(capsys, monkeypatch):
+def test_env_is_ignored(capsys, monkeypatch):
     monkeypatch.setenv("TXPATTERN_R", "0.9")
-    code, out, _ = run(capsys, "weights", "--window", "2")
+    code, out, _ = run(capsys, "weights")
     assert code == 0
-    assert out.strip() == "0.9 0.1"
+    assert out.strip() == "0.8 0.2"
 
 
-def test_cli_beats_env(capsys, monkeypatch):
+def test_cli_beats_env(capsys, tmp_path, monkeypatch):
+    # a flag after @FILE overrides the file; the environment plays no part
     monkeypatch.setenv("TXPATTERN_R", "0.9")
-    code, out, _ = run(capsys, "weights", "--r", "0.25", "--window", "2")
-    assert code == 0
-    assert out.strip() == "0.25 0.75"
-
-
-def test_config_supplies_defaults(capsys, tmp_path):
-    cfg = tmp_path / "cfg"
-    cfg.write_text("# comment line\nr=0.75\nwindow=2\n")
-    code, out, _ = run(capsys, "--config", str(cfg), "weights")
-    assert code == 0
-    assert out.strip() == "0.75 0.25"
-
-
-def test_env_beats_config(capsys, tmp_path, monkeypatch):
-    cfg = tmp_path / "cfg"
-    cfg.write_text("r=0.75\n")
-    monkeypatch.setenv("TXPATTERN_R", "0.5")
-    code, out, _ = run(capsys, "--config", str(cfg), "weights", "--window", "2")
+    args = tmp_path / "args"
+    args.write_text("--r=0.75\n")
+    code, out, _ = run(capsys, "weights", f"@{args}", "--r", "0.5")
     assert code == 0
     assert out.strip() == "0.5 0.5"
 
 
-def test_bad_env_value_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("TXPATTERN_WINDOW", "often")
+def test_config_supplies_defaults(capsys, tmp_path):
+    args = tmp_path / "args"
+    args.write_text("# shared settings\n\n--r=0.75\n")
+    code, out, _ = run(capsys, "weights", f"@{args}")
+    assert code == 0
+    assert out.strip() == "0.75 0.25"
+
+
+def test_bad_argfile_value_is_usage_error(tmp_path):
+    args = tmp_path / "args"
+    args.write_text("--window=often\n")
     with pytest.raises(SystemExit) as exc:
-        main(["weights"])
+        main(["weights", f"@{args}"])
     assert exc.value.code == 2
 
 
 def test_malformed_config_line(capsys, tmp_path):
-    cfg = tmp_path / "cfg"
-    cfg.write_text("this is not an assignment\n")
-    code, _, err = run(capsys, "--config", str(cfg), "weights")
-    assert code == 1
-    assert "error:" in err
+    args = tmp_path / "args"
+    args.write_text("--threads=2\nbogus\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["weights", f"@{args}"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads=2 bogus" in capsys.readouterr().err
 
 
-def test_missing_config_file(capsys):
-    code, _, err = run(capsys, "--config", "/nope/cfg", "weights")
-    assert code == 1
-    assert "error:" in err
+def test_missing_config_file():
+    with pytest.raises(SystemExit) as exc:
+        main(["weights", "@/nope/args"])
+    assert exc.value.code == 2
+
+
+def test_config_flag_is_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", "cfg", "weights"])
+    assert exc.value.code == 2
 
 
 def test_usage_error_exit_2():
@@ -134,6 +136,9 @@ def test_missing_input_file_exit_1(capsys):
     ["backtest", "--model", "svr", "--svr-c", "nan", "--prices", "PX"],
     ["backtest", "--model", "svr", "--svr-epsilon", "nan", "--prices", "PX"],
     ["train", "--ridge-lambda", "nan", "--out", os.devnull, "--prices", "PX"],
+    ["features", "--k", "-1", "--out", os.devnull],
+    ["features", "--k", "0", "--out", os.devnull],
+    ["backtest", "--k", "-1", "--prices", "PX"],
 ])
 def test_bad_parameter_exit_1(corpus, capsys, argv):
     tx, px = corpus
@@ -159,6 +164,13 @@ def test_synth_nan_parameter_exit_1(tmp_path, capsys):
                        "--start-price", "nan")
     assert code == 1
     assert err == "error: start_price must be positive and finite\n"
+    for coeff in ("nan", "inf"):
+        code, _, err = run(capsys, "synth", "--out-tx", str(tmp_path / "tx.csv"),
+                           "--out-prices", str(tmp_path / "px.csv"),
+                           "--price-model", "planted_linear",
+                           "--planted", f"1,1,1:{coeff}")
+        assert code == 1
+        assert err == f"error: planted weight (1, 1, 1) must be finite, got {coeff}\n"
 
 
 @pytest.mark.parametrize("close", ["nan", "inf"])
@@ -258,9 +270,9 @@ def test_k_flag_aliases_order(corpus, tmp_path, capsys):
 def test_config_supplies_paths(corpus, tmp_path, capsys):
     tx, _ = corpus
     out = str(tmp_path / "cfg_feats.csv")
-    cfg = tmp_path / "cfg"
-    cfg.write_text(f"tx={tx}\nout={out}\norder=1\n")
-    code, _, _ = run(capsys, "--config", str(cfg), "features")
+    args = tmp_path / "args"
+    args.write_text(f"--tx={tx}\n--out={out}\n--order=1\n")
+    code, _, _ = run(capsys, "features", f"@{args}")
     assert code == 0
     assert open(out).read().splitlines()[0].startswith("date,f_0,")
 
@@ -313,6 +325,14 @@ def test_backtest_report(corpus, tmp_path, capsys):
     assert payload["schema_version"] == 2
 
 
+def test_backtest_end_without_start(corpus, capsys):
+    tx, px = corpus
+    code, out, _ = run(capsys, "backtest", "--tx", tx, "--prices", px,
+                       "--end", "2015-01-20")
+    assert code == 0
+    assert "train_days=16 test_days=4" in out
+
+
 def test_backtest_threads_identical_report(corpus, tmp_path, capsys):
     tx, px = corpus
     p1, p2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
@@ -350,3 +370,33 @@ def test_oracle_check(corpus, capsys):
                        "--sample", "10")
     assert code == 0
     assert "oracle check passed" in out
+
+
+_MODEL = ["--model", "--ridge-lambda", "--svr-c", "--svr-epsilon", "--svr-tol"]
+_SPLIT = ["--interval", "--train-frac", "--start", "--end"]
+_FLAGS = {
+    "synth": ["--out-tx", "--out-prices", "--days", "--tx-per-day", "--spend-prob",
+              "--coinbase-per-day", "--fixed-tx-count", "--price-model",
+              "--start-date", "--start-price", "--volatility", "--noise-sigma",
+              "--planted", "--seed"],
+    "features": ["--tx", "--out", "--k", "--order"],
+    "train": ["--tx", "--prices", "--out", "--k", "--horizon"] + _MODEL,
+    "predict": ["--model-file", "--tx", "--prices", "--date"],
+    "backtest": ["--tx", "--prices", "--report", "--csv", "--k", "--r", "--window",
+                 "--horizon"] + _SPLIT + _MODEL,
+    "sweep-horizon": ["--tx", "--prices", "--k", "--r", "--horizons"] + _SPLIT + _MODEL,
+    "sweep-window": ["--tx", "--prices", "--k", "--r", "--horizon",
+                     "--windows"] + _SPLIT + _MODEL,
+    "weights": ["--r", "--window"],
+    "oracle-check": ["--tx", "--k", "--seed", "--sample"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+def test_help_lists_every_flag(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for flag in _FLAGS[command]:
+        assert f"{flag} " in out or f"{flag}," in out, flag

@@ -63,6 +63,9 @@ def test_bad_specs():
         SynthSpec(planted_weights={(1, 0, 5): 1.0})
     with pytest.raises(BadSpec):
         SynthSpec(planted_weights={(1, 25, 5): 1.0})
+    for coeff in (nan, float("inf"), float("-inf")):
+        with pytest.raises(BadSpec):
+            SynthSpec(planted_weights={(1, 1, 1): coeff})
 
 
 def test_no_spending_means_no_depth2_patterns():

@@ -51,6 +51,12 @@ def _planted(text: str) -> dict[tuple[int, int, int], float]:
     return out
 
 
+# argparse names a converter in its usage errors ("invalid date value")
+_iso_date.__name__ = "date"
+_int_list.__name__ = "int list"
+_planted.__name__ = "planted spec"
+
+
 def _model_kind(text: str) -> str:
     low = str(text).strip().lower()
     return {"svr": "linear_svr"}.get(low, low)
@@ -276,6 +282,8 @@ def _cmd_backtest(v: dict) -> int:
 
 
 def _cmd_sweep_horizon(v: dict) -> int:
+    if not v["horizons"]:
+        raise BadSpec("--horizons lists no horizon")
     transactions = parse_transactions(v["tx"])
     prices = parse_prices(v["prices"])
     rows = horizon_sweep(transactions, prices, _make_split(v), v["horizons"],
@@ -287,6 +295,8 @@ def _cmd_sweep_horizon(v: dict) -> int:
 
 
 def _cmd_sweep_window(v: dict) -> int:
+    if not v["windows"]:
+        raise BadSpec("--windows lists no window")
     transactions = parse_transactions(v["tx"])
     prices = parse_prices(v["prices"])
     rows = window_sweep(transactions, prices, _make_split(v), v["windows"], v["r"],

@@ -4,29 +4,35 @@ File formats:
 
 * ``transactions.csv`` - header ``tx_id,timestamp,inputs,outputs``; the
   address lists are ``;``-separated (addresses contain no commas or
-  semicolons by contract, so no quoting is involved).
+  semicolons by contract, so no quoting is involved).  Ids and addresses
+  are opaque byte strings: they are compared byte for byte and never
+  decoded, so any bytes but ``,``, ``;``, ``\\r`` and ``\\n`` may appear
+  in them.  A timestamp is ``-?[0-9]+`` and nothing else.
 * ``prices.csv`` - header ``date,close`` with ISO dates and decimal closes.
 
 Timestamps are seconds since epoch, interpreted as UTC; day boundaries sit
 at UTC midnight.  They must fall on a day ``datetime.date`` can hold, years
-1 to 9999.
+1 to 9999.  Lines end in ``\\n``, ``\\r\\n`` or ``\\r``.
 
-Transactions are held as one :class:`TransactionTable` of flat columns in
-file order: ids, int64 timestamps, per-row input and output counts, and
-the input and output address tokens of all rows laid end to end.  There is
-no object per transaction.  A :class:`DayWindow` is a date plus the row
-indices of the table that fall on it, so every day of a file shares the one
-table.  Nothing is modified after parsing.
+Transactions are held as one :class:`TransactionTable` of flat int64
+columns in file order: timestamps, per-row input and output counts, and
+the keys of the input and output addresses of all rows laid end to end.
+A key is a 64-bit hash of the address bytes, and the parser makes it
+exact: when two different addresses of a file share a key, every address
+is keyed again with the next seed, so equal keys mean equal addresses.
+No Python object is made per transaction or per address.  A
+:class:`DayWindow` is a date plus the row indices of the table that fall
+on it, so every day of a file shares the one table.  Nothing is modified
+after parsing.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import math
+import os
+import re
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import repeat
-from operator import not_
 from pathlib import Path
 from typing import NoReturn
 
@@ -44,12 +50,20 @@ _EPOCH = dt.date(1970, 1, 1)
 SECONDS_PER_DAY = 86400
 _FIRST_SECOND = (dt.date.min - _EPOCH).days * SECONDS_PER_DAY
 _LAST_SECOND = ((dt.date.max - _EPOCH).days + 1) * SECONDS_PER_DAY - 1
+# a timestamp of more than 18 digits reads as this, out of range either way
+_STAMP_CAP = 10**18
+_TIMESTAMP = re.compile(r"-?[0-9]+")
 
 TX_HEADER = "tx_id,timestamp,inputs,outputs"
 PRICE_HEADER = "date,close"
 
-# characters of the transactions file read per chunk
-_CHUNK_CHARS = 1 << 20
+# bytes of the transactions file parsed per chunk; a chunk ends on a newline
+_CHUNK_BYTES = 1 << 20
+
+_FNV_BASIS = 0xCBF29CE484222325
+_FNV_PRIME = np.uint64(0x100000001B3)
+# _WORD_MASKS[n] keeps the low n bytes of a word
+_WORD_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
 
 
 def _in_range(stamp: int) -> bool:
@@ -78,44 +92,123 @@ def _indptr(counts: np.ndarray) -> np.ndarray:
     return indptr
 
 
-class TransactionTable:
-    """Transactions as columns.  Row ``i`` is ``tx_ids[i]`` at
-    ``timestamps[i]``, with input addresses
-    ``inputs[in_indptr[i]:in_indptr[i + 1]]`` (none for a coinbase) and
-    output addresses ``outputs[out_indptr[i]:out_indptr[i + 1]]``.  The
-    address columns are object arrays of ``str``."""
+# ---------------------------------------------------------------------------
+# address keys
+# ---------------------------------------------------------------------------
 
-    def __init__(self, tx_ids: list[str], timestamps, n_inputs, n_outputs,
-                 inputs: list[str], outputs: list[str]):
-        self.tx_ids = tx_ids
+def _word(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray,
+          j: int) -> np.ndarray:
+    """Bytes ``j..j+7`` of every token as a little-endian word, zero past
+    its end; ``buf`` ends in 8 spare bytes."""
+    words = np.ndarray((buf.size - 7,), dtype="<u8", buffer=buf, strides=(1,))
+    return words[starts + np.minimum(j, lens)] & _WORD_MASKS[np.clip(lens - j, 0, 8)]
+
+
+def _mix(h: np.ndarray) -> np.ndarray:
+    # the xor-shift carries a word's high bits down: without it, words that
+    # differ in the top bit alone would collide under every seed
+    h = h * _FNV_PRIME
+    return (h ^ (h >> np.uint64(32))) * _FNV_PRIME
+
+
+def _hash(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+          seed: int) -> np.ndarray:
+    """64-bit keys of the tokens ``buf[starts[i]:ends[i]]``: FNV-1a (Fowler,
+    Noll and Vo) over 8-byte words, then the length, from an offset basis
+    that the seed changes.  One vectorised pass per 8 bytes of the longest
+    token."""
+    lens = ends - starts
+    h = np.full(lens.size, _FNV_BASIS ^ seed, dtype=np.uint64)
+    for j in range(0, int(lens.max(initial=0)), 8):
+        h = np.where(lens > j, _mix(h ^ _word(buf, starts, lens, j)), h)
+    return _mix(h ^ lens.astype(np.uint64)).view(np.int64)
+
+
+def _same_bytes(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                keys: np.ndarray) -> tuple[bool, bool]:
+    """Whether tokens with equal keys have equal bytes, and whether any two
+    tokens share a key."""
+    ordered = np.sort(keys)
+    shared = ordered[1:][ordered[1:] == ordered[:-1]]
+    if not shared.size:
+        return True, False
+    # an argsort of every key costs 4x the sort, so only the tokens whose
+    # bucket holds a shared key are ordered, and each is compared with its
+    # neighbour of equal key; equality is transitive along a run
+    mask = (1 << (8 * shared.size).bit_length()) - 1
+    bucket = np.zeros(mask + 1, dtype=bool)
+    bucket[shared & mask] = True
+    maybe = np.flatnonzero(bucket[keys & mask])
+    maybe = maybe[np.argsort(keys[maybe])]
+    equal = np.flatnonzero(keys[maybe[1:]] == keys[maybe[:-1]])
+    a, b = maybe[equal + 1], maybe[equal]
+    lens = ends[a] - starts[a]
+    return np.array_equal(lens, ends[b] - starts[b]) and all(
+        np.array_equal(_word(buf, starts[a], lens, j), _word(buf, starts[b], lens, j))
+        for j in range(0, int(lens.max()), 8)), True
+
+
+def _exact_keys(buf: np.ndarray, starts: np.ndarray,
+                ends: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The tokens' keys of seed 0, or of the first seed under which equal
+    keys mean equal bytes, and whether two tokens share a key.  Every
+    seed's keys are a function of the set of tokens, so the same tokens
+    always get the same keys."""
+    seed = 0
+    while True:
+        exact, shared = _same_bytes(buf, starts, ends, keys)
+        if exact:
+            return keys, shared
+        seed += 1
+        keys = _hash(buf, starts, ends, seed)
+
+
+class TransactionTable:
+    """Transactions as columns.  Row ``i`` is at ``timestamps[i]``, with the
+    keys of its input addresses
+    ``input_keys[in_indptr[i]:in_indptr[i + 1]]`` (none for a coinbase) and
+    of its output addresses ``output_keys[out_indptr[i]:out_indptr[i + 1]]``.
+    Two tokens of a table have equal keys exactly when their bytes are
+    equal."""
+
+    def __init__(self, timestamps, n_inputs, n_outputs, input_keys, output_keys):
         self.timestamps = np.asarray(timestamps, dtype=np.int64)
         self.n_inputs = np.asarray(n_inputs, dtype=np.int64)
         self.n_outputs = np.asarray(n_outputs, dtype=np.int64)
         self.in_indptr = _indptr(self.n_inputs)
         self.out_indptr = _indptr(self.n_outputs)
-        self.inputs = np.array(inputs, dtype=object)
-        self.outputs = np.array(outputs, dtype=object)
+        self.input_keys = np.asarray(input_keys, dtype=np.int64)
+        self.output_keys = np.asarray(output_keys, dtype=np.int64)
 
     @classmethod
     def from_records(cls, records: list[TransactionRecord]) -> "TransactionTable":
-        """The table of the given rows, in order, tokens kept as given.
+        """The table of the given rows, in order.  Each token is keyed as
+        its UTF-8 bytes, by the parser's routine, so a table equals the one
+        parsed from ``write_transactions`` of the same rows.
 
         A timestamp out of range raises :class:`MalformedRow` with the
         1-based number of its record."""
         for number, r in enumerate(records, start=1):
             if not _in_range(r.timestamp):
                 raise MalformedRow(number, f"timestamp {r.timestamp!r} out of range")
+        tokens = [a.encode() for r in records for a in r.inputs]
+        n_in_tokens = len(tokens)
+        tokens += [a.encode() for r in records for a in r.outputs]
+        lens = np.fromiter(map(len, tokens), np.int64, len(tokens))
+        ends = np.cumsum(lens)
+        starts = ends - lens
+        buf = np.frombuffer(b"".join(tokens) + bytes(8), dtype=np.uint8)
+        keys, _ = _exact_keys(buf, starts, ends, _hash(buf, starts, ends, 0))
         return cls(
-            [r.tx_id for r in records],
             [r.timestamp for r in records],
             [len(r.inputs) for r in records],
             [len(r.outputs) for r in records],
-            [a for r in records for a in r.inputs],
-            [a for r in records for a in r.outputs],
+            keys[:n_in_tokens],
+            keys[n_in_tokens:],
         )
 
     def __len__(self) -> int:
-        return len(self.tx_ids)
+        return len(self.timestamps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,106 +265,145 @@ class PriceSeries:
         return len(self.dates)
 
 
-def _split_tokens(column: list[str]) -> tuple[np.ndarray, list[str]]:
-    """Per-field token counts and the non-empty tokens of ``;``-separated
-    fields, split in one pass over the joined column."""
-    tokens = ";".join(column).split(";")
-    counts = np.fromiter(map(str.count, column, repeat(";")), np.int64,
-                         len(column)) + 1
-    if "" in tokens:
-        empty = np.fromiter(map(not_, tokens), bool, len(tokens))
-        field_of = np.repeat(np.arange(len(column)), counts)
-        counts -= np.bincount(field_of[empty], minlength=len(column))
-        tokens = list(filter(None, tokens))
-    return counts, tokens
+# ---------------------------------------------------------------------------
+# the transactions file
+# ---------------------------------------------------------------------------
+
+_NEWLINE = re.compile(rb"[\r\n]")
 
 
-class _Columns:
-    """Columns accumulated chunk by chunk while parsing."""
+def _stamps(chunk: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
+    """Values of the fields ``chunk[lo:hi]``, or None when one is not
+    ``-?[0-9]+``.  A value past 18 digits is ``_STAMP_CAP``, out of range."""
+    negative = chunk[lo] == ord("-")
+    lo = lo + negative
+    if not (hi > lo).all():
+        return None
+    # digits before the last 18 must be leading zeros; few rows have any
+    big = np.zeros(lo.size, dtype=bool)
+    for i in np.flatnonzero(hi - lo > 18):
+        head = chunk[lo[i]:hi[i] - 18]
+        if ((head < ord("0")) | (head > ord("9"))).any():
+            return None
+        big[i] = (head != ord("0")).any()
+    lo = np.maximum(lo, hi - 18)
+    n = hi - lo
+    value = np.zeros(n.size, dtype=np.int64)
+    for j in range(int(n.max(initial=0))):
+        live = n > j
+        # a row past its last digit reads its first one again
+        digit = chunk[np.where(live, lo + j, lo)].astype(np.int64) - ord("0")
+        if ((digit < 0) | (digit > 9)).any():
+            return None
+        value = np.where(live, value * 10 + digit, value)
+    value[big] = _STAMP_CAP
+    return np.where(negative, -value, value)
 
-    def __init__(self):
-        self.tx_ids: list[str] = []
-        self.timestamps: list[np.ndarray] = []
-        self.n_inputs: list[np.ndarray] = []
-        self.n_outputs: list[np.ndarray] = []
-        self.inputs: list[str] = []
-        self.outputs: list[str] = []
-        self.seen: set[str] = set()
 
-    def add(self, lines: list[str]) -> bool:
-        """Append the rows of ``lines``, or return False when any line
-        fails a check."""
-        if "" in lines:
-            lines = list(filter(None, lines))
-        n = len(lines)
-        if not n:
-            return True
-        if list(map(str.count, lines, repeat(","))).count(3) != n:
-            return False
-        fields = ",".join(lines).split(",")
-        ids = fields[0::4]
-        if "" in ids:
-            return False
-        size = len(self.seen)
-        self.seen.update(ids)
-        if len(self.seen) != size + n:
-            return False
-        try:
-            stamps = np.fromiter(map(int, fields[1::4]), np.int64, n)
-        except (ValueError, OverflowError):
-            return False
-        if not (_in_range(stamps.min()) and _in_range(stamps.max())):
-            return False
-        n_out, outputs = _split_tokens(fields[3::4])
-        if not n_out.all():
-            return False
-        n_in, inputs = _split_tokens(fields[2::4])
-        self.tx_ids += ids
-        self.timestamps.append(stamps)
-        self.n_inputs.append(n_in)
-        self.n_outputs.append(n_out)
-        self.inputs += inputs
-        self.outputs += outputs
-        return True
+def _split(lo: np.ndarray, hi: np.ndarray, seps: np.ndarray,
+           field_of: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The non-empty ``;``-separated tokens of the fields ``[lo, hi)``:
+    per-field token counts and the tokens' start and end offsets.
+    ``seps`` are the fields' separators in order, ``field_of`` the field
+    each one is in."""
+    n = np.bincount(field_of, minlength=lo.size) + 1
+    last = np.cumsum(n) - 1
+    # separator i of field f ends token i + f and starts token i + f + 1
+    inner = np.arange(seps.size) + field_of
+    starts, ends = np.empty((2, lo.size + seps.size), dtype=np.int64)
+    starts[last - n + 1], starts[inner + 1] = lo, seps + 1
+    ends[last], ends[inner] = hi, seps
+    kept = ends > starts
+    field_of_token = np.repeat(np.arange(lo.size), n)
+    return (np.bincount(field_of_token[kept], minlength=lo.size),
+            starts[kept], ends[kept])
 
-    def table(self) -> TransactionTable:
-        def cat(parts):
-            return np.concatenate(parts) if parts else np.empty(0, np.int64)
 
-        return TransactionTable(self.tx_ids, cat(self.timestamps),
-                                cat(self.n_inputs), cat(self.n_outputs),
-                                self.inputs, self.outputs)
+def _chunk_columns(buf: np.ndarray, lo: int, hi: int) -> tuple | None:
+    """The columns of the lines in ``buf[lo:hi]``, which ends on a newline,
+    or None when a line fails a check.  Ids and address tokens come as
+    spans of ``buf`` with their seed-0 keys; the address tokens are the
+    chunk's inputs, then its outputs."""
+    chunk = buf[lo:hi]
+    ends = np.flatnonzero((chunk == 10) | (chunk == 13))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    starts, ends = starts[ends > starts], ends[ends > starts]
+    commas = np.flatnonzero(chunk == ord(","))
+    # three commas per line: the k-th three of the chunk lie in line k
+    if commas.size != 3 * starts.size:
+        return None
+    commas = commas.reshape(-1, 3)
+    if not ((commas[:, 0] > starts) & (commas[:, 2] < ends)).all():
+        return None                         # misplaced, or an empty tx_id
+    stamps = _stamps(chunk, commas[:, 0] + 1, commas[:, 1])
+    if stamps is None or not (
+            (stamps >= _FIRST_SECOND) & (stamps <= _LAST_SECOND)).all():
+        return None
+    # each semicolon's field: 4 * line + (0 id, 1 timestamp, 2 inputs,
+    # 3 outputs), from the sorted field ends of the chunk
+    semis = np.flatnonzero(chunk == ord(";"))
+    field_of = np.searchsorted(np.column_stack((commas, ends)).ravel(), semis)
+    outs, ins = field_of % 4 == 3, field_of % 4 == 2
+    n_out, out_starts, out_ends = _split(commas[:, 2] + 1, ends, semis[outs],
+                                         field_of[outs] // 4)
+    if not n_out.all():
+        return None
+    n_in, in_starts, in_ends = _split(commas[:, 1] + 1, commas[:, 2], semis[ins],
+                                      field_of[ins] // 4)
+    id_spans = (lo + starts, lo + commas[:, 0])
+    spans = (lo + np.concatenate((in_starts, out_starts)),
+             lo + np.concatenate((in_ends, out_ends)))
+    return (stamps, n_in, n_out, *id_spans, _hash(buf, *id_spans, 0), *spans,
+            _hash(buf, *spans, 0), np.repeat([True, False], [in_starts.size, out_starts.size]))
 
 
 def parse_transactions(path: str | Path) -> TransactionTable:
     """Parse a transactions CSV into a validated table, in file order.
 
-    Chunks of lines are split and checked as whole columns.  When a check
-    fails the file is read again line by line, and the first bad line in
-    file order raises."""
+    The file's bytes are checked as whole columns, one chunk of lines at a
+    time.  When a check fails the file is read again line by line, and the
+    first bad line in file order raises."""
     path = Path(path)
     if not path.exists():
         raise MissingFile(str(path))
-    columns = _Columns()
-    with path.open("r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != TX_HEADER:
-            raise MalformedRow(1, f"expected header {TX_HEADER!r}, got {header!r}")
-        tail = ""
-        for chunk in iter(partial(fh.read, _CHUNK_CHARS), ""):
-            body, newline, tail = (tail + chunk).rpartition("\n")
-            if newline and not columns.add(body.split("\n")):
-                _raise_first_bad_line(path)
-        if tail and not columns.add([tail]):
+    with path.open("rb") as fh:
+        # a newline after the data, then 8 spare bytes for _word
+        buf = np.zeros(os.fstat(fh.fileno()).st_size + 9, dtype=np.uint8)
+        size = fh.readinto(memoryview(buf)[:-9])
+    buf[size] = ord("\n")
+    lo = _NEWLINE.search(buf).start()
+    header = buf[:lo].tobytes().decode("utf-8", errors="replace")
+    if header != TX_HEADER:
+        raise MalformedRow(1, f"expected header {TX_HEADER!r}, got {header!r}")
+    # the lone newline after the data parses to empty columns
+    chunks = [_chunk_columns(buf, size, size + 1)]
+    lo += 1
+    while lo < size:
+        hi = _NEWLINE.search(buf, min(lo + _CHUNK_BYTES, size)).end()
+        chunks.append(_chunk_columns(buf, lo, hi))
+        if chunks[-1] is None:
             _raise_first_bad_line(path)
-    return columns.table()
+        lo = hi
+    (stamps, n_in, n_out, id_starts, id_ends, id_keys, starts, ends, keys,
+     is_input) = map(np.concatenate, zip(*chunks))
+    del chunks
+    if _exact_keys(buf, id_starts, id_ends, id_keys)[1]:
+        _raise_first_bad_line(path)         # a tx_id repeats
+    keys, _ = _exact_keys(buf, starts, ends, keys)
+    return TransactionTable(stamps, n_in, n_out, keys[is_input], keys[~is_input])
+
+
+def _text(raw: str) -> str:
+    """A field read as latin-1, shown as UTF-8 with bad bytes replaced."""
+    return raw.encode("latin-1").decode("utf-8", errors="replace")
 
 
 def _raise_first_bad_line(path: Path) -> NoReturn:
     """Raise the error of the first line, in file order, that fails a
-    check; the checks of one line run in a fixed order."""
+    check; the checks of one line run in a fixed order.  Latin-1 reads each
+    byte as one character, so fields compare as bytes."""
     seen: dict[str, int] = {}
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("r", encoding="latin-1") as fh:
         fh.readline()
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
@@ -284,12 +416,13 @@ def _raise_first_bad_line(path: Path) -> NoReturn:
             if not tx_id:
                 raise MalformedRow(lineno, "empty tx_id")
             if tx_id in seen:
-                raise DuplicateTxId(tx_id, seen[tx_id], lineno)
-            try:
-                stamp = int(ts_text)
-            except ValueError:
-                raise MalformedRow(lineno, f"bad timestamp {ts_text!r}") from None
-            if not _in_range(stamp):
+                raise DuplicateTxId(_text(tx_id), seen[tx_id], lineno)
+            if not _TIMESTAMP.fullmatch(ts_text):
+                raise MalformedRow(lineno, f"bad timestamp {_text(ts_text)!r}")
+            # int() refuses thousands of digits; 19 are out of range anyway
+            digits = ts_text.lstrip("-").lstrip("0")
+            if len(digits) > 18 or not _in_range(
+                    -int(digits or 0) if ts_text[0] == "-" else int(digits or 0)):
                 raise MalformedRow(lineno, f"timestamp {ts_text!r} out of range")
             if not any(out_text.split(";")):
                 raise MalformedRow(lineno, "transaction has no outputs")
@@ -297,27 +430,23 @@ def _raise_first_bad_line(path: Path) -> NoReturn:
     raise RuntimeError(f"{path}: a column check failed but no line is bad")
 
 
-def write_transactions(table: TransactionTable, path: str | Path) -> None:
-    inputs, outputs = table.inputs.tolist(), table.outputs.tolist()
-    in_ptr, out_ptr = table.in_indptr.tolist(), table.out_indptr.tolist()
+def write_transactions(records: list[TransactionRecord], path: str | Path) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write(TX_HEADER + "\n")
-        for i, (tx_id, ts) in enumerate(zip(table.tx_ids, table.timestamps.tolist())):
-            fh.write(
-                f"{tx_id},{ts},"
-                f"{';'.join(inputs[in_ptr[i]:in_ptr[i + 1]])},"
-                f"{';'.join(outputs[out_ptr[i]:out_ptr[i + 1]])}\n"
-            )
+        for r in records:
+            fh.write(f"{r.tx_id},{r.timestamp},"
+                     f"{';'.join(r.inputs)},{';'.join(r.outputs)}\n")
 
 
 def parse_prices(path: str | Path) -> PriceSeries:
-    """Parse a prices CSV; gaps are forward-filled, never interpolated."""
+    """Parse a prices CSV; gaps are forward-filled, never interpolated.
+    Bytes that are not UTF-8 read as U+FFFD, so they fail as a bad field."""
     path = Path(path)
     if not path.exists():
         raise MissingFile(str(path))
     entries: list[tuple[dt.date, float]] = []
     seen_dates: dict[dt.date, int] = {}
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("r", encoding="utf-8", errors="replace") as fh:
         header = fh.readline().rstrip("\n")
         if header != PRICE_HEADER:
             raise MalformedRow(1, f"expected header {PRICE_HEADER!r}, got {header!r}")

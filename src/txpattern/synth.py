@@ -129,8 +129,8 @@ class _Sampler:
         return int(rng.choice(self.sizes, p=self.probs))
 
 
-def generate(spec: SynthSpec) -> tuple[TransactionTable, PriceSeries]:
-    """Deterministic for a given spec (including seed)."""
+def _generate(spec: SynthSpec) -> tuple[list[TransactionRecord], PriceSeries]:
+    """The rows and prices of :func:`generate`."""
     rng = np.random.default_rng(spec.seed)
     in_sampler = _Sampler(spec.in_sizes)
     out_sampler = _Sampler(spec.out_sizes)
@@ -205,13 +205,18 @@ def generate(spec: SynthSpec) -> tuple[TransactionTable, PriceSeries]:
             closes.append(nxt)
             price_dates.append(spec.start_date + dt.timedelta(days=day + 1))
 
-    prices = PriceSeries.from_entries(list(zip(price_dates, closes)))
+    return records, PriceSeries.from_entries(list(zip(price_dates, closes)))
+
+
+def generate(spec: SynthSpec) -> tuple[TransactionTable, PriceSeries]:
+    """Deterministic for a given spec (including seed)."""
+    records, prices = _generate(spec)
     return TransactionTable.from_records(records), prices
 
 
 def write_synth(spec: SynthSpec, tx_path, price_path) -> tuple[int, int]:
     """Generate and write both CSVs; returns (n_transactions, n_price_rows)."""
-    transactions, prices = generate(spec)
-    write_transactions(transactions, tx_path)
+    records, prices = _generate(spec)
+    write_transactions(records, tx_path)
     write_prices(list(zip(prices.dates, prices.closes)), price_path)
-    return len(transactions), len(prices.dates)
+    return len(records), len(prices.dates)

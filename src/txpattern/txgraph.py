@@ -2,11 +2,12 @@
 
 A window is a date plus row indices into the shared
 :class:`~txpattern.ingest.TransactionTable`.  The graph reads those rows'
-address tokens straight from the table's flat columns.  Addresses and
-transactions are interned to dense integer ids in first-appearance order
-(each transaction's inputs, then its outputs, in file order), so identical
-windows always produce identical index assignments and the edge tables can
-back sparse matrices directly.  Edges run address->transaction (inputs) and
+address keys straight from the table's flat columns.  Transactions are
+numbered in file order, and addresses get dense ids in key order: a sort
+of the day's keys, a neighbour compare and a cumulative sum.  A key is
+exact for its file, so two tokens share an id exactly when they are the
+same address, and identical windows always produce identical index
+assignments.  Edges run address->transaction (inputs) and
 transaction->address (outputs); the bipartite structure is enforced by
 construction.
 
@@ -28,21 +29,13 @@ from .kernels import _unique_sorted
 
 @dataclass
 class TransactionGraph:
-    tx_ids: list[str]
-    addresses: list[str]
+    n_transactions: int
+    n_addresses: int
     in_indptr: np.ndarray
     in_indices: np.ndarray
     out_indptr: np.ndarray
     out_indices: np.ndarray
     n_coinbase_skipped: int = 0
-
-    @property
-    def n_transactions(self) -> int:
-        return len(self.tx_ids)
-
-    @property
-    def n_addresses(self) -> int:
-        return len(self.addresses)
 
     def input_ids(self, t: int) -> np.ndarray:
         return self.in_indices[self.in_indptr[t]:self.in_indptr[t + 1]]
@@ -82,26 +75,26 @@ def build_graph(window: DayWindow) -> TransactionGraph:
     rows = window.rows[table.n_inputs[window.rows] > 0]
     n_in = table.n_inputs[rows]
     n_out = table.n_outputs[rows]
-    # each address token's slot in the day's sequence: per transaction, its
-    # inputs and then its outputs, which is the order of first appearance
-    starts = np.cumsum(n_in + n_out) - (n_in + n_out)
-    in_slots = _ranges(starts, n_in)
-    out_slots = _ranges(starts + n_in, n_out)
-    sequence = np.empty(in_slots.size + out_slots.size, dtype=object)
-    sequence[in_slots] = table.inputs[_ranges(table.in_indptr[rows], n_in)]
-    sequence[out_slots] = table.outputs[_ranges(table.out_indptr[rows], n_out)]
-    tokens = sequence.tolist()
-    addresses = list(dict.fromkeys(tokens))
-    index = dict(zip(addresses, range(len(addresses))))
-    ids = np.fromiter(map(index.__getitem__, tokens), np.int64, len(tokens))
+    keys = np.concatenate((
+        table.input_keys[_ranges(table.in_indptr[rows], n_in)],
+        table.output_keys[_ranges(table.out_indptr[rows], n_out)],
+    ))
+    # dense ids in key order, without a hash table
+    order = np.argsort(keys)
+    ordered = keys[order]
+    new = np.ones(keys.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    ids = np.empty(keys.size, dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    n_addresses = int(new.sum())
 
     tx = np.arange(rows.size, dtype=np.int64)
-    in_indptr, in_indices = _csr(np.repeat(tx, n_in), ids[in_slots],
-                                 rows.size, len(addresses))
-    out_indptr, out_indices = _csr(np.repeat(tx, n_out), ids[out_slots],
-                                   rows.size, len(addresses))
-    tx_ids = list(map(table.tx_ids.__getitem__, rows.tolist()))
+    n_in_tokens = int(n_in.sum())
+    in_indptr, in_indices = _csr(np.repeat(tx, n_in), ids[:n_in_tokens],
+                                 rows.size, n_addresses)
+    out_indptr, out_indices = _csr(np.repeat(tx, n_out), ids[n_in_tokens:],
+                                   rows.size, n_addresses)
     return TransactionGraph(
-        tx_ids, addresses, in_indptr, in_indices, out_indptr, out_indices,
+        rows.size, n_addresses, in_indptr, in_indices, out_indptr, out_indices,
         window.rows.size - rows.size,
     )

@@ -108,3 +108,20 @@ def random_window(rng: np.random.Generator, max_tx: int = 200,
 
 def day_windows(records: list[TransactionRecord]) -> list[DayWindow]:
     return partition_daily(TransactionTable.from_records(records))
+
+
+def address_ids(records: list[TransactionRecord],
+                file_records: list[TransactionRecord] | None = None) -> dict[str, int]:
+    """The graph id of every address of one day's records, by name.
+    ``build_graph`` numbers the addresses of the day's non-coinbase rows in
+    the order of their keys.  The keys are those of ``from_records`` over
+    the rows of the whole file (by default the day's rows), which equal the
+    keys of the parsed file."""
+    file_records = records if file_records is None else file_records
+    table = TransactionTable.from_records(file_records)
+    key = dict(zip([a for r in file_records for a in r.inputs],
+                   table.input_keys.tolist()))
+    key.update(zip([a for r in file_records for a in r.outputs],
+                   table.output_keys.tolist()))
+    names = {a for r in records if r.inputs for a in r.inputs + r.outputs}
+    return {a: i for i, a in enumerate(sorted(names, key=key.__getitem__))}

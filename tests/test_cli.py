@@ -158,6 +158,69 @@ def test_timestamp_out_of_range_exit_1(tmp_path, capsys):
     assert err == "error: line 2: timestamp '1000000000000000' out of range\n"
 
 
+@pytest.mark.parametrize("stamp", [" 10", "+20", "1_000", "\u0663", "1.5"])
+def test_timestamp_grammar_exit_1(tmp_path, capsys, stamp):
+    # a timestamp is -?[0-9]+: int() would take the first four
+    tx = tmp_path / "tx.csv"
+    tx.write_text(f"tx_id,timestamp,inputs,outputs\nt1,5,a,b\nt2,{stamp},a,b\n")
+    code, _, err = run(capsys, "features", "--tx", str(tx),
+                       "--out", str(tmp_path / "f.csv"))
+    assert code == 1
+    assert err == f"error: line 3: bad timestamp {stamp!r}\n"
+
+
+def test_invalid_utf8_in_transactions(tmp_path, capsys):
+    # tokens are opaque bytes: a 0xff address parses, a 0xff timestamp is a
+    # bad field named with the byte replaced
+    tx = tmp_path / "tx.csv"
+    tx.write_bytes(b"tx_id,timestamp,inputs,outputs\n"
+                   b"t\xff,5,a\xff,b\nt2,6,a\xfe,a\xff\n")
+    code, out, _ = run(capsys, "features", "--tx", str(tx),
+                       "--out", str(tmp_path / "f.csv"))
+    assert code == 0 and out.startswith("wrote 1 rows")
+    tx.write_bytes(b"tx_id,timestamp,inputs,outputs\nt1,5,a,b\nt2,6\xff,a,b\n")
+    code, _, err = run(capsys, "features", "--tx", str(tx),
+                       "--out", str(tmp_path / "f.csv"))
+    assert code == 1
+    assert err == "error: line 3: bad timestamp '6\ufffd'\n"
+
+
+def test_invalid_utf8_in_prices(corpus, tmp_path, capsys):
+    tx, px = corpus
+    bad = tmp_path / "px.csv"
+    lines = open(px, "rb").read().splitlines()
+    lines[3] = b"2015-01-0\xff," + lines[3].split(b",")[1]
+    bad.write_bytes(b"\n".join(lines) + b"\n")
+    code, _, err = run(capsys, "backtest", "--tx", tx, "--prices", str(bad))
+    assert code == 1
+    assert err == "error: line 4: cannot parse date '2015-01-0\ufffd'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-horizon", "--horizons", " "],
+    ["sweep-window", "--windows", ","],
+])
+def test_empty_sweep_list_exit_1(tmp_path, capsys, argv):
+    # rejected before the files are read: these paths do not exist
+    missing = str(tmp_path / "missing.csv")
+    code, out, err = run(capsys, *argv, "--tx", missing, "--prices", missing)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --") and "lists no" in err
+
+
+def test_usage_error_names_the_value_type(capsys):
+    for argv, kind in ((["--start", "2015-13-01"], "date"),
+                       (["--horizons", "1,x"], "int list")):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-horizon", "--tx", "t", "--prices", "p", *argv])
+        assert exc.value.code == 2
+        assert f"invalid {kind} value" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["synth", "--out-tx", "t", "--out-prices", "p", "--planted", "1,1:2"])
+    assert "invalid planted spec value" in capsys.readouterr().err
+
+
 def test_synth_nan_parameter_exit_1(tmp_path, capsys):
     code, _, err = run(capsys, "synth", "--out-tx", str(tmp_path / "tx.csv"),
                        "--out-prices", str(tmp_path / "px.csv"),

@@ -1,7 +1,11 @@
 import datetime as dt
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from txpattern.errors import (
     DuplicateTxId,
@@ -29,20 +33,19 @@ HEADER = "tx_id,timestamp,inputs,outputs\n"
 
 
 def _columns(table: TransactionTable) -> tuple:
-    return (table.tx_ids, table.timestamps.tolist(), table.n_inputs.tolist(),
-            table.n_outputs.tolist(), table.inputs.tolist(),
-            table.outputs.tolist())
+    return (table.timestamps.tolist(), table.n_inputs.tolist(),
+            table.n_outputs.tolist(), table.input_keys.tolist(),
+            table.output_keys.tolist())
 
 
 def test_transaction_roundtrip(tmp_path):
     path = tmp_path / "tx.csv"
-    table = TransactionTable.from_records(toy_records() + [
-        TransactionRecord("cb", DAY0_TS + 40, (), ("a9",)),
-    ])
-    write_transactions(table, path)
+    records = toy_records() + [TransactionRecord("cb", DAY0_TS + 40, (), ("a9",))]
+    write_transactions(records, path)
     back = parse_transactions(path)
-    assert _columns(back) == _columns(table)
+    assert _columns(back) == _columns(TransactionTable.from_records(records))
     assert back.timestamps.dtype == np.int64
+    assert back.input_keys.dtype == np.int64
     assert back.in_indptr.tolist() == [0, 2, 3, 5, 7, 7]
 
 
@@ -52,18 +55,20 @@ def test_coinbase_has_empty_inputs(tmp_path):
     table = parse_transactions(path)
     assert len(table) == 1
     assert table.n_inputs.tolist() == [0]
-    assert table.inputs.tolist() == []
-    assert table.outputs.tolist() == ["x1", "x2"]
+    assert table.input_keys.tolist() == []
+    want = TransactionTable.from_records([TransactionRecord("cb", 1000, (), ("x1", "x2"))])
+    assert table.output_keys.tolist() == want.output_keys.tolist()
 
 
 def test_empty_tokens_dropped(tmp_path):
     path = tmp_path / "tx.csv"
     path.write_text(HEADER + "t1,5,a;;b;,;c;\nt2,6,;,d\n")
     table = parse_transactions(path)
+    want = TransactionTable.from_records([TransactionRecord("t1", 5, ("a", "b"), ("c",)),
+                                          TransactionRecord("t2", 6, (), ("d",))])
+    assert _columns(table) == _columns(want)
     assert table.n_inputs.tolist() == [2, 0]
     assert table.n_outputs.tolist() == [1, 1]
-    assert table.inputs.tolist() == ["a", "b"]
-    assert table.outputs.tolist() == ["c", "d"]
 
 
 def test_line_endings_and_missing_final_newline(tmp_path):
@@ -250,6 +255,11 @@ GOOD = "t1,100,a;b,c\nt2,200,,d\n"
     ("t1,300,a,b", DuplicateTxId, "duplicate tx_id 't1' on lines 2 and 6"),
     ("t9,3x0,a,b", MalformedRow, "line 6: bad timestamp '3x0'"),
     ("t9,,a,b", MalformedRow, "line 6: bad timestamp ''"),
+    # int() takes these, the -?[0-9]+ grammar does not
+    ("t9, 10,a,b", MalformedRow, "line 6: bad timestamp ' 10'"),
+    ("t9,+20,a,b", MalformedRow, "line 6: bad timestamp '+20'"),
+    ("t9,1_000,a,b", MalformedRow, "line 6: bad timestamp '1_000'"),
+    ("t9,-,a,b", MalformedRow, "line 6: bad timestamp '-'"),
     # past year 9999, and past int64
     ("t9,1000000000000000,a,b", MalformedRow,
      "line 6: timestamp '1000000000000000' out of range"),
@@ -267,6 +277,23 @@ def test_parse_error_at_its_line(tmp_path, row, error, message):
     with pytest.raises(error) as err:
         parse_transactions(path)
     assert str(err.value) == message
+
+
+def test_zero_padded_timestamp_past_int_digit_limit(tmp_path):
+    # int() refuses strings of more than 4300 digits; leading zeros are
+    # still -?[0-9]+, so the row parses, and a later bad row is the error
+    path = tmp_path / "tx.csv"
+    path.write_text(HEADER + "t1,-" + "0" * 5000 + "5,a,b\n")
+    assert parse_transactions(path).timestamps.tolist() == [-5]
+    path.write_text(HEADER + "t1," + "0" * 5000 + "5,a,b\nt2,1,a\n")
+    with pytest.raises(MalformedRow) as err:
+        parse_transactions(path)
+    assert str(err.value) == "line 3: expected 4 fields, got 3"
+    stamp = "0" * 5000 + "1" + "0" * 18
+    path.write_text(HEADER + f"t1,{stamp},a,b\n")
+    with pytest.raises(MalformedRow) as err:
+        parse_transactions(path)
+    assert str(err.value) == f"line 2: timestamp '{stamp}' out of range"
 
 
 @pytest.mark.parametrize("first, second, message", [
@@ -328,7 +355,7 @@ def _big_file(path, n: int, bad: dict[int, str]) -> None:
 def test_bad_row_past_first_chunk(tmp_path, bad, error, message):
     path = tmp_path / "tx.csv"
     _big_file(path, 150_000, bad)
-    assert path.stat().st_size > 2 * ingest._CHUNK_CHARS
+    assert path.stat().st_size > 2 * ingest._CHUNK_BYTES
     with pytest.raises(error) as err:
         parse_transactions(path)
     assert str(err.value) == message
@@ -337,11 +364,41 @@ def test_bad_row_past_first_chunk(tmp_path, bad, error, message):
 def test_big_file_parses_across_chunks(tmp_path):
     path = tmp_path / "tx.csv"
     _big_file(path, 150_000, {})
-    assert path.stat().st_size > 2 * ingest._CHUNK_CHARS
+    assert path.stat().st_size > 2 * ingest._CHUNK_BYTES
     table = parse_transactions(path)
     assert len(table) == 150_000
-    assert table.tx_ids[::49_999] == [f"tx{i:09d}" for i in range(0, 150_000, 49_999)]
     assert (table.timestamps == 1_420_000_000 + np.arange(150_000)).all()
     assert (table.n_inputs == 2).all() and (table.n_outputs == 1).all()
-    assert table.inputs[-1] == "in000000150000"
-    assert table.outputs[123_456] == "out000000123456"
+    # row i spends in{i} and in{i + 1}, so rows i and i + 1 share one key
+    # across every chunk boundary, and no other token does
+    assert (table.input_keys[1:-1:2] == table.input_keys[2::2]).all()
+    assert np.unique(table.input_keys).size == 150_001
+    assert np.unique(np.concatenate((table.input_keys, table.output_keys))).size == 300_001
+
+
+# any bytes but the separators, multi-byte UTF-8 included
+_TOKEN = st.text(st.characters(exclude_characters=",;\r\n",
+                               exclude_categories=("Cs",)),
+                 min_size=1, max_size=12)
+
+
+@st.composite
+def _records(draw):
+    ids = draw(st.lists(_TOKEN, min_size=1, max_size=12, unique=True))
+    pool = draw(st.lists(_TOKEN, min_size=1, max_size=20))
+    address = st.sampled_from(pool)
+    return [TransactionRecord(
+        tx_id, draw(st.integers(ingest._FIRST_SECOND, ingest._LAST_SECOND)),
+        tuple(draw(st.lists(address, max_size=4))),
+        tuple(draw(st.lists(address, min_size=1, max_size=4))))
+        for tx_id in ids]
+
+
+@given(records=_records())
+@settings(max_examples=100, deadline=None)
+def test_written_file_parses_to_the_table_of_its_records(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "tx.csv"
+        write_transactions(records, path)
+        assert _columns(parse_transactions(path)) == _columns(
+            TransactionTable.from_records(records))

@@ -17,7 +17,7 @@ from txpattern.korder import (
 from txpattern.ingest import TransactionRecord
 from txpattern.txgraph import build_graph
 
-from conftest import DAY0_TS, day_windows, random_window
+from conftest import DAY0_TS, address_ids, day_windows, random_window, toy_records
 
 
 def _grid(graph, k: int):
@@ -108,7 +108,7 @@ def test_toy_oracle_agrees(toy_graph):
 
 
 def test_toy_depth2_reach(toy_graph):
-    a8 = toy_graph.addresses.index("a8")
+    a8 = address_ids(toy_records())["a8"]
     P, Q = build_P(toy_graph), build_Q(toy_graph)
     assert _entries(Q @ P @ Q) == {(0, a8), (1, a8)}
 
@@ -118,7 +118,7 @@ def test_toy_depth2_path_counts(toy_graph):
     # pipeline must collapse that to a single reachability bit
     P, Q = build_P(toy_graph), build_Q(toy_graph)
     counts = transition_matrix_counts(P, Q, 2)
-    a8 = toy_graph.addresses.index("a8")
+    a8 = address_ids(toy_records())["a8"]
     assert counts[0, a8] == 1
     assert counts[1, a8] == 2
     assert counts[2].sum() == 0
@@ -149,11 +149,12 @@ def _straddle_records() -> list[TransactionRecord]:
     order-2 frontier is the union of the spenders' outputs, which is the
     row of s_X in the address stage of the product:
 
-    * A: 25 addresses b0..b24, and 5 that repeat b22..b24 (dropped when
-      the first row is cut to its first 20) plus c0, c1 (27 in all);
+    * A: 25 addresses b0..b24, and 5: b22..b24 again plus c0, c1 (27 in
+      all), so the union is 20 or more whichever 20 the cut of the first
+      row keeps;
     * B: 12 and 10 addresses sharing 3 (19 in all);
     * C: 20 addresses and one of them again (20 in all);
-    * D: 21 addresses and d20, the one cut from them, again (21 in all);
+    * D: 21 addresses and d20 again (21 in all);
     * F: 10 and 10 distinct addresses (20 in all);
     * H: 11 and 10 distinct addresses (21 in all).
 
@@ -195,7 +196,7 @@ def straddle_graph():
 
 def test_subgraph_shapes_unclamped(straddle_graph):
     # the oracle keeps whole frontiers; only the tally clamps them
-    t = straddle_graph.tx_ids.index
+    t = {r.tx_id: i for i, r in enumerate(_straddle_records())}.__getitem__
     assert subgraph_shape(straddle_graph, 2, t("A")) == (1, 27)
     assert subgraph_shape(straddle_graph, 2, t("B")) == (2, 19)
     assert subgraph_shape(straddle_graph, 2, t("D")) == (4, 21)

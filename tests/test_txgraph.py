@@ -2,6 +2,8 @@ import datetime as dt
 
 import numpy as np
 
+from txpattern import ingest
+from txpattern.features import day_feature_table
 from txpattern.ingest import (
     DayWindow,
     TransactionRecord,
@@ -12,44 +14,33 @@ from txpattern.ingest import (
 )
 from txpattern.txgraph import TransactionGraph, build_graph
 
-from conftest import DAY0_TS, day_windows, random_records
+from conftest import DAY0_TS, address_ids, day_windows, random_records, toy_records
 
 
-def reference_graph(records: list[TransactionRecord]) -> TransactionGraph:
-    """One day's graph built row by row: addresses interned on first sight,
-    each transaction's inputs before its outputs, coinbase rows skipped."""
-    addr_ids: dict[str, int] = {}
-    tx_ids: list[str] = []
-    ins_per_tx: list[list[int]] = []
-    outs_per_tx: list[list[int]] = []
-    skipped = 0
-    for rec in records:
-        if not rec.inputs:
-            skipped += 1
-            continue
-        ins_per_tx.append(sorted({addr_ids.setdefault(a, len(addr_ids))
-                                  for a in rec.inputs}))
-        outs_per_tx.append(sorted({addr_ids.setdefault(a, len(addr_ids))
-                                   for a in rec.outputs}))
-        tx_ids.append(rec.tx_id)
-
-    def csr(rows):
-        indptr = np.cumsum([0] + [len(r) for r in rows])
-        return indptr.astype(np.int64), np.array(
-            [i for r in rows for i in r], dtype=np.int64)
-
-    return TransactionGraph(tx_ids, list(addr_ids), *csr(ins_per_tx),
-                            *csr(outs_per_tx), skipped)
+def reference_rows(records: list[TransactionRecord]) -> tuple[list, int]:
+    """One day's graph built row by row, by name: each non-coinbase row's
+    distinct input and output addresses, in file order, and the number of
+    coinbase rows skipped."""
+    kept = [r for r in records if r.inputs]
+    return [(set(r.inputs), set(r.outputs)) for r in kept], len(records) - len(kept)
 
 
-def assert_same_graph(got: TransactionGraph, want: TransactionGraph) -> None:
-    assert got.tx_ids == want.tx_ids
-    assert got.addresses == want.addresses
-    for name in ("in_indptr", "in_indices", "out_indptr", "out_indices"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == np.int64, name
-        assert np.array_equal(a, b), name
-    assert got.n_coinbase_skipped == want.n_coinbase_skipped
+def assert_same_graph(got: TransactionGraph, records: list[TransactionRecord],
+                      file_records: list[TransactionRecord]) -> None:
+    """``got`` equals the reference graph of the day's records up to
+    relabelling: its addresses renamed through ``address_ids``, the rows
+    are the reference rows, as canonical CSR."""
+    rows, skipped = reference_rows(records)
+    ids = address_ids(records, file_records)
+    assert got.n_transactions == len(rows)
+    assert got.n_addresses == len(ids)
+    assert got.n_coinbase_skipped == skipped
+    for side, (indptr, indices) in enumerate(((got.in_indptr, got.in_indices),
+                                              (got.out_indptr, got.out_indices))):
+        assert indptr.dtype == np.int64 and indices.dtype == np.int64
+        want = [sorted(ids[a] for a in row[side]) for row in rows]
+        assert indptr.tolist() == np.cumsum([0] + [len(w) for w in want]).tolist()
+        assert indices.tolist() == [i for w in want for i in w]
 
 
 def assert_matches_reference(windows: list[DayWindow],
@@ -61,7 +52,7 @@ def assert_matches_reference(windows: list[DayWindow],
         by_day.setdefault(day_of(rec.timestamp), []).append(rec)
     assert {w.date for w in windows} >= set(by_day)
     for w in windows:
-        assert_same_graph(build_graph(w), reference_graph(by_day.get(w.date, [])))
+        assert_same_graph(build_graph(w), by_day.get(w.date, []), records)
 
 
 def test_toy_graph_shape(toy_graph):
@@ -70,14 +61,19 @@ def test_toy_graph_shape(toy_graph):
     assert toy_graph.n_coinbase_skipped == 0
 
 
-def test_address_interning_first_appearance(toy_graph):
-    # a1, a2 enter via t1's inputs, a5 via its output, and so on
-    assert toy_graph.addresses[:3] == ["a1", "a2", "a5"]
-    assert toy_graph.tx_ids == ["t1", "t2", "t3", "t4"]
+def test_address_ids_dense_in_key_order(toy_graph):
+    # ids 0..7 rank the distinct address keys; t3 and t4 both pay a8
+    table = TransactionTable.from_records(toy_records())
+    keys = np.unique(np.concatenate((table.input_keys, table.output_keys)))
+    assert keys.size == toy_graph.n_addresses == 8
+    a8 = int(np.searchsorted(keys, table.output_keys[-1]))
+    assert toy_graph.output_ids(2).tolist() == toy_graph.output_ids(3).tolist() == [a8]
+    ids = np.concatenate((toy_graph.in_indices, toy_graph.out_indices))
+    assert sorted(set(ids.tolist())) == list(range(8))
 
 
 def test_input_output_ids(toy_graph):
-    a = {addr: i for i, addr in enumerate(toy_graph.addresses)}
+    a = address_ids(toy_records())
     assert list(toy_graph.input_ids(0)) == sorted([a["a1"], a["a2"]])
     assert list(toy_graph.output_ids(1)) == sorted([a["a4"], a["a6"]])
 
@@ -89,7 +85,6 @@ def test_coinbase_skipped_and_counted():
     ]
     graph = build_graph(day_windows(records)[0])
     assert graph.n_transactions == 1
-    assert graph.tx_ids == ["t1"]
     assert graph.n_coinbase_skipped == 1
 
 
@@ -104,7 +99,6 @@ def test_repeated_input_address_deduplicated():
 
 def test_input_set_sizes(toy_graph):
     assert list(toy_graph.input_set_sizes) == [2, 1, 2, 2]
-    assert toy_graph.tx_ids[0] == "t1"
     assert len(toy_graph.input_ids(0)) == 2
 
 
@@ -165,6 +159,43 @@ def test_matches_reference_hand_built_file(tmp_path):
     assert [w.rows.size for w in windows] == [1, 2, 1, 0, 0, 4]
     assert_matches_reference(windows, records)
     spent = build_graph(windows[5])
-    assert spent.tx_ids == ["p1", "p2", "p3"]
-    assert spent.addresses == ["a", "b", "c", "d", "e"]
+    assert (spent.n_transactions, spent.n_addresses) == (3, 5)
     assert spent.n_coinbase_skipped == 1
+
+
+def test_keys_exact_under_an_8_bit_hash(tmp_path, monkeypatch):
+    # two days over 24 addresses: 8-bit keys collide at seed 0, so the
+    # parser and from_records key everything again until the keys are exact
+    rng = np.random.default_rng(0)
+    pool = [f"addr{i}" for i in range(24)]
+    records = [TransactionRecord(
+        f"t{i}", DAY0_TS + (i % 2) * 86400 + i,
+        tuple(rng.choice(pool, size=int(rng.integers(0, 4)), replace=False)),
+        tuple(rng.choice(pool, size=int(rng.integers(1, 4)), replace=False)))
+        for i in range(10)]
+    path = tmp_path / "tx.csv"
+    ingest.write_transactions(records, path)
+    want = day_feature_table(partition_daily(parse_transactions(path)), 3)
+
+    full_hash = ingest._hash
+    seeds = []
+
+    def hash_8_bits(buf, starts, ends, seed):
+        seeds.append(seed)
+        return (full_hash(buf, starts, ends, seed) >> 56) & 0xFF
+
+    full = TransactionTable.from_records(records)
+    full_keys = np.unique(np.concatenate((full.input_keys, full.output_keys)))
+    assert np.unique((full_keys >> 56) & 0xFF).size < full_keys.size
+    monkeypatch.setattr(ingest, "_hash", hash_8_bits)
+    table = parse_transactions(path)
+    assert max(seeds) > 0
+    keys = np.concatenate((table.input_keys, table.output_keys))
+    assert keys.max() <= 0xFF
+    assert np.unique(keys).size == len({a for r in records for a in r.inputs + r.outputs})
+    assert_matches_reference(partition_daily(table), records)
+    got = day_feature_table(partition_daily(table), 3)
+    assert got[0] == want[0] and np.array_equal(got[1], want[1])
+    from_records = TransactionTable.from_records(records)
+    assert np.array_equal(from_records.input_keys, table.input_keys)
+    assert np.array_equal(from_records.output_keys, table.output_keys)

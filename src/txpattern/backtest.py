@@ -8,7 +8,9 @@ even the looked-up future price stays inside the training region).
 For a target day t' the ensemble combines one model per history offset j:
 the offset-j model is trained to map a day's features to the j-day price
 difference, and at evaluation time contributes price(t'-j) + predicted
-diff.  Per-day features are computed once and shared by all offsets.
+diff.  Per-day features are computed once and shared by all offsets.  A
+table's days are consecutive, so day t'-j of the target in row i is row
+i - j, and a model's training rows are the table's leading rows.
 
 Reports serialize to JSON and CSV; identical runs produce byte-identical
 report files.
@@ -23,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ensemble import HorizonEnsemble, decay_weights, predict_price
+from .ensemble import decay_weights, predict_price
 from .errors import (
     BadSpec,
     EmptyInput,
@@ -173,14 +175,19 @@ class BacktestReport:
 class DayTable:
     """Per-day features and closes, and the one builder of training targets.
 
-    ``train`` builds it over every window and cuts targets at the last
-    close; the backtest and the sweeps build it over the split's windows and
-    cut at the last training day."""
+    The windows must be consecutive days, so row ``i`` is day
+    ``dates[0] + i`` and a day ``j`` days earlier is row ``i - j``.
+    ``train`` builds the table over every window and cuts targets at the
+    last close; the backtest and the sweeps build it over the split's
+    windows and cut at the last training day."""
 
     def __init__(self, windows: list[DayWindow], prices: PriceSeries, max_order: int):
+        for a, b in zip(windows, windows[1:]):
+            if (b.date - a.date).days != 1:
+                raise BadSpec(f"day windows must be consecutive: {a.date} is "
+                              f"followed by {b.date}")
         self.prices = prices
         self.dates, self.x = day_feature_table(windows, max_order)
-        self.date_index = {d: i for i, d in enumerate(self.dates)}
         self.base = np.empty(len(self.dates))
         for i, d in enumerate(self.dates):
             p = prices.price_on(d)
@@ -188,36 +195,31 @@ class DayTable:
                 raise PriceMissing(d)
             self.base[i] = p
 
-    def targets(self, offset: int, cut: dt.date) -> tuple[list[int], np.ndarray]:
-        """Rows whose target date ``date + offset`` is on or before ``cut``
-        and has a close, with targets ``price(date + offset) - price(date)``."""
+    def targets(self, offset: int, cut: dt.date) -> tuple[int, np.ndarray]:
+        """The number n of leading rows whose target date ``date + offset``
+        is on or before ``cut`` and has a close, and their targets
+        ``price(date + offset) - price(date)``.  The price series has no
+        gaps, so those are the rows whose target date is on or before both
+        ``cut`` and the last close."""
         if offset < 1:
             raise BadSpec(f"horizon must be >= 1, got {offset}")
-        rows = []
-        targets = []
-        for i, date in enumerate(self.dates):
-            target_date = date + dt.timedelta(days=offset)
-            if target_date > cut:
-                break
-            p_future = self.prices.price_on(target_date)
-            if p_future is None:
-                continue
-            rows.append(i)
-            targets.append(p_future - self.base[i])
-        return rows, np.array(targets)
+        step = dt.timedelta(days=offset)
+        last = min(cut, self.prices.last_date)
+        n = sum(d + step <= last for d in self.dates)
+        targets = [self.prices.price_on(d + step) - b
+                   for d, b in zip(self.dates[:n], self.base)]
+        return n, np.array(targets)
 
     def fit_offset(self, offset: int, spec: RegressorSpec, cut: dt.date):
         """Train the offset model on the rows of :meth:`targets`; returns
         (model, scaler, OffsetInfo)."""
-        rows, y = self.targets(offset, cut)
-        if len(rows) < 2:
-            raise InsufficientData(
-                f"offset {offset}: only {len(rows)} usable training rows"
-            )
-        x_train = self.x[rows]
+        n, y = self.targets(offset, cut)
+        if n < 2:
+            raise InsufficientData(f"offset {offset}: only {n} usable training rows")
+        x_train = self.x[:n]
         scaler = fit_scaler(x_train)
-        train_start = self.dates[rows[0]]
-        train_end = self.dates[rows[-1]]
+        train_start = self.dates[0]
+        train_end = self.dates[n - 1]
         model = fit(
             spec,
             apply_scaler(scaler, x_train),
@@ -226,42 +228,12 @@ class DayTable:
         )
         info = OffsetInfo(
             offset=offset,
-            train_rows=len(rows),
+            train_rows=n,
             train_start=train_start,
             train_end=train_end,
             target_end=train_end + dt.timedelta(days=offset),
         )
         return model, scaler, info
-
-    def evaluate(self, ensemble: HorizonEnsemble, first: int):
-        """Walk the days from index ``first``; skip days whose history
-        offsets precede the data."""
-        eval_dates: list[dt.date] = []
-        truths: list[float] = []
-        preds: list[float] = []
-        bases: list[float] = []
-        skipped = 0
-        min_offset = min(ensemble.offsets)
-        for i in range(first, len(self.dates)):
-            target = self.dates[i]
-            feats: dict[int, np.ndarray] = {}
-            base_prices: dict[int, float] = {}
-            ok = True
-            for offset in ensemble.offsets:
-                j = self.date_index.get(target - dt.timedelta(days=offset))
-                if j is None:
-                    ok = False
-                    break
-                feats[offset] = self.x[j]
-                base_prices[offset] = float(self.base[j])
-            if not ok:
-                skipped += 1
-                continue
-            eval_dates.append(target)
-            truths.append(float(self.base[i]))
-            preds.append(predict_price(ensemble, feats, base_prices))
-            bases.append(base_prices[min_offset])
-        return eval_dates, np.array(truths), np.array(preds), np.array(bases), skipped
 
 
 def _split_table(
@@ -294,7 +266,7 @@ def run_backtest(
     """Full end-to-end backtest; see module docstring for semantics."""
     table = _split_table(transactions, prices, split, max_order)
     return _run_on_table(table, split, max_order, r, window,
-                         spec or RegressorSpec(), horizon)
+                         spec or RegressorSpec(), horizon, {})
 
 
 def _run_on_table(
@@ -305,32 +277,34 @@ def _run_on_table(
     window: int,
     spec: RegressorSpec,
     horizon: int,
-    fitted: dict[int, tuple] | None = None,
+    fitted: dict[int, tuple],
 ) -> BacktestReport:
+    """One backtest over ``table``.  Offset models missing from ``fitted``
+    are trained and added to it, so runs over one table can share them."""
     n_days = len(table.dates)
     n_train = min(max(int(split.train_fraction * n_days), 1), n_days - 1)
     first_test_date = table.dates[n_train]
-    weights = decay_weights(r, window)
+    alphas = decay_weights(r, window)
     offsets = [horizon + i for i in range(window)]
-    models = []
-    infos = []
     for offset in offsets:
-        if fitted is not None and offset in fitted:
-            model, scaler, info = fitted[offset]
-        else:
+        if offset not in fitted:
             model, scaler, info = table.fit_offset(
                 offset, spec, table.dates[n_train - 1])
             if info.target_end >= first_test_date:
                 raise RuntimeError(
                     "chronology violation: training touched the test range")
-            if fitted is not None:
-                fitted[offset] = (model, scaler, info)
-        models.append((offset, model, scaler))
-        infos.append(info)
-    ensemble = HorizonEnsemble(models, weights)
-    eval_dates, truths, preds, bases, skipped = table.evaluate(ensemble, n_train)
-    if len(eval_dates) == 0:
-        raise InsufficientData("no evaluable test days")
+            fitted[offset] = (model, scaler, info)
+    models = [fitted[offset][:2] for offset in offsets]
+    # each offset model trained on >= 2 rows before the test range, so
+    # n_train >= offset + 2 and every test row i has its row i - offset
+    preds = np.array([
+        predict_price(models, alphas,
+                      [table.x[i - offset] for offset in offsets],
+                      [float(table.base[i - offset]) for offset in offsets])
+        for i in range(n_train, n_days)
+    ])
+    truths = table.base[n_train:]
+    bases = table.base[n_train - horizon:n_days - horizon]
     pred_trend = trend_labels(preds, bases)
     true_trend = trend_labels(truths, bases)
     return BacktestReport(
@@ -343,12 +317,12 @@ def _run_on_table(
         n_days=n_days,
         n_train_days=n_train,
         n_test_days=n_days - n_train,
-        n_evaluated=len(eval_dates),
-        n_skipped=skipped,
+        n_evaluated=n_days - n_train,
+        n_skipped=0,
         first_test_date=first_test_date,
-        weights=[float(a) for a in weights.alphas],
-        offsets=infos,
-        dates=eval_dates,
+        weights=[float(a) for a in alphas],
+        offsets=[fitted[offset][2] for offset in offsets],
+        dates=table.dates[n_train:],
         true_prices=truths,
         predicted_prices=preds,
         mape=mape(preds, truths),
@@ -363,15 +337,15 @@ def horizon_sweep(
     horizons: list[int],
     max_order: int = 2,
     spec: RegressorSpec | None = None,
-    r: float = 0.8,
 ) -> list[tuple[int, float]]:
-    """Single-model (window 1) backtest per horizon; features computed once."""
+    """Single-model (window 1) backtest per horizon; features computed once.
+    A window of one weighs its model 1.0 for any decay ratio."""
     if not horizons:
         return []
     spec = spec or RegressorSpec()
     table = _split_table(transactions, prices, split, max_order)
     return [
-        (h, _run_on_table(table, split, max_order, r, 1, spec, h).mape)
+        (h, _run_on_table(table, split, max_order, 0.8, 1, spec, h, {}).mape)
         for h in horizons
     ]
 
@@ -393,7 +367,6 @@ def window_sweep(
     table = _split_table(transactions, prices, split, max_order)
     cache: dict[int, tuple] = {}
     return [
-        (w, _run_on_table(table, split, max_order, r, w, spec, horizon,
-                          fitted=cache).mape)
+        (w, _run_on_table(table, split, max_order, r, w, spec, horizon, cache).mape)
         for w in windows
     ]

@@ -6,7 +6,8 @@ declared once with its type, default and help.
 
 An argument ``@FILE`` is replaced by the arguments in FILE, one per line
 (``--r=0.8``); blank lines and ``#`` lines are skipped, and a flag given
-after ``@FILE`` overrides the file's value.
+after ``@FILE`` overrides the file's value.  Flags must be spelled out in
+full: a prefix such as ``--ridge`` is not taken for ``--ridge-lambda``.
 
 Exit codes: 0 success, 1 data or input errors, 2 usage errors.
 """
@@ -114,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, handler, help_text, parents):
-        sp = sub.add_parser(name, help=help_text, parents=parents,
+        sp = sub.add_parser(name, help=help_text, parents=parents, allow_abbrev=False,
                             formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         sp.set_defaults(handler=handler)
         return sp
@@ -166,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="number of history offsets combined")
 
     sp = command("sweep-horizon", _cmd_sweep_horizon, "MAPE for several horizons",
-                 [tx, prices, split, order, decay_r, model])
+                 [tx, prices, split, order, model])
     sp.add_argument("--horizons", type=_int_list, default=[1, 2, 7],
                     help="comma separated horizons")
 
@@ -287,7 +288,7 @@ def _cmd_sweep_horizon(v: dict) -> int:
     transactions = parse_transactions(v["tx"])
     prices = parse_prices(v["prices"])
     rows = horizon_sweep(transactions, prices, _make_split(v), v["horizons"],
-                         v["order"], _make_spec(v), v["r"])
+                         v["order"], _make_spec(v))
     print("horizon,mape_percent")
     for h, m in rows:
         print(f"{h},{m:.6f}")
@@ -308,8 +309,7 @@ def _cmd_sweep_window(v: dict) -> int:
 
 
 def _cmd_weights(v: dict) -> int:
-    w = decay_weights(v["r"], v["window"])
-    print(" ".join(f"{a:g}" for a in w.alphas))
+    print(" ".join(f"{a:g}" for a in decay_weights(v["r"], v["window"])))
     return 0
 
 

@@ -2,42 +2,25 @@
 
 A window of size w integrates w independent models, one per history offset:
 the offset-j model sees the day that lies j days behind the target and adds
-its predicted diff to that day's price.  The weight vector is produced by a
-growth recurrence: starting from [1.0], each step keeps the prefix, splits
-the last weight into last*r and last*(1-r), and appends.  Weight mass
-therefore decays toward deeper history, the first weight attaching to the
-nearest offset, and the weights always sum to one.
+its predicted diff to that day's price.  A table's days are consecutive, so
+for the target in row i the offset-j day is row i - j; callers pass models,
+features and base prices as lists in offset order.  The weight vector is
+produced by a growth recurrence: starting from [1.0], each step keeps the
+prefix, splits the last weight into last*r and last*(1-r), and appends.
+Weight mass therefore decays toward deeper history, the first weight
+attaching to the nearest offset, and the weights always sum to one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import BadDecay, BadWindow, LengthMismatch, MissingOffset
+from .errors import BadDecay, BadWindow, LengthMismatch
 from .features import Scaler, apply_scaler
 from .regress import FittedModel, predict
 
 
-@dataclass(frozen=True)
-class EnsembleWeights:
-    r: float
-    window: int
-    alphas: np.ndarray
-
-
-@dataclass
-class HorizonEnsemble:
-    models: list[tuple[int, FittedModel, Scaler]]  # (offset, model, scaler)
-    weights: EnsembleWeights
-
-    @property
-    def offsets(self) -> list[int]:
-        return [offset for offset, _, _ in self.models]
-
-
-def decay_weights(r: float, window: int) -> EnsembleWeights:
+def decay_weights(r: float, window: int) -> np.ndarray:
     """Weight vector [a_1..a_window] from the split-the-last recurrence."""
     if not (0.0 < r < 1.0):
         raise BadDecay(f"decay must lie in (0, 1), got {r}")
@@ -48,33 +31,36 @@ def decay_weights(r: float, window: int) -> EnsembleWeights:
         last = alphas[-1]
         alphas[-1] = last * r
         alphas.append(last * (1.0 - r))
-    return EnsembleWeights(r, window, np.array(alphas, dtype=np.float64))
+    return np.array(alphas, dtype=np.float64)
 
 
-def integrate(estimates, weights: EnsembleWeights) -> float:
+def integrate(estimates, alphas: np.ndarray) -> float:
     """Convex combination sum(a_j * estimate_j).
 
     Evaluated anchored on the first estimate so that equal estimates come
     back unchanged and a single estimate passes through bit-exactly."""
     est = np.asarray(estimates, dtype=np.float64)
-    if est.shape[0] != weights.alphas.shape[0]:
-        raise LengthMismatch(
-            f"{est.shape[0]} estimates vs {weights.alphas.shape[0]} weights"
-        )
+    if est.shape[0] != alphas.shape[0]:
+        raise LengthMismatch(f"{est.shape[0]} estimates vs {alphas.shape[0]} weights")
     anchor = float(est[0])
-    return anchor + float(weights.alphas @ (est - anchor))
+    return anchor + float(alphas @ (est - anchor))
 
 
 def predict_price(
-    ensemble: HorizonEnsemble,
-    day_features: dict[int, np.ndarray],
-    base_prices: dict[int, float],
+    models: list[tuple[FittedModel, Scaler]],
+    alphas: np.ndarray,
+    features: list[np.ndarray],
+    base_prices: list[float],
 ) -> float:
-    """Integrated price estimate from per-offset features and base prices."""
-    estimates = []
-    for offset, model, scaler in ensemble.models:
-        if offset not in day_features or offset not in base_prices:
-            raise MissingOffset(offset)
-        diff = predict(model, apply_scaler(scaler, day_features[offset]))
-        estimates.append(base_prices[offset] + diff)
-    return integrate(estimates, ensemble.weights)
+    """Integrated price estimate; entry j of each list belongs to the j-th
+    offset."""
+    if not len(models) == len(features) == len(base_prices):
+        raise LengthMismatch(
+            f"{len(models)} models vs {len(features)} feature rows "
+            f"vs {len(base_prices)} base prices"
+        )
+    estimates = [
+        base + predict(model, apply_scaler(scaler, x))
+        for (model, scaler), x, base in zip(models, features, base_prices)
+    ]
+    return integrate(estimates, alphas)

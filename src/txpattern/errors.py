@@ -91,12 +91,6 @@ class LengthMismatch(TxPatternError):
     pass
 
 
-class MissingOffset(TxPatternError):
-    def __init__(self, offset: int):
-        self.offset = offset
-        super().__init__(f"no estimate available for history offset {offset}")
-
-
 # --- backtest ---------------------------------------------------------------
 
 class EmptyInput(TxPatternError):

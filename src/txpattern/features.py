@@ -52,9 +52,7 @@ def apply_scaler(scaler: Scaler, x: np.ndarray) -> np.ndarray:
     """z-score columns; zero-variance columns collapse to 0."""
     safe = np.where(scaler.std > 0, scaler.std, 1.0)
     out = (x - scaler.mean) / safe
-    if x.ndim == 1:
-        return np.where(scaler.std > 0, out, 0.0)
-    return np.where(scaler.std[None, :] > 0, out, 0.0)
+    return np.where(scaler.std > 0, out, 0.0)
 
 
 def write_feature_csv(dates: list[dt.date], table: np.ndarray, path: str | Path) -> None:

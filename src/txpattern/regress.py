@@ -179,7 +179,6 @@ def load_model(path: str | Path) -> tuple[FittedModel, Scaler, int]:
         mean = np.array(payload["scaler_mean"], dtype=np.float64)
         std = np.array(payload["scaler_std"], dtype=np.float64)
         bias = float(payload["bias"])
-        horizon = int(payload["horizon"])
         spec = RegressorSpec(kind=payload["kind"], **payload["params"])
         train_range = None
         if payload["train_range"]:
@@ -189,6 +188,13 @@ def load_model(path: str | Path) -> tuple[FittedModel, Scaler, int]:
         raise
     except (TypeError, ValueError) as exc:
         raise BadSpec(f"{path} is not a model file: {exc}") from None
+    horizon = payload["horizon"]
+    if type(horizon) is not int or horizon < 1:
+        raise BadSpec(f"{path} is not a model file: horizon {horizon!r} "
+                      "is not an integer >= 1")
+    if not all(np.isfinite(a).all() for a in (weights, bias, mean, std)):
+        raise BadSpec(f"{path} is not a model file: "
+                      "non-finite weight, bias or scaler value")
     if weights.shape != (payload["feature_dim"],):
         raise DimensionMismatch("stored weights do not match declared feature_dim")
     if mean.shape != weights.shape or std.shape != weights.shape:

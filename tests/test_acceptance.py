@@ -17,7 +17,7 @@ import pytest
 from txpattern import kernels
 from txpattern.backtest import INTERVALS, SplitSpec, horizon_sweep, run_backtest
 from txpattern.cli import main as cli_main
-from txpattern.ensemble import HorizonEnsemble, decay_weights, predict_price
+from txpattern.ensemble import decay_weights, predict_price
 from txpattern.features import apply_scaler, day_feature_table, fit_scaler
 from txpattern.ingest import parse_prices, parse_transactions, partition_daily
 from txpattern.korder import feature_vector, occurrence_matrices, occurrence_matrix_oracle
@@ -98,13 +98,13 @@ def test_3_weight_recurrence():
     for r in (0.1, 0.5, 0.8, 0.92, 0.98):
         previous = None
         for window in range(1, 65):
-            alphas = decay_weights(r, window).alphas
+            alphas = decay_weights(r, window)
             assert abs(alphas.sum() - 1.0) < 1e-12
             assert (alphas > 0).all()
             if previous is not None:
                 assert np.array_equal(previous[: window - 2], alphas[: window - 2])
             previous = alphas
-    golden = decay_weights(0.8, 3).alphas
+    golden = decay_weights(0.8, 3)
     assert np.allclose(golden, [0.8, 0.16, 0.04], rtol=0, atol=1e-15)
 
 
@@ -164,21 +164,21 @@ def test_6_integration_identity():
 
     m1, s1 = fit_offset(1)
     m2, s2 = fit_offset(2)
-    ens1 = HorizonEnsemble([(1, m1, s1)], decay_weights(0.8, 1))
-    ens2 = HorizonEnsemble([(1, m1, s1), (2, m2, s2)], decay_weights(0.8, 2))
+    w1 = decay_weights(0.8, 1)
+    w2 = decay_weights(0.8, 2)
 
     rng = np.random.default_rng(0)
     days = rng.choice(np.arange(102, len(dates)), size=100, replace=False)
     for i in days:
         e1 = float(base[i - 1]) + predict(m1, apply_scaler(s1, table[i - 1]))
-        single = predict_price(ens1, {1: table[i - 1]}, {1: float(base[i - 1])})
+        single = predict_price([(m1, s1)], w1, [table[i - 1]], [float(base[i - 1])])
         assert single == e1, "window-1 output must equal the single model bit for bit"
 
         e2 = float(base[i - 2]) + predict(m2, apply_scaler(s2, table[i - 2]))
         combined = predict_price(
-            ens2,
-            {1: table[i - 1], 2: table[i - 2]},
-            {1: float(base[i - 1]), 2: float(base[i - 2])},
+            [(m1, s1), (m2, s2)], w2,
+            [table[i - 1], table[i - 2]],
+            [float(base[i - 1]), float(base[i - 2])],
         )
         assert min(e1, e2) <= combined <= max(e1, e2)
 

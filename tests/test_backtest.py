@@ -107,7 +107,7 @@ def test_deeper_offsets_train_on_fewer_rows(planted_corpus):
     assert rows[0] - rows[-1] == 3
 
 
-def test_report_json_deterministic_across_threads(planted_corpus):
+def test_report_json_deterministic_across_runs(planted_corpus):
     records, prices = planted_corpus
     kw = dict(split=SplitSpec(0.75, "t"), max_order=2, r=0.8, window=2,
               spec=_ridge(), horizon=1)
@@ -165,7 +165,7 @@ def test_planted_relation_is_learnable(planted_corpus):
 
 def test_contiguous_days_never_skip():
     # day windows are gap-filled, so every test day has its full history and
-    # the defensive skip counter stays at zero even for a clipped date range
+    # none is skipped, even for a clipped date range
     spec = SynthSpec(days=40, tx_per_day=20, seed=5)
     transactions, prices = generate(spec)
     start = prices.first_date + dt.timedelta(days=24)

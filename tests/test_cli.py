@@ -274,6 +274,16 @@ def _model_json(**changes) -> str:
     pytest.param(_model_json(weights="abc"), "not a model file", id="text-weights"),
     pytest.param(_model_json(train_range=["2015-01-01", "2015-13-40"]),
                  "not a model file", id="bad-date"),
+    pytest.param(_model_json(horizon=-5), "horizon -5", id="negative-horizon"),
+    pytest.param(_model_json(horizon=0), "horizon 0", id="zero-horizon"),
+    pytest.param(_model_json(horizon=2.7), "horizon 2.7", id="fractional-horizon"),
+    pytest.param(_model_json(horizon="1"), "horizon '1'", id="text-horizon"),
+    pytest.param(_model_json(weights=[float("nan")]), "non-finite", id="nan-weight"),
+    pytest.param(_model_json(bias=float("inf")), "non-finite", id="inf-bias"),
+    pytest.param(_model_json(scaler_mean=[float("-inf")]), "non-finite",
+                 id="inf-scaler-mean"),
+    pytest.param(_model_json(scaler_std=[float("nan")]), "non-finite",
+                 id="nan-scaler-std"),
 ])
 def test_predict_model_file_not_a_model(corpus, tmp_path, capsys, payload, message):
     tx, px = corpus
@@ -396,7 +406,7 @@ def test_backtest_end_without_start(corpus, capsys):
     assert "train_days=16 test_days=4" in out
 
 
-def test_backtest_threads_identical_report(corpus, tmp_path, capsys):
+def test_backtest_repeated_runs_identical_report(corpus, tmp_path, capsys):
     tx, px = corpus
     p1, p2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
     base = ["backtest", "--tx", tx, "--prices", px, "--train-frac", "0.7"]
@@ -415,6 +425,16 @@ def test_sweep_horizon_output(corpus, capsys):
     assert lines[0] == "horizon,mape_percent"
     assert len(lines) == 3
     assert lines[1].startswith("1,")
+
+
+def test_sweep_horizon_has_no_decay_ratio(corpus, capsys):
+    # every horizon runs one model, weighted 1.0 whatever the ratio; nor is
+    # --r taken as an abbreviation of --ridge-lambda
+    tx, px = corpus
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-horizon", "--tx", tx, "--prices", px, "--r", "0.5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --r 0.5" in capsys.readouterr().err
 
 
 def test_sweep_window_output(corpus, capsys):
@@ -447,7 +467,7 @@ _FLAGS = {
     "predict": ["--model-file", "--tx", "--prices", "--date"],
     "backtest": ["--tx", "--prices", "--report", "--csv", "--k", "--r", "--window",
                  "--horizon"] + _SPLIT + _MODEL,
-    "sweep-horizon": ["--tx", "--prices", "--k", "--r", "--horizons"] + _SPLIT + _MODEL,
+    "sweep-horizon": ["--tx", "--prices", "--k", "--horizons"] + _SPLIT + _MODEL,
     "sweep-window": ["--tx", "--prices", "--k", "--r", "--horizon",
                      "--windows"] + _SPLIT + _MODEL,
     "weights": ["--r", "--window"],

@@ -3,28 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from txpattern.ensemble import (
-    HorizonEnsemble,
-    decay_weights,
-    integrate,
-    predict_price,
-)
-from txpattern.errors import BadDecay, BadWindow, LengthMismatch, MissingOffset
+from txpattern.ensemble import decay_weights, integrate, predict_price
+from txpattern.errors import BadDecay, BadWindow, LengthMismatch
 from txpattern.features import Scaler
 from txpattern.regress import FittedModel, RegressorSpec
 
 
 def test_single_weight_is_one():
     w = decay_weights(0.8, 1)
-    assert w.alphas.shape == (1,)
-    assert w.alphas[0] == 1.0
+    assert w.shape == (1,)
+    assert w[0] == 1.0
 
 
 def test_hand_derived_weights():
     w = decay_weights(0.8, 3)
-    assert np.allclose(w.alphas, [0.8, 0.16, 0.04], rtol=0, atol=1e-15)
+    assert np.allclose(w, [0.8, 0.16, 0.04], rtol=0, atol=1e-15)
     w2 = decay_weights(0.8, 2)
-    assert np.allclose(w2.alphas, [0.8, 0.2], rtol=0, atol=1e-15)
+    assert np.allclose(w2, [0.8, 0.2], rtol=0, atol=1e-15)
 
 
 def test_bad_parameters():
@@ -38,7 +33,7 @@ def test_bad_parameters():
 @given(r=st.floats(1e-3, 1 - 1e-3), window=st.integers(1, 64))
 @settings(max_examples=200)
 def test_weights_sum_to_one_and_positive(r, window):
-    alphas = decay_weights(r, window).alphas
+    alphas = decay_weights(r, window)
     assert alphas.shape == (window,)
     assert abs(alphas.sum() - 1.0) < 1e-12
     assert (alphas > 0).all()
@@ -49,15 +44,15 @@ def test_weights_sum_to_one_and_positive(r, window):
 def test_weights_prefix_stable(r, window):
     # growing the window only splits the last weight; earlier entries are
     # reproduced bit for bit
-    small = decay_weights(r, window).alphas
-    large = decay_weights(r, window + 1).alphas
+    small = decay_weights(r, window)
+    large = decay_weights(r, window + 1)
     assert np.array_equal(small[: window - 1], large[: window - 1])
 
 
 @given(r=st.floats(1e-3, 1 - 1e-3), window=st.integers(2, 32))
 @settings(max_examples=100)
 def test_weights_strictly_decreasing_for_high_r(r, window):
-    alphas = decay_weights(r, window).alphas
+    alphas = decay_weights(r, window)
     if r > 0.5:
         assert (np.diff(alphas) < 0).all()
 
@@ -110,28 +105,22 @@ def _identity_scaler(dim: int = 3) -> Scaler:
 
 def test_predict_price_combines_offsets():
     # offset-1 model says +10 from base 100; offset-2 says +30 from base 90
-    ens = HorizonEnsemble(
-        models=[
-            (1, _constant_model(10.0), _identity_scaler()),
-            (2, _constant_model(30.0), _identity_scaler()),
-        ],
-        weights=decay_weights(0.8, 2),
-    )
-    feats = {1: np.zeros(3), 2: np.zeros(3)}
-    bases = {1: 100.0, 2: 90.0}
-    out = predict_price(ens, feats, bases)
+    models = [(_constant_model(10.0), _identity_scaler()),
+              (_constant_model(30.0), _identity_scaler())]
+    out = predict_price(models, decay_weights(0.8, 2),
+                        [np.zeros(3), np.zeros(3)], [100.0, 90.0])
     assert out == pytest.approx(0.8 * 110.0 + 0.2 * 120.0, abs=1e-9)
 
 
 def test_predict_price_missing_offset():
-    ens = HorizonEnsemble(
-        models=[(1, _constant_model(0.0), _identity_scaler()),
-                (2, _constant_model(0.0), _identity_scaler())],
-        weights=decay_weights(0.8, 2),
-    )
-    with pytest.raises(MissingOffset) as err:
-        predict_price(ens, {1: np.zeros(3)}, {1: 100.0})
-    assert err.value.offset == 2
+    # two offset models, but features and a base price for only the first
+    models = [(_constant_model(0.0), _identity_scaler()),
+              (_constant_model(0.0), _identity_scaler())]
+    alphas = decay_weights(0.8, 2)
+    with pytest.raises(LengthMismatch):
+        predict_price(models, alphas, [np.zeros(3)], [100.0])
+    with pytest.raises(LengthMismatch):
+        predict_price(models, alphas, [np.zeros(3), np.zeros(3)], [100.0])
 
 
 def test_predict_price_scales_features():
@@ -139,6 +128,6 @@ def test_predict_price_scales_features():
     model = FittedModel(weights=np.array([1.0]), bias=0.0,
                         spec=RegressorSpec(ridge_lambda=1.0))
     scaler = Scaler(mean=np.array([5.0]), std=np.array([2.0]))
-    ens = HorizonEnsemble([(1, model, scaler)], decay_weights(0.8, 1))
-    out = predict_price(ens, {1: np.array([9.0])}, {1: 100.0})
+    out = predict_price([(model, scaler)], decay_weights(0.8, 1),
+                        [np.array([9.0])], [100.0])
     assert out == 102.0

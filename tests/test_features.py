@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from txpattern.backtest import DayTable
-from txpattern.errors import PriceMissing, TooFewRows
+from txpattern.errors import BadSpec, PriceMissing, TooFewRows
 from txpattern.features import (
     apply_scaler,
     day_feature_table,
@@ -46,7 +46,7 @@ def test_day_feature_table_shape_and_order():
     assert (table[:, (2 - 1) * 20 + 0] == 3).all()
 
 
-def test_day_feature_table_threads_agree():
+def test_day_feature_table_repeated_runs_agree():
     windows = day_windows(_records_over_days(8))
     _, first = day_feature_table(windows, 2)
     _, second = day_feature_table(windows, 2)
@@ -96,14 +96,24 @@ def test_build_dataset_targets():
     prices = _prices_over_days(first, 5)
     table = DayTable(windows, prices, max_order=1)
     assert np.array_equal(table.base, [100.0, 101.0, 102.0, 103.0, 104.0])
-    rows, targets = table.targets(1, prices.last_date)
+    n, targets = table.targets(1, prices.last_date)
     # price rises 1.0/day, so every diff is exactly 1.0; the last day has no
     # close beyond it and gets no row
-    assert rows == [0, 1, 2, 3]
+    assert n == 4
     assert np.array_equal(targets, np.ones(4))
     # a backtest cuts at its last training day: no target date past it
-    rows, _ = table.targets(2, first + dt.timedelta(days=3))
-    assert rows == [0, 1]
+    n, _ = table.targets(2, first + dt.timedelta(days=3))
+    assert n == 2
+    # a cut past the last close stops at the last close
+    n, _ = table.targets(1, prices.last_date + dt.timedelta(days=9))
+    assert n == 4
+
+
+def test_day_table_rejects_a_missing_day():
+    windows = day_windows(_records_over_days(5))
+    prices = _prices_over_days(windows[0].date, 5)
+    with pytest.raises(BadSpec, match="consecutive"):
+        DayTable(windows[:2] + windows[3:], prices, max_order=1)
 
 
 def test_build_dataset_missing_base_price():

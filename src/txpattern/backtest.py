@@ -3,7 +3,7 @@
 The split is strictly chronological: the first ``train_fraction`` of days
 train, the remainder test, and a structural check guarantees no model ever
 sees a training row at or past the first test date (targets are trimmed so
-even the looked-up future price stays inside the training region).
+even the future close a target reads stays inside the training region).
 
 For a target day t' the ensemble combines one model per history offset j:
 the offset-j model is trained to map a day's features to the j-day price
@@ -32,13 +32,14 @@ from .errors import (
     InsufficientData,
     LengthMismatch,
     NonPositiveTruth,
+    OrderOutOfRange,
     PriceMissing,
 )
 from .features import apply_scaler, day_feature_table, fit_scaler
 from .ingest import DayWindow, PriceSeries, TransactionTable, partition_daily
 from .regress import RegressorSpec, fit
 
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,6 @@ class BacktestReport:
     n_days: int
     n_train_days: int
     n_test_days: int
-    n_evaluated: int
-    n_skipped: int
     first_test_date: dt.date
     weights: list[float]
     offsets: list[OffsetInfo]
@@ -124,8 +123,6 @@ class BacktestReport:
             "n_days": self.n_days,
             "n_train_days": self.n_train_days,
             "n_test_days": self.n_test_days,
-            "n_evaluated": self.n_evaluated,
-            "n_skipped": self.n_skipped,
             "first_test_date": self.first_test_date.isoformat(),
             "weights": self.weights,
             "offsets": [
@@ -166,20 +163,22 @@ class BacktestReport:
         return (
             f"interval={self.interval} k={self.max_order} r={self.r} "
             f"window={self.window} horizon={self.horizon} model={self.model_kind} | "
-            f"train_days={self.n_train_days} test_days={self.n_test_days} "
-            f"evaluated={self.n_evaluated} skipped={self.n_skipped} | "
+            f"train_days={self.n_train_days} test_days={self.n_test_days} | "
             f"MAPE={self.mape:.4f}% trend_acc={self.trend_accuracy:.4f}"
         )
 
 
 class DayTable:
-    """Per-day features and closes, and the one builder of training targets.
+    """Per-day features and closes by position, and the one builder of
+    training targets.
 
     The windows must be consecutive days, so row ``i`` is day
-    ``dates[0] + i`` and a day ``j`` days earlier is row ``i - j``.
-    ``train`` builds the table over every window and cuts targets at the
-    last close; the backtest and the sweeps build it over the split's
-    windows and cut at the last training day."""
+    ``dates[0] + i`` and a day ``j`` days earlier is row ``i - j``.  Row
+    ``i``'s close is ``prices.closes[start + i]``, and the close ``j`` days
+    after it is ``j`` positions further on.  ``train`` builds the table over
+    every window and cuts targets at the last close; the backtest and the
+    sweeps build it over the split's windows and cut at the last training
+    day."""
 
     def __init__(self, windows: list[DayWindow], prices: PriceSeries, max_order: int):
         for a, b in zip(windows, windows[1:]):
@@ -187,28 +186,26 @@ class DayTable:
                 raise BadSpec(f"day windows must be consecutive: {a.date} is "
                               f"followed by {b.date}")
         self.prices = prices
+        self.start = (windows[0].date - prices.first_date).days if windows else 0
+        end = self.start + len(windows)
+        # the first row without a close: row 0 when the rows start outside
+        # the closes, else the day after the last close
+        if windows and not 0 <= self.start < len(prices):
+            raise PriceMissing(windows[0].date)
+        if end > len(prices):
+            raise PriceMissing(prices.last_date + dt.timedelta(days=1))
         self.dates, self.x = day_feature_table(windows, max_order)
-        self.base = np.empty(len(self.dates))
-        for i, d in enumerate(self.dates):
-            p = prices.price_on(d)
-            if p is None:
-                raise PriceMissing(d)
-            self.base[i] = p
+        self.base = prices.closes[self.start:end]
 
     def targets(self, offset: int, cut: dt.date) -> tuple[int, np.ndarray]:
         """The number n of leading rows whose target date ``date + offset``
-        is on or before ``cut`` and has a close, and their targets
-        ``price(date + offset) - price(date)``.  The price series has no
-        gaps, so those are the rows whose target date is on or before both
-        ``cut`` and the last close."""
-        if offset < 1:
-            raise BadSpec(f"horizon must be >= 1, got {offset}")
-        step = dt.timedelta(days=offset)
-        last = min(cut, self.prices.last_date)
-        n = sum(d + step <= last for d in self.dates)
-        targets = [self.prices.price_on(d + step) - b
-                   for d, b in zip(self.dates[:n], self.base)]
-        return n, np.array(targets)
+        is on or before both ``cut`` and the last close, and their targets
+        ``price(date + offset) - price(date)``."""
+        _check_horizon(offset)
+        last = min((cut - self.prices.first_date).days, len(self.prices) - 1)
+        n = min(max(last - offset - self.start + 1, 0), len(self.dates))
+        ahead = self.start + offset
+        return n, self.prices.closes[ahead:ahead + n] - self.base[:n]
 
     def fit_offset(self, offset: int, spec: RegressorSpec, cut: dt.date):
         """Train the offset model on the rows of :meth:`targets`; returns
@@ -236,13 +233,31 @@ class DayTable:
         return model, scaler, info
 
 
+def _check_horizon(horizon: int) -> None:
+    if horizon < 1:
+        raise BadSpec(f"horizon must be >= 1, got {horizon}")
+
+
+def check_params(max_order: int, horizons: list[int] = (), r: float | None = None,
+                 windows: list[int] = ()) -> None:
+    """Raise for an order, decay ratio, window or horizon out of range, so a
+    run can fail before it reads data or builds features.  ``r`` is checked
+    only when ``windows`` are given."""
+    if max_order < 1:
+        raise OrderOutOfRange(f"order must be >= 1, got {max_order}")
+    for window in windows:
+        decay_weights(r, window)
+    for horizon in horizons:
+        _check_horizon(horizon)
+
+
 def _split_table(
     transactions: TransactionTable,
     prices: PriceSeries,
     split: SplitSpec,
     max_order: int,
-) -> DayTable:
-    """The table over the split's windows."""
+) -> tuple[DayTable, int]:
+    """The table over the split's windows, and its number of training rows."""
     first = split.start or dt.date.min
     last = split.end or dt.date.max
     windows = [w for w in partition_daily(transactions) if first <= w.date <= last]
@@ -250,7 +265,42 @@ def _split_table(
         raise InsufficientData(
             f"need at least 3 day windows in range, got {len(windows)}"
         )
-    return DayTable(windows, prices, max_order)
+    n_days = len(windows)
+    n_train = min(max(int(split.train_fraction * n_days), 1), n_days - 1)
+    return DayTable(windows, prices, max_order), n_train
+
+
+def _test_predictions(
+    table: DayTable,
+    n_train: int,
+    alphas: np.ndarray,
+    horizon: int,
+    spec: RegressorSpec,
+    fitted: dict[int, tuple],
+) -> np.ndarray:
+    """Predicted closes of the test rows ``n_train..``, each combining
+    ``len(alphas)`` offset models from ``horizon`` up.  Offset models
+    missing from ``fitted`` are trained and added to it, so runs over one
+    table can share them."""
+    first_test_date = table.dates[n_train]
+    offsets = range(horizon, horizon + len(alphas))
+    for offset in offsets:
+        if offset not in fitted:
+            model, scaler, info = table.fit_offset(
+                offset, spec, table.dates[n_train - 1])
+            if info.target_end >= first_test_date:
+                raise RuntimeError(
+                    "chronology violation: training touched the test range")
+            fitted[offset] = (model, scaler, info)
+    models = [fitted[offset][:2] for offset in offsets]
+    # each offset model trained on >= 2 rows before the test range, so
+    # n_train >= offset + 2 and every test row i has its row i - offset
+    return np.array([
+        predict_price(models, alphas,
+                      [table.x[i - offset] for offset in offsets],
+                      [float(table.base[i - offset]) for offset in offsets])
+        for i in range(n_train, len(table.dates))
+    ])
 
 
 def run_backtest(
@@ -264,45 +314,13 @@ def run_backtest(
     horizon: int = 1,
 ) -> BacktestReport:
     """Full end-to-end backtest; see module docstring for semantics."""
-    table = _split_table(transactions, prices, split, max_order)
-    return _run_on_table(table, split, max_order, r, window,
-                         spec or RegressorSpec(), horizon, {})
-
-
-def _run_on_table(
-    table: DayTable,
-    split: SplitSpec,
-    max_order: int,
-    r: float,
-    window: int,
-    spec: RegressorSpec,
-    horizon: int,
-    fitted: dict[int, tuple],
-) -> BacktestReport:
-    """One backtest over ``table``.  Offset models missing from ``fitted``
-    are trained and added to it, so runs over one table can share them."""
+    check_params(max_order, [horizon], r, [window])
+    spec = spec or RegressorSpec()
+    table, n_train = _split_table(transactions, prices, split, max_order)
     n_days = len(table.dates)
-    n_train = min(max(int(split.train_fraction * n_days), 1), n_days - 1)
-    first_test_date = table.dates[n_train]
     alphas = decay_weights(r, window)
-    offsets = [horizon + i for i in range(window)]
-    for offset in offsets:
-        if offset not in fitted:
-            model, scaler, info = table.fit_offset(
-                offset, spec, table.dates[n_train - 1])
-            if info.target_end >= first_test_date:
-                raise RuntimeError(
-                    "chronology violation: training touched the test range")
-            fitted[offset] = (model, scaler, info)
-    models = [fitted[offset][:2] for offset in offsets]
-    # each offset model trained on >= 2 rows before the test range, so
-    # n_train >= offset + 2 and every test row i has its row i - offset
-    preds = np.array([
-        predict_price(models, alphas,
-                      [table.x[i - offset] for offset in offsets],
-                      [float(table.base[i - offset]) for offset in offsets])
-        for i in range(n_train, n_days)
-    ])
+    fitted: dict[int, tuple] = {}
+    preds = _test_predictions(table, n_train, alphas, horizon, spec, fitted)
     truths = table.base[n_train:]
     bases = table.base[n_train - horizon:n_days - horizon]
     pred_trend = trend_labels(preds, bases)
@@ -317,11 +335,9 @@ def _run_on_table(
         n_days=n_days,
         n_train_days=n_train,
         n_test_days=n_days - n_train,
-        n_evaluated=n_days - n_train,
-        n_skipped=0,
-        first_test_date=first_test_date,
+        first_test_date=table.dates[n_train],
         weights=[float(a) for a in alphas],
-        offsets=[fitted[offset][2] for offset in offsets],
+        offsets=[info for _, _, info in fitted.values()],
         dates=table.dates[n_train:],
         true_prices=truths,
         predicted_prices=preds,
@@ -338,14 +354,17 @@ def horizon_sweep(
     max_order: int = 2,
     spec: RegressorSpec | None = None,
 ) -> list[tuple[int, float]]:
-    """Single-model (window 1) backtest per horizon; features computed once.
-    A window of one weighs its model 1.0 for any decay ratio."""
+    """Single-model (window 1, weight 1.0) MAPE per horizon; features
+    computed once, and a repeated horizon reuses its model."""
     if not horizons:
         return []
+    check_params(max_order, horizons)
     spec = spec or RegressorSpec()
-    table = _split_table(transactions, prices, split, max_order)
+    table, n_train = _split_table(transactions, prices, split, max_order)
+    truths = table.base[n_train:]
+    cache: dict[int, tuple] = {}
     return [
-        (h, _run_on_table(table, split, max_order, 0.8, 1, spec, h, {}).mape)
+        (h, mape(_test_predictions(table, n_train, np.ones(1), h, spec, cache), truths))
         for h in horizons
     ]
 
@@ -360,13 +379,16 @@ def window_sweep(
     spec: RegressorSpec | None = None,
     horizon: int = 1,
 ) -> list[tuple[int, float]]:
-    """Backtest per window size, reusing offset models shared between runs."""
+    """MAPE per window size, reusing offset models shared between runs."""
     if not windows:
         return []
+    check_params(max_order, [horizon], r, windows)
     spec = spec or RegressorSpec()
-    table = _split_table(transactions, prices, split, max_order)
+    table, n_train = _split_table(transactions, prices, split, max_order)
+    truths = table.base[n_train:]
     cache: dict[int, tuple] = {}
     return [
-        (w, _run_on_table(table, split, max_order, r, w, spec, horizon, cache).mape)
+        (w, mape(_test_predictions(table, n_train, decay_weights(r, w), horizon,
+                                   spec, cache), truths))
         for w in windows
     ]

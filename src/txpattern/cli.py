@@ -20,7 +20,8 @@ import sys
 
 import numpy as np
 
-from .backtest import INTERVALS, DayTable, SplitSpec, horizon_sweep, run_backtest, window_sweep
+from .backtest import (INTERVALS, DayTable, SplitSpec, check_params, horizon_sweep,
+                       run_backtest, window_sweep)
 from .ensemble import decay_weights
 from .errors import BadSpec, InsufficientData, PriceMissing, TxPatternError
 from .features import apply_scaler, day_feature_table, write_feature_csv
@@ -101,8 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
     split.add_argument("--interval", default="custom",
                        choices=("custom",) + tuple(INTERVALS),
                        help="named evaluation window")
-    split.add_argument("--train-frac", type=float, default=0.8,
-                       help="chronological training fraction (custom interval)")
+    split.add_argument("--train-frac", type=float,
+                       help="chronological training fraction, custom interval "
+                            "only; None means 0.8")
     split.add_argument("--start", type=_iso_date, help="first day, custom interval")
     split.add_argument("--end", type=_iso_date, help="last day, custom interval")
 
@@ -199,9 +201,16 @@ def _make_spec(v: dict) -> RegressorSpec:
 
 
 def _make_split(v: dict) -> SplitSpec:
-    if v["interval"] != "custom":
-        return INTERVALS[v["interval"]]
-    return SplitSpec(v["train_frac"], "custom", v["start"], v["end"])
+    """The named interval, or the custom split of --train-frac, --start and
+    --end; a named interval fixes all three itself."""
+    if v["interval"] == "custom":
+        frac = 0.8 if v["train_frac"] is None else v["train_frac"]
+        return SplitSpec(frac, "custom", v["start"], v["end"])
+    for key in ("train_frac", "start", "end"):
+        if v[key] is not None:
+            flag = "--" + key.replace("_", "-")
+            raise BadSpec(f"{flag} cannot be combined with --interval {v['interval']}")
+    return INTERVALS[v["interval"]]
 
 
 def _order_of(model) -> int:
@@ -229,6 +238,7 @@ def _cmd_synth(v: dict) -> int:
 
 
 def _cmd_features(v: dict) -> int:
+    check_params(v["order"])
     windows = partition_daily(parse_transactions(v["tx"]))
     dates, table = day_feature_table(windows, v["order"])
     write_feature_csv(dates, table, v["out"])
@@ -237,11 +247,12 @@ def _cmd_features(v: dict) -> int:
 
 
 def _cmd_train(v: dict) -> int:
+    spec = _make_spec(v)
+    check_params(v["order"], [v["horizon"]])
     transactions = parse_transactions(v["tx"])
     prices = parse_prices(v["prices"])
     table = DayTable(partition_daily(transactions), prices, v["order"])
-    model, scaler, info = table.fit_offset(v["horizon"], _make_spec(v),
-                                           prices.last_date)
+    model, scaler, info = table.fit_offset(v["horizon"], spec, prices.last_date)
     save_model(v["out"], model, scaler, v["horizon"])
     print(f"trained {model.spec.kind} on {info.train_rows} days, wrote {v['out']}")
     return 0
@@ -254,13 +265,13 @@ def _cmd_predict(v: dict) -> int:
     if not windows:
         raise InsufficientData(f"no transactions in {v['tx']}")
     date = v["date"] or windows[-1].date
-    by_date = {w.date: w for w in windows}
-    if date not in by_date:
+    i = (date - windows[0].date).days
+    if not 0 <= i < len(windows):
         raise InsufficientData(f"no transaction window for {date.isoformat()}")
     base = prices.price_on(date)
     if base is None:
         raise PriceMissing(date)
-    _, table = day_feature_table([by_date[date]], _order_of(model))
+    _, table = day_feature_table([windows[i]], _order_of(model))
     diff = predict(model, apply_scaler(scaler, table[0]))
     target = date + dt.timedelta(days=horizon)
     print(f"{target.isoformat()} {base + diff!r}")
@@ -268,10 +279,12 @@ def _cmd_predict(v: dict) -> int:
 
 
 def _cmd_backtest(v: dict) -> int:
+    split, spec = _make_split(v), _make_spec(v)
+    check_params(v["order"], [v["horizon"]], v["r"], [v["window"]])
     transactions = parse_transactions(v["tx"])
     prices = parse_prices(v["prices"])
-    report = run_backtest(transactions, prices, _make_split(v), v["order"], v["r"],
-                          v["window"], _make_spec(v), v["horizon"])
+    report = run_backtest(transactions, prices, split, v["order"], v["r"],
+                          v["window"], spec, v["horizon"])
     print(report.summary())
     if v["report"]:
         report.write_json(v["report"])
@@ -285,10 +298,11 @@ def _cmd_backtest(v: dict) -> int:
 def _cmd_sweep_horizon(v: dict) -> int:
     if not v["horizons"]:
         raise BadSpec("--horizons lists no horizon")
+    split, spec = _make_split(v), _make_spec(v)
+    check_params(v["order"], v["horizons"])
     transactions = parse_transactions(v["tx"])
     prices = parse_prices(v["prices"])
-    rows = horizon_sweep(transactions, prices, _make_split(v), v["horizons"],
-                         v["order"], _make_spec(v))
+    rows = horizon_sweep(transactions, prices, split, v["horizons"], v["order"], spec)
     print("horizon,mape_percent")
     for h, m in rows:
         print(f"{h},{m:.6f}")
@@ -298,10 +312,12 @@ def _cmd_sweep_horizon(v: dict) -> int:
 def _cmd_sweep_window(v: dict) -> int:
     if not v["windows"]:
         raise BadSpec("--windows lists no window")
+    split, spec = _make_split(v), _make_spec(v)
+    check_params(v["order"], [v["horizon"]], v["r"], v["windows"])
     transactions = parse_transactions(v["tx"])
     prices = parse_prices(v["prices"])
-    rows = window_sweep(transactions, prices, _make_split(v), v["windows"], v["r"],
-                        v["order"], _make_spec(v), v["horizon"])
+    rows = window_sweep(transactions, prices, split, v["windows"], v["r"],
+                        v["order"], spec, v["horizon"])
     print("window,mape_percent")
     for w, m in rows:
         print(f"{w},{m:.6f}")
@@ -316,6 +332,7 @@ def _cmd_weights(v: dict) -> int:
 def _cmd_oracle_check(v: dict) -> int:
     if v["sample"] < 0:
         raise BadSpec(f"sample must be >= 0, got {v['sample']}")
+    check_params(v["order"])
     windows = partition_daily(parse_transactions(v["tx"]))
     if v["sample"] and v["sample"] < len(windows):
         rng = np.random.default_rng(v["seed"])

@@ -32,7 +32,7 @@ import datetime as dt
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NoReturn
 
@@ -40,6 +40,7 @@ import numpy as np
 
 from .errors import (
     DuplicateTxId,
+    EmptyInput,
     MalformedRow,
     MissingFile,
     NonPositivePrice,
@@ -222,47 +223,45 @@ class DayWindow:
 
 @dataclass
 class PriceSeries:
-    """Daily closing prices, forward-filled so the date range has no gaps."""
+    """Daily closing prices by position: ``closes[i]`` is the close of day
+    ``first_date + i``.  Gaps between entries are forward-filled, so every
+    day of the range has a close."""
 
-    dates: list[dt.date]
+    first_date: dt.date
     closes: np.ndarray
-    _index: dict[dt.date, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.closes = np.asarray(self.closes, dtype=np.float64)
-        self._index = {d: i for i, d in enumerate(self.dates)}
 
     @classmethod
     def from_entries(cls, entries: list[tuple[dt.date, float]]) -> "PriceSeries":
         """Build a series from (date, close) pairs, forward-filling gaps."""
+        if not entries:
+            raise EmptyInput("a price series needs at least one entry")
         entries = sorted(entries, key=lambda e: e[0])
-        dates: list[dt.date] = []
-        closes: list[float] = []
-        for date, close in entries:
-            if dates:
-                day = dates[-1] + dt.timedelta(days=1)
-                while day < date:
-                    dates.append(day)
-                    closes.append(closes[-1])
-                    day += dt.timedelta(days=1)
-            dates.append(date)
-            closes.append(float(close))
-        return cls(dates, np.array(closes, dtype=np.float64))
+        first = entries[0][0]
+        days = np.array([(date - first).days for date, _ in entries])
+        # each day takes the close of the latest entry on or before it
+        latest = np.zeros(days[-1] + 1, dtype=np.int64)
+        np.maximum.at(latest, days, np.arange(len(entries)))
+        np.maximum.accumulate(latest, out=latest)
+        closes = np.array([close for _, close in entries], dtype=np.float64)
+        return cls(first, closes[latest])
 
     def price_on(self, date: dt.date) -> float | None:
-        i = self._index.get(date)
-        return float(self.closes[i]) if i is not None else None
+        i = (date - self.first_date).days
+        return float(self.closes[i]) if 0 <= i < len(self.closes) else None
 
     @property
-    def first_date(self) -> dt.date:
-        return self.dates[0]
+    def dates(self) -> list[dt.date]:
+        return [self.first_date + dt.timedelta(days=i) for i in range(len(self))]
 
     @property
     def last_date(self) -> dt.date:
-        return self.dates[-1]
+        return self.first_date + dt.timedelta(days=len(self) - 1)
 
     def __len__(self) -> int:
-        return len(self.dates)
+        return len(self.closes)
 
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,6 @@ def _generate(spec: SynthSpec) -> tuple[list[TransactionRecord], PriceSeries]:
 
     day0 = (spec.start_date - dt.date(1970, 1, 1)).days
     closes = [spec.start_price]
-    price_dates = [spec.start_date]
 
     for day in range(spec.days):
         day_records: list[TransactionRecord] = []
@@ -203,9 +202,8 @@ def _generate(spec: SynthSpec) -> tuple[list[TransactionRecord], PriceSeries]:
             # prices must stay positive for percentage errors to make sense
             nxt = max(nxt, 0.01 * current)
             closes.append(nxt)
-            price_dates.append(spec.start_date + dt.timedelta(days=day + 1))
 
-    return records, PriceSeries.from_entries(list(zip(price_dates, closes)))
+    return records, PriceSeries(spec.start_date, closes)
 
 
 def generate(spec: SynthSpec) -> tuple[TransactionTable, PriceSeries]:
@@ -219,4 +217,4 @@ def write_synth(spec: SynthSpec, tx_path, price_path) -> tuple[int, int]:
     records, prices = _generate(spec)
     write_transactions(records, tx_path)
     write_prices(list(zip(prices.dates, prices.closes)), price_path)
-    return len(records), len(prices.dates)
+    return len(records), len(prices)

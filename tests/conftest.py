@@ -2,6 +2,7 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from txpattern.ingest import (
     DayWindow,
@@ -108,6 +109,27 @@ def random_window(rng: np.random.Generator, max_tx: int = 200,
 
 def day_windows(records: list[TransactionRecord]) -> list[DayWindow]:
     return partition_daily(TransactionTable.from_records(records))
+
+
+@st.composite
+def price_entries(draw) -> list[tuple[dt.date, float]]:
+    """Sorted (date, close) pairs, at least one, with gaps of 1 to 4 days."""
+    first = dt.date(2015, 1, 1) + dt.timedelta(days=draw(st.integers(0, 60)))
+    gaps = draw(st.lists(st.integers(1, 4), max_size=15))
+    dates = [first]
+    for gap in gaps:
+        dates.append(dates[-1] + dt.timedelta(days=gap))
+    closes = draw(st.lists(st.floats(0.01, 1e6), min_size=len(dates),
+                           max_size=len(dates)))
+    return list(zip(dates, closes))
+
+
+def latest_close(entries: list[tuple[dt.date, float]], date: dt.date) -> float | None:
+    """The close of the latest entry on or before ``date``, or None outside
+    the entries' range: the forward-filled price, found one date at a time."""
+    if not entries[0][0] <= date <= entries[-1][0]:
+        return None
+    return [close for d, close in entries if d <= date][-1]
 
 
 def address_ids(records: list[TransactionRecord],

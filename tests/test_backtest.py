@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from txpattern import backtest
 from txpattern.backtest import (
     INTERVALS,
     SplitSpec,
@@ -19,7 +20,7 @@ from txpattern.errors import (
     LengthMismatch,
     NonPositiveTruth,
 )
-from txpattern.regress import RegressorSpec
+from txpattern.regress import RegressorSpec, fit
 from txpattern.synth import SynthSpec, generate
 
 
@@ -80,7 +81,7 @@ def test_run_backtest_report_fields(planted_corpus):
     assert report.n_days == 80
     assert report.n_train_days == 60
     assert report.n_test_days == 20
-    assert report.n_evaluated + report.n_skipped == 20
+    assert len(report.dates) == len(report.predicted_prices) == 20
     assert report.first_test_date == report.dates[0]
     assert len(report.weights) == 2
     assert report.mape >= 0.0
@@ -120,8 +121,9 @@ def test_report_json_shape(planted_corpus):
     records, prices = planted_corpus
     report = run_backtest(records, prices, SplitSpec(0.75, "t"), spec=_ridge())
     payload = json.loads(report.to_json())
-    assert payload["schema_version"] == 2
-    assert payload["n_evaluated"] == len(payload["records"])
+    assert payload["schema_version"] == 3
+    assert payload["n_test_days"] == len(payload["records"]) == len(report.dates)
+    assert "n_evaluated" not in payload and "n_skipped" not in payload
     assert "runtime" not in report.to_json()
     assert "seed" not in payload
     got = [r["predicted"] for r in payload["records"]]
@@ -135,7 +137,7 @@ def test_report_csv(tmp_path, planted_corpus):
     report.write_csv(path)
     lines = path.read_text().splitlines()
     assert lines[0] == "date,true,predicted"
-    assert len(lines) == 1 + report.n_evaluated
+    assert len(lines) == 1 + report.n_test_days
 
 
 def test_sweeps_match_single_runs(planted_corpus):
@@ -152,6 +154,16 @@ def test_sweeps_match_single_runs(planted_corpus):
         want = run_backtest(records, prices, split, window=w, r=0.8,
                             spec=_ridge()).mape
         assert got == want
+
+
+def test_horizon_sweep_reuses_a_repeated_horizon(planted_corpus, monkeypatch):
+    records, prices = planted_corpus
+    fits = []
+    monkeypatch.setattr(backtest, "fit", lambda *a, **k: fits.append(a) or fit(*a, **k))
+    rows = horizon_sweep(records, prices, SplitSpec(0.75, "t"), [1, 2, 1], spec=_ridge())
+    assert [h for h, _ in rows] == [1, 2, 1]
+    assert rows[0][1] == rows[2][1]
+    assert len(fits) == 2
 
 
 def test_planted_relation_is_learnable(planted_corpus):
@@ -172,8 +184,8 @@ def test_contiguous_days_never_skip():
     split = SplitSpec(0.5, "tail", start=start, end=prices.last_date)
     report = run_backtest(transactions, prices, split, window=4,
                           spec=_ridge(lam=1.0))
-    assert report.n_skipped == 0
-    assert report.n_evaluated == report.n_test_days
+    assert report.n_test_days == len(report.predicted_prices) == len(report.dates)
+    assert np.isfinite(report.predicted_prices).all()
 
 
 def test_end_alone_bounds_the_range(planted_corpus):

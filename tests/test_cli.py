@@ -122,7 +122,7 @@ def test_missing_input_file_exit_1(capsys):
     assert "error:" in err
 
 
-@pytest.mark.parametrize("argv", [
+_BAD_PARAMETERS = [
     ["backtest", "--svr-c", "0", "--prices", "PX"],
     ["backtest", "--train-frac", "1.5", "--prices", "PX"],
     ["backtest", "--horizon", "0", "--prices", "PX"],
@@ -139,7 +139,17 @@ def test_missing_input_file_exit_1(capsys):
     ["features", "--k", "-1", "--out", os.devnull],
     ["features", "--k", "0", "--out", os.devnull],
     ["backtest", "--k", "-1", "--prices", "PX"],
-])
+    ["backtest", "--window", "0", "--prices", "PX"],
+    ["backtest", "--k", "0", "--prices", "PX"],
+    ["sweep-horizon", "--horizons", "0", "--prices", "PX"],
+    ["sweep-window", "--windows", "0,1", "--prices", "PX"],
+    ["sweep-window", "--r", "1.5", "--prices", "PX"],
+    ["train", "--k", "0", "--out", os.devnull, "--prices", "PX"],
+    ["oracle-check", "--k", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", _BAD_PARAMETERS)
 def test_bad_parameter_exit_1(corpus, capsys, argv):
     tx, px = corpus
     argv = [px if a == "PX" else a for a in argv]
@@ -147,6 +157,39 @@ def test_bad_parameter_exit_1(corpus, capsys, argv):
     assert code == 1
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", _BAD_PARAMETERS)
+def test_bad_parameter_checked_before_reading(corpus, tmp_path, capsys, argv):
+    # the transactions file is read first, so a missing one shows whether
+    # the parameter error comes before any work
+    tx, px = corpus
+    argv = [px if a == "PX" else a for a in argv]
+    missing = str(tmp_path / "missing.csv")
+    code, _, err = run(capsys, *argv, "--tx", missing)
+    assert code == 1
+    assert missing not in err
+    assert (code, err) == run(capsys, *argv, "--tx", tx)[::2]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--start", "2015-01-10"), ("--end", "2015-01-20"), ("--train-frac", "0.5"),
+])
+def test_named_interval_excludes_custom_split_flags(corpus, capsys, flag, value):
+    tx, px = corpus
+    code, out, err = run(capsys, "backtest", "--tx", tx, "--prices", px,
+                         "--interval", "interval1", flag, value)
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag} cannot be combined with --interval interval1\n"
+
+
+def test_named_interval_alone_runs(corpus, capsys):
+    tx, px = corpus
+    code, out, _ = run(capsys, "backtest", "--tx", tx, "--prices", px,
+                       "--interval", "interval1")
+    assert code == 0
+    assert out.startswith("interval=interval1 ")
+    assert "train_days=24 test_days=6" in out
 
 
 def test_timestamp_out_of_range_exit_1(tmp_path, capsys):
@@ -395,7 +438,9 @@ def test_backtest_report(corpus, tmp_path, capsys):
     assert "MAPE=" in out
     payload = json.loads(open(report_path).read())
     assert payload["window"] == 2
-    assert payload["schema_version"] == 2
+    assert payload["schema_version"] == 3
+    assert payload["n_test_days"] == len(payload["records"])
+    assert f"test_days={payload['n_test_days']} | MAPE=" in out
 
 
 def test_backtest_end_without_start(corpus, capsys):

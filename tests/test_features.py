@@ -2,6 +2,8 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from txpattern.backtest import DayTable
 from txpattern.errors import BadSpec, PriceMissing, TooFewRows
@@ -11,10 +13,10 @@ from txpattern.features import (
     fit_scaler,
     write_feature_csv,
 )
-from txpattern.ingest import PriceSeries, TransactionRecord
+from txpattern.ingest import DayWindow, PriceSeries, TransactionRecord, TransactionTable
 from txpattern.korder import GRID_CELLS
 
-from conftest import DAY0_TS, day_windows
+from conftest import DAY0_TS, day_windows, latest_close, price_entries
 
 
 def _records_over_days(n_days: int, per_day: int = 3) -> list[TransactionRecord]:
@@ -122,6 +124,62 @@ def test_build_dataset_missing_base_price():
     short = _prices_over_days(first, 3)
     with pytest.raises(PriceMissing):
         DayTable(windows, short, max_order=1)
+
+
+def _empty_windows(first: dt.date, n_days: int) -> list[DayWindow]:
+    table = TransactionTable.from_records([])
+    return [DayWindow(first + dt.timedelta(days=i), table, np.arange(0))
+            for i in range(n_days)]
+
+
+def _reference_targets(entries, dates, offset, cut):
+    """Targets found one date at a time: rows whose target date is on or
+    before both ``cut`` and the last close."""
+    step = dt.timedelta(days=offset)
+    last = min(cut, entries[-1][0])
+    rows = [d for d in dates if d + step <= last]
+    return len(rows), [latest_close(entries, d + step) - latest_close(entries, d)
+                       for d in rows]
+
+
+@given(entries=price_entries(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_day_table_targets_match_reference(entries, data):
+    first, last = entries[0][0], entries[-1][0]
+    span = (last - first).days
+    lo = data.draw(st.integers(0, span))
+    hi = data.draw(st.integers(lo, span))
+    windows = _empty_windows(first + dt.timedelta(days=lo), hi - lo + 1)
+    table = DayTable(windows, PriceSeries.from_entries(entries), max_order=1)
+    dates = [w.date for w in windows]
+    assert table.base.tolist() == [latest_close(entries, d) for d in dates]
+    offset = data.draw(st.integers(1, 10))
+    cut = first + dt.timedelta(days=data.draw(st.integers(-5, span + 15)))
+    n, targets = table.targets(offset, cut)
+    assert (n, targets.tolist()) == _reference_targets(entries, dates, offset, cut)
+
+
+@given(entries=price_entries(), data=st.data(),
+       where=st.sampled_from(["before", "straddle", "after"]))
+@settings(max_examples=100, deadline=None)
+def test_day_table_first_missing_price(entries, data, where):
+    first, last = entries[0][0], entries[-1][0]
+    span = (last - first).days
+    if where == "before":
+        lo = data.draw(st.integers(-10, -1))
+        hi = data.draw(st.integers(lo, span + 5))
+    elif where == "straddle":
+        lo = data.draw(st.integers(0, span))
+        hi = data.draw(st.integers(span + 1, span + 10))
+    else:
+        lo = data.draw(st.integers(span + 1, span + 10))
+        hi = data.draw(st.integers(lo, lo + 10))
+    windows = _empty_windows(first + dt.timedelta(days=lo), hi - lo + 1)
+    # the first row, in window order, with no close
+    missing = next(w.date for w in windows if latest_close(entries, w.date) is None)
+    with pytest.raises(PriceMissing) as exc:
+        DayTable(windows, PriceSeries.from_entries(entries), max_order=1)
+    assert exc.value.date == missing
 
 
 def test_feature_csv_header(tmp_path):

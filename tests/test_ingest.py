@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from txpattern.errors import (
     DuplicateTxId,
+    EmptyInput,
     MalformedRow,
     MissingFile,
     NonPositivePrice,
@@ -27,7 +28,7 @@ from txpattern.ingest import (
     write_transactions,
 )
 
-from conftest import DAY0_TS, day_windows, toy_records
+from conftest import DAY0_TS, day_windows, latest_close, price_entries, toy_records
 
 HEADER = "tx_id,timestamp,inputs,outputs\n"
 
@@ -160,6 +161,24 @@ def test_price_unsorted_input_is_sorted():
     )
     assert series.first_date == dt.date(2015, 1, 1)
     assert series.last_date == dt.date(2015, 1, 3)
+
+
+def test_price_series_needs_an_entry():
+    with pytest.raises(EmptyInput):
+        PriceSeries.from_entries([])
+
+
+@given(entries=price_entries())
+@settings(max_examples=100, deadline=None)
+def test_price_series_positions(entries):
+    series = PriceSeries.from_entries(entries)
+    first, last = entries[0][0], entries[-1][0]
+    assert series.dates == [first + dt.timedelta(days=i)
+                            for i in range((last - first).days + 1)]
+    assert (series.first_date, series.last_date) == (first, last)
+    for i in range(-3, len(series) + 3):
+        date = first + dt.timedelta(days=i)
+        assert series.price_on(date) == latest_close(entries, date)
 
 
 def test_non_positive_price(tmp_path):

@@ -46,6 +46,7 @@ from .errors import (
     NonPositivePrice,
     UnparseableDate,
 )
+from .kernels import indptr_from
 
 _EPOCH = dt.date(1970, 1, 1)
 SECONDS_PER_DAY = 86400
@@ -85,12 +86,6 @@ class TransactionRecord:
     timestamp: int
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
-
-
-def _indptr(counts: np.ndarray) -> np.ndarray:
-    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +171,8 @@ class TransactionTable:
         self.timestamps = np.asarray(timestamps, dtype=np.int64)
         self.n_inputs = np.asarray(n_inputs, dtype=np.int64)
         self.n_outputs = np.asarray(n_outputs, dtype=np.int64)
-        self.in_indptr = _indptr(self.n_inputs)
-        self.out_indptr = _indptr(self.n_outputs)
+        self.in_indptr = indptr_from(self.n_inputs)
+        self.out_indptr = indptr_from(self.n_outputs)
         self.input_keys = np.asarray(input_keys, dtype=np.int64)
         self.output_keys = np.asarray(output_keys, dtype=np.int64)
 

@@ -1,5 +1,10 @@
 """Hot numeric kernels, one numpy implementation each.
 
+It owns canonical CSR, the form of every sparse row set in the package:
+int64 ``indptr`` and ``indices``, each row's columns sorted and distinct.
+``csr`` builds it from (row, col) pairs, ``indptr_from`` from row sizes,
+and ``ranges`` expands (start, length) pairs into positions.
+
 ``spgemm_bool`` is the boolean sparse product behind the k-order grids and
 ``svr_epochs`` the linear SVR solver, an ADMM loop whose "epochs" are its
 iterations.  Callers reach both, and ``warmup``, through the module
@@ -13,46 +18,49 @@ from __future__ import annotations
 import numpy as np
 
 
-def _unique_sorted(keys: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of an int64 array, as ``np.unique`` returns
-    them.  Sort plus a neighbour compare: numpy 2.x runs ``np.unique`` on
-    integers through a hash table, 7-57x slower on 1k-2M random keys."""
-    keys = np.sort(keys)
-    keep = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    return keys[keep]
+# ---------------------------------------------------------------------------
+# Canonical CSR and the boolean product (set-semantics sparse matmul)
+# ---------------------------------------------------------------------------
 
 
-# ---------------------------------------------------------------------------
-# Boolean CSR matrix product (set-semantics sparse matmul)
-# ---------------------------------------------------------------------------
-#
-# Inputs are canonical CSR: int64 indptr of length n_rows+1, int64 indices
-# sorted and unique within each row.  Output is in the same canonical form.
-# Values are implicit (all true); the boolean semiring makes products
-# idempotent, so only the set of populated positions matters.
+def indptr_from(counts: np.ndarray) -> np.ndarray:
+    """Row offsets of consecutive rows with the given sizes: 0, then the
+    running sum."""
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
+
+
+def ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The positions ``start, ..., start + len - 1`` of every pair, end to end."""
+    ends = np.cumsum(lens)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total, dtype=np.int64) + np.repeat(starts - (ends - lens), lens)
+
+
+def csr(rows: np.ndarray, cols: np.ndarray, n_rows: int,
+        n_cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical CSR ``(indptr, indices)`` of the (row, col) pairs; repeated
+    pairs count once.  Each pair is one int64 key, deduplicated by a sort
+    and a neighbour compare: numpy 2.x runs ``np.unique`` on integers
+    through a hash table, 7-57x slower on 1k-2M random keys."""
+    width = max(n_cols, 1)
+    keys = np.sort(rows * width + cols)
+    new = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    keys = keys[new]
+    return indptr_from(np.bincount(keys // width, minlength=n_rows)), keys % width
 
 
 def spgemm_bool(a_indptr, a_indices, b_indptr, b_indices, n_rows, n_cols):
-    # Expand every (i,j) of A against row j of B, then dedupe (row,col) pairs
-    # through a single int64 key.  No python loop over rows.
-    a_nnz_per_row = np.diff(a_indptr)
-    a_rows = np.repeat(np.arange(n_rows, dtype=np.int64), a_nnz_per_row)
-    b_nnz = np.diff(b_indptr)
-    lens = b_nnz[a_indices]
-    total = int(lens.sum())
-    if total == 0:
-        return np.zeros(n_rows + 1, np.int64), np.empty(0, np.int64)
-    starts = b_indptr[a_indices]
-    cum = np.cumsum(lens)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(cum - lens, lens)
-    cols = b_indices[np.repeat(starts, lens) + offsets]
-    rows = np.repeat(a_rows, lens)
-    keys = _unique_sorted(rows * n_cols + cols)
-    out_rows = keys // n_cols
-    c_indptr = np.zeros(n_rows + 1, np.int64)
-    np.cumsum(np.bincount(out_rows, minlength=n_rows), out=c_indptr[1:])
-    return c_indptr, keys % n_cols
+    """Canonical CSR of the boolean product A.B of two canonical CSR
+    matrices, row by row as in Gustavson (ACM TOMS 1978): every entry (i, j)
+    of A expands to row j of B, and the (i, col) pairs are merged by
+    ``csr``.  No python loop over rows."""
+    lens = np.diff(b_indptr)[a_indices]
+    rows = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(a_indptr))
+    cols = b_indices[ranges(b_indptr[a_indices], lens)]
+    return csr(np.repeat(rows, lens), cols, n_rows, n_cols)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,9 @@ Two independent routes produce the grid:
   most ``CLAMP`` entries per entry of its left operand, and an order costs
   at most ``CLAMP * (nnz(P_L) + nnz(Q_L))``: linear in the window's edges,
   however wide a hub address is.  Rows are keyed directly by transaction
-  index.
+  index.  Each matrix is a bare canonical CSR pair ``(indptr, indices)``
+  (see :mod:`txpattern.kernels`) whose shape the caller knows, and each
+  product is one ``kernels.spgemm_bool`` call.
 * :func:`occurrence_matrix_oracle` - explicit per-transaction frontier
   expansion with python sets, kept deliberately free of the matrix code.
   It computes the exact, unclamped frontier and clamps only when it tallies.
@@ -49,65 +51,19 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import DimensionMismatch, OrderOutOfRange
+from .errors import OrderOutOfRange
 from .txgraph import TransactionGraph
 
 CLAMP = 20
 GRID_CELLS = CLAMP * CLAMP
 
 
+Csr = tuple[np.ndarray, np.ndarray]
+
+
 class SubgraphShape(NamedTuple):
     m: int
     n: int
-
-
-@dataclass(eq=False)
-class SparseBoolMatrix:
-    """Boolean sparse matrix in canonical CSR form (sorted, unique columns)."""
-
-    n_rows: int
-    n_cols: int
-    indptr: np.ndarray
-    indices: np.ndarray
-
-    @classmethod
-    def from_pairs(
-        cls, n_rows: int, n_cols: int, rows, cols
-    ) -> "SparseBoolMatrix":
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        if rows.size:
-            if rows.min() < 0 or rows.max() >= n_rows:
-                raise ValueError("row index out of bounds")
-            if cols.min() < 0 or cols.max() >= n_cols:
-                raise ValueError("column index out of bounds")
-            keys = kernels._unique_sorted(rows * max(n_cols, 1) + cols)
-            rows = keys // max(n_cols, 1)
-            cols = keys % max(n_cols, 1)
-        indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
-        return cls(n_rows, n_cols, indptr, cols)
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indptr[-1])
-
-    def row_counts(self) -> np.ndarray:
-        return np.diff(self.indptr)
-
-    def matmul(self, other: "SparseBoolMatrix") -> "SparseBoolMatrix":
-        if self.n_cols != other.n_rows:
-            raise DimensionMismatch(
-                f"{self.n_rows}x{self.n_cols} @ {other.n_rows}x{other.n_cols}"
-            )
-        indptr, indices = kernels.spgemm_bool(
-            self.indptr, self.indices, other.indptr, other.indices,
-            self.n_rows, other.n_cols,
-        )
-        return SparseBoolMatrix(self.n_rows, other.n_cols, indptr, indices)
-
-    def __matmul__(self, other: "SparseBoolMatrix") -> "SparseBoolMatrix":
-        return self.matmul(other)
 
 
 @dataclass
@@ -144,49 +100,42 @@ def _tally(m_sizes: np.ndarray, n_sizes: np.ndarray) -> np.ndarray:
     return grid
 
 
-def _first_entries(m: SparseBoolMatrix) -> SparseBoolMatrix:
+def _keep(indptr: np.ndarray, indices: np.ndarray, mask: np.ndarray) -> Csr:
+    """The entries of a CSR matrix where ``mask`` holds, rows in place."""
+    return kernels.indptr_from(mask)[indptr], indices[mask]
+
+
+def _first_entries(indptr: np.ndarray, indices: np.ndarray) -> Csr:
     """Keep each row's first ``CLAMP`` entries: a subset of the row with
     min(row size, CLAMP) members, which is all the tally can tell apart."""
-    counts = m.row_counts()
+    counts = np.diff(indptr)
     if counts.max(initial=0) <= CLAMP:
-        return m
-    rank = np.arange(m.nnz, dtype=np.int64) - np.repeat(m.indptr[:-1], counts)
-    indptr = np.zeros(m.n_rows + 1, dtype=np.int64)
-    np.cumsum(np.minimum(counts, CLAMP), out=indptr[1:])
-    return SparseBoolMatrix(m.n_rows, m.n_cols, indptr, m.indices[rank < CLAMP])
+        return indptr, indices
+    rank = np.arange(indices.size, dtype=np.int64) - np.repeat(indptr[:-1], counts)
+    return _keep(indptr, indices, rank < CLAMP)
 
 
-def _linked(graph: TransactionGraph) -> tuple[SparseBoolMatrix, SparseBoolMatrix]:
+def _linked(graph: TransactionGraph) -> tuple[Csr, Csr]:
     """``(P_L, Q_L)`` over the linked addresses L, those that some
     transaction pays and some transaction spends, numbered in id order.
     ``P_L`` is |L| x |T| (row a: the spenders of a) and ``Q_L`` is |T| x |L|
-    (row t: the linked addresses t pays); both are canonical CSR."""
+    (row t: the linked addresses t pays)."""
     spent = np.zeros(graph.n_addresses, dtype=bool)
     spent[graph.in_indices] = True
     paid = np.zeros(graph.n_addresses, dtype=bool)
     paid[graph.out_indices] = True
     linked = spent & paid
-    n_linked = int(linked.sum())
     renumber = np.cumsum(linked) - 1
     n_tx = graph.n_transactions
-    width = max(n_tx, 1)
-
-    # P_L from the input CSR: its linked entries, sorted by (address, tx)
-    kept = linked[graph.in_indices]
     spender = np.repeat(np.arange(n_tx, dtype=np.int64), graph.input_set_sizes)
-    keys = np.sort(renumber[graph.in_indices[kept]] * width + spender[kept])
-    p_indptr = np.zeros(n_linked + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // width, minlength=n_linked), out=p_indptr[1:])
-    p_l = SparseBoolMatrix(n_linked, n_tx, p_indptr, keys % width)
-
+    kept = linked[graph.in_indices]
+    p_l = kernels.csr(renumber[graph.in_indices[kept]], spender[kept],
+                      int(linked.sum()), n_tx)
     # Q_L is Q with its unlinked columns dropped; renumbering in id order
     # keeps each row sorted
-    kept = linked[graph.out_indices]
-    kept_before = np.zeros(kept.size + 1, dtype=np.int64)
-    np.cumsum(kept, out=kept_before[1:])
-    q_l = SparseBoolMatrix(n_tx, n_linked, kept_before[graph.out_indptr],
-                           renumber[graph.out_indices[kept]])
-    return p_l, q_l
+    q_indptr, q_indices = _keep(graph.out_indptr, graph.out_indices,
+                                linked[graph.out_indices])
+    return p_l, (q_indptr, renumber[q_indices])
 
 
 def occurrence_matrices(graph: TransactionGraph, max_order: int) -> list[OccurrenceMatrix]:
@@ -194,28 +143,28 @@ def occurrence_matrices(graph: TransactionGraph, max_order: int) -> list[Occurre
     matrices ``P_L`` and ``Q_L``.
 
     ``reach_1 = cap(Q)`` and ``reach_{k+1} = cap(Q_L . cap(P_L . reach_k))``,
-    where ``cap`` keeps each row's first ``CLAMP`` entries.  The tx x tx
-    hop ``Q . P`` is never formed, so an order expands at most
-    ``CLAMP * (nnz(P_L) + nnz(Q_L))`` entries, and none when no address is
-    linked.  A row's population count is min(n, CLAMP), not n, and the
-    grids equal those of the full reach matrix (see the module
-    docstring)."""
+    where ``cap`` keeps each row's first ``CLAMP`` entries; every reach
+    matrix has one column per address.  The tx x tx hop ``Q . P`` is never
+    formed, so an order expands at most ``CLAMP * (nnz(P_L) + nnz(Q_L))``
+    entries, and none when no address is linked.  A row's population count
+    is min(n, CLAMP), not n, and the grids equal those of the full reach
+    matrix (see the module docstring)."""
     if max_order < 1:
         raise OrderOutOfRange(f"order must be >= 1, got {max_order}")
     m_sizes = graph.input_set_sizes
-    reach = _first_entries(SparseBoolMatrix(
-        graph.n_transactions, graph.n_addresses,
-        graph.out_indptr, graph.out_indices,
-    ))
-    out = [OccurrenceMatrix(1, _tally(m_sizes, reach.row_counts()))]
+    n_tx, n_addr = graph.n_transactions, graph.n_addresses
+    reach = _first_entries(graph.out_indptr, graph.out_indices)
+    out = [OccurrenceMatrix(1, _tally(m_sizes, np.diff(reach[0])))]
     if max_order > 1:
         p_l, q_l = _linked(graph)
+        n_linked = p_l[0].size - 1
         for k in range(2, max_order + 1):
-            if p_l.n_rows:
-                reach = _first_entries(q_l @ _first_entries(p_l @ reach))
-                n_sizes = reach.row_counts()
+            if n_linked:
+                via = _first_entries(*kernels.spgemm_bool(*p_l, *reach, n_linked, n_addr))
+                reach = _first_entries(*kernels.spgemm_bool(*q_l, *via, n_tx, n_addr))
+                n_sizes = np.diff(reach[0])
             else:
-                n_sizes = np.zeros(graph.n_transactions, dtype=np.int64)
+                n_sizes = np.zeros(n_tx, dtype=np.int64)
             out.append(OccurrenceMatrix(k, _tally(m_sizes, n_sizes)))
     return out
 

@@ -25,17 +25,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadSpec
+from .features import day_feature_table
 from .ingest import (
     SECONDS_PER_DAY,
-    DayWindow,
     PriceSeries,
     TransactionRecord,
     TransactionTable,
+    partition_daily,
     write_prices,
     write_transactions,
 )
-from .korder import CLAMP, GRID_CELLS, feature_vector
-from .txgraph import build_graph
+from .korder import CLAMP, GRID_CELLS
 
 DEFAULT_IN_SIZES = {1: 0.55, 2: 0.25, 3: 0.12, 5: 0.05, 25: 0.03}
 DEFAULT_OUT_SIZES = {1: 0.60, 2: 0.30, 4: 0.08, 22: 0.02}
@@ -93,8 +93,8 @@ class SynthSpec:
             raise BadSpec(f"unknown price model {self.price_model!r}")
         if not 0 < self.start_price < np.inf:
             raise BadSpec("start_price must be positive and finite")
-        if not (self.volatility >= 0 and self.noise_sigma >= 0):
-            raise BadSpec("volatility and noise_sigma must be >= 0")
+        if not (0 <= self.volatility < np.inf and 0 <= self.noise_sigma < np.inf):
+            raise BadSpec("volatility and noise_sigma must be finite and >= 0")
         _check_dist("in_sizes", self.in_sizes)
         _check_dist("out_sizes", self.out_sizes)
         for key, coeff in self.planted_weights.items():
@@ -147,10 +147,9 @@ def _generate(spec: SynthSpec) -> tuple[list[TransactionRecord], PriceSeries]:
         return f"a{next_addr}"
 
     day0 = (spec.start_date - dt.date(1970, 1, 1)).days
-    closes = [spec.start_price]
+    shocks: list[float] = []    # one standard normal per price step
 
     for day in range(spec.days):
-        day_records: list[TransactionRecord] = []
         if spec.fixed_tx_count:
             n_tx = spec.tx_per_day
         else:
@@ -178,31 +177,37 @@ def _generate(spec: SynthSpec) -> tuple[list[TransactionRecord], PriceSeries]:
             n_out = out_sampler.draw(rng)
             outputs = tuple(fresh() for _ in range(n_out))
             pool.extend(outputs)
-            day_records.append(TransactionRecord(tx_id, timestamp, inputs, outputs))
+            records.append(TransactionRecord(tx_id, timestamp, inputs, outputs))
 
         if len(pool) > _POOL_HIGH:
             del pool[: len(pool) - _POOL_LOW]
-        records.extend(day_records)
-
-        # price step for the next day
         if day + 1 < spec.days:
-            current = closes[-1]
-            if spec.price_model == "random_walk":
-                z = float(rng.standard_normal())
-                nxt = current * float(np.exp(spec.volatility * z - 0.5 * spec.volatility**2))
-            else:
-                window = DayWindow(spec.start_date + dt.timedelta(days=day),
-                                   TransactionTable.from_records(day_records),
-                                   np.arange(len(day_records)))
-                graph = build_graph(window)
-                v = feature_vector(graph, spec.max_planted_order).astype(np.float64)
-                drift = float(planted_w @ v)
-                noise = spec.noise_sigma * current * float(rng.standard_normal())
-                nxt = current + drift + noise
-            # prices must stay positive for percentage errors to make sense
-            nxt = max(nxt, 0.01 * current)
-            closes.append(nxt)
+            shocks.append(float(rng.standard_normal()))
 
+    if spec.price_model == "random_walk":
+        try:
+            half_variance = 0.5 * spec.volatility**2
+        except OverflowError:
+            raise BadSpec(f"volatility {spec.volatility!r} is too large") from None
+    else:
+        _, features = day_feature_table(
+            partition_daily(TransactionTable.from_records(records)),
+            spec.max_planted_order)
+    closes = [spec.start_price]
+    for day, z in enumerate(shocks):
+        current = closes[-1]
+        if spec.price_model == "random_walk":
+            nxt = current * float(np.exp(spec.volatility * z - half_variance))
+        else:
+            drift = float(planted_w @ features[day])
+            nxt = current + drift + spec.noise_sigma * current * z
+        # prices must stay positive for percentage errors to make sense, and
+        # every price file must hold finite closes
+        nxt = max(nxt, 0.01 * current)
+        if not 0 < nxt < np.inf:
+            raise BadSpec(f"the close of {spec.start_date + dt.timedelta(days=day + 1)} "
+                          f"is {nxt!r}: prices must stay positive and finite")
+        closes.append(nxt)
     return records, PriceSeries(spec.start_date, closes)
 
 

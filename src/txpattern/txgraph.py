@@ -11,8 +11,9 @@ assignments.  Edges run address->transaction (inputs) and
 transaction->address (outputs); the bipartite structure is enforced by
 construction.
 
-Per-transaction input and output address lists are stored as sorted,
-deduplicated id arrays in CSR layout (indptr + indices).  Coinbase rows
+Per-transaction input and output address lists are stored as canonical
+CSR arrays (indptr + indices, each row's ids sorted and distinct), built
+by :func:`txpattern.kernels.csr` and made read-only.  Coinbase rows
 (no inputs) are skipped with a counter: pattern counting needs a non-empty
 input-address set per transaction.
 """
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ingest import DayWindow
-from .kernels import _unique_sorted
+from .kernels import csr, ranges
 
 
 @dataclass
@@ -48,22 +49,10 @@ class TransactionGraph:
         return np.diff(self.in_indptr)
 
 
-def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """The positions ``start, ..., start + len - 1`` of every pair, end to end."""
-    ends = np.cumsum(lens)
-    total = int(ends[-1]) if ends.size else 0
-    return np.arange(total, dtype=np.int64) + np.repeat(starts - (ends - lens), lens)
-
-
 def _csr(tx: np.ndarray, ids: np.ndarray, n_tx: int,
          n_addr: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only canonical CSR of (transaction, address id) pairs: each
-    row's ids sorted and distinct."""
-    width = max(n_addr, 1)
-    keys = _unique_sorted(tx * width + ids)
-    indptr = np.zeros(n_tx + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // width, minlength=n_tx), out=indptr[1:])
-    indices = keys % width
+    """Read-only canonical CSR of (transaction, address id) pairs."""
+    indptr, indices = csr(tx, ids, n_tx, n_addr)
     indptr.flags.writeable = False
     indices.flags.writeable = False
     return indptr, indices
@@ -76,8 +65,8 @@ def build_graph(window: DayWindow) -> TransactionGraph:
     n_in = table.n_inputs[rows]
     n_out = table.n_outputs[rows]
     keys = np.concatenate((
-        table.input_keys[_ranges(table.in_indptr[rows], n_in)],
-        table.output_keys[_ranges(table.out_indptr[rows], n_out)],
+        table.input_keys[ranges(table.in_indptr[rows], n_in)],
+        table.output_keys[ranges(table.out_indptr[rows], n_out)],
     ))
     # dense ids in key order, without a hash table
     order = np.argsort(keys)

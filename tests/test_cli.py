@@ -279,6 +279,29 @@ def test_synth_nan_parameter_exit_1(tmp_path, capsys):
         assert err == f"error: planted weight (1, 1, 1) must be finite, got {coeff}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--volatility", "inf"],
+     "volatility and noise_sigma must be finite and >= 0"),
+    (["--price-model", "planted_linear", "--noise-sigma", "inf"],
+     "volatility and noise_sigma must be finite and >= 0"),
+    (["--seed", "2", "--start-price", "1e308", "--volatility", "0.5"],
+     "the close of 2015-01-07 is inf: prices must stay positive and finite"),
+    (["--volatility", "1e300"],
+     "volatility 1e+300 is too large"),
+    (["--start-price", "1e-320", "--price-model", "planted_linear",
+      "--planted", "1,1,1:-1e9"],
+     "the close of 2015-01-03 is 0.0: prices must stay positive and finite"),
+])
+def test_synth_unwritable_prices_exit_1(tmp_path, capsys, argv, message):
+    # every command rejects a price file with a close that is not positive
+    # and finite, so synth fails before writing one
+    tx, px = tmp_path / "tx.csv", tmp_path / "px.csv"
+    code, _, err = run(capsys, "synth", "--out-tx", str(tx), "--out-prices", str(px),
+                       "--days", "30", "--tx-per-day", "5", *argv)
+    assert (code, err) == (1, f"error: {message}\n")
+    assert not tx.exists() and not px.exists()
+
+
 @pytest.mark.parametrize("close", ["nan", "inf"])
 def test_non_finite_close_exit_1(corpus, tmp_path, capsys, close):
     tx, px = corpus

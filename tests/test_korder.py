@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from txpattern import kernels
-from txpattern.errors import DimensionMismatch, OrderOutOfRange
+from txpattern.errors import OrderOutOfRange
 from txpattern.korder import (
     CLAMP,
     GRID_CELLS,
-    SparseBoolMatrix,
+    _first_entries,
     feature_vector,
     occurrence_matrices,
     occurrence_matrix_oracle,
@@ -19,47 +20,59 @@ from txpattern.txgraph import build_graph
 
 from conftest import DAY0_TS, address_ids, day_windows, random_window, toy_records
 
+# Sparse boolean matrices here are canonical CSR pairs (indptr, indices), as
+# korder and kernels use them; a row count is len(indptr) - 1 and the column
+# count is passed alongside.
+
 
 def _grid(graph, k: int):
     """The order-k grid of the matrix route."""
     return occurrence_matrices(graph, k)[k - 1]
 
 
-def _from_dense(dense: np.ndarray) -> SparseBoolMatrix:
-    return SparseBoolMatrix.from_pairs(*dense.shape, *np.nonzero(dense))
+def _from_dense(dense: np.ndarray):
+    return kernels.csr(*np.nonzero(dense), *dense.shape)
 
 
-def _dense(m: SparseBoolMatrix) -> np.ndarray:
-    dense = np.zeros((m.n_rows, m.n_cols), dtype=bool)
-    dense[np.repeat(np.arange(m.n_rows), m.row_counts()), m.indices] = True
+def _dense(m, n_cols: int) -> np.ndarray:
+    indptr, indices = m
+    dense = np.zeros((indptr.size - 1, n_cols), dtype=bool)
+    dense[np.repeat(np.arange(indptr.size - 1), np.diff(indptr)), indices] = True
     return dense
 
 
-def _entries(m: SparseBoolMatrix) -> set[tuple[int, int]]:
-    return {(int(r), int(c)) for r, c in zip(*np.nonzero(_dense(m)))}
+def _entries(m, n_cols: int) -> set[tuple[int, int]]:
+    return {(int(r), int(c)) for r, c in zip(*np.nonzero(_dense(m, n_cols)))}
 
 
-def build_P(graph) -> SparseBoolMatrix:
+def _matmul(a, b, n_cols: int):
+    return kernels.spgemm_bool(*a, *b, a[0].size - 1, n_cols)
+
+
+def build_P(graph):
     """|A| x |T| input matrix: (a, t) set iff address a funds transaction t."""
     cols = np.repeat(np.arange(graph.n_transactions), graph.input_set_sizes)
-    return SparseBoolMatrix.from_pairs(
-        graph.n_addresses, graph.n_transactions, graph.in_indices, cols)
+    return kernels.csr(graph.in_indices, cols,
+                       graph.n_addresses, graph.n_transactions)
 
 
-def build_Q(graph) -> SparseBoolMatrix:
+def build_Q(graph):
     """|T| x |A| output matrix: (t, a) set iff transaction t pays address a."""
-    return SparseBoolMatrix(graph.n_transactions, graph.n_addresses,
-                            graph.out_indptr, graph.out_indices)
+    return graph.out_indptr, graph.out_indices
 
 
-def transition_matrix_counts(
-    P: SparseBoolMatrix, Q: SparseBoolMatrix, k: int
-) -> np.ndarray:
+def _qpq(graph):
+    """The boolean depth-2 reach matrix Q P Q."""
+    P, Q = build_P(graph), build_Q(graph)
+    return _matmul(_matmul(Q, P, graph.n_transactions), Q, graph.n_addresses)
+
+
+def transition_matrix_counts(graph, k: int) -> np.ndarray:
     """Dense integer reach matrix (QP)^(k-1) Q for small graphs: entry
     (t, a) counts the distinct k-hop paths from transaction t to address a.
     The reference that boolean products are checked against."""
-    qd = _dense(Q).astype(np.int64)
-    hop = qd @ _dense(P).astype(np.int64)
+    qd = _dense(build_Q(graph), graph.n_addresses).astype(np.int64)
+    hop = qd @ _dense(build_P(graph), graph.n_transactions).astype(np.int64)
     m = qd
     for _ in range(k - 1):
         m = hop @ m
@@ -76,12 +89,13 @@ def _expect_grid(cells: dict[tuple[int, int], int]) -> np.ndarray:
 # --- the hand-worked four-transaction example -------------------------------
 
 def test_toy_matrix_shapes(toy_graph):
+    assert (toy_graph.n_addresses, toy_graph.n_transactions) == (8, 4)
     P = build_P(toy_graph)
     Q = build_Q(toy_graph)
-    assert (P.n_rows, P.n_cols) == (8, 4)
-    assert (Q.n_rows, Q.n_cols) == (4, 8)
-    assert P.nnz == 7
-    assert Q.nnz == 5
+    assert (P[0].size - 1, Q[0].size - 1) == (8, 4)
+    assert P[1].max() < 4 and Q[1].max() < 8
+    assert P[0][-1] == P[1].size == 7
+    assert Q[0][-1] == Q[1].size == 5
 
 
 def test_toy_order1_grid(toy_graph):
@@ -109,29 +123,26 @@ def test_toy_oracle_agrees(toy_graph):
 
 def test_toy_depth2_reach(toy_graph):
     a8 = address_ids(toy_records())["a8"]
-    P, Q = build_P(toy_graph), build_Q(toy_graph)
-    assert _entries(Q @ P @ Q) == {(0, a8), (1, a8)}
+    assert _entries(_qpq(toy_graph), 8) == {(0, a8), (1, a8)}
 
 
 def test_toy_depth2_path_counts(toy_graph):
     # t2 reaches a8 along two routes (via a4->t3 and a6->t4); the boolean
     # pipeline must collapse that to a single reachability bit
-    P, Q = build_P(toy_graph), build_Q(toy_graph)
-    counts = transition_matrix_counts(P, Q, 2)
+    counts = transition_matrix_counts(toy_graph, 2)
     a8 = address_ids(toy_records())["a8"]
     assert counts[0, a8] == 1
     assert counts[1, a8] == 2
     assert counts[2].sum() == 0
     assert counts[3].sum() == 0
-    boolean = Q @ P @ Q
-    assert _entries(boolean) == {(t, a) for t, a in zip(*np.nonzero(counts))}
+    assert _entries(_qpq(toy_graph), 8) == {(t, a) for t, a in zip(*np.nonzero(counts))}
 
 
 def test_transition_order1_is_output_matrix(toy_graph):
     # the order-1 frontier is the transaction's own output set
-    Q = build_Q(toy_graph)
+    sizes = np.diff(build_Q(toy_graph)[0])
     for t in range(toy_graph.n_transactions):
-        assert subgraph_shape(toy_graph, 1, t).n == Q.row_counts()[t]
+        assert subgraph_shape(toy_graph, 1, t).n == sizes[t]
 
 
 def test_subgraph_shapes(toy_graph):
@@ -396,46 +407,63 @@ def test_feature_vector_layout(toy_graph):
 # --- sparse boolean matrix algebra --------------------------------------------
 
 def test_from_pairs_roundtrip():
-    m = SparseBoolMatrix.from_pairs(3, 4, [2, 0, 0], [0, 3, 1])
-    assert _entries(m) == {(0, 1), (0, 3), (2, 0)}
-    assert m.nnz == 3
-    assert list(m.indptr) == [0, 2, 2, 3]
-    assert list(m.indices) == [1, 3, 0]
-    assert list(m.row_counts()) == [2, 0, 1]
+    indptr, indices = kernels.csr(np.array([2, 0, 0]), np.array([0, 3, 1]), 3, 4)
+    assert _entries((indptr, indices), 4) == {(0, 1), (0, 3), (2, 0)}
+    assert list(indptr) == [0, 2, 2, 3]
+    assert list(indices) == [1, 3, 0]
+    assert indptr.dtype == indices.dtype == np.int64
 
 
 def test_from_pairs_deduplicates():
-    m = SparseBoolMatrix.from_pairs(2, 2, [0, 0, 1], [1, 1, 0])
-    assert _entries(m) == {(0, 1), (1, 0)}
-    assert m.nnz == 2
-    one = SparseBoolMatrix.from_pairs(2, 2, [1], [1])
-    assert list(one.indptr) == [0, 0, 1] and list(one.indices) == [1]
-    same = SparseBoolMatrix.from_pairs(2, 2, [1, 1, 1], [0, 0, 0])
-    assert list(same.indptr) == [0, 0, 1] and list(same.indices) == [0]
+    m = kernels.csr(np.array([0, 0, 1]), np.array([1, 1, 0]), 2, 2)
+    assert _entries(m, 2) == {(0, 1), (1, 0)}
+    assert m[0][-1] == m[1].size == 2
+    indptr, indices = kernels.csr(np.array([1]), np.array([1]), 2, 2)
+    assert list(indptr) == [0, 0, 1] and list(indices) == [1]
+    indptr, indices = kernels.csr(np.array([1, 1, 1]), np.array([0, 0, 0]), 2, 2)
+    assert list(indptr) == [0, 0, 1] and list(indices) == [0]
+    # no pairs, and no columns at all
+    indptr, indices = kernels.csr(np.array([], np.int64), np.array([], np.int64), 3, 0)
+    assert list(indptr) == [0, 0, 0, 0] and indices.size == 0
 
 
-def test_from_pairs_bounds_checked():
-    with pytest.raises(ValueError):
-        SparseBoolMatrix.from_pairs(2, 2, [0, 5], [0, 0])
+@st.composite
+def bool_operands(draw):
+    """Dense boolean A (r x n) and B (n x c), any of r, n, c possibly 0."""
+    r, n, c = (draw(st.integers(0, 12)) for _ in range(3))
+    return (draw(hnp.arrays(np.bool_, (r, n))),
+            draw(hnp.arrays(np.bool_, (n, c))))
 
 
-def test_matmul_dimension_mismatch():
-    a = SparseBoolMatrix.from_pairs(2, 3, [0], [0])
-    b = SparseBoolMatrix.from_pairs(2, 2, [0], [0])
-    with pytest.raises(DimensionMismatch):
-        a.matmul(b)
+@given(operands=bool_operands())
+@example(operands=(np.zeros((0, 3), bool), np.ones((3, 2), bool)))
+@example(operands=(np.ones((2, 0), bool), np.ones((0, 3), bool)))
+@example(operands=(np.ones((2, 3), bool), np.zeros((3, 0), bool)))
+@example(operands=(np.array([[1, 0, 1], [0, 0, 0], [0, 1, 0]], bool),
+                   np.array([[0, 1, 0, 0], [0, 0, 0, 0], [1, 1, 0, 0]], bool)))
+@settings(max_examples=200, deadline=None)
+def test_matmul_against_dense(operands):
+    # the product is the canonical CSR of the dense boolean product, empty
+    # rows and columns and zero-size operands included
+    da, db = operands
+    want = (da.astype(np.int64) @ db.astype(np.int64)) > 0
+    indptr, indices = kernels.spgemm_bool(*_from_dense(da), *_from_dense(db),
+                                          da.shape[0], db.shape[1])
+    want_indptr, want_indices = _from_dense(want)
+    assert np.array_equal(indptr, want_indptr)
+    assert np.array_equal(indices, want_indices)
 
 
-def test_matmul_against_dense():
-    rng = np.random.default_rng(99)
-    for _ in range(25):
-        ra, ca = int(rng.integers(1, 15)), int(rng.integers(1, 15))
-        cb = int(rng.integers(1, 15))
-        da = rng.random((ra, ca)) < 0.3
-        db = rng.random((ca, cb)) < 0.3
-        want = (da.astype(int) @ db.astype(int)) > 0
-        assert np.array_equal(_dense(_from_dense(da) @ _from_dense(db)), want)
-
+def test_first_entries_keeps_first_clamp_of_each_row():
+    sizes = np.array([0, 1, CLAMP - 1, CLAMP, CLAMP + 1, 3 * CLAMP, 0, 7])
+    indptr = kernels.indptr_from(sizes)
+    indices = np.concatenate([np.arange(n) * 3 + r for r, n in enumerate(sizes)])
+    kept_indptr, kept_indices = _first_entries(indptr, indices)
+    assert np.array_equal(np.diff(kept_indptr), np.minimum(sizes, CLAMP))
+    for r in range(sizes.size):
+        row = indices[indptr[r]:indptr[r + 1]]
+        kept = kept_indices[kept_indptr[r]:kept_indptr[r + 1]]
+        assert np.array_equal(kept, row[:CLAMP])
 
 
 @st.composite

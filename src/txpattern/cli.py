@@ -9,7 +9,7 @@ An argument ``@FILE`` is replaced by the arguments in FILE, one per line
 after ``@FILE`` overrides the file's value.  Flags must be spelled out in
 full: a prefix such as ``--ridge`` is not taken for ``--ridge-lambda``.
 
-Exit codes: 0 success, 1 data or input errors, 2 usage errors.
+Exit codes: 0 success, 1 data, input or file-system errors, 2 usage errors.
 """
 
 from __future__ import annotations
@@ -356,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         return ns.handler(vars(ns))
-    except TxPatternError as exc:
+    except (TxPatternError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,17 +20,20 @@ the keys of the input and output addresses of all rows laid end to end.
 A key is a 64-bit hash of the address bytes, and the parser makes it
 exact: when two different addresses of a file share a key, every address
 is keyed again with the next seed, so equal keys mean equal addresses.
-No Python object is made per transaction or per address.  A
-:class:`DayWindow` is a date plus the row indices of the table that fall
-on it, so every day of a file shares the one table.  Nothing is modified
-after parsing.
+No Python object is made per transaction or per address.  One parser
+builds every table from a file's bytes: :func:`parse_transactions` reads
+its file to the end, so it may be a pipe, and ``from_records`` parses what
+:func:`write_transactions` writes, so record ``n`` is line ``n + 1`` in
+its errors.  A :class:`DayWindow` is a date plus the row indices of the
+table that fall on it, so every day of a file shares the one table.
+Nothing is modified after parsing.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import io
 import math
-import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,11 +69,6 @@ _FNV_BASIS = 0xCBF29CE484222325
 _FNV_PRIME = np.uint64(0x100000001B3)
 # _WORD_MASKS[n] keeps the low n bytes of a word
 _WORD_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
-
-
-def _in_range(stamp: int) -> bool:
-    """Whether an epoch timestamp falls on a day ``datetime.date`` holds."""
-    return _FIRST_SECOND <= stamp <= _LAST_SECOND
 
 
 def day_of(timestamp: int) -> dt.date:
@@ -178,30 +176,11 @@ class TransactionTable:
 
     @classmethod
     def from_records(cls, records: list[TransactionRecord]) -> "TransactionTable":
-        """The table of the given rows, in order.  Each token is keyed as
-        its UTF-8 bytes, by the parser's routine, so a table equals the one
-        parsed from ``write_transactions`` of the same rows.
-
-        A timestamp out of range raises :class:`MalformedRow` with the
-        1-based number of its record."""
-        for number, r in enumerate(records, start=1):
-            if not _in_range(r.timestamp):
-                raise MalformedRow(number, f"timestamp {r.timestamp!r} out of range")
-        tokens = [a.encode() for r in records for a in r.inputs]
-        n_in_tokens = len(tokens)
-        tokens += [a.encode() for r in records for a in r.outputs]
-        lens = np.fromiter(map(len, tokens), np.int64, len(tokens))
-        ends = np.cumsum(lens)
-        starts = ends - lens
-        buf = np.frombuffer(b"".join(tokens) + bytes(8), dtype=np.uint8)
-        keys, _ = _exact_keys(buf, starts, ends, _hash(buf, starts, ends, 0))
-        return cls(
-            [r.timestamp for r in records],
-            [len(r.inputs) for r in records],
-            [len(r.outputs) for r in records],
-            keys[:n_in_tokens],
-            keys[n_in_tokens:],
-        )
+        """The table of the given rows: the parse of the bytes that
+        ``write_transactions`` writes for them.  Errors are the parser's,
+        with record ``n`` on line ``n + 1``; a token holding ``;`` is two
+        addresses, and an empty token is dropped."""
+        return _parse(_padded(_csv(records)))
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -351,20 +330,20 @@ def _chunk_columns(buf: np.ndarray, lo: int, hi: int) -> tuple | None:
             _hash(buf, *spans, 0), np.repeat([True, False], [in_starts.size, out_starts.size]))
 
 
-def parse_transactions(path: str | Path) -> TransactionTable:
-    """Parse a transactions CSV into a validated table, in file order.
+def _padded(data: bytes) -> np.ndarray:
+    """The bytes of a transactions file as :func:`_parse` takes them: a
+    newline after the data, then 8 spare bytes for ``_word``."""
+    return np.frombuffer(data + b"\n" + bytes(8), dtype=np.uint8)
 
-    The file's bytes are checked as whole columns, one chunk of lines at a
-    time.  When a check fails the file is read again line by line, and the
-    first bad line in file order raises."""
-    path = Path(path)
-    if not path.exists():
-        raise MissingFile(str(path))
-    with path.open("rb") as fh:
-        # a newline after the data, then 8 spare bytes for _word
-        buf = np.zeros(os.fstat(fh.fileno()).st_size + 9, dtype=np.uint8)
-        size = fh.readinto(memoryview(buf)[:-9])
-    buf[size] = ord("\n")
+
+def _parse(buf: np.ndarray) -> TransactionTable:
+    """The validated table of a transactions file's bytes, padded by
+    :func:`_padded`, in file order.
+
+    The bytes are checked as whole columns, one chunk of lines at a time.
+    When a check fails they are read again line by line, and the first bad
+    line in file order raises."""
+    size = buf.size - 9
     lo = _NEWLINE.search(buf).start()
     header = buf[:lo].tobytes().decode("utf-8", errors="replace")
     if header != TX_HEADER:
@@ -376,15 +355,24 @@ def parse_transactions(path: str | Path) -> TransactionTable:
         hi = _NEWLINE.search(buf, min(lo + _CHUNK_BYTES, size)).end()
         chunks.append(_chunk_columns(buf, lo, hi))
         if chunks[-1] is None:
-            _raise_first_bad_line(path)
+            _raise_first_bad_line(buf[:size])
         lo = hi
     (stamps, n_in, n_out, id_starts, id_ends, id_keys, starts, ends, keys,
      is_input) = map(np.concatenate, zip(*chunks))
     del chunks
     if _exact_keys(buf, id_starts, id_ends, id_keys)[1]:
-        _raise_first_bad_line(path)         # a tx_id repeats
+        _raise_first_bad_line(buf[:size])   # a tx_id repeats
     keys, _ = _exact_keys(buf, starts, ends, keys)
     return TransactionTable(stamps, n_in, n_out, keys[is_input], keys[~is_input])
+
+
+def parse_transactions(path: str | Path) -> TransactionTable:
+    """Parse a transactions CSV into a validated table, in file order.  The
+    file is read to its end, so a pipe works as well as a regular file."""
+    path = Path(path)
+    if not path.exists():
+        raise MissingFile(str(path))
+    return _parse(_padded(path.read_bytes()))
 
 
 def _text(raw: str) -> str:
@@ -392,12 +380,13 @@ def _text(raw: str) -> str:
     return raw.encode("latin-1").decode("utf-8", errors="replace")
 
 
-def _raise_first_bad_line(path: Path) -> NoReturn:
-    """Raise the error of the first line, in file order, that fails a
-    check; the checks of one line run in a fixed order.  Latin-1 reads each
-    byte as one character, so fields compare as bytes."""
+def _raise_first_bad_line(data: np.ndarray) -> NoReturn:
+    """Raise the error of the first line of a transactions file's bytes, in
+    file order, that fails a check; the checks of one line run in a fixed
+    order.  Latin-1 reads each byte as one character, so fields compare as
+    bytes."""
     seen: dict[str, int] = {}
-    with path.open("r", encoding="latin-1") as fh:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="latin-1") as fh:
         fh.readline()
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
@@ -415,21 +404,25 @@ def _raise_first_bad_line(path: Path) -> NoReturn:
                 raise MalformedRow(lineno, f"bad timestamp {_text(ts_text)!r}")
             # int() refuses thousands of digits; 19 are out of range anyway
             digits = ts_text.lstrip("-").lstrip("0")
-            if len(digits) > 18 or not _in_range(
-                    -int(digits or 0) if ts_text[0] == "-" else int(digits or 0)):
+            sign = -1 if ts_text[0] == "-" else 1
+            if len(digits) > 18 or not (
+                    _FIRST_SECOND <= sign * int(digits or 0) <= _LAST_SECOND):
                 raise MalformedRow(lineno, f"timestamp {ts_text!r} out of range")
             if not any(out_text.split(";")):
                 raise MalformedRow(lineno, "transaction has no outputs")
             seen[tx_id] = lineno
-    raise RuntimeError(f"{path}: a column check failed but no line is bad")
+    raise RuntimeError("a column check failed but no line is bad")
+
+
+def _csv(records: list[TransactionRecord]) -> bytes:
+    """The bytes of the transactions file of the given rows."""
+    return "".join([TX_HEADER + "\n"] + [
+        f"{r.tx_id},{r.timestamp},{';'.join(r.inputs)},{';'.join(r.outputs)}\n"
+        for r in records]).encode()
 
 
 def write_transactions(records: list[TransactionRecord], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(TX_HEADER + "\n")
-        for r in records:
-            fh.write(f"{r.tx_id},{r.timestamp},"
-                     f"{';'.join(r.inputs)},{';'.join(r.outputs)}\n")
+    Path(path).write_bytes(_csv(records))
 
 
 def parse_prices(path: str | Path) -> PriceSeries:

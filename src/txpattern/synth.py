@@ -19,6 +19,7 @@ order-2 occurrence grid is identically zero.
 
 from __future__ import annotations
 
+import bisect
 import datetime as dt
 from dataclasses import dataclass, field
 
@@ -119,14 +120,18 @@ class SynthSpec:
 
 
 class _Sampler:
+    """Draws sizes as ``rng.choice(sizes, p=probs)`` does, from the same
+    ``rng.random()``, without checking ``p`` again on every draw."""
+
     def __init__(self, dist: dict[int, float]):
         items = sorted(dist.items())
-        self.sizes = np.array([s for s, _ in items], dtype=np.int64)
-        self.probs = np.array([p for _, p in items], dtype=np.float64)
-        self.probs = self.probs / self.probs.sum()
+        self.sizes = [s for s, _ in items]
+        probs = np.array([p for _, p in items], dtype=np.float64)
+        cdf = np.cumsum(probs / probs.sum())
+        self.cdf = (cdf / cdf[-1]).tolist()
 
     def draw(self, rng: np.random.Generator) -> int:
-        return int(rng.choice(self.sizes, p=self.probs))
+        return self.sizes[bisect.bisect_right(self.cdf, rng.random())]
 
 
 def _generate(spec: SynthSpec) -> tuple[list[TransactionRecord], PriceSeries]:

@@ -137,8 +137,9 @@ def address_ids(records: list[TransactionRecord],
     """The graph id of every address of one day's records, by name.
     ``build_graph`` numbers the addresses of the day's non-coinbase rows in
     the order of their keys.  The keys are those of ``from_records`` over
-    the rows of the whole file (by default the day's rows), which equal the
-    keys of the parsed file."""
+    the rows of the whole file (by default the day's rows), which parses the
+    bytes of that file; the names must hold no ``;`` and none be empty, so
+    that each is one token."""
     file_records = records if file_records is None else file_records
     table = TransactionTable.from_records(file_records)
     key = dict(zip([a for r in file_records for a in r.inputs],

@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import txpattern
 from txpattern.cli import main
 from txpattern.regress import MODEL_SCHEMA_VERSION, load_model
 
@@ -120,6 +124,52 @@ def test_missing_input_file_exit_1(capsys):
     code, _, err = run(capsys, "features", "--tx", "/nope.csv", "--out", "/tmp/f.csv")
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["features", "--tx", "DIR", "--out", os.devnull],
+    ["backtest", "--tx", "TX", "--prices", "DIR"],
+    ["predict", "--model-file", "DIR", "--tx", "TX", "--prices", "PX"],
+    ["features", "--tx", "TX", "--out", "DIR/missing/f.csv"],
+])
+def test_file_system_error_exit_1(corpus, tmp_path, capsys, argv):
+    tx, px = corpus
+    argv = [a.replace("DIR", str(tmp_path)).replace("TX", tx).replace("PX", px)
+            for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path) in err
+
+
+def _cli(*argv, stdin: bytes) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, reading ``stdin`` from a pipe."""
+    src = str(Path(txpattern.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "txpattern.cli", *argv],
+                          input=stdin, capture_output=True, env=env)
+
+
+def test_features_reads_a_pipe(corpus, tmp_path, capsys):
+    tx, _ = corpus
+    from_file, from_pipe = tmp_path / "file.csv", tmp_path / "pipe.csv"
+    assert run(capsys, "features", "--tx", tx, "--out", str(from_file))[0] == 0
+    done = _cli("features", "--tx", "/dev/stdin", "--out", str(from_pipe),
+                stdin=Path(tx).read_bytes())
+    assert done.returncode == 0, done.stderr
+    assert from_pipe.read_bytes() == from_file.read_bytes()
+
+
+@pytest.mark.parametrize("row, message", [
+    ("t9,x,a,b", "line 4: bad timestamp 'x'"),
+    ("t1,7,a,b", "duplicate tx_id 't1' on lines 2 and 4"),
+])
+def test_piped_bad_line_is_named(row, message):
+    data = f"tx_id,timestamp,inputs,outputs\nt1,5,a,b\nt2,6,,c\n{row}\nt3,8,c,d\n"
+    done = _cli("features", "--tx", "/dev/stdin", "--out", os.devnull,
+                stdin=data.encode())
+    assert (done.returncode, done.stderr) == (1, f"error: {message}\n".encode())
 
 
 _BAD_PARAMETERS = [

@@ -345,7 +345,33 @@ def test_from_records_bounds_timestamps(stamp):
                TransactionRecord("t2", stamp, (), ("a",))]
     with pytest.raises(MalformedRow) as err:
         partition_daily(TransactionTable.from_records(records))
-    assert str(err.value) == f"line 2: timestamp {stamp} out of range"
+    assert str(err.value) == f"line 3: timestamp '{stamp}' out of range"
+
+
+def _outcome(build) -> tuple:
+    """The columns of the table ``build()`` returns, or its error."""
+    try:
+        return _columns(build())
+    except (MalformedRow, DuplicateTxId) as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("records, outcome", [
+    # a token holding ";" is two addresses
+    ([TransactionRecord("t1", 5, ("a;b",), ("c",))], ([5], [2], [1])),
+    # an empty token is dropped
+    ([TransactionRecord("t1", 5, ("", "a"), ("c", ""))], ([5], [1], [1])),
+    ([TransactionRecord("t1", 5, ("a",), ("b",)), TransactionRecord("t1", 6, (), ("c",))],
+     (DuplicateTxId, "duplicate tx_id 't1' on lines 2 and 3")),
+    ([TransactionRecord("t1", 5, ("a",), ())],
+     (MalformedRow, "line 2: transaction has no outputs")),
+])
+def test_from_records_is_the_parse_of_its_file(tmp_path, records, outcome):
+    path = tmp_path / "tx.csv"
+    write_transactions(records, path)
+    got = _outcome(lambda: TransactionTable.from_records(records))
+    assert got == _outcome(lambda: parse_transactions(path))
+    assert got[:len(outcome)] == outcome
 
 
 def _big_file(path, n: int, bad: dict[int, str]) -> None:

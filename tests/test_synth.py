@@ -2,12 +2,15 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from txpattern.errors import BadSpec
 from txpattern.features import day_feature_table
 from txpattern.ingest import parse_prices, parse_transactions, partition_daily
 from txpattern.korder import occurrence_matrices
+from txpattern import synth
 from txpattern.synth import SynthSpec, generate, write_synth
 from txpattern.txgraph import build_graph
 
@@ -84,6 +87,25 @@ def test_spending_creates_depth2_patterns():
         graph = build_graph(window)
         total += occurrence_matrices(graph, 2)[1].total()
     assert total > 0
+
+
+@given(st.dictionaries(st.integers(1, 50),
+                       st.one_of(st.just(0.0), st.floats(0.001, 1.0)),
+                       min_size=1, max_size=8).filter(lambda d: sum(d.values()) > 0))
+@example(synth.DEFAULT_IN_SIZES)
+@example(synth.DEFAULT_OUT_SIZES)
+@settings(max_examples=50, deadline=None)
+def test_sampler_draws_as_choice(dist):
+    # the sampler's draws and the generator state after them are those of
+    # rng.choice with the normalised probabilities
+    sampler = synth._Sampler(dist)
+    sizes = sorted(dist)
+    probs = np.array([dist[s] for s in sizes])
+    probs /= probs.sum()
+    ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+    assert [sampler.draw(ours) for _ in range(2000)] == [
+        int(theirs.choice(sizes, p=probs)) for _ in range(2000)]
+    assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def test_input_size_distribution():

@@ -6,18 +6,21 @@ Two built-in families:
   intercept unpenalized.  Deterministic and independently checkable, so it
   doubles as the test oracle for everything downstream.
 * ``linear_svr`` - linear epsilon-insensitive regression, intercept
-  unpenalized, solved to a relative residual tolerance by deterministic ADMM
-  (see kernels.svr_epochs).  A fit that reaches the iteration cap first is
-  kept, marked ``converged = False``, and reported on stderr.
+  unpenalized, solved to a relative residual tolerance by deterministic
+  over-relaxed ADMM (see kernels.svr_epochs), which tests its residuals
+  every 10 iterations and at the cap.  A fit that reaches the iteration cap
+  first is kept, marked ``converged = False``, and reported on stderr.
 
 The hyperparameter defaults are not tuned; they are documented,
-CLI-overridable values.
+CLI-overridable values, and every one must be finite.  Model files are
+strict JSON: no ``NaN`` or ``Infinity`` is written or accepted.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,14 +45,14 @@ class RegressorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise BadSpec(f"unknown regressor kind {self.kind!r}")
-        if not self.ridge_lambda >= 0:
-            raise BadSpec("ridge_lambda must be >= 0")
-        if not self.svr_c > 0:
-            raise BadSpec("svr_c must be > 0")
-        if not self.svr_epsilon >= 0:
-            raise BadSpec("svr_epsilon must be >= 0")
-        if not self.svr_tolerance > 0:
-            raise BadSpec("svr_tolerance must be > 0")
+        if not 0 <= self.ridge_lambda < math.inf:
+            raise BadSpec("ridge_lambda must be finite and >= 0")
+        if not 0 < self.svr_c < math.inf:
+            raise BadSpec("svr_c must be finite and > 0")
+        if not 0 <= self.svr_epsilon < math.inf:
+            raise BadSpec("svr_epsilon must be finite and >= 0")
+        if not 0 < self.svr_tolerance < math.inf:
+            raise BadSpec("svr_tolerance must be finite and > 0")
 
 
 @dataclass
@@ -156,7 +159,8 @@ def save_model(
             else None
         ),
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True,
+                                      allow_nan=False) + "\n")
 
 
 def load_model(path: str | Path) -> tuple[FittedModel, Scaler, int]:

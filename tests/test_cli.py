@@ -139,6 +139,7 @@ def test_file_system_error_exit_1(corpus, tmp_path, capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
     assert str(tmp_path) in err
 
 
@@ -196,6 +197,11 @@ _BAD_PARAMETERS = [
     ["sweep-window", "--r", "1.5", "--prices", "PX"],
     ["train", "--k", "0", "--out", os.devnull, "--prices", "PX"],
     ["oracle-check", "--k", "0"],
+    ["backtest", "--model", "svr", "--svr-c", "inf", "--prices", "PX"],
+    ["backtest", "--model", "svr", "--svr-epsilon", "inf", "--prices", "PX"],
+    ["backtest", "--ridge-lambda", "inf", "--prices", "PX"],
+    ["train", "--model", "svr", "--svr-tol", "inf", "--out", os.devnull,
+     "--prices", "PX"],
 ]
 
 
@@ -205,7 +211,7 @@ def test_bad_parameter_exit_1(corpus, capsys, argv):
     argv = [px if a == "PX" else a for a in argv]
     code, _, err = run(capsys, *argv, "--tx", tx)
     assert code == 1
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
 
 
@@ -400,6 +406,10 @@ def _model_json(**changes) -> str:
                  id="inf-scaler-mean"),
     pytest.param(_model_json(scaler_std=[float("nan")]), "non-finite",
                  id="nan-scaler-std"),
+    pytest.param(_model_json(params={"svr_tolerance": float("inf")}),
+                 "svr_tolerance must be finite", id="inf-param"),
+    pytest.param(_model_json(params={"svr_c": float("nan")}),
+                 "svr_c must be finite", id="nan-param"),
 ])
 def test_predict_model_file_not_a_model(corpus, tmp_path, capsys, payload, message):
     tx, px = corpus

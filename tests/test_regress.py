@@ -27,17 +27,17 @@ def _linear_data(n=60, d=4, seed=0, noise=0.0):
 def test_spec_validation():
     with pytest.raises(ValueError):
         RegressorSpec(kind="forest")
-    nan = float("nan")
-    for lam in (-1.0, nan):
+    nan, inf = float("nan"), float("inf")
+    for lam in (-1.0, nan, inf):
         with pytest.raises(BadSpec):
             RegressorSpec(ridge_lambda=lam)
-    for c in (0.0, nan):
+    for c in (0.0, nan, inf):
         with pytest.raises(BadSpec):
             RegressorSpec(kind="linear_svr", svr_c=c)
-    for tol in (0.0, -1e-4, nan):
+    for tol in (0.0, -1e-4, nan, inf):
         with pytest.raises(BadSpec):
             RegressorSpec(kind="linear_svr", svr_tolerance=tol)
-    for eps in (-0.1, nan):
+    for eps in (-0.1, nan, inf):
         with pytest.raises(BadSpec):
             RegressorSpec(kind="linear_svr", svr_epsilon=eps)
 
@@ -150,13 +150,23 @@ def test_svr_tolerance_stops_early():
     assert iterations[0] < iterations[-1]
 
 
-def test_svr_matches_scipy_reference():
-    # the slack-form primal: min 0.5|w|^2 + C sum(xi) subject to
-    # |x w + b - y| <= eps + xi and xi >= 0, with b unpenalised
+def _mostly_constant(n=100, live=10, constant=20, seed=3):
+    """The shape of a sweep's fit: most columns constant, and several rows
+    per live column."""
+    rng = np.random.default_rng(seed)
+    x = np.empty((n, live + constant))
+    order = rng.permutation(live + constant)
+    x[:, order[:live]] = rng.normal(size=(n, live)) * rng.uniform(0.2, 3.0, live)
+    x[:, order[live:]] = rng.normal(size=constant)
+    y = x[:, order[:live]] @ rng.normal(size=live) + 2.0 + 0.5 * rng.normal(size=n)
+    return x, y
+
+
+def _scipy_svr_objective(x, y, c, eps):
+    """The optimum of the slack-form primal: min 0.5|w|^2 + C sum(xi)
+    subject to |x w + b - y| <= eps + xi and xi >= 0, with b unpenalised."""
     optimize = pytest.importorskip("scipy.optimize")
-    x, y = _planted_uncentred()
     n, d = x.shape
-    c, eps = 1.0, 0.1
     a = np.hstack([x, np.ones((n, 1))])
     eye = np.eye(n)
     constraint = optimize.LinearConstraint(
@@ -183,11 +193,17 @@ def test_svr_matches_scipy_reference():
         method="trust-constr", constraints=[constraint],
         bounds=optimize.Bounds(lower, np.inf),
         options={"gtol": 1e-10, "xtol": 1e-12, "maxiter": 5000})
-    reference = _svr_objective(x, y, res.x[:d], res.x[d], c, eps)
-    model = fit(RegressorSpec(kind="linear_svr", svr_c=c, svr_epsilon=eps), x, y)
-    assert model.converged
-    ours = _svr_objective(x, y, model.weights, model.bias, c, eps)
-    assert abs(ours - reference) <= 1e-3 * reference
+    return _svr_objective(x, y, res.x[:d], res.x[d], c, eps)
+
+
+def test_svr_matches_scipy_reference():
+    c, eps = 1.0, 0.1
+    for x, y in (_planted_uncentred(), _mostly_constant()):
+        reference = _scipy_svr_objective(x, y, c, eps)
+        model = fit(RegressorSpec(kind="linear_svr", svr_c=c, svr_epsilon=eps), x, y)
+        assert model.converged
+        ours = _svr_objective(x, y, model.weights, model.bias, c, eps)
+        assert abs(ours - reference) <= 1e-3 * reference
 
 
 def test_svr_constant_columns_get_zero_weight():
@@ -213,6 +229,31 @@ def test_svr_iteration_cap_not_converged(monkeypatch, capsys):
     assert captured.out == ""
     assert [line.split(":")[0] for line in captured.err.splitlines()] == ["warning"]
     assert fit(RegressorSpec(), x, y).converged is True
+
+
+def test_svr_cap_only_truncates(monkeypatch, capsys):
+    # a capped fit is the uncapped one cut short.  The stopping test also
+    # runs at the cap: a cap at the natural count converges, and so does
+    # some cap just below it, between two scheduled tests
+    x, y = _planted_uncentred(seed=1)
+    spec = RegressorSpec(kind="linear_svr")
+    full = fit(spec, x, y).epoch_losses
+    k = len(full)
+    converged_at = []
+    for cap in range(1, k):
+        monkeypatch.setattr(kernels, "SVR_MAX_ITER", cap)
+        capped = fit(spec, x, y)
+        assert np.array_equal(capped.epoch_losses, full[:cap])
+        if capped.converged:
+            converged_at.append(cap)
+    assert k % kernels._RHO_EVERY == 0
+    assert any(k - kernels._RHO_EVERY < cap for cap in converged_at)
+    capsys.readouterr()
+    monkeypatch.setattr(kernels, "SVR_MAX_ITER", k)
+    at_k = fit(spec, x, y)
+    assert at_k.converged is True
+    assert np.array_equal(at_k.epoch_losses, full)
+    assert capsys.readouterr().err == ""
 
 
 def test_svr_deterministic():

@@ -5,17 +5,21 @@ int64 ``indptr`` and ``indices``, each row's columns sorted and distinct.
 ``csr`` builds it from (row, col) pairs, ``indptr_from`` from row sizes,
 and ``ranges`` expands (start, length) pairs into positions.
 
-``spgemm_bool`` is the boolean sparse product behind the k-order grids and
-``svr_epochs`` the linear SVR solver, an ADMM loop whose "epochs" are its
-iterations.  Callers reach both, and ``warmup``, through the module
-attribute (``kernels.spgemm_bool(...)``): the end-to-end benchmark in
-``e2ebench/`` wraps them by these names to time them, so the names are kept
-stable.
+``spgemm_bool`` is the boolean sparse product behind the k-order grids.
+``centred_eigh`` owns what both linear fits decide about the unpenalised
+bias and constant columns; ``ridge`` is one closed-form step on its basis
+and ``svr_epochs`` the linear SVR solver, an ADMM loop whose "epochs" are
+its iterations.  Callers reach the kernels, and ``warmup``, through the
+module attribute (``kernels.spgemm_bool(...)``): the end-to-end benchmark
+in ``e2ebench/`` wraps ``spgemm_bool`` and ``svr_epochs`` by these names to
+time them, so the names are kept stable.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import SingularSystem
 
 
 # ---------------------------------------------------------------------------
@@ -64,21 +68,22 @@ def spgemm_bool(a_indptr, a_indices, b_indptr, b_indices, n_rows, n_cols):
 
 
 # ---------------------------------------------------------------------------
-# Linear epsilon-insensitive regression by ADMM
+# Linear fits with an unpenalised bias: ridge, and epsilon-SVR by ADMM
 # ---------------------------------------------------------------------------
 #
-# Objective: 0.5*||w||^2 + C * sum_i max(0, |x_i.w + b - y_i| - eps), with
-# the bias b unpenalised.  ADMM on the split z = Xw + b - y (Boyd et al.,
-# "Distributed Optimization and Statistical Learning via the Alternating
-# Direction Method of Multipliers", FnT ML 2011, sections 3 and 6).
+# As b is unpenalised, fitting on the centred columns X - mu and returning
+# b - mu.w solves the same problem, and the joint (w, b) step splits: b is
+# the mean of its target v and w solves (X'X + s I) w = X'v.  centred_eigh
+# drops the constant columns (weight 0) and factors X'X = V diag(lam) V'
+# once, so w = V diag(1/(lam + s)) V'X'v for every s.  Ridge is this step
+# with s its penalty (Hastie et al., "The Elements of Statistical
+# Learning", section 3.4.1); the SVR takes it with s = 1/rho at every ADMM
+# iteration, so rho can be rebalanced without refactoring.
 #
-# The columns are centred first.  Because b is unpenalised, fitting on
-# X - mu and returning b - mu.w solves the same problem, and with centred
-# columns the joint (w, b) step splits: b is the mean of its target and w
-# solves (X'X + I/rho) w = X'v.  Columns that are constant get weight 0 and
-# are dropped.  One eigendecomposition X'X = V diag(lam) V' of the live
-# columns serves every w-step at every rho, so rho can be rebalanced
-# without refactoring.
+# The SVR minimises 0.5*||w||^2 + C * sum_i max(0, |x_i.w + b - y_i| - eps)
+# by ADMM on the split z = Xw + b - y (Boyd et al., "Distributed
+# Optimization and Statistical Learning via the Alternating Direction
+# Method of Multipliers", FnT ML 2011, sections 3 and 6).
 #
 # The z- and u-steps are over-relaxed (Boyd section 3.4.3): they see
 # h = alpha*(Xw + b) + (1 - alpha)*(z + y) in place of the fitted values.
@@ -95,6 +100,34 @@ _ALPHA = 1.8            # over-relaxation: of 1.0, 1.5, ..., 1.9, the fewest
                         # iterations on the svr_sweep benchmark's fits
 
 
+def centred_eigh(x):
+    """``(pt, lam, back)`` for the live (not constant) columns L of x, their
+    means mu and (L - mu)'(L - mu) = V diag(lam) V': pt = (L - mu) V, and
+    back(wv, b) = (w, b - mu.w), with w = V wv on L and exactly 0 elsewhere."""
+    # by range: centred, a constant column need not be exactly 0
+    live = np.flatnonzero(x.max(axis=0) > x.min(axis=0))
+    mu = x[:, live].mean(axis=0)
+    xl = x[:, live] - mu
+    lam, v = np.linalg.eigh(xl.T @ xl)
+
+    def back(wv, b):
+        w = np.zeros(x.shape[1])
+        w[live] = v @ wv
+        return w, float(b - mu @ w[live])
+    return xl @ v, lam, back
+
+
+def ridge(x, y, lam):
+    """Fit (w, b) minimising ||Xw + b - y||^2 + lam ||w||^2.  At ``lam`` = 0
+    a constant column, or a smallest eigenvalue at or below numpy's
+    ``matrix_rank`` tolerance, raises ``SingularSystem``."""
+    pt, eig, back = centred_eigh(x)
+    if lam == 0.0 and (pt.shape[1] < x.shape[1] or eig.size and (
+            eig[0] <= eig[-1] * eig.size * np.finfo(np.float64).eps)):
+        raise SingularSystem("rank-deficient design; ridge_lambda must be > 0")
+    return back((pt.T @ y) / (eig + lam), y.mean())
+
+
 def svr_epochs(x, y, c, eps, tol, max_iter):
     """Fit (w, b) for the objective above; returns ``(w, b, objectives,
     converged)``.
@@ -105,23 +138,13 @@ def svr_epochs(x, y, c, eps, tol, max_iter):
     their scales (``converged`` True), or after ``max_iter`` iterations.
     The test runs every ``_RHO_EVERY`` iterations and at the last one, so
     the count is a multiple of ``_RHO_EVERY`` unless ``max_iter`` ends it."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n, d = x.shape
-    # constant columns are found by range: centred, they need not be
-    # exactly zero, as a mean rounds
-    live = np.flatnonzero(x.max(axis=0) > x.min(axis=0))
-    xl = x[:, live]
-    mu = xl.mean(axis=0)
-    xl = xl - mu
-    lam, v = np.linalg.eigh(xl.T @ xl)
-    pt = xl @ v                     # X V, the live columns in the eigenbasis
+    pt, lam, back = centred_eigh(x)
     p = np.ascontiguousarray(pt.T)
     y_norm = np.linalg.norm(y)
     rho = 1.0
     scale = 1.0 / (lam + 1.0 / rho)
-    z = np.zeros(n)
-    u = np.zeros(n)
+    z = np.zeros_like(y)
+    u = np.zeros_like(y)
     objectives = np.empty(max_iter)
     converged = False
     for it in range(max_iter):
@@ -156,9 +179,7 @@ def svr_epochs(x, y, c, eps, tol, max_iter):
             rho *= step
             u /= step
             scale = 1.0 / (lam + 1.0 / rho)
-    w = np.zeros(d)
-    w[live] = v @ wv
-    return w, float(b - mu @ w[live]), objectives[:it + 1].copy(), converged
+    return (*back(wv, b), objectives[:it + 1].copy(), converged)
 
 
 def warmup() -> None:

@@ -2,18 +2,19 @@
 
 Two built-in families:
 
-* ``ridge`` - closed-form solution of the regularized normal equations,
-  intercept unpenalized.  Deterministic and independently checkable, so it
-  doubles as the test oracle for everything downstream.
+* ``ridge`` - squared loss plus ``ridge_lambda`` times the squared weights,
+  intercept unpenalized, solved in closed form by kernels.ridge on the
+  centred eigenbasis it shares with the SVR.  Deterministic and
+  independently checkable, so it doubles as the test oracle downstream.
 * ``linear_svr`` - linear epsilon-insensitive regression, intercept
   unpenalized, solved to a relative residual tolerance by deterministic
   over-relaxed ADMM (see kernels.svr_epochs), which tests its residuals
   every 10 iterations and at the cap.  A fit that reaches the iteration cap
   first is kept, marked ``converged = False``, and reported on stderr.
 
-The hyperparameter defaults are not tuned; they are documented,
-CLI-overridable values, and every one must be finite.  Model files are
-strict JSON: no ``NaN`` or ``Infinity`` is written or accepted.
+Training data and every hyperparameter must be finite; the defaults are
+not tuned but documented, CLI-overridable values.  Model files are strict
+JSON: no ``NaN`` or ``Infinity`` is written or accepted.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .errors import BadSpec, DimensionMismatch, MissingFile, SingularSystem, TooFewRows
+from .errors import BadSpec, DimensionMismatch, MissingFile, TooFewRows
 from .features import Scaler
 
 KINDS = ("ridge", "linear_svr")
@@ -71,24 +72,6 @@ class FittedModel:
         return self.weights.shape[0]
 
 
-def _fit_ridge(x: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
-    n, d = x.shape
-    a = np.hstack([x, np.ones((n, 1))])
-    gram = a.T @ a
-    penalty = np.full(d + 1, lam)
-    penalty[d] = 0.0          # intercept is never regularized
-    gram[np.diag_indices(d + 1)] += penalty
-    if lam == 0.0 and np.linalg.matrix_rank(gram) < d + 1:
-        raise SingularSystem(
-            "rank-deficient design with zero regularization; increase lambda"
-        )
-    try:
-        wb = np.linalg.solve(gram, a.T @ y)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from None
-    return wb[:d], float(wb[d])
-
-
 def fit(
     spec: RegressorSpec,
     x: np.ndarray,
@@ -102,10 +85,12 @@ def fit(
         raise DimensionMismatch("x must be (n, d) with matching y")
     if x.shape[0] < 2:
         raise TooFewRows(f"need at least 2 training rows, got {x.shape[0]}")
-    if np.isnan(y).any():
-        raise BadSpec("training targets contain missing values")
+    # the extremes carry any NaN or infinity, with no (n, d) temporary
+    extremes = [x.min(initial=0.0), x.max(initial=0.0), y.min(), y.max()]
+    if not np.isfinite(extremes).all():
+        raise BadSpec("training features and targets must be finite")
     if spec.kind == "ridge":
-        w, b = _fit_ridge(x, y, spec.ridge_lambda)
+        w, b = kernels.ridge(x, y, spec.ridge_lambda)
         return FittedModel(w, b, spec, train_range)
     cap = kernels.SVR_MAX_ITER
     w, b, losses, converged = kernels.svr_epochs(

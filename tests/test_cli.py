@@ -511,6 +511,20 @@ def test_train_and_predict(corpus, tmp_path, capsys):
     assert "error:" in err
 
 
+def test_train_zero_ridge_lambda_exit_1(corpus, tmp_path, capsys):
+    # most of the 800 feature columns are constant on 30 days, so the
+    # unregularised system is singular
+    tx, px = corpus
+    model_path = tmp_path / "model.json"
+    code, out, err = run(capsys, "train", "--tx", tx, "--prices", px,
+                         "--out", str(model_path), "--ridge-lambda", "0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not model_path.exists()
+
+
 def test_backtest_report(corpus, tmp_path, capsys):
     tx, px = corpus
     report_path = str(tmp_path / "rep.json")

@@ -7,6 +7,7 @@ from txpattern import kernels
 from txpattern.errors import BadSpec, DimensionMismatch, SingularSystem, TooFewRows
 from txpattern.features import Scaler
 from txpattern.regress import (
+    KINDS,
     FittedModel,
     RegressorSpec,
     fit,
@@ -68,6 +69,67 @@ def test_ridge_singular_without_penalty():
     fit(RegressorSpec(ridge_lambda=1e-3), x, y)
 
 
+@pytest.mark.parametrize("design", ["constant_column", "fewer_rows_than_columns"])
+def test_ridge_zero_penalty_singular(design):
+    if design == "constant_column":
+        x, y = _planted_uncentred(seed=4)
+        x[:, 1] = 0.1
+    else:
+        rng = np.random.default_rng(4)
+        x, y = rng.normal(size=(4, 6)), rng.normal(size=4)
+    with pytest.raises(SingularSystem):
+        fit(RegressorSpec(ridge_lambda=0.0), x, y)
+
+
+def _normal_equations(x, y, lam):
+    """Ridge by LU on the augmented normal equations: [X 1]'[X 1] plus lam
+    on the diagonal but for the intercept's entry."""
+    n, d = x.shape
+    a = np.hstack([x, np.ones((n, 1))])
+    gram = a.T @ a
+    gram[np.arange(d), np.arange(d)] += lam
+    wb = np.linalg.solve(gram, a.T @ y)
+    return wb[:d], wb[d]
+
+
+def _with_constants(x, seed):
+    """x with constant columns, of nonzero and zero value, put among its
+    live ones; returns the new design and the positions of x's columns."""
+    rng = np.random.default_rng(seed)
+    n, d = x.shape
+    values = np.append(rng.normal(size=d + 2) * 3.0, 0.0)
+    order = rng.permutation(2 * d + 3)
+    full = np.empty((n, 2 * d + 3))
+    full[:, order[:d]] = x
+    full[:, order[d:]] = values
+    return full, order[:d]
+
+
+@pytest.mark.parametrize("lam", [1e-6, 1.0, 100.0])
+@pytest.mark.parametrize("design", ["narrow", "wide"])
+def test_ridge_matches_normal_equations(design, lam):
+    # uncentred live columns: 3 of them on 41 rows, or 10 on 100
+    if design == "narrow":
+        x, y = _planted_uncentred(seed=5)
+    else:
+        x, y = _mostly_constant(constant=0)
+    full, live = _with_constants(x, seed=6)
+    model = fit(RegressorSpec(ridge_lambda=lam), full, y)
+    const = np.setdiff1d(np.arange(full.shape[1]), live)
+    assert np.array_equal(model.weights[const], np.zeros(const.size))
+    # a constant column's optimal weight is exactly 0, as the unpenalised
+    # bias absorbs its effect at no cost, so the reference solves x alone.
+    # On the whole design at lam = 1e-6 the augmented matrix's condition
+    # number reaches ~1e9, and LU itself is off by up to ~1e-5 there.
+    references = [(live, _normal_equations(x, y, lam))]
+    if lam >= 1.0:
+        references.append((np.arange(full.shape[1]), _normal_equations(full, y, lam)))
+    for cols, (w_ref, b_ref) in references:
+        err = np.abs(model.weights[cols] - w_ref).max()
+        assert err <= 1e-10 * np.abs(w_ref).max()
+        assert abs(model.bias - b_ref) <= 1e-10 * abs(b_ref)
+
+
 def test_intercept_not_penalized():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(50, 3))
@@ -98,6 +160,19 @@ def test_nan_targets_rejected():
     x = np.ones((3, 2))
     with pytest.raises(BadSpec):
         fit(RegressorSpec(), x, np.array([1.0, np.nan, 2.0]))
+
+
+@pytest.mark.parametrize("where, value", [
+    ("x", np.nan), ("x", np.inf), ("y", np.nan), ("y", np.inf)])
+@pytest.mark.parametrize("kind", KINDS)
+def test_non_finite_training_data_rejected(kind, where, value):
+    x, y = _planted_uncentred(seed=3)
+    if where == "x":
+        x[7, 1] = value
+    else:
+        y[7] = value
+    with pytest.raises(BadSpec):
+        fit(RegressorSpec(kind=kind), x, y)
 
 
 def test_predict_wrong_dimension():
@@ -206,11 +281,12 @@ def test_svr_matches_scipy_reference():
         assert abs(ours - reference) <= 1e-3 * reference
 
 
-def test_svr_constant_columns_get_zero_weight():
+@pytest.mark.parametrize("kind", KINDS)
+def test_constant_columns_get_zero_weight(kind):
     x, y = _planted_uncentred(seed=2)
     # 41 copies of 0.1 do not average to exactly 0.1
     with_const = np.hstack([x[:, :1], np.full((len(x), 1), 0.1), x[:, 1:]])
-    spec = RegressorSpec(kind="linear_svr")
+    spec = RegressorSpec(kind=kind)
     full = fit(spec, with_const, y)
     plain = fit(spec, x, y)
     assert full.weights[1] == 0.0

@@ -1,4 +1,4 @@
-"""k-hop pattern counting over a window's transaction graph.
+"""k-hop pattern counting over the transaction graph of a chunk of days.
 
 For each transaction the pattern at order k is the pair (m, n): m is the
 number of distinct input addresses, n the number of distinct addresses
@@ -13,7 +13,7 @@ Two independent routes produce the grid:
 
 * :func:`occurrence_matrices` - sparse boolean linear algebra.  Q is the
   tx->address output matrix.  The linked addresses L are those that some
-  transaction of the window pays and some transaction spends; P_L is the
+  transaction of the graph pays and some transaction spends; P_L is the
   L->tx spender matrix and Q_L the tx->L part of Q.  Under the boolean
   semiring ``reach_1 = Q`` and ``reach_{k+1} = Q_L (P_L reach_k)``: row a
   of ``P_L reach_k`` is the union of the order-k rows of a's spenders, and
@@ -27,14 +27,23 @@ Two independent routes produce the grid:
   at least 20 members exactly when the union of the true rows does, and
   below 20 every capped row is whole.  Each product therefore expands at
   most ``CLAMP`` entries per entry of its left operand, and an order costs
-  at most ``CLAMP * (nnz(P_L) + nnz(Q_L))``: linear in the window's edges,
-  however wide a hub address is.  Rows are keyed directly by transaction
-  index.  Each matrix is a bare canonical CSR pair ``(indptr, indices)``
-  (see :mod:`txpattern.kernels`) whose shape the caller knows, and each
-  product is one ``kernels.spgemm_bool`` call.
+  at most ``CLAMP * (nnz(P_L) + nnz(Q_L))``: linear in the graph's edges,
+  however wide a hub address is.  Each matrix is a bare canonical CSR
+  pair ``(indptr, indices)`` (see :mod:`txpattern.kernels`) whose shape
+  the caller knows, and each product is one ``kernels.spgemm_bool`` call.
 * :func:`occurrence_matrix_oracle` - explicit per-transaction frontier
   expansion with python sets, kept deliberately free of the matrix code.
   It computes the exact, unclamped frontier and clamps only when it tallies.
+
+The graph may hold several days (see :mod:`txpattern.txgraph`).  Its
+address nodes are (day, key), so it is block-diagonal: no reach row crosses
+from one day into another, and the products of a chunk are those of its
+days stacked.  The route runs once per chunk: each stage is one product
+for all its days, and one ``bincount`` over each transaction's day and
+cell tallies every day's grids at once.  Two views read it:
+:func:`feature_vector` gives one row per day, and
+:func:`occurrence_matrices` the grids of the whole graph, each summed over
+its days, which is what the oracle computes on the same graph.
 
 Boolean products are used instead of integer path counts: the tally only
 asks whether a reach entry is positive, and path counts blow up
@@ -88,18 +97,6 @@ class OccurrenceMatrix:
         return self.order == other.order and np.array_equal(self.counts, other.counts)
 
 
-def _tally(m_sizes: np.ndarray, n_sizes: np.ndarray) -> np.ndarray:
-    """Clamp (m, n) pairs at 20 and count them; n == 0 contributes nothing."""
-    grid = np.zeros((CLAMP, CLAMP), dtype=np.int64)
-    mask = n_sizes > 0
-    if mask.any():
-        mi = np.minimum(m_sizes[mask], CLAMP) - 1
-        ni = np.minimum(n_sizes[mask], CLAMP) - 1
-        flat = np.bincount(mi * CLAMP + ni, minlength=GRID_CELLS)
-        grid += flat.reshape(CLAMP, CLAMP)
-    return grid
-
-
 def _keep(indptr: np.ndarray, indices: np.ndarray, mask: np.ndarray) -> Csr:
     """The entries of a CSR matrix where ``mask`` holds, rows in place."""
     return kernels.indptr_from(mask)[indptr], indices[mask]
@@ -138,9 +135,10 @@ def _linked(graph: TransactionGraph) -> tuple[Csr, Csr]:
     return p_l, (q_indptr, renumber[q_indices])
 
 
-def occurrence_matrices(graph: TransactionGraph, max_order: int) -> list[OccurrenceMatrix]:
-    """All of OC^1..OC^max_order, sharing one pair of linked-address
-    matrices ``P_L`` and ``Q_L``.
+def _day_grids(graph: TransactionGraph, max_order: int) -> np.ndarray:
+    """Every day's OC^1..OC^max_order as one ``(n_days, max_order, CLAMP,
+    CLAMP)`` array, from one pair of linked-address matrices ``P_L`` and
+    ``Q_L`` and one product per stage for the whole chunk.
 
     ``reach_1 = cap(Q)`` and ``reach_{k+1} = cap(Q_L . cap(P_L . reach_k))``,
     where ``cap`` keeps each row's first ``CLAMP`` entries; every reach
@@ -148,25 +146,45 @@ def occurrence_matrices(graph: TransactionGraph, max_order: int) -> list[Occurre
     formed, so an order expands at most ``CLAMP * (nnz(P_L) + nnz(Q_L))``
     entries, and none when no address is linked.  A row's population count
     is min(n, CLAMP), not n, and the grids equal those of the full reach
-    matrix (see the module docstring)."""
+    matrix (see the module docstring).  The tally is one ``bincount`` of
+    each transaction's flat cell ``day * max_order * 400 + (k - 1) * 400 +
+    (m - 1) * 20 + (n - 1)``, clamped; an empty frontier counts nowhere."""
     if max_order < 1:
         raise OrderOutOfRange(f"order must be >= 1, got {max_order}")
-    m_sizes = graph.input_set_sizes
-    n_tx, n_addr = graph.n_transactions, graph.n_addresses
+    width = max_order * GRID_CELLS
+    row = graph.day * width + (np.minimum(graph.input_set_sizes, CLAMP) - 1) * CLAMP
+
+    def cells(k: int, reach: Csr) -> np.ndarray:
+        n = np.diff(reach[0])
+        return (row + ((k - 1) * GRID_CELLS - 1) + np.minimum(n, CLAMP))[n > 0]
+
     reach = _first_entries(graph.out_indptr, graph.out_indices)
-    out = [OccurrenceMatrix(1, _tally(m_sizes, np.diff(reach[0])))]
+    tallied = [cells(1, reach)]
     if max_order > 1:
         p_l, q_l = _linked(graph)
         n_linked = p_l[0].size - 1
+        n_tx, n_addr = graph.n_transactions, graph.n_addresses
         for k in range(2, max_order + 1):
-            if n_linked:
-                via = _first_entries(*kernels.spgemm_bool(*p_l, *reach, n_linked, n_addr))
-                reach = _first_entries(*kernels.spgemm_bool(*q_l, *via, n_tx, n_addr))
-                n_sizes = np.diff(reach[0])
-            else:
-                n_sizes = np.zeros(n_tx, dtype=np.int64)
-            out.append(OccurrenceMatrix(k, _tally(m_sizes, n_sizes)))
-    return out
+            if not n_linked:
+                break           # every higher frontier is empty
+            via = _first_entries(*kernels.spgemm_bool(*p_l, *reach, n_linked, n_addr))
+            reach = _first_entries(*kernels.spgemm_bool(*q_l, *via, n_tx, n_addr))
+            tallied.append(cells(k, reach))
+    counts = np.bincount(np.concatenate(tallied), minlength=graph.n_days * width)
+    return counts.reshape(graph.n_days, max_order, CLAMP, CLAMP)
+
+
+def occurrence_matrices(graph: TransactionGraph, max_order: int) -> list[OccurrenceMatrix]:
+    """OC^1..OC^max_order of the whole graph, each summed over its days:
+    what :func:`occurrence_matrix_oracle` gives for the same graph."""
+    grids = _day_grids(graph, max_order).sum(axis=0)
+    return [OccurrenceMatrix(k, grids[k - 1]) for k in range(1, max_order + 1)]
+
+
+def feature_vector(graph: TransactionGraph, max_order: int) -> np.ndarray:
+    """One row per day of the graph: the concatenated row-major flattenings
+    of that day's OC^1..OC^max_order (400 per order)."""
+    return _day_grids(graph, max_order).reshape(graph.n_days, max_order * GRID_CELLS)
 
 
 def _walk_sets(
@@ -227,9 +245,3 @@ def occurrence_matrix_oracle(graph: TransactionGraph, k: int) -> OccurrenceMatri
         if n > 0:
             grid[min(m, CLAMP) - 1, min(n, CLAMP) - 1] += 1
     return OccurrenceMatrix(k, grid)
-
-
-def feature_vector(graph: TransactionGraph, max_order: int) -> np.ndarray:
-    """Concatenated row-major flattenings of OC^1..OC^max_order (400 per order)."""
-    mats = occurrence_matrices(graph, max_order)
-    return np.concatenate([m.to_flat() for m in mats])

@@ -112,7 +112,7 @@ class SynthSpec:
         return max(order for order, _, _ in self.planted_weights)
 
     def planted_vector(self) -> np.ndarray:
-        """Dense weight vector aligned with feature_vector(graph, max order)."""
+        """Dense weight vector aligned with a day's feature row at the max order."""
         w = np.zeros(self.max_planted_order * GRID_CELLS)
         for (order, m, n), coeff in self.planted_weights.items():
             w[(order - 1) * GRID_CELLS + (m - 1) * CLAMP + (n - 1)] = coeff

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import txpattern
+from txpattern import cli
 from txpattern.cli import main
+from txpattern.korder import GRID_CELLS
 from txpattern.regress import MODEL_SCHEMA_VERSION, load_model
 
 
@@ -595,6 +597,23 @@ def test_oracle_check(corpus, capsys):
                        "--sample", "10")
     assert code == 0
     assert "oracle check passed" in out
+
+
+def test_oracle_check_reads_the_feature_table(corpus, capsys, monkeypatch):
+    """The fast grids are the feature table's rows, so a wrong cell there
+    is a mismatch with exit 1."""
+    tx, _ = corpus
+    real = cli.day_feature_table
+
+    def off_by_one(windows, max_order):
+        dates, table = real(windows, max_order)
+        table[3, GRID_CELLS + 7] += 1
+        return dates, table
+
+    monkeypatch.setattr(cli, "day_feature_table", off_by_one)
+    code, out, err = run(capsys, "oracle-check", "--tx", tx, "--k", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("MISMATCH on ") and err.rstrip().endswith("order 2")
 
 
 _MODEL = ["--model", "--ridge-lambda", "--svr-c", "--svr-epsilon", "--svr-tol"]

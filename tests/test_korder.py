@@ -395,7 +395,7 @@ def test_occurrence_matrices_match_single_calls(toy_graph):
 # --- feature vector layout ----------------------------------------------------
 
 def test_feature_vector_layout(toy_graph):
-    v = feature_vector(toy_graph, 2)
+    (v,) = feature_vector(toy_graph, 2)     # one row per day
     assert v.shape == (2 * GRID_CELLS,)
     assert v[(2 - 1) * CLAMP + (1 - 1)] == 3        # order 1, cell (2,1)
     assert v[(1 - 1) * CLAMP + (2 - 1)] == 1        # order 1, cell (1,2)

@@ -4,11 +4,11 @@ from .backtest import (
     INTERVALS,
     DayTable,
     SplitSpec,
+    decay_weights,
     horizon_sweep,
     run_backtest,
     window_sweep,
 )
-from .ensemble import decay_weights
 from .errors import TxPatternError
 from .features import day_feature_table
 from .ingest import parse_prices, parse_transactions, partition_daily

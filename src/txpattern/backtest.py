@@ -5,12 +5,21 @@ train, the remainder test, and a structural check guarantees no model ever
 sees a training row at or past the first test date (targets are trimmed so
 even the future close a target reads stays inside the training region).
 
-For a target day t' the ensemble combines one model per history offset j:
-the offset-j model is trained to map a day's features to the j-day price
-difference, and at evaluation time contributes price(t'-j) + predicted
-diff.  Per-day features are computed once and shared by all offsets.  A
-table's days are consecutive, so day t'-j of the target in row i is row
-i - j, and a model's training rows are the table's leading rows.
+A prediction combines one model per history offset j.  The offset-j model
+is trained to map a day's features to the j-day price difference, and for
+a target day t' contributes price(t'-j) + predicted diff.  A table's days
+are consecutive, so day t'-j of the target in row i is row i - j, and a
+model's training rows are the table's leading rows.  A window of w offsets
+from the horizon up is combined with the weights of :func:`decay_weights`,
+produced by a growth recurrence: starting from [1.0], each step keeps the
+prefix, splits the last weight into last*r and last*(1-r), and appends.
+Weight mass therefore decays toward deeper history, the first weight
+attaching to the nearest offset, and the weights always sum to one.
+
+The backtest and both sweeps are runs of one evaluation: the split's
+table of per-day features is built once, each offset model is fitted once
+for all runs, and a run predicts all its test rows at once, one
+matrix-vector product per offset on the rows j days behind them.
 
 Reports serialize to JSON and CSV; identical runs produce byte-identical
 report files.
@@ -25,9 +34,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .ensemble import decay_weights, predict_price
 from .errors import (
+    BadDecay,
     BadSpec,
+    BadWindow,
     EmptyInput,
     InsufficientData,
     LengthMismatch,
@@ -35,9 +45,9 @@ from .errors import (
     OrderOutOfRange,
     PriceMissing,
 )
-from .features import apply_scaler, day_feature_table, fit_scaler
+from .features import Scaler, apply_scaler, day_feature_table, fit_scaler
 from .ingest import DayWindow, PriceSeries, TransactionTable, partition_daily
-from .regress import RegressorSpec, fit
+from .regress import FittedModel, RegressorSpec, fit, predict
 
 REPORT_SCHEMA_VERSION = 3
 
@@ -58,6 +68,53 @@ INTERVALS = {
     "interval1": SplitSpec(0.8, "interval1", dt.date(2013, 8, 19), dt.date(2016, 7, 19)),
     "interval2": SplitSpec(0.7, "interval2", dt.date(2013, 4, 1), dt.date(2017, 4, 1)),
 }
+
+
+def decay_weights(r: float, window: int) -> np.ndarray:
+    """Weight vector [a_1..a_window] from the split-the-last recurrence."""
+    if not (0.0 < r < 1.0):
+        raise BadDecay(f"decay must lie in (0, 1), got {r}")
+    if window < 1:
+        raise BadWindow(f"window must be >= 1, got {window}")
+    alphas = [1.0]
+    for _ in range(window - 1):
+        last = alphas[-1]
+        alphas[-1] = last * r
+        alphas.append(last * (1.0 - r))
+    return np.array(alphas, dtype=np.float64)
+
+
+def integrate(estimates, alphas: np.ndarray):
+    """Convex combination sum(a_j * estimate_j) of one number per offset,
+    or row by row of one block of rows per offset.
+
+    Evaluated anchored on the first estimate so that equal estimates come
+    back unchanged and a single estimate passes through bit-exactly."""
+    est = np.asarray(estimates, dtype=np.float64)
+    if est.shape[0] != alphas.shape[0]:
+        raise LengthMismatch(f"{est.shape[0]} estimates vs {alphas.shape[0]} weights")
+    return est[0] + alphas @ (est - est[0])
+
+
+def predict_price(
+    models: list[tuple[FittedModel, Scaler]],
+    alphas: np.ndarray,
+    features: list[np.ndarray],
+    base_prices: list,
+):
+    """Integrated price estimate; entry j of each list belongs to the j-th
+    offset: one feature row and its base price, or a block of rows and
+    their base prices, which gives one estimate per row."""
+    if not len(models) == len(features) == len(base_prices):
+        raise LengthMismatch(
+            f"{len(models)} models vs {len(features)} feature rows "
+            f"vs {len(base_prices)} base prices"
+        )
+    estimates = [
+        base + predict(model, apply_scaler(scaler, x))
+        for (model, scaler), x, base in zip(models, features, base_prices)
+    ]
+    return integrate(estimates, alphas)
 
 
 def mape(pred, truth) -> float:
@@ -270,37 +327,37 @@ def _split_table(
     return DayTable(windows, prices, max_order), n_train
 
 
-def _test_predictions(
-    table: DayTable,
-    n_train: int,
-    alphas: np.ndarray,
-    horizon: int,
+def _evaluate(
+    transactions: TransactionTable,
+    prices: PriceSeries,
+    split: SplitSpec,
+    max_order: int,
     spec: RegressorSpec,
-    fitted: dict[int, tuple],
-) -> np.ndarray:
-    """Predicted closes of the test rows ``n_train..``, each combining
-    ``len(alphas)`` offset models from ``horizon`` up.  Offset models
-    missing from ``fitted`` are trained and added to it, so runs over one
-    table can share them."""
-    first_test_date = table.dates[n_train]
-    offsets = range(horizon, horizon + len(alphas))
-    for offset in offsets:
-        if offset not in fitted:
-            model, scaler, info = table.fit_offset(
-                offset, spec, table.dates[n_train - 1])
-            if info.target_end >= first_test_date:
-                raise RuntimeError(
-                    "chronology violation: training touched the test range")
-            fitted[offset] = (model, scaler, info)
-    models = [fitted[offset][:2] for offset in offsets]
-    # each offset model trained on >= 2 rows before the test range, so
-    # n_train >= offset + 2 and every test row i has its row i - offset
-    return np.array([
-        predict_price(models, alphas,
-                      [table.x[i - offset] for offset in offsets],
-                      [float(table.base[i - offset]) for offset in offsets])
-        for i in range(n_train, len(table.dates))
-    ])
+    runs: list[tuple[int, np.ndarray]],
+) -> tuple[DayTable, int, dict[int, tuple], list[np.ndarray]]:
+    """Each run ``(horizon, alphas)`` on the split's table: the predicted
+    closes of the test rows ``n_train..``, combining ``len(alphas)`` offset
+    models from ``horizon`` up.  Returns the table, its number of training
+    rows, the offset models by offset in order of first use, each fitted
+    once for all runs, and one prediction array per run."""
+    table, n_train = _split_table(transactions, prices, split, max_order)
+    n = len(table.dates)
+    fitted: dict[int, tuple] = {}
+    preds = []
+    for horizon, alphas in runs:
+        offsets = range(horizon, horizon + len(alphas))
+        for j in offsets:
+            if j not in fitted:
+                fitted[j] = table.fit_offset(j, spec, table.dates[n_train - 1])
+                if fitted[j][2].target_end >= table.dates[n_train]:
+                    raise RuntimeError(
+                        "chronology violation: training touched the test range")
+        # each offset model trained on >= 2 rows before the test range, so
+        # n_train >= j + 2 and every test row i has its row i - j
+        preds.append(predict_price([fitted[j][:2] for j in offsets], alphas,
+                                   [table.x[n_train - j:n - j] for j in offsets],
+                                   [table.base[n_train - j:n - j] for j in offsets]))
+    return table, n_train, fitted, preds
 
 
 def run_backtest(
@@ -316,11 +373,10 @@ def run_backtest(
     """Full end-to-end backtest; see module docstring for semantics."""
     check_params(max_order, [horizon], r, [window])
     spec = spec or RegressorSpec()
-    table, n_train = _split_table(transactions, prices, split, max_order)
-    n_days = len(table.dates)
     alphas = decay_weights(r, window)
-    fitted: dict[int, tuple] = {}
-    preds = _test_predictions(table, n_train, alphas, horizon, spec, fitted)
+    table, n_train, fitted, (preds,) = _evaluate(
+        transactions, prices, split, max_order, spec, [(horizon, alphas)])
+    n_days = len(table.dates)
     truths = table.base[n_train:]
     bases = table.base[n_train - horizon:n_days - horizon]
     pred_trend = trend_labels(preds, bases)
@@ -359,14 +415,10 @@ def horizon_sweep(
     if not horizons:
         return []
     check_params(max_order, horizons)
-    spec = spec or RegressorSpec()
-    table, n_train = _split_table(transactions, prices, split, max_order)
-    truths = table.base[n_train:]
-    cache: dict[int, tuple] = {}
-    return [
-        (h, mape(_test_predictions(table, n_train, np.ones(1), h, spec, cache), truths))
-        for h in horizons
-    ]
+    table, n_train, _, preds = _evaluate(
+        transactions, prices, split, max_order, spec or RegressorSpec(),
+        [(h, np.ones(1)) for h in horizons])
+    return [(h, mape(p, table.base[n_train:])) for h, p in zip(horizons, preds)]
 
 
 def window_sweep(
@@ -383,12 +435,7 @@ def window_sweep(
     if not windows:
         return []
     check_params(max_order, [horizon], r, windows)
-    spec = spec or RegressorSpec()
-    table, n_train = _split_table(transactions, prices, split, max_order)
-    truths = table.base[n_train:]
-    cache: dict[int, tuple] = {}
-    return [
-        (w, mape(_test_predictions(table, n_train, decay_weights(r, w), horizon,
-                                   spec, cache), truths))
-        for w in windows
-    ]
+    table, n_train, _, preds = _evaluate(
+        transactions, prices, split, max_order, spec or RegressorSpec(),
+        [(horizon, decay_weights(r, w)) for w in windows])
+    return [(w, mape(p, table.base[n_train:])) for w, p in zip(windows, preds)]

@@ -20,9 +20,8 @@ import sys
 
 import numpy as np
 
-from .backtest import (INTERVALS, DayTable, SplitSpec, check_params, horizon_sweep,
-                       run_backtest, window_sweep)
-from .ensemble import decay_weights
+from .backtest import (INTERVALS, DayTable, SplitSpec, check_params, decay_weights,
+                       horizon_sweep, run_backtest, window_sweep)
 from .errors import BadSpec, InsufficientData, PriceMissing, TxPatternError
 from .features import apply_scaler, day_feature_table, write_feature_csv
 from .ingest import parse_prices, parse_transactions, partition_daily

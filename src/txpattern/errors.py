@@ -77,7 +77,7 @@ class DimensionMismatch(TxPatternError):
     pass
 
 
-# --- ensemble ---------------------------------------------------------------
+# --- backtest ---------------------------------------------------------------
 
 class BadDecay(TxPatternError):
     pass
@@ -90,8 +90,6 @@ class BadWindow(TxPatternError):
 class LengthMismatch(TxPatternError):
     pass
 
-
-# --- backtest ---------------------------------------------------------------
 
 class EmptyInput(TxPatternError):
     pass

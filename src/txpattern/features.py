@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import OrderOutOfRange, TooFewRows
+from .errors import BadSpec, OrderOutOfRange, TooFewRows
 from .ingest import DayWindow
 from .kernels import indptr_from
 from .korder import GRID_CELLS, feature_vector
@@ -66,11 +66,13 @@ def day_feature_table(
     windows: list[DayWindow], max_order: int
 ) -> tuple[list[dt.date], np.ndarray]:
     """Feature vectors for every window, one row per window in the given
-    order.  The windows, all of one table, are walked in chunks of
-    consecutive windows; each chunk is one block-diagonal graph whose
-    :func:`feature_vector` gives its days' rows at once."""
+    order.  The windows must all be of one table (else ``BadSpec``); they
+    are walked in chunks of consecutive windows, each one block-diagonal
+    graph whose :func:`feature_vector` gives its days' rows at once."""
     if max_order < 1:
         raise OrderOutOfRange(f"order must be >= 1, got {max_order}")
+    if any(w.table is not windows[0].table for w in windows):
+        raise BadSpec("the windows of one feature table must share one table")
     table = np.zeros((len(windows), GRID_CELLS * max_order), dtype=np.float64)
     for lo, hi in _chunks(windows):
         table[lo:hi] = feature_vector(build_graph(*windows[lo:hi]), max_order)

@@ -101,14 +101,16 @@ def fit(
     return FittedModel(w, b, spec, train_range, losses, converged)
 
 
-def predict(model: FittedModel, x: np.ndarray) -> float:
-    """Predicted price difference w.x + b for a single scaled vector."""
+def predict(model: FittedModel, x: np.ndarray):
+    """Predicted price difference w.x + b: a float for one scaled vector, an
+    array with one value per row for a block of rows."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != model.weights.shape:
+    if x.ndim > 2 or x.shape[-1:] != model.weights.shape:
         raise DimensionMismatch(
             f"feature length {x.shape} does not match model {model.weights.shape}"
         )
-    return float(x @ model.weights) + model.bias
+    out = x @ model.weights + model.bias
+    return float(out) if x.ndim == 1 else out
 
 
 MODEL_SCHEMA_VERSION = 2

@@ -134,8 +134,10 @@ class _Sampler:
         return self.sizes[bisect.bisect_right(self.cdf, rng.random())]
 
 
-def _generate(spec: SynthSpec) -> tuple[list[TransactionRecord], PriceSeries]:
-    """The rows and prices of :func:`generate`."""
+def _generate(spec: SynthSpec) -> tuple[list[TransactionRecord],
+                                        TransactionTable | None, PriceSeries]:
+    """The rows and prices of :func:`generate`, and the rows' table when the
+    price model read their features (else None)."""
     rng = np.random.default_rng(spec.seed)
     in_sampler = _Sampler(spec.in_sizes)
     out_sampler = _Sampler(spec.out_sizes)
@@ -189,15 +191,15 @@ def _generate(spec: SynthSpec) -> tuple[list[TransactionRecord], PriceSeries]:
         if day + 1 < spec.days:
             shocks.append(float(rng.standard_normal()))
 
+    table = None
     if spec.price_model == "random_walk":
         try:
             half_variance = 0.5 * spec.volatility**2
         except OverflowError:
             raise BadSpec(f"volatility {spec.volatility!r} is too large") from None
     else:
-        _, features = day_feature_table(
-            partition_daily(TransactionTable.from_records(records)),
-            spec.max_planted_order)
+        table = TransactionTable.from_records(records)
+        _, features = day_feature_table(partition_daily(table), spec.max_planted_order)
     closes = [spec.start_price]
     for day, z in enumerate(shocks):
         current = closes[-1]
@@ -213,18 +215,20 @@ def _generate(spec: SynthSpec) -> tuple[list[TransactionRecord], PriceSeries]:
             raise BadSpec(f"the close of {spec.start_date + dt.timedelta(days=day + 1)} "
                           f"is {nxt!r}: prices must stay positive and finite")
         closes.append(nxt)
-    return records, PriceSeries(spec.start_date, closes)
+    return records, table, PriceSeries(spec.start_date, closes)
 
 
 def generate(spec: SynthSpec) -> tuple[TransactionTable, PriceSeries]:
     """Deterministic for a given spec (including seed)."""
-    records, prices = _generate(spec)
-    return TransactionTable.from_records(records), prices
+    records, table, prices = _generate(spec)
+    if table is None:
+        table = TransactionTable.from_records(records)
+    return table, prices
 
 
 def write_synth(spec: SynthSpec, tx_path, price_path) -> tuple[int, int]:
     """Generate and write both CSVs; returns (n_transactions, n_price_rows)."""
-    records, prices = _generate(spec)
+    records, _, prices = _generate(spec)
     write_transactions(records, tx_path)
     write_prices(list(zip(prices.dates, prices.closes)), price_path)
     return len(records), len(prices)

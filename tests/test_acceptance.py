@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from txpattern import kernels
-from txpattern.backtest import INTERVALS, SplitSpec, horizon_sweep, run_backtest
+from txpattern.backtest import (INTERVALS, SplitSpec, decay_weights, horizon_sweep,
+                                predict_price, run_backtest)
 from txpattern.cli import main as cli_main
-from txpattern.ensemble import decay_weights, predict_price
 from txpattern.features import apply_scaler, day_feature_table, fit_scaler
 from txpattern.ingest import parse_prices, parse_transactions, partition_daily
 from txpattern.korder import feature_vector, occurrence_matrices, occurrence_matrix_oracle

@@ -20,7 +20,8 @@ from txpattern.errors import (
     LengthMismatch,
     NonPositiveTruth,
 )
-from txpattern.regress import RegressorSpec, fit
+from txpattern.features import apply_scaler
+from txpattern.regress import RegressorSpec, fit, predict
 from txpattern.synth import SynthSpec, generate
 
 
@@ -164,6 +165,56 @@ def test_horizon_sweep_reuses_a_repeated_horizon(planted_corpus, monkeypatch):
     assert [h for h, _ in rows] == [1, 2, 1]
     assert rows[0][1] == rows[2][1]
     assert len(fits) == 2
+
+
+def _per_day_predictions(table, n_train, alphas, horizon, models):
+    """Test row i predicted on its own: one number per offset j, the close
+    of row i - j plus the offset model's w.x + b on that row, combined
+    anchored on the first."""
+    out = []
+    for i in range(n_train, len(table.dates)):
+        est = np.array([
+            float(table.base[i - j])
+            + (float(apply_scaler(scaler, table.x[i - j]) @ model.weights) + model.bias)
+            for j, (model, scaler) in enumerate(models, start=horizon)
+        ])
+        out.append(est[0] + float(alphas @ (est - est[0])))
+    return np.array(out)
+
+
+def _offset_models(records, prices, split, spec, offsets):
+    table, n_train = backtest._split_table(records, prices, split, 2)
+    cut = table.dates[n_train - 1]
+    return table, n_train, [table.fit_offset(j, spec, cut)[:2] for j in offsets]
+
+
+@pytest.mark.parametrize("kind", ["ridge", "linear_svr"])
+@pytest.mark.parametrize("window,horizon", [(1, 1), (2, 1), (3, 2)])
+def test_block_predictions_match_a_per_day_loop(planted_corpus, kind, window, horizon):
+    records, prices = planted_corpus
+    split, spec = SplitSpec(0.75, "t"), RegressorSpec(kind=kind)
+    report = run_backtest(records, prices, split, r=0.8, window=window, spec=spec,
+                          horizon=horizon)
+    table, n_train, models = _offset_models(records, prices, split, spec,
+                                            range(horizon, horizon + window))
+    want = _per_day_predictions(table, n_train, np.array(report.weights), horizon,
+                                models)
+    got = report.predicted_prices
+    assert got.shape == want.shape == (report.n_test_days,)
+    # within one rounding step: a block's matrix-vector product may round
+    # differently from a dot product per row
+    assert (np.abs(got - want) <= np.spacing(np.abs(want))).all()
+
+
+def test_window_one_is_its_single_model_bit_for_bit(planted_corpus):
+    records, prices = planted_corpus
+    split = SplitSpec(0.75, "t")
+    report = run_backtest(records, prices, split, window=1, horizon=2, spec=_ridge())
+    table, n_train, [(model, scaler)] = _offset_models(records, prices, split,
+                                                       _ridge(), [2])
+    rows = slice(n_train - 2, len(table.dates) - 2)
+    want = table.base[rows] + predict(model, apply_scaler(scaler, table.x[rows]))
+    assert np.array_equal(report.predicted_prices, want)
 
 
 def test_planted_relation_is_learnable(planted_corpus):

@@ -145,6 +145,17 @@ def test_windows_of_two_tables_rejected():
         build_graph(a, b)
 
 
+@pytest.mark.parametrize("small_first", [True, False])
+def test_feature_table_of_two_tables_rejected(small_first):
+    # with the smaller table's window first, the chunk walk once read the
+    # other window's rows out of the smaller table's columns (IndexError)
+    (small,) = day_windows(toy_records())
+    (big,) = day_windows([_rec(n, 1, [f"a{n}"], [f"b{n}"]) for n in range(10)])
+    windows = [small, big] if small_first else [big, small]
+    with pytest.raises(BadSpec):
+        day_feature_table(windows, 2)
+
+
 def test_keys_at_the_int64_extremes():
     # keys in pairs 2**63 apart, (top, -1), (bottom, 0) and (5, 5 - 2**63):
     # key * 2 would wrap each pair onto one value

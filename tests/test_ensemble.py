@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from txpattern.ensemble import decay_weights, integrate, predict_price
+from txpattern.backtest import decay_weights, integrate, predict_price
 from txpattern.errors import BadDecay, BadWindow, LengthMismatch
 from txpattern.features import Scaler
 from txpattern.regress import FittedModel, RegressorSpec

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import txpattern
 from txpattern import backtest, cli, features, kernels, korder
 
@@ -45,9 +47,9 @@ def test_package_runs_without_scipy():
     assert int(out) == len(list((ROOT / "src" / "txpattern").glob("*.py"))) - 1
 
 
-def test_benchmark_tracer_installs(monkeypatch, tmp_path):
-    # e2ebench/tracer.py wraps package functions by name; a rename must fail
-    # here rather than in the benchmark
+def _install_tracer(monkeypatch):
+    """e2ebench/tracer.py installed on the package; monkeypatch puts back
+    every name it wraps."""
     for mod in (backtest, cli, features, kernels, korder):
         for name, value in list(vars(mod).items()):
             if callable(value) and not name.startswith("__"):
@@ -58,6 +60,13 @@ def test_benchmark_tracer_installs(monkeypatch, tmp_path):
     spec.loader.exec_module(tracer)
     tr = tracer.Tracer()
     tracer.install(tr)
+    return tr
+
+
+def test_benchmark_tracer_installs(monkeypatch, tmp_path):
+    # e2ebench/tracer.py wraps package functions by name; a rename must fail
+    # here rather than in the benchmark
+    tr = _install_tracer(monkeypatch)
     kernels.warmup()
     assert tr.counters["kernels.spgemm_calls"] == 1
     assert tr.counters["kernels.svr_epochs"] == 1
@@ -74,3 +83,28 @@ def test_benchmark_tracer_installs(monkeypatch, tmp_path):
     assert tr.counters["ingest.days"] == 3          # one empty gap day
     assert tr.counters["txgraph.addresses"] == 3 + 0 + 3
     assert tr.counters["txgraph.coinbase_skipped"] == 1
+
+
+@pytest.mark.parametrize("command,runs", [
+    (["sweep-window", "--model", "svr", "--windows", "1,2,3"], 3),
+    (["backtest", "--window", "2"], 1),
+])
+def test_traced_cli_run_sees_the_production_route(monkeypatch, tmp_path, capsys,
+                                                  command, runs):
+    # a span the tracer reads from a function the production route no
+    # longer calls would silently read 0 in the benchmark
+    tx, px = str(tmp_path / "tx.csv"), str(tmp_path / "px.csv")
+    assert cli.main(["synth", "--out-tx", tx, "--out-prices", px, "--days", "40",
+                     "--tx-per-day", "30", "--seed", "3",
+                     "--price-model", "planted_linear"]) == 0
+    tr = _install_tracer(monkeypatch)
+    assert cli.main(command + ["--tx", tx, "--prices", px, "--k", "2"]) == 0
+    capsys.readouterr()
+    seen = {}
+    for _, name, start, end, _, _ in tr.spans:
+        seen[name] = seen.get(name, 0.0) + (end - start)
+    for name in ("ingest.parse", "features.table", "txgraph.build",
+                 "features.vector", "regress.fit", "ensemble.predict",
+                 "backtest.run"):
+        assert seen.get(name, 0.0) > 0, name
+    assert tr.counters["ensemble.predict_calls"] == runs

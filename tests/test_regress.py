@@ -180,6 +180,23 @@ def test_predict_wrong_dimension():
     model = fit(RegressorSpec(), x, y)
     with pytest.raises(DimensionMismatch):
         predict(model, np.ones(7))
+    with pytest.raises(DimensionMismatch):
+        predict(model, np.ones((2, 7)))
+    with pytest.raises(DimensionMismatch):
+        predict(model, np.ones((2, 2, x.shape[1])))
+
+
+def test_predict_one_vector_or_a_row_block():
+    x, y, _ = _linear_data()
+    model = fit(RegressorSpec(), x, y)
+    one = predict(model, x[0])
+    assert type(one) is float
+    block = predict(model, x[:5])
+    assert block.shape == (5,)
+    # a row of a block may differ from the same vector alone by a rounding
+    # step of the matrix-vector product
+    rows = np.array([predict(model, row) for row in x[:5]])
+    assert (np.abs(block - rows) <= np.spacing(np.abs(rows))).all()
 
 
 def _svr_objective(x, y, w, b, c=1.0, eps=0.1):

@@ -10,7 +10,7 @@ from txpattern.errors import BadSpec
 from txpattern.features import day_feature_table
 from txpattern.ingest import parse_prices, parse_transactions, partition_daily
 from txpattern.korder import occurrence_matrices
-from txpattern import synth
+from txpattern import ingest, synth
 from txpattern.synth import SynthSpec, generate, write_synth
 from txpattern.txgraph import build_graph
 
@@ -181,3 +181,24 @@ def test_planted_vector_layout():
     assert v[400 + 2 * 20 + 3] == 1.5
     assert v[0] == -0.5
     assert np.count_nonzero(v) == 2
+
+
+@pytest.mark.parametrize("price_model", ["random_walk", "planted_linear"])
+def test_one_parse_per_generation(tmp_path, monkeypatch, price_model):
+    # the planted model reads the features of the rows it returns, so it
+    # parses them once for both; writing the files parses nothing more
+    parses = []
+
+    def counting(buf):
+        parses.append(buf.size)
+        return parse(buf)
+
+    parse = ingest._parse
+    monkeypatch.setattr(ingest, "_parse", counting)
+    spec = SynthSpec(days=12, tx_per_day=20, seed=3, price_model=price_model)
+    table, _ = generate(spec)
+    assert len(parses) == 1
+    write_synth(spec, tmp_path / "tx.csv", tmp_path / "px.csv")
+    assert len(parses) == 1 + (price_model == "planted_linear")
+    assert np.array_equal(parse_transactions(tmp_path / "tx.csv").input_keys,
+                          table.input_keys)

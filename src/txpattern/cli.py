@@ -20,6 +20,7 @@ import sys
 
 import numpy as np
 
+from . import kernels
 from .backtest import (INTERVALS, DayTable, SplitSpec, check_params, decay_weights,
                        horizon_sweep, run_backtest, window_sweep)
 from .errors import BadSpec, InsufficientData, PriceMissing, TxPatternError
@@ -332,6 +333,8 @@ def _cmd_weights(v: dict) -> int:
 def _cmd_oracle_check(v: dict) -> int:
     if v["sample"] < 0:
         raise BadSpec(f"sample must be >= 0, got {v['sample']}")
+    if v["seed"] < 0:
+        raise BadSpec(f"seed must be >= 0, got {v['seed']}")
     check_params(v["order"])
     windows = partition_daily(parse_transactions(v["tx"]))
     if v["sample"] and v["sample"] < len(windows):
@@ -355,7 +358,9 @@ def _cmd_oracle_check(v: dict) -> int:
 def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
     try:
-        return ns.handler(vars(ns))
+        # the fits' BLAS calls are small: one thread, the caller's count after
+        with kernels.one_blas_thread():
+            return ns.handler(vars(ns))
     except (TxPatternError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -87,10 +87,14 @@ def fit_scaler(x: np.ndarray) -> Scaler:
 
 
 def apply_scaler(scaler: Scaler, x: np.ndarray) -> np.ndarray:
-    """z-score columns; zero-variance columns collapse to 0."""
-    safe = np.where(scaler.std > 0, scaler.std, 1.0)
-    out = (x - scaler.mean) / safe
-    return np.where(scaler.std > 0, out, 0.0)
+    """z-score columns; zero-variance columns collapse to 0.  Only the live
+    columns are computed, into a zeroed output: most columns of a sparse
+    day table are constant."""
+    x = np.asarray(x)
+    live = np.flatnonzero(scaler.std > 0)
+    out = np.zeros(x.shape)
+    out[..., live] = (x[..., live] - scaler.mean[live]) / scaler.std[live]
+    return out
 
 
 def write_feature_csv(dates: list[dt.date], table: np.ndarray, path: str | Path) -> None:

@@ -9,13 +9,18 @@ and ``ranges`` expands (start, length) pairs into positions.
 ``centred_eigh`` owns what both linear fits decide about the unpenalised
 bias and constant columns; ``ridge`` is one closed-form step on its basis
 and ``svr_epochs`` the linear SVR solver, an ADMM loop whose "epochs" are
-its iterations.  Callers reach the kernels, and ``warmup``, through the
-module attribute (``kernels.spgemm_bool(...)``): the end-to-end benchmark
-in ``e2ebench/`` wraps ``spgemm_bool`` and ``svr_epochs`` by these names to
-time them, so the names are kept stable.
+its iterations.  ``one_blas_thread`` runs a block with numpy's OpenBLAS
+on one thread, as the command line runs.  Callers reach the kernels, and
+``warmup``, through the module attribute (``kernels.spgemm_bool(...)``):
+the end-to-end benchmark in ``e2ebench/`` wraps ``spgemm_bool`` and
+``svr_epochs`` by these names to time them, so the names are kept stable.
 """
 
 from __future__ import annotations
+
+import contextlib
+import ctypes
+import importlib
 
 import numpy as np
 
@@ -106,8 +111,9 @@ def centred_eigh(x):
     back(wv, b) = (w, b - mu.w), with w = V wv on L and exactly 0 elsewhere."""
     # by range: centred, a constant column need not be exactly 0
     live = np.flatnonzero(x.max(axis=0) > x.min(axis=0))
-    mu = x[:, live].mean(axis=0)
-    xl = x[:, live] - mu
+    xl = x[:, live]
+    mu = xl.mean(axis=0)
+    xl -= mu
     lam, v = np.linalg.eigh(xl.T @ xl)
 
     def back(wv, b):
@@ -137,40 +143,67 @@ def svr_epochs(x, y, c, eps, tol, max_iter):
     Boyd's primal and dual residuals are both below ``tol`` relative to
     their scales (``converged`` True), or after ``max_iter`` iterations.
     The test runs every ``_RHO_EVERY`` iterations and at the last one, so
-    the count is a multiple of ``_RHO_EVERY`` unless ``max_iter`` ends it."""
+    the count is a multiple of ``_RHO_EVERY`` unless ``max_iter`` ends it.
+
+    The loop's vectors are allocated once per fit and written in place by
+    ufuncs: at about 90 x 1200, the Python wrappers of ``np.clip`` and
+    ``ndarray.mean`` cost more than their arithmetic.  Its scalar bounds
+    are vectors too, as a ufunc takes a slower loop for a broadcast scalar.
+    Each in-place sequence rounds as the plain expression in its comment,
+    so the result is bit for bit that of the plain expressions."""
     pt, lam, back = centred_eigh(x)
     p = np.ascontiguousarray(pt.T)
+    n = y.size
     y_norm = np.linalg.norm(y)
     rho = 1.0
     scale = 1.0 / (lam + 1.0 / rho)
-    z = np.zeros_like(y)
+    z, z_old = np.zeros_like(y), np.zeros_like(y)
     u = np.zeros_like(y)
+    target, resid, a, tmp = (np.empty_like(y) for _ in range(4))
+    wv = np.empty_like(lam)
+    zero, lo_eps, hi_eps = (np.full_like(y, v) for v in (0.0, -eps, eps))
+    lo_u, hi_u = np.full_like(y, -c / rho), np.full_like(y, c / rho)
     objectives = np.empty(max_iter)
     converged = False
     for it in range(max_iter):
         # (w, b)-step, with w in the eigenbasis, where its norm is the same
-        target = y + z - u
-        wv = (p @ target) * scale
-        b = target.mean()
-        resid = pt @ wv + b - y     # Xw + b - y
-        objectives[it] = 0.5 * (wv @ wv) + c * np.maximum(
-            np.abs(resid) - eps, 0.0).sum()
+        np.add(y, z, out=target)                # target = y + z - u
+        np.subtract(target, u, out=target)
+        np.matmul(p, target, out=wv)            # wv = (p @ target) * scale
+        np.multiply(wv, scale, out=wv)
+        b = np.add.reduce(target) / n
+        np.matmul(pt, wv, out=resid)            # resid = Xw + b - y
+        np.add(resid, b, out=resid)
+        np.subtract(resid, y, out=resid)
+        np.abs(resid, out=tmp)                  # max(|resid| - eps, 0)
+        np.subtract(tmp, hi_eps, out=tmp)
+        np.maximum(tmp, zero, out=tmp)
+        objectives[it] = 0.5 * (wv @ wv) + c * np.add.reduce(tmp)
         # z- and u-steps on the relaxed fit, a = h - y + u; the prox of
         # (C/rho) times the eps-insensitive loss shrinks the part outside
-        # the tube by up to C/rho
-        a = _ALPHA * resid + (1.0 - _ALPHA) * z + u
-        u = np.clip(a - np.clip(a, -eps, eps), -c / rho, c / rho)
-        z_old = z
-        z = a - u
+        # the tube by up to C/rho: u = clip(a - clip(a, -eps, eps), -C/rho,
+        # C/rho) and z = a - u
+        np.multiply(resid, _ALPHA, out=a)       # a = alpha resid
+        np.multiply(z, 1.0 - _ALPHA, out=tmp)   #     + (1 - alpha) z + u
+        np.add(a, tmp, out=a)
+        np.add(a, u, out=a)
+        np.maximum(a, lo_eps, out=tmp)
+        np.minimum(tmp, hi_eps, out=tmp)
+        np.subtract(a, tmp, out=tmp)
+        np.maximum(tmp, lo_u, out=u)
+        np.minimum(u, hi_u, out=u)
+        z, z_old = z_old, z
+        np.subtract(a, u, out=z)
         if it % _RHO_EVERY != _RHO_EVERY - 1 and it != max_iter - 1:
             continue
         # primal residual Xw + b - y - z, dual residual rho [X 1]'(z - z_old);
         # the norm of X'q is that of p q, since V is orthogonal
-        dz = z - z_old
-        r_norm = np.linalg.norm(resid - z)
-        s_norm = rho * np.hypot(np.linalg.norm(p @ dz), dz.sum())
-        pri_scale = max(np.linalg.norm(resid + y), np.linalg.norm(z), y_norm)
-        dual_scale = rho * np.hypot(np.linalg.norm(p @ u), u.sum())
+        dz = np.subtract(z, z_old, out=tmp)
+        s_norm = rho * np.hypot(np.linalg.norm(p @ dz), np.add.reduce(dz))
+        r_norm = np.linalg.norm(np.subtract(resid, z, out=tmp))
+        pri_scale = max(np.linalg.norm(np.add(resid, y, out=tmp)),
+                        np.linalg.norm(z), y_norm)
+        dual_scale = rho * np.hypot(np.linalg.norm(p @ u), np.add.reduce(u))
         if r_norm <= tol * pri_scale and s_norm <= tol * dual_scale:
             converged = True
             break
@@ -179,7 +212,67 @@ def svr_epochs(x, y, c, eps, tol, max_iter):
             rho *= step
             u /= step
             scale = 1.0 / (lam + 1.0 / rho)
+            lo_u.fill(-c / rho)
+            hi_u.fill(c / rho)
     return (*back(wv, b), objectives[:it + 1].copy(), converged)
+
+
+# ---------------------------------------------------------------------------
+# The BLAS thread pool
+# ---------------------------------------------------------------------------
+#
+# The fits' BLAS calls are small (at most about 1200 x 800), and on a
+# 2-CPU host OpenBLAS's second thread made some processes' first calls
+# 100x slower.  numpy exposes no thread control, so the setter is found by
+# ctypes through numpy's linear-algebra extension, whose lookup also
+# searches the OpenBLAS it is linked to.  Known names, newest build first:
+# numpy 2.x wheels bundle scipy-openblas; older wheels and distribution
+# builds export OpenBLAS's own names, with or without the 64-bit-integer
+# suffix.
+
+_BLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def blas_threads():
+    """``(symbol, get, set)``: the name of the setter found, and OpenBLAS's
+    thread-count getter and setter as ctypes functions; None when numpy's
+    BLAS exports no known pair (another BLAS, say)."""
+    ext = importlib.import_module("numpy.linalg._umath_linalg")
+    try:
+        lib = ctypes.CDLL(ext.__file__)
+    except OSError:
+        return None
+    for symbol in _BLAS_SETTERS:
+        getter = symbol.replace("_set_", "_get_")
+        if hasattr(lib, symbol) and hasattr(lib, getter):
+            get, set_ = getattr(lib, getter), getattr(lib, symbol)
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return symbol, get, set_
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body with the BLAS pool at one thread, and give it back the
+    count it had, also when the body raises; a no-op where
+    :func:`blas_threads` finds nothing."""
+    found = blas_threads()
+    if found is None:
+        yield
+        return
+    _, get, set_ = found
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def warmup() -> None:

@@ -86,6 +86,8 @@ class SynthSpec:
             raise BadSpec(f"days must be >= 1, got {self.days}")
         if self.tx_per_day < 1:
             raise BadSpec(f"tx_per_day must be >= 1, got {self.tx_per_day}")
+        if self.seed < 0:
+            raise BadSpec(f"seed must be >= 0, got {self.seed}")
         if not (0.0 <= self.spend_probability <= 1.0):
             raise BadSpec(f"spend_probability must be in [0, 1], got {self.spend_probability}")
         if self.coinbase_per_day < 0:

@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import txpattern
-from txpattern import cli
+from txpattern import cli, kernels
 from txpattern.cli import main
+from txpattern.errors import BadSpec
 from txpattern.korder import GRID_CELLS
 from txpattern.regress import MODEL_SCHEMA_VERSION, load_model
 
@@ -185,6 +186,7 @@ _BAD_PARAMETERS = [
     ["train", "--horizon", "0", "--out", os.devnull, "--prices", "PX"],
     ["predict", "--model-file", "PX", "--prices", "PX"],
     ["oracle-check", "--sample", "-1"],
+    ["oracle-check", "--sample", "3", "--seed", "-1"],
     ["backtest", "--ridge-lambda", "nan", "--prices", "PX"],
     ["backtest", "--model", "svr", "--svr-c", "nan", "--prices", "PX"],
     ["backtest", "--model", "svr", "--svr-epsilon", "nan", "--prices", "PX"],
@@ -320,6 +322,13 @@ def test_usage_error_names_the_value_type(capsys):
     with pytest.raises(SystemExit):
         main(["synth", "--out-tx", "t", "--out-prices", "p", "--planted", "1,1:2"])
     assert "invalid planted spec value" in capsys.readouterr().err
+
+
+def test_synth_negative_seed_exit_1(tmp_path, capsys):
+    code, out, err = run(capsys, "synth", "--out-tx", str(tmp_path / "tx.csv"),
+                         "--out-prices", str(tmp_path / "px.csv"), "--seed", "-1")
+    assert (code, out, err) == (1, "", "error: seed must be >= 0, got -1\n")
+    assert not (tmp_path / "tx.csv").exists()
 
 
 def test_synth_nan_parameter_exit_1(tmp_path, capsys):
@@ -644,3 +653,65 @@ def test_help_lists_every_flag(capsys, command):
     out = capsys.readouterr().out
     for flag in _FLAGS[command]:
         assert f"{flag} " in out or f"{flag}," in out, flag
+
+
+def _handler_seeing_threads(monkeypatch, get, raises=None):
+    """Replace ``weights``'s handler with one that records the BLAS thread
+    count it runs under, then raises ``raises`` if given."""
+    seen = []
+
+    def handler(v):
+        seen.append(get())
+        if raises is not None:
+            raise raises
+        return 0
+
+    monkeypatch.setattr(cli, "_cmd_weights", handler)
+    return seen
+
+
+@pytest.mark.parametrize("raises", [None, BadSpec("bad"), RuntimeError("boom")])
+def test_main_runs_one_blas_thread_and_restores_the_count(monkeypatch, capsys, raises):
+    found = kernels.blas_threads()
+    if found is None:
+        pytest.skip("numpy's BLAS exports no known thread-count setter")
+    _, get, _ = found
+    before = get()
+    seen = _handler_seeing_threads(monkeypatch, get, raises)
+    if isinstance(raises, RuntimeError):
+        with pytest.raises(RuntimeError):
+            main(["weights"])
+    else:
+        assert main(["weights"]) == (1 if raises else 0)
+    assert seen == [1]
+    assert get() == before
+
+
+@pytest.mark.parametrize("raises", [None, RuntimeError("boom")])
+def test_main_sets_and_restores_through_the_found_setter(monkeypatch, raises):
+    count, calls = [3], []
+
+    def set_threads(n):
+        calls.append(n)
+        count[0] = n
+
+    monkeypatch.setattr(kernels, "blas_threads",
+                        lambda: ("fake_set_num_threads", lambda: count[0], set_threads))
+    seen = _handler_seeing_threads(monkeypatch, lambda: count[0], raises)
+    if raises is None:
+        assert main(["weights"]) == 0
+    else:
+        with pytest.raises(RuntimeError):
+            main(["weights"])
+    assert (seen, calls, count) == ([1], [1, 3], [3])
+
+
+def test_main_without_a_known_blas_setter_prints_the_same_bytes(corpus, monkeypatch,
+                                                                capsys):
+    tx, px = corpus
+    argv = ["sweep-window", "--tx", tx, "--prices", px, "--model", "svr",
+            "--windows", "1,2", "--k", "2"]
+    with_setter = run(capsys, *argv)
+    monkeypatch.setattr(kernels, "blas_threads", lambda: None)
+    assert run(capsys, *argv) == with_setter
+    assert with_setter[0] == 0 and with_setter[1].startswith("window,mape_percent\n")

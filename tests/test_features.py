@@ -86,6 +86,25 @@ def test_apply_scaler_single_vector():
     assert np.array_equal(out, [0.0, 0.0])
 
 
+def _scaled_by_formula(scaler, x):
+    """Every column scaled, then the constant ones set to 0."""
+    safe = np.where(scaler.std > 0, scaler.std, 1.0)
+    return np.where(scaler.std > 0, (x - scaler.mean) / safe, 0.0)
+
+
+def test_apply_scaler_equals_the_full_width_formula():
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(30, 12)) * rng.uniform(0.1, 5.0, 12) + rng.normal(size=12)
+    x[:, [0, 3, 4, 9]] = [-2.5, 0.0, 7.0, -0.0]
+    scaler = fit_scaler(x[:20])
+    assert (scaler.std == 0).sum() == 4
+    for block in (x[25], x[20:], x[:20]):
+        got = apply_scaler(scaler, block)
+        assert got.shape == block.shape
+        assert got.tobytes() == _scaled_by_formula(scaler, block).tobytes()
+        assert not np.signbit(got[..., [0, 3, 4, 9]]).any()
+
+
 def test_fit_scaler_too_few_rows():
     with pytest.raises(TooFewRows):
         fit_scaler(np.ones((1, 4)))

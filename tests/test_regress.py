@@ -349,6 +349,90 @@ def test_svr_cap_only_truncates(monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
+def _svr_reference(x, y, c, eps, tol, max_iter):
+    """``kernels.svr_epochs`` written as plain numpy expressions, each step
+    a new array, with the live columns gathered twice; the kernel must
+    equal it bit for bit.  Also returns how often rho was rebalanced."""
+    live = np.flatnonzero(x.max(axis=0) > x.min(axis=0))
+    mu = x[:, live].mean(axis=0)
+    xl = x[:, live] - mu
+    lam, v = np.linalg.eigh(xl.T @ xl)
+    pt = xl @ v
+    p = np.ascontiguousarray(pt.T)
+    y_norm = np.linalg.norm(y)
+    rho = 1.0
+    scale = 1.0 / (lam + 1.0 / rho)
+    z = np.zeros_like(y)
+    u = np.zeros_like(y)
+    objectives = np.empty(max_iter)
+    converged, rebalanced = False, 0
+    for it in range(max_iter):
+        target = y + z - u
+        wv = (p @ target) * scale
+        b = target.mean()
+        resid = pt @ wv + b - y
+        objectives[it] = 0.5 * (wv @ wv) + c * np.maximum(
+            np.abs(resid) - eps, 0.0).sum()
+        a = kernels._ALPHA * resid + (1.0 - kernels._ALPHA) * z + u
+        u = np.clip(a - np.clip(a, -eps, eps), -c / rho, c / rho)
+        z_old = z
+        z = a - u
+        if (it % kernels._RHO_EVERY != kernels._RHO_EVERY - 1
+                and it != max_iter - 1):
+            continue
+        dz = z - z_old
+        r_norm = np.linalg.norm(resid - z)
+        s_norm = rho * np.hypot(np.linalg.norm(p @ dz), dz.sum())
+        pri_scale = max(np.linalg.norm(resid + y), np.linalg.norm(z), y_norm)
+        dual_scale = rho * np.hypot(np.linalg.norm(p @ u), u.sum())
+        if r_norm <= tol * pri_scale and s_norm <= tol * dual_scale:
+            converged = True
+            break
+        if r_norm > 10.0 * s_norm or s_norm > 10.0 * r_norm:
+            step = 2.0 if r_norm > s_norm else 0.5
+            rho *= step
+            u /= step
+            scale = 1.0 / (lam + 1.0 / rho)
+            rebalanced += 1
+    w = np.zeros(x.shape[1])
+    w[live] = v @ wv
+    return w, float(b - mu @ w[live]), objectives[:it + 1], converged, rebalanced
+
+
+def _noisy_wide(n=120, d=40, seed=11):
+    """More columns than the planted designs and heavy noise; the fit
+    rebalances rho three times."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d)) * rng.uniform(0.1, 5.0, d)
+    return x, x[:, :3] @ [1.0, -2.0, 0.5] + 3.0 * rng.normal(size=n)
+
+
+@pytest.mark.parametrize("case", ["constant_columns", "eps_zero", "capped_at_25",
+                                  "rebalances_rho"])
+def test_svr_loop_equals_its_reference_bit_for_bit(case):
+    c, eps, tol, max_iter = 1.0, 0.1, 1e-4, kernels.SVR_MAX_ITER
+    if case == "constant_columns":
+        x, y = _mostly_constant()
+    elif case == "eps_zero":
+        (x, y), eps = _planted_uncentred(), 0.0
+    elif case == "capped_at_25":
+        (x, y), max_iter = _planted_uncentred(seed=1), 25
+    else:
+        x, y = _noisy_wide()
+    w, b, objectives, converged = kernels.svr_epochs(x, y, c, eps, tol, max_iter)
+    rw, rb, r_objectives, r_converged, rebalanced = _svr_reference(
+        x, y, c, eps, tol, max_iter)
+    assert np.array_equal(w, rw) and b == rb
+    assert objectives.tobytes() == r_objectives.tobytes()
+    assert converged is r_converged
+    if case == "constant_columns":
+        assert (w == 0.0).sum() >= 20 and converged
+    elif case == "capped_at_25":
+        assert len(objectives) == 25 and 25 % kernels._RHO_EVERY and not converged
+    elif case == "rebalances_rho":
+        assert rebalanced >= 1 and converged
+
+
 def test_svr_deterministic():
     x, y, _ = _linear_data(n=60, noise=0.1, seed=10)
     spec = RegressorSpec(kind="linear_svr")

@@ -48,6 +48,8 @@ def test_bad_specs():
     with pytest.raises(BadSpec):
         SynthSpec(tx_per_day=0)
     with pytest.raises(BadSpec):
+        SynthSpec(seed=-1)
+    with pytest.raises(BadSpec):
         SynthSpec(spend_probability=1.5)
     with pytest.raises(BadSpec):
         SynthSpec(price_model="brownian")

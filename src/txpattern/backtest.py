@@ -35,17 +35,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    BadDecay,
     BadSpec,
-    BadWindow,
     EmptyInput,
     InsufficientData,
     LengthMismatch,
     NonPositiveTruth,
-    OrderOutOfRange,
     PriceMissing,
 )
-from .features import Scaler, apply_scaler, day_feature_table, fit_scaler
+from .features import day_feature_table
 from .ingest import DayWindow, PriceSeries, TransactionTable, partition_daily
 from .regress import FittedModel, RegressorSpec, fit, predict
 
@@ -73,9 +70,9 @@ INTERVALS = {
 def decay_weights(r: float, window: int) -> np.ndarray:
     """Weight vector [a_1..a_window] from the split-the-last recurrence."""
     if not (0.0 < r < 1.0):
-        raise BadDecay(f"decay must lie in (0, 1), got {r}")
+        raise BadSpec(f"decay must lie in (0, 1), got {r}")
     if window < 1:
-        raise BadWindow(f"window must be >= 1, got {window}")
+        raise BadSpec(f"window must be >= 1, got {window}")
     alphas = [1.0]
     for _ in range(window - 1):
         last = alphas[-1]
@@ -97,7 +94,7 @@ def integrate(estimates, alphas: np.ndarray):
 
 
 def predict_price(
-    models: list[tuple[FittedModel, Scaler]],
+    models: list[FittedModel],
     alphas: np.ndarray,
     features: list[np.ndarray],
     base_prices: list,
@@ -111,8 +108,8 @@ def predict_price(
             f"vs {len(base_prices)} base prices"
         )
     estimates = [
-        base + predict(model, apply_scaler(scaler, x))
-        for (model, scaler), x, base in zip(models, features, base_prices)
+        base + predict(model, x)
+        for model, x, base in zip(models, features, base_prices)
     ]
     return integrate(estimates, alphas)
 
@@ -266,20 +263,13 @@ class DayTable:
 
     def fit_offset(self, offset: int, spec: RegressorSpec, cut: dt.date):
         """Train the offset model on the rows of :meth:`targets`; returns
-        (model, scaler, OffsetInfo)."""
+        (model, OffsetInfo)."""
         n, y = self.targets(offset, cut)
         if n < 2:
             raise InsufficientData(f"offset {offset}: only {n} usable training rows")
-        x_train = self.x[:n]
-        scaler = fit_scaler(x_train)
         train_start = self.dates[0]
         train_end = self.dates[n - 1]
-        model = fit(
-            spec,
-            apply_scaler(scaler, x_train),
-            y,
-            train_range=(train_start, train_end),
-        )
+        model = fit(spec, self.x[:n], y, train_range=(train_start, train_end))
         info = OffsetInfo(
             offset=offset,
             train_rows=n,
@@ -287,7 +277,7 @@ class DayTable:
             train_end=train_end,
             target_end=train_end + dt.timedelta(days=offset),
         )
-        return model, scaler, info
+        return model, info
 
 
 def _check_horizon(horizon: int) -> None:
@@ -301,7 +291,7 @@ def check_params(max_order: int, horizons: list[int] = (), r: float | None = Non
     run can fail before it reads data or builds features.  ``r`` is checked
     only when ``windows`` are given."""
     if max_order < 1:
-        raise OrderOutOfRange(f"order must be >= 1, got {max_order}")
+        raise BadSpec(f"order must be >= 1, got {max_order}")
     for window in windows:
         decay_weights(r, window)
     for horizon in horizons:
@@ -349,12 +339,12 @@ def _evaluate(
         for j in offsets:
             if j not in fitted:
                 fitted[j] = table.fit_offset(j, spec, table.dates[n_train - 1])
-                if fitted[j][2].target_end >= table.dates[n_train]:
+                if fitted[j][1].target_end >= table.dates[n_train]:
                     raise RuntimeError(
                         "chronology violation: training touched the test range")
         # each offset model trained on >= 2 rows before the test range, so
         # n_train >= j + 2 and every test row i has its row i - j
-        preds.append(predict_price([fitted[j][:2] for j in offsets], alphas,
+        preds.append(predict_price([fitted[j][0] for j in offsets], alphas,
                                    [table.x[n_train - j:n - j] for j in offsets],
                                    [table.base[n_train - j:n - j] for j in offsets]))
     return table, n_train, fitted, preds
@@ -393,7 +383,7 @@ def run_backtest(
         n_test_days=n_days - n_train,
         first_test_date=table.dates[n_train],
         weights=[float(a) for a in alphas],
-        offsets=[info for _, _, info in fitted.values()],
+        offsets=[info for _, info in fitted.values()],
         dates=table.dates[n_train:],
         true_prices=truths,
         predicted_prices=preds,

@@ -24,7 +24,7 @@ from . import kernels
 from .backtest import (INTERVALS, DayTable, SplitSpec, check_params, decay_weights,
                        horizon_sweep, run_backtest, window_sweep)
 from .errors import BadSpec, InsufficientData, PriceMissing, TxPatternError
-from .features import apply_scaler, day_feature_table, write_feature_csv
+from .features import day_feature_table, write_feature_csv
 from .ingest import parse_prices, parse_transactions, partition_daily
 # occurrence_matrices is not called here; e2ebench/tracer.py wraps it by this name
 from .korder import GRID_CELLS, occurrence_matrices, occurrence_matrix_oracle
@@ -253,14 +253,14 @@ def _cmd_train(v: dict) -> int:
     transactions = parse_transactions(v["tx"])
     prices = parse_prices(v["prices"])
     table = DayTable(partition_daily(transactions), prices, v["order"])
-    model, scaler, info = table.fit_offset(v["horizon"], spec, prices.last_date)
-    save_model(v["out"], model, scaler, v["horizon"])
+    model, info = table.fit_offset(v["horizon"], spec, prices.last_date)
+    save_model(v["out"], model, v["horizon"])
     print(f"trained {model.spec.kind} on {info.train_rows} days, wrote {v['out']}")
     return 0
 
 
 def _cmd_predict(v: dict) -> int:
-    model, scaler, horizon = load_model(v["model_file"])
+    model, horizon = load_model(v["model_file"])
     windows = partition_daily(parse_transactions(v["tx"]))
     prices = parse_prices(v["prices"])
     if not windows:
@@ -273,7 +273,7 @@ def _cmd_predict(v: dict) -> int:
     if base is None:
         raise PriceMissing(date)
     _, table = day_feature_table([windows[i]], _order_of(model))
-    diff = predict(model, apply_scaler(scaler, table[0]))
+    diff = predict(model, table[0])
     target = date + dt.timedelta(days=horizon)
     print(f"{target.isoformat()} {base + diff!r}")
     return 0

@@ -51,12 +51,6 @@ class UnparseableDate(TxPatternError):
         super().__init__(f"line {line}: cannot parse date {text!r}")
 
 
-# --- korder ---------------------------------------------------------------
-
-class OrderOutOfRange(TxPatternError):
-    pass
-
-
 # --- features / regress ---------------------------------------------------
 
 class PriceMissing(TxPatternError):
@@ -78,14 +72,6 @@ class DimensionMismatch(TxPatternError):
 
 
 # --- backtest ---------------------------------------------------------------
-
-class BadDecay(TxPatternError):
-    pass
-
-
-class BadWindow(TxPatternError):
-    pass
-
 
 class LengthMismatch(TxPatternError):
     pass

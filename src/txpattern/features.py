@@ -1,4 +1,4 @@
-"""Per-day pattern feature tables, their CSV dump, and column scaling.
+"""Per-day pattern feature tables and their CSV dump.
 
 A day's feature vector is the concatenation of its occurrence grids for
 orders 1..k.  Every day of the window range gets one row, empty days
@@ -16,31 +16,24 @@ the budget is a chunk of its own, so a large day costs what it costs
 alone, and many small days share the fixed cost of each numpy call.  The
 rows do not depend on the budget: no address links two days of a chunk.
 
-Standardization is plain per-column z-scoring with population statistics,
-fitted on training rows only; zero-variance columns map to 0.
+The rows hold raw counts; each fit z-scores its own training columns (see
+:func:`txpattern.kernels.centred_eigh`).
 """
 
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import BadSpec, OrderOutOfRange, TooFewRows
+from .errors import BadSpec
 from .ingest import DayWindow
 from .kernels import indptr_from
 from .korder import GRID_CELLS, feature_vector
 from .txgraph import build_graph
 
 CHUNK_EDGES = 5_000     # address tokens (inputs plus outputs) per chunk
-
-
-@dataclass
-class Scaler:
-    mean: np.ndarray
-    std: np.ndarray
 
 
 def _chunks(windows: list[DayWindow]) -> list[tuple[int, int]]:
@@ -70,31 +63,13 @@ def day_feature_table(
     are walked in chunks of consecutive windows, each one block-diagonal
     graph whose :func:`feature_vector` gives its days' rows at once."""
     if max_order < 1:
-        raise OrderOutOfRange(f"order must be >= 1, got {max_order}")
+        raise BadSpec(f"order must be >= 1, got {max_order}")
     if any(w.table is not windows[0].table for w in windows):
         raise BadSpec("the windows of one feature table must share one table")
     table = np.zeros((len(windows), GRID_CELLS * max_order), dtype=np.float64)
     for lo, hi in _chunks(windows):
         table[lo:hi] = feature_vector(build_graph(*windows[lo:hi]), max_order)
     return [w.date for w in windows], table
-
-
-def fit_scaler(x: np.ndarray) -> Scaler:
-    """Per-column mean/std over training rows (population std)."""
-    if x.shape[0] < 2:
-        raise TooFewRows(f"need at least 2 rows to fit a scaler, got {x.shape[0]}")
-    return Scaler(mean=x.mean(axis=0), std=x.std(axis=0))
-
-
-def apply_scaler(scaler: Scaler, x: np.ndarray) -> np.ndarray:
-    """z-score columns; zero-variance columns collapse to 0.  Only the live
-    columns are computed, into a zeroed output: most columns of a sparse
-    day table are constant."""
-    x = np.asarray(x)
-    live = np.flatnonzero(scaler.std > 0)
-    out = np.zeros(x.shape)
-    out[..., live] = (x[..., live] - scaler.mean[live]) / scaler.std[live]
-    return out
 
 
 def write_feature_csv(dates: list[dt.date], table: np.ndarray, path: str | Path) -> None:

@@ -7,13 +7,14 @@ and ``ranges`` expands (start, length) pairs into positions.
 
 ``spgemm_bool`` is the boolean sparse product behind the k-order grids.
 ``centred_eigh`` owns what both linear fits decide about the unpenalised
-bias and constant columns; ``ridge`` is one closed-form step on its basis
-and ``svr_epochs`` the linear SVR solver, an ADMM loop whose "epochs" are
-its iterations.  ``one_blas_thread`` runs a block with numpy's OpenBLAS
-on one thread, as the command line runs.  Callers reach the kernels, and
-``warmup``, through the module attribute (``kernels.spgemm_bool(...)``):
-the end-to-end benchmark in ``e2ebench/`` wraps ``spgemm_bool`` and
-``svr_epochs`` by these names to time them, so the names are kept stable.
+bias, constant columns and column scaling; ``ridge`` is one closed-form
+step on its basis and ``svr_epochs`` the linear SVR solver, an ADMM loop
+whose "epochs" are its iterations.  ``one_blas_thread`` runs a block with
+numpy's OpenBLAS on one thread, as the command line runs.  Callers reach
+the kernels, and ``warmup``, through the module attribute
+(``kernels.spgemm_bool(...)``): the end-to-end benchmark in ``e2ebench/``
+wraps ``spgemm_bool`` and ``svr_epochs`` by these names to time them, so
+the names are kept stable.
 """
 
 from __future__ import annotations
@@ -76,19 +77,25 @@ def spgemm_bool(a_indptr, a_indices, b_indptr, b_indices, n_rows, n_cols):
 # Linear fits with an unpenalised bias: ridge, and epsilon-SVR by ADMM
 # ---------------------------------------------------------------------------
 #
-# As b is unpenalised, fitting on the centred columns X - mu and returning
-# b - mu.w solves the same problem, and the joint (w, b) step splits: b is
-# the mean of its target v and w solves (X'X + s I) w = X'v.  centred_eigh
-# drops the constant columns (weight 0) and factors X'X = V diag(lam) V'
-# once, so w = V diag(1/(lam + s)) V'X'v for every s.  Ridge is this step
+# Both fits run on the z-scored live columns Z = (X - mu) / sd, with the
+# population mean and std of each column over the training rows, and map
+# their weights back to the raw columns, as glmnet standardises inside the
+# fit (Friedman, Hastie and Tibshirani, JSS 2010): w = w_z / sd, and as b
+# is unpenalised, returning b - mu.w solves the same problem.  On Z the
+# joint (w_z, b) step splits: b is the mean of its target v and w_z solves
+# (Z'Z + s I) w_z = Z'v.  centred_eigh drops the constant columns (weight
+# 0) and factors Z'Z = V diag(lam) V' once, so w_z = V diag(1/(lam + s))
+# V'Z'v for every s.  The penalties and the objective below act on w_z,
+# so scaling or shifting a column changes no prediction.  Ridge is this step
 # with s its penalty (Hastie et al., "The Elements of Statistical
 # Learning", section 3.4.1); the SVR takes it with s = 1/rho at every ADMM
 # iteration, so rho can be rebalanced without refactoring.
 #
-# The SVR minimises 0.5*||w||^2 + C * sum_i max(0, |x_i.w + b - y_i| - eps)
-# by ADMM on the split z = Xw + b - y (Boyd et al., "Distributed
-# Optimization and Statistical Learning via the Alternating Direction
-# Method of Multipliers", FnT ML 2011, sections 3 and 6).
+# The SVR minimises 0.5*||w||^2 + C * sum_i max(0, |x_i.w + b - y_i| - eps),
+# here with X the z-scored design Z and w its weights w_z, by ADMM on the
+# split z = Xw + b - y (Boyd et al., "Distributed Optimization and
+# Statistical Learning via the Alternating Direction Method of
+# Multipliers", FnT ML 2011, sections 3 and 6).
 #
 # The z- and u-steps are over-relaxed (Boyd section 3.4.3): they see
 # h = alpha*(Xw + b) + (1 - alpha)*(z + y) in place of the fitted values.
@@ -107,24 +114,28 @@ _ALPHA = 1.8            # over-relaxation: of 1.0, 1.5, ..., 1.9, the fewest
 
 def centred_eigh(x):
     """``(pt, lam, back)`` for the live (not constant) columns L of x, their
-    means mu and (L - mu)'(L - mu) = V diag(lam) V': pt = (L - mu) V, and
-    back(wv, b) = (w, b - mu.w), with w = V wv on L and exactly 0 elsewhere."""
+    means mu, their population stds sd after centring, Z = (L - mu) / sd and
+    Z'Z = V diag(lam) V': pt = Z V, and back(wv, b) = (w, b - mu.w), with
+    w = (V wv) / sd on L and exactly 0 elsewhere, weights on x itself."""
     # by range: centred, a constant column need not be exactly 0
     live = np.flatnonzero(x.max(axis=0) > x.min(axis=0))
     xl = x[:, live]
     mu = xl.mean(axis=0)
     xl -= mu
+    sd = xl.std(axis=0)
+    xl /= sd
     lam, v = np.linalg.eigh(xl.T @ xl)
 
     def back(wv, b):
         w = np.zeros(x.shape[1])
-        w[live] = v @ wv
+        w[live] = (v @ wv) / sd
         return w, float(b - mu @ w[live])
     return xl @ v, lam, back
 
 
 def ridge(x, y, lam):
-    """Fit (w, b) minimising ||Xw + b - y||^2 + lam ||w||^2.  At ``lam`` = 0
+    """Fit (w, b) minimising ||Z w_z + b - y||^2 + lam ||w_z||^2 on the
+    z-scored columns Z, returned on x's own columns.  At ``lam`` = 0
     a constant column, or a smallest eigenvalue at or below numpy's
     ``matrix_rank`` tolerance, raises ``SingularSystem``."""
     pt, eig, back = centred_eigh(x)

@@ -55,12 +55,11 @@ thresholding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
-from .errors import OrderOutOfRange
+from .errors import BadSpec
 from .txgraph import TransactionGraph
 
 CLAMP = 20
@@ -68,11 +67,6 @@ GRID_CELLS = CLAMP * CLAMP
 
 
 Csr = tuple[np.ndarray, np.ndarray]
-
-
-class SubgraphShape(NamedTuple):
-    m: int
-    n: int
 
 
 @dataclass
@@ -150,7 +144,7 @@ def _day_grids(graph: TransactionGraph, max_order: int) -> np.ndarray:
     each transaction's flat cell ``day * max_order * 400 + (k - 1) * 400 +
     (m - 1) * 20 + (n - 1)``, clamped; an empty frontier counts nowhere."""
     if max_order < 1:
-        raise OrderOutOfRange(f"order must be >= 1, got {max_order}")
+        raise BadSpec(f"order must be >= 1, got {max_order}")
     width = max_order * GRID_CELLS
     row = graph.day * width + (np.minimum(graph.input_set_sizes, CLAMP) - 1) * CLAMP
 
@@ -205,43 +199,24 @@ def _walk_sets(
     return outputs, successors
 
 
-def subgraph_shape(graph: TransactionGraph, k: int, t: int) -> SubgraphShape:
-    """(m, n) for one transaction by explicit frontier expansion (unclamped)."""
-    if k < 1:
-        raise OrderOutOfRange(f"order must be >= 1, got {k}")
-    outputs, successors = _walk_sets(graph)
-    return _shape_by_walk(graph, outputs, successors, k, t)
-
-
-def _shape_by_walk(
-    graph: TransactionGraph,
-    outputs: list[frozenset[int]],
-    successors: list[frozenset[int]],
-    k: int,
-    t: int,
-) -> SubgraphShape:
-    # Exact-depth walk semantics: level d holds every transaction reachable
-    # by some length-d spend walk, so revisits are allowed (cycles from
-    # address reuse stay consistent with matrix powering).
-    level = {t}
-    for _ in range(k - 1):
-        level = set().union(*(successors[u] for u in level))
-        if not level:
-            break
-    frontier = set().union(*(outputs[u] for u in level))
-    return SubgraphShape(m=len(graph.input_ids(t)), n=len(frontier))
-
-
 def occurrence_matrix_oracle(graph: TransactionGraph, k: int) -> OccurrenceMatrix:
     """Order-k pattern counts by per-transaction traversal; same clamping
     and empty-frontier rule as the matrix route, independent code path.
     Frontiers are computed whole and clamped only in the tally."""
     if k < 1:
-        raise OrderOutOfRange(f"order must be >= 1, got {k}")
+        raise BadSpec(f"order must be >= 1, got {k}")
     outputs, successors = _walk_sets(graph)
     grid = np.zeros((CLAMP, CLAMP), dtype=np.int64)
     for t in range(graph.n_transactions):
-        m, n = _shape_by_walk(graph, outputs, successors, k, t)
+        # Exact-depth walk semantics: level d holds every transaction
+        # reachable by some length-d spend walk, so revisits are allowed
+        # (cycles from address reuse stay consistent with matrix powering).
+        level = {t}
+        for _ in range(k - 1):
+            level = set().union(*(successors[u] for u in level))
+            if not level:
+                break
+        n = len(set().union(*(outputs[u] for u in level)))
         if n > 0:
-            grid[min(m, CLAMP) - 1, min(n, CLAMP) - 1] += 1
+            grid[min(len(graph.input_ids(t)), CLAMP) - 1, min(n, CLAMP) - 1] += 1
     return OccurrenceMatrix(k, grid)

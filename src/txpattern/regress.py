@@ -1,10 +1,14 @@
-"""Regression models mapping scaled feature vectors to price differences.
+"""Regression models mapping feature vectors to price differences.
 
-Two built-in families:
+Each fit z-scores the non-constant columns over its training rows, with
+population statistics, and solves its problem in that space; a constant
+column gets weight 0.  The weights it returns apply to the raw feature
+counts, so prediction and model files need no scaling step (see
+kernels.centred_eigh).  Two built-in families:
 
-* ``ridge`` - squared loss plus ``ridge_lambda`` times the squared weights,
-  intercept unpenalized, solved in closed form by kernels.ridge on the
-  centred eigenbasis it shares with the SVR.  Deterministic and
+* ``ridge`` - squared loss plus ``ridge_lambda`` times the squared z-space
+  weights, intercept unpenalized, solved in closed form by kernels.ridge
+  on the eigenbasis it shares with the SVR.  Deterministic and
   independently checkable, so it doubles as the test oracle downstream.
 * ``linear_svr`` - linear epsilon-insensitive regression, intercept
   unpenalized, solved to a relative residual tolerance by deterministic
@@ -14,7 +18,8 @@ Two built-in families:
 
 Training data and every hyperparameter must be finite; the defaults are
 not tuned but documented, CLI-overridable values.  Model files are strict
-JSON: no ``NaN`` or ``Infinity`` is written or accepted.
+JSON, schema 3, whose weights apply to raw counts: no ``NaN`` or
+``Infinity`` is written or accepted.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ import numpy as np
 
 from . import kernels
 from .errors import BadSpec, DimensionMismatch, MissingFile, TooFewRows
-from .features import Scaler
 
 KINDS = ("ridge", "linear_svr")
 
@@ -78,7 +82,8 @@ def fit(
     y: np.ndarray,
     train_range: tuple[dt.date, dt.date] | None = None,
 ) -> FittedModel:
-    """Fit one model on scaled features x (n, d) and targets y (n,)."""
+    """Fit one model on raw features x (n, d) and targets y (n,); the
+    weights apply to x's own columns."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
@@ -102,7 +107,7 @@ def fit(
 
 
 def predict(model: FittedModel, x: np.ndarray):
-    """Predicted price difference w.x + b: a float for one scaled vector, an
+    """Predicted price difference w.x + b: a float for one raw vector, an
     array with one value per row for a block of rows."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim > 2 or x.shape[-1:] != model.weights.shape:
@@ -113,17 +118,14 @@ def predict(model: FittedModel, x: np.ndarray):
     return float(out) if x.ndim == 1 else out
 
 
-MODEL_SCHEMA_VERSION = 2
+MODEL_SCHEMA_VERSION = 3
 _MODEL_KEYS = (
-    "bias", "feature_dim", "horizon", "kind", "params", "scaler_mean",
-    "scaler_std", "train_range", "weights",
+    "bias", "feature_dim", "horizon", "kind", "params", "train_range", "weights",
 )
 
 
-def save_model(
-    path: str | Path, model: FittedModel, scaler: Scaler, horizon: int
-) -> None:
-    """Persist model + scaler as versioned JSON (loadable by load_model)."""
+def save_model(path: str | Path, model: FittedModel, horizon: int) -> None:
+    """Persist the model as versioned JSON (loadable by load_model)."""
     spec = model.spec
     payload = {
         "schema_version": MODEL_SCHEMA_VERSION,
@@ -138,8 +140,6 @@ def save_model(
         "feature_dim": model.feature_dim,
         "weights": model.weights.tolist(),
         "bias": model.bias,
-        "scaler_mean": scaler.mean.tolist(),
-        "scaler_std": scaler.std.tolist(),
         "train_range": (
             [model.train_range[0].isoformat(), model.train_range[1].isoformat()]
             if model.train_range
@@ -150,7 +150,7 @@ def save_model(
                                       allow_nan=False) + "\n")
 
 
-def load_model(path: str | Path) -> tuple[FittedModel, Scaler, int]:
+def load_model(path: str | Path) -> tuple[FittedModel, int]:
     path = Path(path)
     if not path.exists():
         raise MissingFile(str(path))
@@ -167,8 +167,6 @@ def load_model(path: str | Path) -> tuple[FittedModel, Scaler, int]:
         raise BadSpec(f"{path} is not a model file: missing {', '.join(missing)}")
     try:
         weights = np.array(payload["weights"], dtype=np.float64)
-        mean = np.array(payload["scaler_mean"], dtype=np.float64)
-        std = np.array(payload["scaler_std"], dtype=np.float64)
         bias = float(payload["bias"])
         spec = RegressorSpec(kind=payload["kind"], **payload["params"])
         train_range = None
@@ -183,12 +181,8 @@ def load_model(path: str | Path) -> tuple[FittedModel, Scaler, int]:
     if type(horizon) is not int or horizon < 1:
         raise BadSpec(f"{path} is not a model file: horizon {horizon!r} "
                       "is not an integer >= 1")
-    if not all(np.isfinite(a).all() for a in (weights, bias, mean, std)):
-        raise BadSpec(f"{path} is not a model file: "
-                      "non-finite weight, bias or scaler value")
+    if not (np.isfinite(weights).all() and math.isfinite(bias)):
+        raise BadSpec(f"{path} is not a model file: non-finite weight or bias")
     if weights.shape != (payload["feature_dim"],):
         raise DimensionMismatch("stored weights do not match declared feature_dim")
-    if mean.shape != weights.shape or std.shape != weights.shape:
-        raise DimensionMismatch("stored scaler does not match feature_dim")
-    model = FittedModel(weights, bias, spec, train_range)
-    return model, Scaler(mean, std), horizon
+    return FittedModel(weights, bias, spec, train_range), horizon

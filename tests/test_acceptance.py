@@ -18,7 +18,7 @@ from txpattern import kernels
 from txpattern.backtest import (INTERVALS, SplitSpec, decay_weights, horizon_sweep,
                                 predict_price, run_backtest)
 from txpattern.cli import main as cli_main
-from txpattern.features import apply_scaler, day_feature_table, fit_scaler
+from txpattern.features import day_feature_table
 from txpattern.ingest import parse_prices, parse_transactions, partition_daily
 from txpattern.korder import feature_vector, occurrence_matrices, occurrence_matrix_oracle
 from txpattern.regress import RegressorSpec, fit, predict
@@ -158,25 +158,23 @@ def test_6_integration_identity():
             prices.price_on(dates[i + offset]) - base[i]
             for i in range(100 - offset)
         ])
-        scaler = fit_scaler(x)
-        model = fit(RegressorSpec(ridge_lambda=1.0), apply_scaler(scaler, x), y)
-        return model, scaler
+        return fit(RegressorSpec(ridge_lambda=1.0), x, y)
 
-    m1, s1 = fit_offset(1)
-    m2, s2 = fit_offset(2)
+    m1 = fit_offset(1)
+    m2 = fit_offset(2)
     w1 = decay_weights(0.8, 1)
     w2 = decay_weights(0.8, 2)
 
     rng = np.random.default_rng(0)
     days = rng.choice(np.arange(102, len(dates)), size=100, replace=False)
     for i in days:
-        e1 = float(base[i - 1]) + predict(m1, apply_scaler(s1, table[i - 1]))
-        single = predict_price([(m1, s1)], w1, [table[i - 1]], [float(base[i - 1])])
+        e1 = float(base[i - 1]) + predict(m1, table[i - 1])
+        single = predict_price([m1], w1, [table[i - 1]], [float(base[i - 1])])
         assert single == e1, "window-1 output must equal the single model bit for bit"
 
-        e2 = float(base[i - 2]) + predict(m2, apply_scaler(s2, table[i - 2]))
+        e2 = float(base[i - 2]) + predict(m2, table[i - 2])
         combined = predict_price(
-            [(m1, s1), (m2, s2)], w2,
+            [m1, m2], w2,
             [table[i - 1], table[i - 2]],
             [float(base[i - 1]), float(base[i - 2])],
         )

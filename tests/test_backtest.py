@@ -20,7 +20,6 @@ from txpattern.errors import (
     LengthMismatch,
     NonPositiveTruth,
 )
-from txpattern.features import apply_scaler
 from txpattern.regress import RegressorSpec, fit, predict
 from txpattern.synth import SynthSpec, generate
 
@@ -175,8 +174,8 @@ def _per_day_predictions(table, n_train, alphas, horizon, models):
     for i in range(n_train, len(table.dates)):
         est = np.array([
             float(table.base[i - j])
-            + (float(apply_scaler(scaler, table.x[i - j]) @ model.weights) + model.bias)
-            for j, (model, scaler) in enumerate(models, start=horizon)
+            + (float(table.x[i - j] @ model.weights) + model.bias)
+            for j, model in enumerate(models, start=horizon)
         ])
         out.append(est[0] + float(alphas @ (est - est[0])))
     return np.array(out)
@@ -185,7 +184,7 @@ def _per_day_predictions(table, n_train, alphas, horizon, models):
 def _offset_models(records, prices, split, spec, offsets):
     table, n_train = backtest._split_table(records, prices, split, 2)
     cut = table.dates[n_train - 1]
-    return table, n_train, [table.fit_offset(j, spec, cut)[:2] for j in offsets]
+    return table, n_train, [table.fit_offset(j, spec, cut)[0] for j in offsets]
 
 
 @pytest.mark.parametrize("kind", ["ridge", "linear_svr"])
@@ -210,10 +209,9 @@ def test_window_one_is_its_single_model_bit_for_bit(planted_corpus):
     records, prices = planted_corpus
     split = SplitSpec(0.75, "t")
     report = run_backtest(records, prices, split, window=1, horizon=2, spec=_ridge())
-    table, n_train, [(model, scaler)] = _offset_models(records, prices, split,
-                                                       _ridge(), [2])
+    table, n_train, [model] = _offset_models(records, prices, split, _ridge(), [2])
     rows = slice(n_train - 2, len(table.dates) - 2)
-    want = table.base[rows] + predict(model, apply_scaler(scaler, table.x[rows]))
+    want = table.base[rows] + predict(model, table.x[rows])
     assert np.array_equal(report.predicted_prices, want)
 
 

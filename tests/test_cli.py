@@ -392,7 +392,6 @@ def test_predict_missing_model_file(corpus, tmp_path, capsys):
 def _model_json(**changes) -> str:
     payload = {"schema_version": MODEL_SCHEMA_VERSION, "kind": "ridge", "params": {},
                "horizon": 1, "feature_dim": 1, "weights": [0.5], "bias": 0.0,
-               "scaler_mean": [0.0], "scaler_std": [1.0],
                "train_range": ["2015-01-01", "2015-01-30"]}
     payload.update(changes)
     return json.dumps(payload)
@@ -400,9 +399,11 @@ def _model_json(**changes) -> str:
 
 @pytest.mark.parametrize("payload, message", [
     ("[]", "not a JSON object"),
-    ('{"schema_version": 2}', "missing bias"),
+    ('{"schema_version": 3}', "missing bias"),
     pytest.param(_model_json(schema_version=1), "unsupported model schema: 1",
                  id="schema-1"),
+    pytest.param(_model_json(schema_version=2, scaler_mean=[0.0], scaler_std=[1.0]),
+                 "unsupported model schema: 2", id="schema-2"),
     pytest.param(_model_json(params={"bogus": 1}), "bogus", id="unknown-param"),
     pytest.param(_model_json(weights="abc"), "not a model file", id="text-weights"),
     pytest.param(_model_json(train_range=["2015-01-01", "2015-13-40"]),
@@ -413,10 +414,6 @@ def _model_json(**changes) -> str:
     pytest.param(_model_json(horizon="1"), "horizon '1'", id="text-horizon"),
     pytest.param(_model_json(weights=[float("nan")]), "non-finite", id="nan-weight"),
     pytest.param(_model_json(bias=float("inf")), "non-finite", id="inf-bias"),
-    pytest.param(_model_json(scaler_mean=[float("-inf")]), "non-finite",
-                 id="inf-scaler-mean"),
-    pytest.param(_model_json(scaler_std=[float("nan")]), "non-finite",
-                 id="nan-scaler-std"),
     pytest.param(_model_json(params={"svr_tolerance": float("inf")}),
                  "svr_tolerance must be finite", id="inf-param"),
     pytest.param(_model_json(params={"svr_c": float("nan")}),
@@ -494,7 +491,7 @@ def test_model_svr_alias(corpus, tmp_path, capsys):
                      "--out", model_path, "--model", "svr",
                      "--svr-tol", "1e-3")
     assert code == 0
-    model, _, _ = load_model(model_path)
+    model, _ = load_model(model_path)
     assert model.spec.kind == "linear_svr"
     assert model.spec.svr_tolerance == 1e-3
 
@@ -505,7 +502,7 @@ def test_train_and_predict(corpus, tmp_path, capsys):
     code, out, _ = run(capsys, "train", "--tx", tx, "--prices", px,
                        "--out", model_path, "--ridge-lambda", "1e-6")
     assert code == 0
-    model, scaler, horizon = load_model(model_path)
+    model, horizon = load_model(model_path)
     assert horizon == 1
     assert model.feature_dim == 800
 

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from txpattern.backtest import decay_weights, integrate, predict_price
-from txpattern.errors import BadDecay, BadWindow, LengthMismatch
-from txpattern.features import Scaler
+from txpattern.errors import BadSpec, LengthMismatch
 from txpattern.regress import FittedModel, RegressorSpec
 
 
@@ -24,9 +23,9 @@ def test_hand_derived_weights():
 
 def test_bad_parameters():
     for r in (0.0, 1.0, -0.5, 1.5):
-        with pytest.raises(BadDecay):
+        with pytest.raises(BadSpec, match="decay must lie in"):
             decay_weights(r, 3)
-    with pytest.raises(BadWindow):
+    with pytest.raises(BadSpec, match="window must be >= 1"):
         decay_weights(0.8, 0)
 
 
@@ -99,14 +98,9 @@ def _constant_model(diff: float, dim: int = 3) -> FittedModel:
     )
 
 
-def _identity_scaler(dim: int = 3) -> Scaler:
-    return Scaler(mean=np.zeros(dim), std=np.ones(dim))
-
-
 def test_predict_price_combines_offsets():
     # offset-1 model says +10 from base 100; offset-2 says +30 from base 90
-    models = [(_constant_model(10.0), _identity_scaler()),
-              (_constant_model(30.0), _identity_scaler())]
+    models = [_constant_model(10.0), _constant_model(30.0)]
     out = predict_price(models, decay_weights(0.8, 2),
                         [np.zeros(3), np.zeros(3)], [100.0, 90.0])
     assert out == pytest.approx(0.8 * 110.0 + 0.2 * 120.0, abs=1e-9)
@@ -114,20 +108,10 @@ def test_predict_price_combines_offsets():
 
 def test_predict_price_missing_offset():
     # two offset models, but features and a base price for only the first
-    models = [(_constant_model(0.0), _identity_scaler()),
-              (_constant_model(0.0), _identity_scaler())]
+    models = [_constant_model(0.0), _constant_model(0.0)]
     alphas = decay_weights(0.8, 2)
     with pytest.raises(LengthMismatch):
         predict_price(models, alphas, [np.zeros(3)], [100.0])
     with pytest.raises(LengthMismatch):
         predict_price(models, alphas, [np.zeros(3), np.zeros(3)], [100.0])
 
-
-def test_predict_price_scales_features():
-    # weight 1 on a feature with mean 5 / std 2: raw value 9 scales to 2
-    model = FittedModel(weights=np.array([1.0]), bias=0.0,
-                        spec=RegressorSpec(ridge_lambda=1.0))
-    scaler = Scaler(mean=np.array([5.0]), std=np.array([2.0]))
-    out = predict_price([(model, scaler)], decay_weights(0.8, 1),
-                        [np.array([9.0])], [100.0])
-    assert out == 102.0

@@ -6,13 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from txpattern.backtest import DayTable
-from txpattern.errors import BadSpec, PriceMissing, TooFewRows
-from txpattern.features import (
-    apply_scaler,
-    day_feature_table,
-    fit_scaler,
-    write_feature_csv,
-)
+from txpattern.errors import BadSpec, PriceMissing
+from txpattern.features import day_feature_table, write_feature_csv
 from txpattern.ingest import DayWindow, PriceSeries, TransactionRecord, TransactionTable
 from txpattern.korder import GRID_CELLS
 
@@ -63,51 +58,6 @@ def test_empty_day_gives_zero_row():
     dates, table = day_feature_table(day_windows(records), 2)
     assert len(dates) == 3
     assert table[1].sum() == 0
-
-
-def test_fit_scaler_population_moments():
-    x = np.array([[1.0, 5.0], [3.0, 5.0]])
-    scaler = fit_scaler(x)
-    assert np.array_equal(scaler.mean, [2.0, 5.0])
-    assert np.array_equal(scaler.std, [1.0, 0.0])
-
-
-def test_apply_scaler_zero_variance_column():
-    x = np.array([[1.0, 5.0], [3.0, 5.0]])
-    scaled = apply_scaler(fit_scaler(x), x)
-    assert np.array_equal(scaled, [[-1.0, 0.0], [1.0, 0.0]])
-
-
-def test_apply_scaler_single_vector():
-    x = np.array([[0.0, 0.0], [2.0, 4.0]])
-    scaler = fit_scaler(x)
-    out = apply_scaler(scaler, np.array([1.0, 2.0]))
-    assert out.shape == (2,)
-    assert np.array_equal(out, [0.0, 0.0])
-
-
-def _scaled_by_formula(scaler, x):
-    """Every column scaled, then the constant ones set to 0."""
-    safe = np.where(scaler.std > 0, scaler.std, 1.0)
-    return np.where(scaler.std > 0, (x - scaler.mean) / safe, 0.0)
-
-
-def test_apply_scaler_equals_the_full_width_formula():
-    rng = np.random.default_rng(8)
-    x = rng.normal(size=(30, 12)) * rng.uniform(0.1, 5.0, 12) + rng.normal(size=12)
-    x[:, [0, 3, 4, 9]] = [-2.5, 0.0, 7.0, -0.0]
-    scaler = fit_scaler(x[:20])
-    assert (scaler.std == 0).sum() == 4
-    for block in (x[25], x[20:], x[:20]):
-        got = apply_scaler(scaler, block)
-        assert got.shape == block.shape
-        assert got.tobytes() == _scaled_by_formula(scaler, block).tobytes()
-        assert not np.signbit(got[..., [0, 3, 4, 9]]).any()
-
-
-def test_fit_scaler_too_few_rows():
-    with pytest.raises(TooFewRows):
-        fit_scaler(np.ones((1, 4)))
 
 
 def test_build_dataset_targets():

@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from txpattern import kernels
-from txpattern.errors import OrderOutOfRange
+from txpattern.errors import BadSpec
 from txpattern.korder import (
     CLAMP,
     GRID_CELLS,
@@ -13,7 +15,6 @@ from txpattern.korder import (
     feature_vector,
     occurrence_matrices,
     occurrence_matrix_oracle,
-    subgraph_shape,
 )
 from txpattern.ingest import TransactionRecord
 from txpattern.txgraph import build_graph
@@ -28,6 +29,27 @@ from conftest import DAY0_TS, address_ids, day_windows, random_window, toy_recor
 def _grid(graph, k: int):
     """The order-k grid of the matrix route."""
     return occurrence_matrices(graph, k)[k - 1]
+
+
+class SubgraphShape(NamedTuple):
+    m: int
+    n: int
+
+
+def subgraph_shape(graph, k: int, t: int) -> SubgraphShape:
+    """(m, n) of transaction t at order k by explicit frontier expansion,
+    unclamped: the reference walk.  Level d holds every transaction that
+    some length-d spend walk from t reaches, so a walk may revisit one."""
+    spenders: dict[int, set[int]] = {}
+    for u in range(graph.n_transactions):
+        for a in graph.input_ids(u).tolist():
+            spenders.setdefault(a, set()).add(u)
+    level = {t}
+    for _ in range(k - 1):
+        level = {s for u in level for a in graph.output_ids(u).tolist()
+                 for s in spenders.get(a, ())}
+    frontier = {a for u in level for a in graph.output_ids(u).tolist()}
+    return SubgraphShape(m=len(graph.input_ids(t)), n=len(frontier))
 
 
 def _from_dense(dense: np.ndarray):
@@ -238,9 +260,9 @@ def test_rows_straddling_the_clamp(straddle_graph):
 
 
 def test_order_out_of_range(toy_graph):
-    with pytest.raises(OrderOutOfRange):
+    with pytest.raises(BadSpec):
         _grid(toy_graph, 0)
-    with pytest.raises(OrderOutOfRange):
+    with pytest.raises(BadSpec):
         feature_vector(toy_graph, -1)
 
 

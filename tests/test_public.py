@@ -9,6 +9,10 @@ import pytest
 
 import txpattern
 from txpattern import backtest, cli, features, kernels, korder
+from txpattern.errors import BadSpec
+from txpattern.txgraph import build_graph
+
+from conftest import day_windows, toy_records
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -45,6 +49,22 @@ def test_package_runs_without_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert int(out) == len(list((ROOT / "src" / "txpattern").glob("*.py"))) - 1
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: backtest.decay_weights(1.5, 2), "decay must lie in (0, 1), got 1.5"),
+    (lambda: backtest.decay_weights(0.8, 0), "window must be >= 1, got 0"),
+    (lambda: features.day_feature_table(day_windows(toy_records()), 0),
+     "order must be >= 1, got 0"),
+    (lambda: korder.occurrence_matrix_oracle(
+        build_graph(day_windows(toy_records())[0]), 0), "order must be >= 1, got 0"),
+], ids=["decay", "window", "table-order", "oracle-order"])
+def test_out_of_range_parameter_is_badspec(call, message):
+    # one error type for "a parameter is out of range", also a ValueError
+    with pytest.raises(BadSpec) as exc:
+        call()
+    assert isinstance(exc.value, ValueError)
+    assert str(exc.value) == message
 
 
 def _install_tracer(monkeypatch):

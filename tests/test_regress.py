@@ -1,11 +1,11 @@
 import datetime as dt
+import warnings
 
 import numpy as np
 import pytest
 
 from txpattern import kernels
 from txpattern.errors import BadSpec, DimensionMismatch, SingularSystem, TooFewRows
-from txpattern.features import Scaler
 from txpattern.regress import (
     KINDS,
     FittedModel,
@@ -81,15 +81,33 @@ def test_ridge_zero_penalty_singular(design):
         fit(RegressorSpec(ridge_lambda=0.0), x, y)
 
 
+def _zscored(x):
+    """``(z, mean, std)``: x's columns z-scored with population statistics,
+    the space in which both fits solve; a constant column (by range) is all
+    0 in z and has std 1."""
+    live = x.max(axis=0) > x.min(axis=0)
+    mean = x.mean(axis=0)
+    std = np.where(live, x.std(axis=0), 1.0)
+    return np.where(live, (x - mean) / std, 0.0), mean, std
+
+
+def _raw_weights(wz, bz, mean, std):
+    """z-space weights and bias as weights on the raw columns."""
+    w = wz / std
+    return w, bz - mean @ w
+
+
 def _normal_equations(x, y, lam):
-    """Ridge by LU on the augmented normal equations: [X 1]'[X 1] plus lam
-    on the diagonal but for the intercept's entry."""
-    n, d = x.shape
-    a = np.hstack([x, np.ones((n, 1))])
+    """Ridge by LU on the augmented normal equations of the z-scored
+    design: [Z 1]'[Z 1] plus lam on the diagonal but for the intercept's
+    entry, mapped back to x's columns."""
+    z, mean, std = _zscored(x)
+    n, d = z.shape
+    a = np.hstack([z, np.ones((n, 1))])
     gram = a.T @ a
     gram[np.arange(d), np.arange(d)] += lam
     wb = np.linalg.solve(gram, a.T @ y)
-    return wb[:d], wb[d]
+    return _raw_weights(wb[:d], wb[d], mean, std)
 
 
 def _with_constants(x, seed):
@@ -200,7 +218,10 @@ def test_predict_one_vector_or_a_row_block():
 
 
 def _svr_objective(x, y, w, b, c=1.0, eps=0.1):
-    return 0.5 * float(w @ w) + c * float(
+    """The SVR objective of raw weights w, its penalty on the z-space
+    weights w * std (a constant column's weight is 0)."""
+    wz = w * x.std(axis=0)
+    return 0.5 * float(wz @ wz) + c * float(
         np.maximum(np.abs(x @ w + b - y) - eps, 0.0).sum())
 
 
@@ -255,11 +276,13 @@ def _mostly_constant(n=100, live=10, constant=20, seed=3):
 
 
 def _scipy_svr_objective(x, y, c, eps):
-    """The optimum of the slack-form primal: min 0.5|w|^2 + C sum(xi)
-    subject to |x w + b - y| <= eps + xi and xi >= 0, with b unpenalised."""
+    """The optimum of the slack-form primal on the z-scored design Z:
+    min 0.5|w|^2 + C sum(xi) subject to |Z w + b - y| <= eps + xi and
+    xi >= 0, with b unpenalised."""
     optimize = pytest.importorskip("scipy.optimize")
-    n, d = x.shape
-    a = np.hstack([x, np.ones((n, 1))])
+    z, mean, std = _zscored(x)
+    n, d = z.shape
+    a = np.hstack([z, np.ones((n, 1))])
     eye = np.eye(n)
     constraint = optimize.LinearConstraint(
         np.vstack([np.hstack([a, -eye]), np.hstack([-a, -eye])]),
@@ -285,7 +308,8 @@ def _scipy_svr_objective(x, y, c, eps):
         method="trust-constr", constraints=[constraint],
         bounds=optimize.Bounds(lower, np.inf),
         options={"gtol": 1e-10, "xtol": 1e-12, "maxiter": 5000})
-    return _svr_objective(x, y, res.x[:d], res.x[d], c, eps)
+    w, b = _raw_weights(res.x[:d], res.x[d], mean, std)
+    return _svr_objective(x, y, w, b, c, eps)
 
 
 def test_svr_matches_scipy_reference():
@@ -310,6 +334,35 @@ def test_constant_columns_get_zero_weight(kind):
     assert np.array_equal(np.delete(full.weights, 1), plain.weights)
     assert full.bias == pytest.approx(plain.bias, rel=1e-12)
     assert np.array_equal(full.epoch_losses, plain.epoch_losses)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_fits_invariant_to_column_affine_maps(kind):
+    # both fits solve on z-scored columns, so scaling and shifting a
+    # column changes its weight and the bias but no prediction
+    x, y = _planted_uncentred(seed=6)
+    x = np.hstack([x, np.full((len(x), 1), 2.5)])
+    rng = np.random.default_rng(6)
+    a = np.geomspace(1e-3, 1e3, x.shape[1])
+    c = rng.normal(size=x.shape[1]) * 10.0
+    spec = RegressorSpec(kind=kind, ridge_lambda=1.0)
+    plain = predict(fit(spec, x, y), x)
+    mapped = predict(fit(spec, x * a + c, y), x * a + c)
+    assert np.abs(mapped - plain).max() <= 1e-9 * np.abs(plain).max()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_all_constant_design_fits_zero_weights(kind, capsys):
+    y = np.random.default_rng(7).normal(size=20) + 3.0
+    x = np.tile([1.0, -2.0, 0.1, 0.0], (20, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = fit(RegressorSpec(kind=kind), x, y)
+    assert np.array_equal(model.weights, np.zeros(4))
+    assert model.converged
+    assert capsys.readouterr().err == ""
+    if kind == "ridge":
+        assert model.bias == y.mean()
 
 
 def test_svr_iteration_cap_not_converged(monkeypatch, capsys):
@@ -351,11 +404,14 @@ def test_svr_cap_only_truncates(monkeypatch, capsys):
 
 def _svr_reference(x, y, c, eps, tol, max_iter):
     """``kernels.svr_epochs`` written as plain numpy expressions, each step
-    a new array, with the live columns gathered twice; the kernel must
-    equal it bit for bit.  Also returns how often rho was rebalanced."""
+    a new array, with the live columns gathered twice and z-scored with
+    population statistics; the kernel must equal it bit for bit.  Also
+    returns how often rho was rebalanced."""
     live = np.flatnonzero(x.max(axis=0) > x.min(axis=0))
     mu = x[:, live].mean(axis=0)
     xl = x[:, live] - mu
+    sd = xl.std(axis=0)
+    xl = xl / sd
     lam, v = np.linalg.eigh(xl.T @ xl)
     pt = xl @ v
     p = np.ascontiguousarray(pt.T)
@@ -395,7 +451,7 @@ def _svr_reference(x, y, c, eps, tol, max_iter):
             scale = 1.0 / (lam + 1.0 / rho)
             rebalanced += 1
     w = np.zeros(x.shape[1])
-    w[live] = v @ wv
+    w[live] = (v @ wv) / sd
     return w, float(b - mu @ w[live]), objectives[:it + 1], converged, rebalanced
 
 
@@ -446,16 +502,13 @@ def test_save_load_roundtrip(tmp_path):
     x, y, _ = _linear_data(noise=0.2, seed=11)
     model = fit(RegressorSpec(ridge_lambda=0.1), x, y,
                 train_range=(dt.date(2015, 1, 1), dt.date(2015, 2, 1)))
-    scaler = Scaler(mean=x.mean(axis=0), std=x.std(axis=0))
     path = tmp_path / "model.json"
-    save_model(path, model, scaler, horizon=3)
-    loaded, loaded_scaler, horizon = load_model(path)
+    save_model(path, model, horizon=3)
+    loaded, horizon = load_model(path)
     assert horizon == 3
     assert np.array_equal(loaded.weights, model.weights)
     assert loaded.bias == model.bias
     assert loaded.train_range == model.train_range
-    assert np.array_equal(loaded_scaler.mean, scaler.mean)
-    assert np.array_equal(loaded_scaler.std, scaler.std)
     probe = np.linspace(-1, 1, x.shape[1])
     assert predict(loaded, probe) == predict(model, probe)
 
@@ -463,8 +516,7 @@ def test_save_load_roundtrip(tmp_path):
 def test_save_load_deterministic_bytes(tmp_path):
     x, y, _ = _linear_data(seed=12)
     model = fit(RegressorSpec(), x, y)
-    scaler = Scaler(mean=x.mean(axis=0), std=x.std(axis=0))
     p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
-    save_model(p1, model, scaler, horizon=1)
-    save_model(p2, model, scaler, horizon=1)
+    save_model(p1, model, horizon=1)
+    save_model(p2, model, horizon=1)
     assert p1.read_bytes() == p2.read_bytes()

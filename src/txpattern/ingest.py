@@ -16,17 +16,19 @@ at UTC midnight.  They must fall on a day ``datetime.date`` can hold, years
 
 Transactions are held as one :class:`TransactionTable` of flat int64
 columns in file order: timestamps, per-row input and output counts, and
-the keys of the input and output addresses of all rows laid end to end.
-A key is a 64-bit hash of the address bytes, and the parser makes it
-exact: when two different addresses of a file share a key, every address
-is keyed again with the next seed, so equal keys mean equal addresses.
-No Python object is made per transaction or per address.  One parser
-builds every table from a file's bytes: :func:`parse_transactions` reads
-its file to the end, so it may be a pipe, and ``from_records`` parses what
-:func:`write_transactions` writes, so record ``n`` is line ``n + 1`` in
-its errors.  A :class:`DayWindow` is a date plus the row indices of the
-table that fall on it, so every day of a file shares the one table.
-Nothing is modified after parsing.
+one column of address keys, each row's inputs then its outputs, all rows
+laid end to end.  A key is a 64-bit hash of the address bytes, and the
+parser makes it exact: when two different addresses of a file share a
+key, every address is keyed again with the next seed, so equal keys mean
+equal addresses.  Tx ids are checked for repeats and not kept: when two
+ids share a key, the lines are read one by one to tell a repeat from a
+hash collision.  No Python object is made per transaction or per
+address.  One parser builds every table from a file's bytes:
+:func:`parse_transactions` reads its file to the end, so it may be a
+pipe, and ``from_records`` parses what :func:`write_transactions` writes,
+so record ``n`` is line ``n + 1`` in its errors.  A :class:`DayWindow` is
+a date plus the row indices of the table that fall on it, so every day of
+a file shares the one table.  Nothing is modified after parsing.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -119,13 +120,12 @@ def _hash(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
 
 
 def _same_bytes(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
-                keys: np.ndarray) -> tuple[bool, bool]:
-    """Whether tokens with equal keys have equal bytes, and whether any two
-    tokens share a key."""
+                keys: np.ndarray) -> bool:
+    """Whether tokens with equal keys have equal bytes."""
     ordered = np.sort(keys)
     shared = ordered[1:][ordered[1:] == ordered[:-1]]
     if not shared.size:
-        return True, False
+        return True
     # an argsort of every key costs 4x the sort, so only the tokens whose
     # bucket holds a shared key are ordered, and each is compared with its
     # neighbour of equal key; equality is transitive along a run
@@ -139,40 +139,33 @@ def _same_bytes(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     lens = ends[a] - starts[a]
     return np.array_equal(lens, ends[b] - starts[b]) and all(
         np.array_equal(_word(buf, starts[a], lens, j), _word(buf, starts[b], lens, j))
-        for j in range(0, int(lens.max()), 8)), True
+        for j in range(0, int(lens.max()), 8))
 
 
 def _exact_keys(buf: np.ndarray, starts: np.ndarray,
-                ends: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, bool]:
+                ends: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """The tokens' keys of seed 0, or of the first seed under which equal
-    keys mean equal bytes, and whether two tokens share a key.  Every
-    seed's keys are a function of the set of tokens, so the same tokens
-    always get the same keys."""
+    keys mean equal bytes.  Every seed's keys are a function of the set of
+    tokens, so the same tokens always get the same keys."""
     seed = 0
-    while True:
-        exact, shared = _same_bytes(buf, starts, ends, keys)
-        if exact:
-            return keys, shared
+    while not _same_bytes(buf, starts, ends, keys):
         seed += 1
         keys = _hash(buf, starts, ends, seed)
+    return keys
 
 
 class TransactionTable:
-    """Transactions as columns.  Row ``i`` is at ``timestamps[i]``, with the
-    keys of its input addresses
-    ``input_keys[in_indptr[i]:in_indptr[i + 1]]`` (none for a coinbase) and
-    of its output addresses ``output_keys[out_indptr[i]:out_indptr[i + 1]]``.
-    Two tokens of a table have equal keys exactly when their bytes are
-    equal."""
+    """Transactions as columns.  Row ``i`` is at ``timestamps[i]``, and its
+    address keys are ``keys[indptr[i]:indptr[i + 1]]``: its ``n_inputs[i]``
+    inputs (none for a coinbase), then its ``n_outputs[i]`` outputs.  Two
+    tokens of a table have equal keys exactly when their bytes are equal."""
 
-    def __init__(self, timestamps, n_inputs, n_outputs, input_keys, output_keys):
+    def __init__(self, timestamps, n_inputs, n_outputs, keys):
         self.timestamps = np.asarray(timestamps, dtype=np.int64)
         self.n_inputs = np.asarray(n_inputs, dtype=np.int64)
         self.n_outputs = np.asarray(n_outputs, dtype=np.int64)
-        self.in_indptr = indptr_from(self.n_inputs)
-        self.out_indptr = indptr_from(self.n_outputs)
-        self.input_keys = np.asarray(input_keys, dtype=np.int64)
-        self.output_keys = np.asarray(output_keys, dtype=np.int64)
+        self.indptr = indptr_from(self.n_inputs + self.n_outputs)
+        self.keys = np.asarray(keys, dtype=np.int64)
 
     @classmethod
     def from_records(cls, records: list[TransactionRecord]) -> "TransactionTable":
@@ -294,9 +287,9 @@ def _split(lo: np.ndarray, hi: np.ndarray, seps: np.ndarray,
 
 def _chunk_columns(buf: np.ndarray, lo: int, hi: int) -> tuple | None:
     """The columns of the lines in ``buf[lo:hi]``, which ends on a newline,
-    or None when a line fails a check.  Ids and address tokens come as
-    spans of ``buf`` with their seed-0 keys; the address tokens are the
-    chunk's inputs, then its outputs."""
+    or None when a line fails a check.  Ids come as their seed-0 keys, and
+    address tokens as spans of ``buf`` with their seed-0 keys, in file
+    order."""
     chunk = buf[lo:hi]
     ends = np.flatnonzero((chunk == 10) | (chunk == 13))
     starts = np.concatenate(([0], ends[:-1] + 1))
@@ -316,18 +309,18 @@ def _chunk_columns(buf: np.ndarray, lo: int, hi: int) -> tuple | None:
     # 3 outputs), from the sorted field ends of the chunk
     semis = np.flatnonzero(chunk == ord(";"))
     field_of = np.searchsorted(np.column_stack((commas, ends)).ravel(), semis)
-    outs, ins = field_of % 4 == 3, field_of % 4 == 2
-    n_out, out_starts, out_ends = _split(commas[:, 2] + 1, ends, semis[outs],
-                                         field_of[outs] // 4)
-    if not n_out.all():
+    in_address = field_of % 4 >= 2
+    field_of = field_of[in_address]
+    # address field 2 * line (field 4 * line + 2) is the line's inputs and
+    # 2 * line + 1 its outputs, so the tokens come in file order
+    n, tok_starts, tok_ends = _split(
+        (commas[:, 1:] + 1).ravel(), np.column_stack((commas[:, 2], ends)).ravel(),
+        semis[in_address], field_of - field_of // 4 * 2 - 2)
+    if not n[1::2].all():
         return None
-    n_in, in_starts, in_ends = _split(commas[:, 1] + 1, commas[:, 2], semis[ins],
-                                      field_of[ins] // 4)
-    id_spans = (lo + starts, lo + commas[:, 0])
-    spans = (lo + np.concatenate((in_starts, out_starts)),
-             lo + np.concatenate((in_ends, out_ends)))
-    return (stamps, n_in, n_out, *id_spans, _hash(buf, *id_spans, 0), *spans,
-            _hash(buf, *spans, 0), np.repeat([True, False], [in_starts.size, out_starts.size]))
+    spans = (lo + tok_starts, lo + tok_ends)
+    return (stamps, n[::2], n[1::2], _hash(buf, lo + starts, lo + commas[:, 0], 0),
+            *spans, _hash(buf, *spans, 0))
 
 
 def _padded(data: bytes) -> np.ndarray:
@@ -341,8 +334,8 @@ def _parse(buf: np.ndarray) -> TransactionTable:
     :func:`_padded`, in file order.
 
     The bytes are checked as whole columns, one chunk of lines at a time.
-    When a check fails they are read again line by line, and the first bad
-    line in file order raises."""
+    When a check fails, or two tx ids share a key, they are read again line
+    by line, and the first bad line in file order raises."""
     size = buf.size - 9
     lo = _NEWLINE.search(buf).start()
     header = buf[:lo].tobytes().decode("utf-8", errors="replace")
@@ -355,15 +348,15 @@ def _parse(buf: np.ndarray) -> TransactionTable:
         hi = _NEWLINE.search(buf, min(lo + _CHUNK_BYTES, size)).end()
         chunks.append(_chunk_columns(buf, lo, hi))
         if chunks[-1] is None:
-            _raise_first_bad_line(buf[:size])
+            _check_lines(buf[:size])
+            raise RuntimeError("a column check failed but no line is bad")
         lo = hi
-    (stamps, n_in, n_out, id_starts, id_ends, id_keys, starts, ends, keys,
-     is_input) = map(np.concatenate, zip(*chunks))
+    stamps, n_in, n_out, id_keys, starts, ends, keys = map(np.concatenate, zip(*chunks))
     del chunks
-    if _exact_keys(buf, id_starts, id_ends, id_keys)[1]:
-        _raise_first_bad_line(buf[:size])   # a tx_id repeats
-    keys, _ = _exact_keys(buf, starts, ends, keys)
-    return TransactionTable(stamps, n_in, n_out, keys[is_input], keys[~is_input])
+    id_keys.sort()
+    if (id_keys[1:] == id_keys[:-1]).any():
+        _check_lines(buf[:size])            # a tx_id repeats, or two share a key
+    return TransactionTable(stamps, n_in, n_out, _exact_keys(buf, starts, ends, keys))
 
 
 def parse_transactions(path: str | Path) -> TransactionTable:
@@ -380,11 +373,11 @@ def _text(raw: str) -> str:
     return raw.encode("latin-1").decode("utf-8", errors="replace")
 
 
-def _raise_first_bad_line(data: np.ndarray) -> NoReturn:
+def _check_lines(data: np.ndarray) -> None:
     """Raise the error of the first line of a transactions file's bytes, in
     file order, that fails a check; the checks of one line run in a fixed
-    order.  Latin-1 reads each byte as one character, so fields compare as
-    bytes."""
+    order.  Return when no line fails.  Latin-1 reads each byte as one
+    character, so fields compare as bytes."""
     seen: dict[str, int] = {}
     with io.TextIOWrapper(io.BytesIO(data), encoding="latin-1") as fh:
         fh.readline()
@@ -411,7 +404,6 @@ def _raise_first_bad_line(data: np.ndarray) -> NoReturn:
             if not any(out_text.split(";")):
                 raise MalformedRow(lineno, "transaction has no outputs")
             seen[tx_id] = lineno
-    raise RuntimeError("a column check failed but no line is bad")
 
 
 def _csv(records: list[TransactionRecord]) -> bytes:

@@ -165,6 +165,11 @@ def load_model(path: str | Path) -> tuple[FittedModel, int]:
     missing = [key for key in _MODEL_KEYS if key not in payload]
     if missing:
         raise BadSpec(f"{path} is not a model file: missing {', '.join(missing)}")
+    # a key of another schema, such as schema 2's scaler, changes what the
+    # weights mean, so it is an error and never ignored
+    unknown = sorted(payload.keys() - {"schema_version", *_MODEL_KEYS})
+    if unknown:
+        raise BadSpec(f"{path} is not a model file: unknown {', '.join(unknown)}")
     try:
         weights = np.array(payload["weights"], dtype=np.float64)
         bias = float(payload["bias"])

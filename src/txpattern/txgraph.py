@@ -96,10 +96,9 @@ def build_graph(*windows: DayWindow) -> TransactionGraph:
     rows, day = rows[kept], day[kept]
     n_in = table.n_inputs[rows]
     n_out = table.n_outputs[rows]
+    first = table.indptr[rows]
     ids, n_addresses = _dense(np.concatenate((
-        table.input_keys[ranges(table.in_indptr[rows], n_in)],
-        table.output_keys[ranges(table.out_indptr[rows], n_out)],
-    )))
+        table.keys[ranges(first, n_in)], table.keys[ranges(first + n_in, n_out)])))
     if n_days > 1:
         # key ids are below the token count, so this cannot overflow
         ids, n_addresses = _dense(

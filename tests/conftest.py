@@ -142,9 +142,7 @@ def address_ids(records: list[TransactionRecord],
     that each is one token."""
     file_records = records if file_records is None else file_records
     table = TransactionTable.from_records(file_records)
-    key = dict(zip([a for r in file_records for a in r.inputs],
-                   table.input_keys.tolist()))
-    key.update(zip([a for r in file_records for a in r.outputs],
-                   table.output_keys.tolist()))
+    key = dict(zip([a for r in file_records for a in r.inputs + r.outputs],
+                   table.keys.tolist()))
     names = {a for r in records if r.inputs for a in r.inputs + r.outputs}
     return {a: i for i, a in enumerate(sorted(names, key=key.__getitem__))}

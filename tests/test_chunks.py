@@ -163,8 +163,8 @@ def test_keys_at_the_int64_extremes():
     table = TransactionTable(
         timestamps=[DAY0_TS, DAY0_TS + 1, DAY0_TS + DAY, DAY0_TS + DAY + 1],
         n_inputs=[1, 2, 1, 2], n_outputs=[2, 2, 2, 1],
-        input_keys=[bottom, top, -1, 0, 5, 5 - 2**63],
-        output_keys=[top, -1, bottom, 0, 5, 5 - 2**63, bottom],
+        keys=[bottom, top, -1, top, -1, bottom, 0,
+              0, 5, 5 - 2**63, 5, 5 - 2**63, bottom],
     )
     windows = partition_daily(table)
     assert len(windows) == 2

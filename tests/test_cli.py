@@ -404,6 +404,9 @@ def _model_json(**changes) -> str:
                  id="schema-1"),
     pytest.param(_model_json(schema_version=2, scaler_mean=[0.0], scaler_std=[1.0]),
                  "unsupported model schema: 2", id="schema-2"),
+    # a schema-2 file relabelled 3: its weights are in z-space
+    pytest.param(_model_json(scaler_mean=[5.0], scaler_std=[2.0]),
+                 "unknown scaler_mean, scaler_std", id="schema-2-keys"),
     pytest.param(_model_json(params={"bogus": 1}), "bogus", id="unknown-param"),
     pytest.param(_model_json(weights="abc"), "not a model file", id="text-weights"),
     pytest.param(_model_json(train_range=["2015-01-01", "2015-13-40"]),

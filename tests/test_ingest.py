@@ -35,8 +35,7 @@ HEADER = "tx_id,timestamp,inputs,outputs\n"
 
 def _columns(table: TransactionTable) -> tuple:
     return (table.timestamps.tolist(), table.n_inputs.tolist(),
-            table.n_outputs.tolist(), table.input_keys.tolist(),
-            table.output_keys.tolist())
+            table.n_outputs.tolist(), table.keys.tolist())
 
 
 def test_transaction_roundtrip(tmp_path):
@@ -46,8 +45,8 @@ def test_transaction_roundtrip(tmp_path):
     back = parse_transactions(path)
     assert _columns(back) == _columns(TransactionTable.from_records(records))
     assert back.timestamps.dtype == np.int64
-    assert back.input_keys.dtype == np.int64
-    assert back.in_indptr.tolist() == [0, 2, 3, 5, 7, 7]
+    assert back.keys.dtype == np.int64
+    assert back.indptr.tolist() == [0, 3, 6, 9, 12, 13]
 
 
 def test_coinbase_has_empty_inputs(tmp_path):
@@ -56,9 +55,9 @@ def test_coinbase_has_empty_inputs(tmp_path):
     table = parse_transactions(path)
     assert len(table) == 1
     assert table.n_inputs.tolist() == [0]
-    assert table.input_keys.tolist() == []
+    assert table.keys.size == 2
     want = TransactionTable.from_records([TransactionRecord("cb", 1000, (), ("x1", "x2"))])
-    assert table.output_keys.tolist() == want.output_keys.tolist()
+    assert table.keys.tolist() == want.keys.tolist()
 
 
 def test_empty_tokens_dropped(tmp_path):
@@ -416,9 +415,10 @@ def test_big_file_parses_across_chunks(tmp_path):
     assert (table.n_inputs == 2).all() and (table.n_outputs == 1).all()
     # row i spends in{i} and in{i + 1}, so rows i and i + 1 share one key
     # across every chunk boundary, and no other token does
-    assert (table.input_keys[1:-1:2] == table.input_keys[2::2]).all()
-    assert np.unique(table.input_keys).size == 150_001
-    assert np.unique(np.concatenate((table.input_keys, table.output_keys))).size == 300_001
+    input_keys = table.keys.reshape(-1, 3)[:, :2].ravel()
+    assert (input_keys[1:-1:2] == input_keys[2::2]).all()
+    assert np.unique(input_keys).size == 150_001
+    assert np.unique(table.keys).size == 300_001
 
 
 # any bytes but the separators, multi-byte UTF-8 included

@@ -202,5 +202,4 @@ def test_one_parse_per_generation(tmp_path, monkeypatch, price_model):
     assert len(parses) == 1
     write_synth(spec, tmp_path / "tx.csv", tmp_path / "px.csv")
     assert len(parses) == 1 + (price_model == "planted_linear")
-    assert np.array_equal(parse_transactions(tmp_path / "tx.csv").input_keys,
-                          table.input_keys)
+    assert np.array_equal(parse_transactions(tmp_path / "tx.csv").keys, table.keys)

@@ -1,8 +1,10 @@
 import datetime as dt
 
 import numpy as np
+import pytest
 
 from txpattern import ingest
+from txpattern.errors import DuplicateTxId
 from txpattern.features import day_feature_table
 from txpattern.ingest import (
     DayWindow,
@@ -64,9 +66,9 @@ def test_toy_graph_shape(toy_graph):
 def test_address_ids_dense_in_key_order(toy_graph):
     # ids 0..7 rank the distinct address keys; t3 and t4 both pay a8
     table = TransactionTable.from_records(toy_records())
-    keys = np.unique(np.concatenate((table.input_keys, table.output_keys)))
+    keys = np.unique(table.keys)
     assert keys.size == toy_graph.n_addresses == 8
-    a8 = int(np.searchsorted(keys, table.output_keys[-1]))
+    a8 = int(np.searchsorted(keys, table.keys[-1]))
     assert toy_graph.output_ids(2).tolist() == toy_graph.output_ids(3).tolist() == [a8]
     ids = np.concatenate((toy_graph.in_indices, toy_graph.out_indices))
     assert sorted(set(ids.tolist())) == list(range(8))
@@ -185,17 +187,51 @@ def test_keys_exact_under_an_8_bit_hash(tmp_path, monkeypatch):
         return (full_hash(buf, starts, ends, seed) >> 56) & 0xFF
 
     full = TransactionTable.from_records(records)
-    full_keys = np.unique(np.concatenate((full.input_keys, full.output_keys)))
+    full_keys = np.unique(full.keys)
     assert np.unique((full_keys >> 56) & 0xFF).size < full_keys.size
     monkeypatch.setattr(ingest, "_hash", hash_8_bits)
     table = parse_transactions(path)
     assert max(seeds) > 0
-    keys = np.concatenate((table.input_keys, table.output_keys))
-    assert keys.max() <= 0xFF
-    assert np.unique(keys).size == len({a for r in records for a in r.inputs + r.outputs})
+    assert table.keys.max() <= 0xFF
+    assert np.unique(table.keys).size == len({a for r in records for a in r.inputs + r.outputs})
     assert_matches_reference(partition_daily(table), records)
     got = day_feature_table(partition_daily(table), 3)
     assert got[0] == want[0] and np.array_equal(got[1], want[1])
     from_records = TransactionTable.from_records(records)
-    assert np.array_equal(from_records.input_keys, table.input_keys)
-    assert np.array_equal(from_records.output_keys, table.output_keys)
+    assert np.array_equal(from_records.keys, table.keys)
+
+
+def test_ids_sharing_a_key_are_checked_line_by_line(tmp_path, monkeypatch):
+    # under seed 0 every id and address has the key 0: the ids' shared key
+    # sends the parse to the line-by-line reader, which finds no repeat in
+    # a clean file and both lines of a real one
+    records = random_records(np.random.default_rng(1), max_tx=40, max_addr=30)
+    path = tmp_path / "tx.csv"
+    ingest.write_transactions(records, path)
+    want_table = parse_transactions(path)
+    want = day_feature_table(partition_daily(want_table), 3)
+
+    full_hash = ingest._hash
+    check_lines = ingest._check_lines
+    checks = []
+
+    def zero_at_seed_0(buf, starts, ends, seed):
+        keys = full_hash(buf, starts, ends, seed)
+        return keys * 0 if seed == 0 else keys
+
+    def counting(data):
+        checks.append(data.size)
+        return check_lines(data)
+
+    monkeypatch.setattr(ingest, "_hash", zero_at_seed_0)
+    monkeypatch.setattr(ingest, "_check_lines", counting)
+    table = parse_transactions(path)
+    assert len(checks) == 1
+    assert np.unique(table.keys).size == np.unique(want_table.keys).size
+    got = day_feature_table(partition_daily(table), 3)
+    assert got[0] == want[0] and np.array_equal(got[1], want[1])
+
+    ingest.write_transactions(records + [records[3]], path)
+    with pytest.raises(DuplicateTxId) as err:
+        parse_transactions(path)
+    assert str(err.value) == f"duplicate tx_id 't3' on lines 5 and {len(records) + 2}"

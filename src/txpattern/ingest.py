@@ -23,7 +23,11 @@ key, every address is keyed again with the next seed, so equal keys mean
 equal addresses.  Tx ids are checked for repeats and not kept: when two
 ids share a key, the lines are read one by one to tell a repeat from a
 hash collision.  No Python object is made per transaction or per
-address.  One parser builds every table from a file's bytes:
+address: the file's lines are cut into chunks, two threads parse them,
+each chunk into its own slice of the table's columns, and every check runs
+on whole columns, one chunk at a time.  Neither the chunk size nor the
+number of threads changes a table or an error.  One parser builds every
+table from a file's bytes:
 :func:`parse_transactions` reads its file to the end, so it may be a
 pipe, and ``from_records`` parses what :func:`write_transactions` writes,
 so record ``n`` is line ``n + 1`` in its errors.  A :class:`DayWindow` is
@@ -36,7 +40,9 @@ from __future__ import annotations
 import datetime as dt
 import io
 import math
+import os
 import re
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -64,7 +70,9 @@ TX_HEADER = "tx_id,timestamp,inputs,outputs"
 PRICE_HEADER = "date,close"
 
 # bytes of the transactions file parsed per chunk; a chunk ends on a newline
-_CHUNK_BYTES = 1 << 20
+_CHUNK_BYTES = 1 << 19
+# threads that parse the chunks of a transactions file
+_THREADS = 2
 
 _FNV_BASIS = 0xCBF29CE484222325
 _FNV_PRIME = np.uint64(0x100000001B3)
@@ -119,11 +127,15 @@ def _hash(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     return _mix(h ^ lens.astype(np.uint64)).view(np.int64)
 
 
+def _repeats(ordered: np.ndarray) -> np.ndarray:
+    """The values of a sorted array that equal the one before them."""
+    return ordered[1:][ordered[1:] == ordered[:-1]]
+
+
 def _same_bytes(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
-                keys: np.ndarray) -> bool:
-    """Whether tokens with equal keys have equal bytes."""
-    ordered = np.sort(keys)
-    shared = ordered[1:][ordered[1:] == ordered[:-1]]
+                keys: np.ndarray, shared: np.ndarray) -> bool:
+    """Whether tokens with equal keys have equal bytes, checked for the
+    keys in ``shared``."""
     if not shared.size:
         return True
     # an argsort of every key costs 4x the sort, so only the tokens whose
@@ -142,16 +154,16 @@ def _same_bytes(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
         for j in range(0, int(lens.max()), 8))
 
 
-def _exact_keys(buf: np.ndarray, starts: np.ndarray,
-                ends: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """The tokens' keys of seed 0, or of the first seed under which equal
+def _exact_keys(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                seed: int) -> np.ndarray:
+    """The tokens' keys of the first seed from ``seed`` on under which equal
     keys mean equal bytes.  Every seed's keys are a function of the set of
     tokens, so the same tokens always get the same keys."""
-    seed = 0
-    while not _same_bytes(buf, starts, ends, keys):
-        seed += 1
+    while True:
         keys = _hash(buf, starts, ends, seed)
-    return keys
+        if _same_bytes(buf, starts, ends, keys, _repeats(np.sort(keys))):
+            return keys
+        seed += 1
 
 
 class TransactionTable:
@@ -285,11 +297,19 @@ def _split(lo: np.ndarray, hi: np.ndarray, seps: np.ndarray,
             starts[kept], ends[kept])
 
 
-def _chunk_columns(buf: np.ndarray, lo: int, hi: int) -> tuple | None:
-    """The columns of the lines in ``buf[lo:hi]``, which ends on a newline,
-    or None when a line fails a check.  Ids come as their seed-0 keys, and
-    address tokens as spans of ``buf`` with their seed-0 keys, in file
-    order."""
+def _chunk_columns(buf: np.ndarray, lo: int, hi: int, rows: list[np.ndarray],
+                   tokens: list[np.ndarray]) -> tuple | None:
+    """Parse the lines in ``buf[lo:hi]``, which ends on a newline, into the
+    front of the chunk's slices of the table's columns, or return None when
+    a line fails a check.
+
+    ``rows`` are the slices of the timestamps, input and output counts and
+    tx-id keys; ``tokens`` those of the address tokens' starts and ends in
+    ``buf`` and their keys, in file order.  Keys are of seed 0, and tokens
+    of the chunk with equal keys are compared byte for byte.  Returns the
+    numbers of rows and tokens written and the chunk's distinct keys,
+    sorted, or None in their place when two different tokens share a
+    key."""
     chunk = buf[lo:hi]
     ends = np.flatnonzero((chunk == 10) | (chunk == 13))
     starts = np.concatenate(([0], ends[:-1] + 1))
@@ -318,9 +338,18 @@ def _chunk_columns(buf: np.ndarray, lo: int, hi: int) -> tuple | None:
         semis[in_address], field_of - field_of // 4 * 2 - 2)
     if not n[1::2].all():
         return None
-    spans = (lo + tok_starts, lo + tok_ends)
-    return (stamps, n[::2], n[1::2], _hash(buf, lo + starts, lo + commas[:, 0], 0),
-            *spans, _hash(buf, *spans, 0))
+    ids = _hash(buf, lo + starts, lo + commas[:, 0], 0)
+    for column, values in zip(rows, (stamps, n[::2], n[1::2], ids)):
+        column[:values.size] = values
+    spans = [np.add(part, lo, out=column[:part.size])
+             for column, part in zip(tokens, (tok_starts, tok_ends))]
+    keys = tokens[2][:tok_starts.size]
+    keys[:] = _hash(buf, *spans, 0)
+    ordered = np.sort(keys)
+    repeat = ordered[1:] == ordered[:-1]
+    exact = _same_bytes(buf, *spans, keys, ordered[1:][repeat])
+    return stamps.size, keys.size, (
+        np.concatenate((ordered[:1], ordered[1:][~repeat])) if exact else None)
 
 
 def _padded(data: bytes) -> np.ndarray:
@@ -329,34 +358,120 @@ def _padded(data: bytes) -> np.ndarray:
     return np.frombuffer(data + b"\n" + bytes(8), dtype=np.uint8)
 
 
+def _on_threads(task, n: int) -> list:
+    """``[task(i) for i in range(n)]``, run on up to ``_THREADS`` threads,
+    the calling one included, that each take the next ``i`` in turn.  Once
+    a task returns None or raises, no thread starts another; every thread
+    is joined, then the first exception is raised again."""
+    results: list = [None] * n
+    errors: list[BaseException] = []
+    todo = iter(range(n))
+    lock = threading.Lock()
+
+    def work():
+        try:
+            while True:
+                with lock:
+                    i = next(todo, None)
+                if i is None:
+                    return
+                results[i] = task(i)
+                if results[i] is None:
+                    break
+        except BaseException as exc:
+            errors.append(exc)
+        with lock:
+            for _ in todo:                  # leave no task to the others
+                pass
+
+    # each thread keeps a malloc arena, so start none that has no task
+    helpers = [threading.Thread(target=work) for _ in range(min(_THREADS, n) - 1)]
+    for thread in helpers:
+        thread.start()
+    work()
+    for thread in helpers:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _line_bounds(chunk: np.ndarray) -> tuple[int, int]:
+    """Upper bounds on the rows and the address tokens of the lines in
+    ``chunk``: its line ends, and two tokens per line plus one per ``;``."""
+    returns = np.count_nonzero(chunk == 13)
+    if returns:                             # a \r\n pair ends one line
+        returns -= np.count_nonzero((chunk[:-1] == 13) & (chunk[1:] == 10))
+    lines = np.count_nonzero(chunk == 10) + returns
+    return lines, 2 * lines + np.count_nonzero(chunk == ord(";"))
+
+
+def _merged(parts: list[np.ndarray]) -> np.ndarray:
+    """The values of the arrays in ``parts``, sorted.  Each array is
+    dropped from the list once it is copied, so the arrays and their copy
+    never both hold every value."""
+    merged = np.empty(sum(part.size for part in parts), dtype=np.int64)
+    at = 0
+    parts.reverse()
+    while parts:
+        part = parts.pop()
+        merged[at:at + part.size] = part
+        at += part.size
+    merged.sort()
+    return merged
+
+
 def _parse(buf: np.ndarray) -> TransactionTable:
     """The validated table of a transactions file's bytes, padded by
     :func:`_padded`, in file order.
 
-    The bytes are checked as whole columns, one chunk of lines at a time.
-    When a check fails, or two tx ids share a key, they are read again line
-    by line, and the first bad line in file order raises."""
+    The lines are cut into chunks of about ``_CHUNK_BYTES``, which
+    ``_THREADS`` threads take in turn, in two passes.  The first bounds
+    each chunk's rows and tokens by its line ends and ``;`` bytes, so each
+    column is allocated once.  In the second each chunk fills its own
+    slice, checked as whole columns, and the gaps that blank lines and
+    empty tokens leave are closed afterwards.  When a check fails, or two
+    tx ids share a key, the bytes are read again line by line, and the
+    first bad line in file order raises.  Seed-0 keys are exact when each
+    chunk's are and the tokens of keys that recur across chunks have equal
+    bytes; otherwise every token is keyed again from seed 1 on."""
     size = buf.size - 9
     lo = _NEWLINE.search(buf).start()
     header = buf[:lo].tobytes().decode("utf-8", errors="replace")
     if header != TX_HEADER:
         raise MalformedRow(1, f"expected header {TX_HEADER!r}, got {header!r}")
-    # the lone newline after the data parses to empty columns
-    chunks = [_chunk_columns(buf, size, size + 1)]
-    lo += 1
-    while lo < size:
-        hi = _NEWLINE.search(buf, min(lo + _CHUNK_BYTES, size)).end()
-        chunks.append(_chunk_columns(buf, lo, hi))
-        if chunks[-1] is None:
-            _check_lines(buf[:size])
-            raise RuntimeError("a column check failed but no line is bad")
-        lo = hi
-    stamps, n_in, n_out, id_keys, starts, ends, keys = map(np.concatenate, zip(*chunks))
-    del chunks
+    cuts = [lo + 1]
+    while cuts[-1] < size:
+        cuts.append(_NEWLINE.search(buf, min(cuts[-1] + _CHUNK_BYTES, size)).end())
+    bounds = np.array(_on_threads(lambda c: _line_bounds(buf[cuts[c]:cuts[c + 1]]),
+                                  len(cuts) - 1), dtype=np.int64).reshape(-1, 2)
+    row_at, token_at = indptr_from(bounds[:, 0]), indptr_from(bounds[:, 1])
+    rows = [np.empty(row_at[-1], dtype=np.int64) for _ in range(4)]
+    tokens = [np.empty(token_at[-1], dtype=np.int64) for _ in range(3)]
+    chunks = _on_threads(lambda c: _chunk_columns(
+        buf, cuts[c], cuts[c + 1], [column[row_at[c]:row_at[c + 1]] for column in rows],
+        [column[token_at[c]:token_at[c + 1]] for column in tokens]), len(cuts) - 1)
+    if None in chunks:
+        _check_lines(buf[:size])
+        raise RuntimeError("a column check failed but no line is bad")
+    # close the gaps: chunk c's rows move from row_at[c] to row_to[c]
+    sizes = np.array([chunk[:2] for chunk in chunks], dtype=np.int64).reshape(-1, 2)
+    row_to, token_to = indptr_from(sizes[:, 0]), indptr_from(sizes[:, 1])
+    for columns, at, to in ((rows, row_at, row_to), (tokens, token_at, token_to)):
+        for c in np.flatnonzero(at[:-1] > to[:-1]):
+            for column in columns:
+                column[to[c]:to[c + 1]] = column[at[c]:at[c] + to[c + 1] - to[c]]
+    stamps, n_in, n_out, id_keys = (column[:row_to[-1]] for column in rows)
+    starts, ends, keys = (column[:token_to[-1]] for column in tokens)
     id_keys.sort()
     if (id_keys[1:] == id_keys[:-1]).any():
         _check_lines(buf[:size])            # a tx_id repeats, or two share a key
-    return TransactionTable(stamps, n_in, n_out, _exact_keys(buf, starts, ends, keys))
+    distinct = [chunk[2] for chunk in chunks]
+    del chunks
+    if any(keys_of is None for keys_of in distinct) or not _same_bytes(
+            buf, starts, ends, keys, _repeats(_merged(distinct))):
+        keys = _exact_keys(buf, starts, ends, 1)
+    return TransactionTable(stamps, n_in, n_out, keys)
 
 
 def parse_transactions(path: str | Path) -> TransactionTable:
@@ -365,7 +480,17 @@ def parse_transactions(path: str | Path) -> TransactionTable:
     path = Path(path)
     if not path.exists():
         raise MissingFile(str(path))
-    return _parse(_padded(path.read_bytes()))
+    with path.open("rb") as fh:
+        # read straight into the padded buffer, sized from the file and
+        # doubled whenever a pipe or a growing file fills it
+        buf = np.empty(os.fstat(fh.fileno()).st_size + 10, dtype=np.uint8)
+        n = 0
+        while got := fh.readinto(memoryview(buf)[n:buf.size - 9]):
+            n += got
+            if n == buf.size - 9:
+                buf = np.concatenate((buf[:n], np.empty(n + 9, dtype=np.uint8)))
+    buf[n], buf[n + 1:n + 9] = 10, 0       # as _padded pads
+    return _parse(buf[:n + 9])
 
 
 def _text(raw: str) -> str:

@@ -1,5 +1,9 @@
 import datetime as dt
+import os
+import sys
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -419,6 +423,162 @@ def test_big_file_parses_across_chunks(tmp_path):
     assert (input_keys[1:-1:2] == input_keys[2::2]).all()
     assert np.unique(input_keys).size == 150_001
     assert np.unique(table.keys).size == 300_001
+
+
+def _mixed_file(path, n: int) -> list[TransactionRecord]:
+    # \r\n endings, a blank line after every 7th row, a coinbase every 5th
+    # row and empty tokens every 3rd; the records are what it holds
+    rng = np.random.default_rng(3)
+    records, lines = [], []
+    for i in range(n):
+        inputs = () if i % 5 == 0 else tuple(
+            f"a{a}" for a in rng.integers(0, 60, size=int(rng.integers(1, 4))))
+        outputs = tuple(f"a{a}" for a in rng.integers(0, 60, size=int(rng.integers(1, 4))))
+        records.append(TransactionRecord(f"t{i}", DAY0_TS + i, inputs, outputs))
+        sep = ";;" if i % 3 == 0 else ";"
+        lines.append(f"t{i},{DAY0_TS + i},{sep.join(inputs)},;{sep.join(outputs)}\r\n"
+                     + ("\r\n" if i % 7 == 6 else ""))
+    path.write_bytes((HEADER.replace("\n", "\r\n") + "".join(lines)).encode())
+    return records
+
+
+@pytest.mark.parametrize("chunk_bytes", [64, 4096, ingest._CHUNK_BYTES])
+def test_chunk_size_and_threads_leave_the_table_alone(tmp_path, monkeypatch, chunk_bytes):
+    # more threads than cores, switching often: a chunk parsed twice or
+    # never, or written to another's slice, shows in the columns
+    path = tmp_path / "tx.csv"
+    records = _mixed_file(path, 400)
+    want = _columns(TransactionTable.from_records(records))
+    monkeypatch.setattr(ingest, "_CHUNK_BYTES", chunk_bytes)
+    assert path.stat().st_size > 2 * 4096
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for threads in (1, 2, 8):
+            monkeypatch.setattr(ingest, "_THREADS", threads)
+            assert _columns(parse_transactions(path)) == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _seed_0_keys(names: list[str]) -> np.ndarray:
+    buf = ingest._padded(";".join(names).encode())
+    ends = np.cumsum([len(name) + 1 for name in names]) - 1
+    return ingest._hash(buf, ends - [len(name) for name in names], ends, 0)
+
+
+@pytest.mark.parametrize("far_apart", [False, True], ids=["one-chunk", "two-chunks"])
+def test_keys_exact_when_8_bit_keys_collide_within_or_across_chunks(
+        tmp_path, monkeypatch, far_apart):
+    # x and y share an 8-bit key at seed 0 and no other two addresses do;
+    # they sit on one line, or on the first and last lines of 64-byte chunks
+    names = [f"addr{i}" for i in range(40)]
+    low = ((_seed_0_keys(names) >> 56) & 0xFF).tolist()
+    x, y = next((a, b) for i, a in enumerate(names) for j, b in enumerate(names)
+                if i < j and low[i] == low[j])
+    others = [a for a, key in zip(names, low) if low.count(key) == 1][:8]
+    rows = [(x, others[0]), *zip(others[1:], others[2:]), (others[0], y)]
+    if not far_apart:
+        rows[0], rows[-1] = (x, y), (others[0], others[1])
+    path = tmp_path / "tx.csv"
+    write_transactions([TransactionRecord(f"t{i}", DAY0_TS + i, (a,), (b,))
+                        for i, (a, b) in enumerate(rows)], path)
+    want = parse_transactions(path).keys
+
+    full_hash = ingest._hash
+    seeds = []
+
+    def hash_8_bits(buf, starts, ends, seed):
+        seeds.append(seed)
+        return (full_hash(buf, starts, ends, seed) >> 56) & 0xFF
+
+    monkeypatch.setattr(ingest, "_CHUNK_BYTES", 64)
+    monkeypatch.setattr(ingest, "_hash", hash_8_bits)
+    got = parse_transactions(path).keys
+    assert max(seeds) > 0
+    assert np.array_equal(got[:, None] == got, want[:, None] == want)
+
+
+def _chunk_spy(monkeypatch, wrap) -> list:
+    """Patch ``_chunk_columns`` so that ``wrap(chunk, call)`` runs each
+    chunk, where ``chunk`` is its bytes; return the list of (chunk, failed)
+    in the order the chunks ended."""
+    chunk_columns = ingest._chunk_columns
+    ended = []
+
+    def spy(buf, lo, hi, rows, tokens):
+        chunk = buf[lo:hi].tobytes()
+        out = wrap(chunk, lambda: chunk_columns(buf, lo, hi, rows, tokens))
+        ended.append((chunk, out is None))
+        return out
+
+    monkeypatch.setattr(ingest, "_chunk_columns", spy)
+    return ended
+
+
+def test_first_bad_chunk_in_the_file_raises_though_a_later_one_fails_first(
+        tmp_path, monkeypatch):
+    # in 64-byte chunks, line 2 is bad in the first chunk and line 10 in
+    # the third, and the first chunk waits until the third has failed
+    path = tmp_path / "tx.csv"
+    lines = [f"t{i:02d},{DAY0_TS + i},a{i:02d},b{i:02d}\n" for i in range(16)]
+    lines[0], lines[8] = "t00,1,a,b,c,d,e,f,g,h\n", "t08,x,a08,b08,c08\n"
+    path.write_text(HEADER + "".join(lines))
+    third_done = threading.Event()
+
+    def wrap(chunk, call):
+        if chunk.startswith(b"t00,"):
+            assert third_done.wait(10)
+        out = call()
+        if chunk.startswith(b"t06,"):
+            third_done.set()
+        return out
+
+    monkeypatch.setattr(ingest, "_CHUNK_BYTES", 64)
+    ended = _chunk_spy(monkeypatch, wrap)
+    with pytest.raises(MalformedRow) as err:
+        parse_transactions(path)
+    assert str(err.value) == "line 2: expected 4 fields, got 10"
+    failed = [chunk for chunk, bad in ended if bad]
+    assert [chunk[:4] for chunk in failed] == [b"t06,", b"t00,"]
+    assert b"\nt08," in failed[0]
+
+
+def test_a_chunk_that_raises_raises_after_every_thread_ends(tmp_path, monkeypatch):
+    # the second of 13 chunks raises while the other thread is busy, and
+    # no thread starts a chunk after it
+    path = tmp_path / "tx.csv"
+    _big_file(path, 3_000, {})
+    running = threading.active_count()
+
+    def wrap(chunk, call):
+        if b"\ntx000000300," in chunk:
+            raise MemoryError("second chunk")
+        time.sleep(0.2)
+        return call()
+
+    monkeypatch.setattr(ingest, "_CHUNK_BYTES", 16 << 10)
+    ended = _chunk_spy(monkeypatch, wrap)
+    with pytest.raises(MemoryError, match="second chunk"):
+        parse_transactions(path)
+    assert threading.active_count() == running
+    assert len(ended) <= 2
+
+
+def test_pipe_longer_than_its_first_read_parses_as_the_file(tmp_path):
+    # a fifo has no size to start from, so the read buffer grows
+    path, fifo = tmp_path / "tx.csv", tmp_path / "fifo"
+    _big_file(path, 5_000, {})
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()),
+                              daemon=True)
+    writer.start()
+    try:
+        table = parse_transactions(fifo)
+    finally:
+        writer.join(10)
+    assert not writer.is_alive()
+    assert _columns(table) == _columns(parse_transactions(path))
 
 
 # any bytes but the separators, multi-byte UTF-8 included

@@ -19,7 +19,7 @@ columns in file order: timestamps, per-row input and output counts, and
 one column of address keys, each row's inputs then its outputs, all rows
 laid end to end.  A key is a 64-bit hash of the address bytes, and the
 parser makes it exact: when two different addresses of a file share a
-key, every address is keyed again with the next seed, so equal keys mean
+key, the file is parsed again with the next seed, so equal keys mean
 equal addresses.  Tx ids are checked for repeats and not kept: when two
 ids share a key, the lines are read one by one to tell a repeat from a
 hash collision.  No Python object is made per transaction or per
@@ -127,43 +127,48 @@ def _hash(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     return _mix(h ^ lens.astype(np.uint64)).view(np.int64)
 
 
-def _repeats(ordered: np.ndarray) -> np.ndarray:
-    """The values of a sorted array that equal the one before them."""
-    return ordered[1:][ordered[1:] == ordered[:-1]]
+def _distinct(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+              keys: np.ndarray) -> tuple | None:
+    """The sorted distinct ``keys`` of the tokens ``buf[starts[i]:ends[i]]``
+    and the start and end of one token of each, or None when two tokens
+    with equal keys differ in their bytes.  Each token is compared with its
+    neighbour in key order when their keys are equal; equality is
+    transitive along a run."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    head = np.ones(order.size, dtype=bool)
+    head[1:] = ordered[1:] != ordered[:-1]
+    a, b = order[1:][~head[1:]], order[:-1][~head[1:]]
+    lens = ends[a] - starts[a]
+    if not (np.array_equal(lens, ends[b] - starts[b]) and all(
+            np.array_equal(_word(buf, starts[a], lens, j), _word(buf, starts[b], lens, j))
+            for j in range(0, int(lens.max(initial=0)), 8))):
+        return None
+    first = order[head]
+    return ordered[head], starts[first], ends[first]
 
 
-def _same_bytes(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
-                keys: np.ndarray, shared: np.ndarray) -> bool:
-    """Whether tokens with equal keys have equal bytes, checked for the
-    keys in ``shared``."""
+def _exact_across(buf: np.ndarray, distinct: list[tuple | None]) -> bool:
+    """Whether every chunk's keys are exact and the tokens of keys that
+    recur across chunks have equal bytes, given each chunk's
+    :func:`_distinct`.  Each chunk's arrays are dropped from the list once
+    its tokens of recurring keys are picked, one per key."""
+    if None in distinct:
+        return False
+    if len(distinct) < 2:                   # no other chunk to recur in
+        return True
+    merged = np.concatenate([keys for keys, _, _ in distinct])
+    merged.sort()
+    shared = merged[1:][merged[1:] == merged[:-1]]
+    del merged
     if not shared.size:
         return True
-    # an argsort of every key costs 4x the sort, so only the tokens whose
-    # bucket holds a shared key are ordered, and each is compared with its
-    # neighbour of equal key; equality is transitive along a run
-    mask = (1 << (8 * shared.size).bit_length()) - 1
-    bucket = np.zeros(mask + 1, dtype=bool)
-    bucket[shared & mask] = True
-    maybe = np.flatnonzero(bucket[keys & mask])
-    maybe = maybe[np.argsort(keys[maybe])]
-    equal = np.flatnonzero(keys[maybe[1:]] == keys[maybe[:-1]])
-    a, b = maybe[equal + 1], maybe[equal]
-    lens = ends[a] - starts[a]
-    return np.array_equal(lens, ends[b] - starts[b]) and all(
-        np.array_equal(_word(buf, starts[a], lens, j), _word(buf, starts[b], lens, j))
-        for j in range(0, int(lens.max()), 8))
-
-
-def _exact_keys(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
-                seed: int) -> np.ndarray:
-    """The tokens' keys of the first seed from ``seed`` on under which equal
-    keys mean equal bytes.  Every seed's keys are a function of the set of
-    tokens, so the same tokens always get the same keys."""
-    while True:
-        keys = _hash(buf, starts, ends, seed)
-        if _same_bytes(buf, starts, ends, keys, _repeats(np.sort(keys))):
-            return keys
-        seed += 1
+    picked = []
+    while distinct:
+        keys, starts, ends = distinct.pop()
+        hit = shared[np.minimum(np.searchsorted(shared, keys), shared.size - 1)] == keys
+        picked.append((starts[hit], ends[hit], keys[hit]))
+    return _distinct(buf, *(np.concatenate(part) for part in zip(*picked))) is not None
 
 
 class TransactionTable:
@@ -298,18 +303,18 @@ def _split(lo: np.ndarray, hi: np.ndarray, seps: np.ndarray,
 
 
 def _chunk_columns(buf: np.ndarray, lo: int, hi: int, rows: list[np.ndarray],
-                   tokens: list[np.ndarray]) -> tuple | None:
+                   keys: np.ndarray, seed: int) -> tuple | None:
     """Parse the lines in ``buf[lo:hi]``, which ends on a newline, into the
     front of the chunk's slices of the table's columns, or return None when
     a line fails a check.
 
     ``rows`` are the slices of the timestamps, input and output counts and
-    tx-id keys; ``tokens`` those of the address tokens' starts and ends in
-    ``buf`` and their keys, in file order.  Keys are of seed 0, and tokens
-    of the chunk with equal keys are compared byte for byte.  Returns the
-    numbers of rows and tokens written and the chunk's distinct keys,
-    sorted, or None in their place when two different tokens share a
-    key."""
+    tx-id keys, and ``keys`` that of the address keys, in file order.  Ids
+    are keyed with seed 0 and addresses with ``seed``.  Returns the numbers
+    of rows and tokens written and the chunk's :func:`_distinct`: its
+    sorted distinct address keys and the span of one token of each, or None
+    in their place when two different tokens of the chunk share a key.  The
+    other tokens' spans are dropped."""
     chunk = buf[lo:hi]
     ends = np.flatnonzero((chunk == 10) | (chunk == 13))
     starts = np.concatenate(([0], ends[:-1] + 1))
@@ -341,15 +346,11 @@ def _chunk_columns(buf: np.ndarray, lo: int, hi: int, rows: list[np.ndarray],
     ids = _hash(buf, lo + starts, lo + commas[:, 0], 0)
     for column, values in zip(rows, (stamps, n[::2], n[1::2], ids)):
         column[:values.size] = values
-    spans = [np.add(part, lo, out=column[:part.size])
-             for column, part in zip(tokens, (tok_starts, tok_ends))]
-    keys = tokens[2][:tok_starts.size]
-    keys[:] = _hash(buf, *spans, 0)
-    ordered = np.sort(keys)
-    repeat = ordered[1:] == ordered[:-1]
-    exact = _same_bytes(buf, *spans, keys, ordered[1:][repeat])
-    return stamps.size, keys.size, (
-        np.concatenate((ordered[:1], ordered[1:][~repeat])) if exact else None)
+    tok_starts += lo
+    tok_ends += lo
+    keys = keys[:tok_starts.size]
+    keys[:] = _hash(buf, tok_starts, tok_ends, seed)
+    return stamps.size, keys.size, _distinct(buf, tok_starts, tok_ends, keys)
 
 
 def _padded(data: bytes) -> np.ndarray:
@@ -406,35 +407,20 @@ def _line_bounds(chunk: np.ndarray) -> tuple[int, int]:
     return lines, 2 * lines + np.count_nonzero(chunk == ord(";"))
 
 
-def _merged(parts: list[np.ndarray]) -> np.ndarray:
-    """The values of the arrays in ``parts``, sorted.  Each array is
-    dropped from the list once it is copied, so the arrays and their copy
-    never both hold every value."""
-    merged = np.empty(sum(part.size for part in parts), dtype=np.int64)
-    at = 0
-    parts.reverse()
-    while parts:
-        part = parts.pop()
-        merged[at:at + part.size] = part
-        at += part.size
-    merged.sort()
-    return merged
-
-
 def _parse(buf: np.ndarray) -> TransactionTable:
     """The validated table of a transactions file's bytes, padded by
     :func:`_padded`, in file order.
 
     The lines are cut into chunks of about ``_CHUNK_BYTES``, which
-    ``_THREADS`` threads take in turn, in two passes.  The first bounds
-    each chunk's rows and tokens by its line ends and ``;`` bytes, so each
-    column is allocated once.  In the second each chunk fills its own
-    slice, checked as whole columns, and the gaps that blank lines and
-    empty tokens leave are closed afterwards.  When a check fails, or two
-    tx ids share a key, the bytes are read again line by line, and the
-    first bad line in file order raises.  Seed-0 keys are exact when each
+    ``_THREADS`` threads take in turn.  A first pass bounds each chunk's
+    rows and tokens by its line ends and ``;`` bytes, so each column is
+    allocated once.  Then each chunk fills its own slice, checked as whole
+    columns, with the address keys of seed 0.  They are exact when each
     chunk's are and the tokens of keys that recur across chunks have equal
-    bytes; otherwise every token is keyed again from seed 1 on."""
+    bytes; otherwise every chunk is parsed again with the next seed.  The
+    gaps that blank lines and empty tokens leave are closed afterwards.
+    When a check fails, or two tx ids share a key, the bytes are read
+    again line by line, and the first bad line in file order raises."""
     size = buf.size - 9
     lo = _NEWLINE.search(buf).start()
     header = buf[:lo].tobytes().decode("utf-8", errors="replace")
@@ -447,31 +433,32 @@ def _parse(buf: np.ndarray) -> TransactionTable:
                                   len(cuts) - 1), dtype=np.int64).reshape(-1, 2)
     row_at, token_at = indptr_from(bounds[:, 0]), indptr_from(bounds[:, 1])
     rows = [np.empty(row_at[-1], dtype=np.int64) for _ in range(4)]
-    tokens = [np.empty(token_at[-1], dtype=np.int64) for _ in range(3)]
-    chunks = _on_threads(lambda c: _chunk_columns(
-        buf, cuts[c], cuts[c + 1], [column[row_at[c]:row_at[c + 1]] for column in rows],
-        [column[token_at[c]:token_at[c + 1]] for column in tokens]), len(cuts) - 1)
-    if None in chunks:
-        _check_lines(buf[:size])
-        raise RuntimeError("a column check failed but no line is bad")
+    keys = np.empty(token_at[-1], dtype=np.int64)
+    seed = 0
+    while True:
+        chunks = _on_threads(lambda c: _chunk_columns(
+            buf, cuts[c], cuts[c + 1], [column[row_at[c]:row_at[c + 1]] for column in rows],
+            keys[token_at[c]:token_at[c + 1]], seed), len(cuts) - 1)
+        if None in chunks:
+            _check_lines(buf[:size])
+            raise RuntimeError("a column check failed but no line is bad")
+        sizes = np.array([chunk[:2] for chunk in chunks], dtype=np.int64).reshape(-1, 2)
+        distinct = [chunk[2] for chunk in chunks]
+        del chunks                          # so the check can drop each chunk's spans
+        if _exact_across(buf, distinct):
+            break
+        seed += 1
     # close the gaps: chunk c's rows move from row_at[c] to row_to[c]
-    sizes = np.array([chunk[:2] for chunk in chunks], dtype=np.int64).reshape(-1, 2)
     row_to, token_to = indptr_from(sizes[:, 0]), indptr_from(sizes[:, 1])
-    for columns, at, to in ((rows, row_at, row_to), (tokens, token_at, token_to)):
+    for columns, at, to in ((rows, row_at, row_to), ([keys], token_at, token_to)):
         for c in np.flatnonzero(at[:-1] > to[:-1]):
             for column in columns:
                 column[to[c]:to[c + 1]] = column[at[c]:at[c] + to[c + 1] - to[c]]
     stamps, n_in, n_out, id_keys = (column[:row_to[-1]] for column in rows)
-    starts, ends, keys = (column[:token_to[-1]] for column in tokens)
     id_keys.sort()
     if (id_keys[1:] == id_keys[:-1]).any():
         _check_lines(buf[:size])            # a tx_id repeats, or two share a key
-    distinct = [chunk[2] for chunk in chunks]
-    del chunks
-    if any(keys_of is None for keys_of in distinct) or not _same_bytes(
-            buf, starts, ends, keys, _repeats(_merged(distinct))):
-        keys = _exact_keys(buf, starts, ends, 1)
-    return TransactionTable(stamps, n_in, n_out, keys)
+    return TransactionTable(stamps, n_in, n_out, keys[:token_to[-1]])
 
 
 def parse_transactions(path: str | Path) -> TransactionTable:

@@ -7,14 +7,15 @@ and ``ranges`` expands (start, length) pairs into positions.
 
 ``spgemm_bool`` is the boolean sparse product behind the k-order grids.
 ``centred_eigh`` owns what both linear fits decide about the unpenalised
-bias, constant columns and column scaling; ``ridge`` is one closed-form
-step on its basis and ``svr_epochs`` the linear SVR solver, an ADMM loop
-whose "epochs" are its iterations.  ``one_blas_thread`` runs a block with
-numpy's OpenBLAS on one thread, as the command line runs.  Callers reach
-the kernels, and ``warmup``, through the module attribute
-(``kernels.spgemm_bool(...)``): the end-to-end benchmark in ``e2ebench/``
-wraps ``spgemm_bool`` and ``svr_epochs`` by these names to time them, so
-the names are kept stable.
+bias, constant columns and column scaling, and rejects a design holding
+NaN or infinity; ``ridge`` is one closed-form step on its basis and
+``svr_epochs`` the linear SVR solver, an ADMM loop whose "epochs" are its
+iterations.  ``one_blas_thread`` runs a block with numpy's OpenBLAS on
+one thread, as the command line runs.  Callers reach the kernels, and
+``warmup``, through the module attribute (``kernels.spgemm_bool(...)``):
+the end-to-end benchmark in ``e2ebench/`` wraps ``spgemm_bool`` and
+``svr_epochs`` by these names to time them, so the names are kept
+stable.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import importlib
 
 import numpy as np
 
-from .errors import SingularSystem
+from .errors import BadSpec, SingularSystem
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +117,14 @@ def centred_eigh(x):
     """``(pt, lam, back)`` for the live (not constant) columns L of x, their
     means mu, their population stds sd after centring, Z = (L - mu) / sd and
     Z'Z = V diag(lam) V': pt = Z V, and back(wv, b) = (w, b - mu.w), with
-    w = (V wv) / sd on L and exactly 0 elsewhere, weights on x itself."""
+    w = (V wv) / sd on L and exactly 0 elsewhere, weights on x itself.
+    Raises ``BadSpec`` when x holds NaN or infinity."""
+    hi, lo = x.max(axis=0), x.min(axis=0)
+    # the column extremes carry any NaN or infinity, with no (n, d) temporary
+    if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
+        raise BadSpec("training features and targets must be finite")
     # by range: centred, a constant column need not be exactly 0
-    live = np.flatnonzero(x.max(axis=0) > x.min(axis=0))
+    live = np.flatnonzero(hi > lo)
     xl = x[:, live]
     mu = xl.mean(axis=0)
     xl -= mu

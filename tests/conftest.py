@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from txpattern import ingest
 from txpattern.ingest import (
     DayWindow,
     TransactionRecord,
@@ -78,6 +79,21 @@ def toy_window() -> DayWindow:
 @pytest.fixture
 def toy_graph(toy_window):
     return build_graph(toy_window)
+
+
+def hash_8_bits(monkeypatch) -> list[int]:
+    """Patch ``ingest._hash`` to keep the top 8 bits of each key, so that
+    keys of different addresses collide and the parser keys them again;
+    return the list that the seed of every call is appended to."""
+    full_hash = ingest._hash
+    seeds: list[int] = []
+
+    def hash_8(buf, starts, ends, seed):
+        seeds.append(seed)
+        return (full_hash(buf, starts, ends, seed) >> 56) & 0xFF
+
+    monkeypatch.setattr(ingest, "_hash", hash_8)
+    return seeds
 
 
 def random_records(rng: np.random.Generator, max_tx: int = 200,

@@ -32,7 +32,14 @@ from txpattern.ingest import (
     write_transactions,
 )
 
-from conftest import DAY0_TS, day_windows, latest_close, price_entries, toy_records
+from conftest import (
+    DAY0_TS,
+    day_windows,
+    hash_8_bits,
+    latest_close,
+    price_entries,
+    toy_records,
+)
 
 HEADER = "tx_id,timestamp,inputs,outputs\n"
 
@@ -425,15 +432,19 @@ def test_big_file_parses_across_chunks(tmp_path):
     assert np.unique(table.keys).size == 300_001
 
 
-def _mixed_file(path, n: int) -> list[TransactionRecord]:
+def _mixed_file(path, n: int, n_addresses: int = 60) -> list[TransactionRecord]:
     # \r\n endings, a blank line after every 7th row, a coinbase every 5th
     # row and empty tokens every 3rd; the records are what it holds
     rng = np.random.default_rng(3)
+
+    def draw():
+        size = int(rng.integers(1, 4))
+        return tuple(f"a{a}" for a in rng.integers(0, n_addresses, size=size))
+
     records, lines = [], []
     for i in range(n):
-        inputs = () if i % 5 == 0 else tuple(
-            f"a{a}" for a in rng.integers(0, 60, size=int(rng.integers(1, 4))))
-        outputs = tuple(f"a{a}" for a in rng.integers(0, 60, size=int(rng.integers(1, 4))))
+        inputs = () if i % 5 == 0 else draw()
+        outputs = draw()
         records.append(TransactionRecord(f"t{i}", DAY0_TS + i, inputs, outputs))
         sep = ";;" if i % 3 == 0 else ";"
         lines.append(f"t{i},{DAY0_TS + i},{sep.join(inputs)},;{sep.join(outputs)}\r\n"
@@ -445,10 +456,17 @@ def _mixed_file(path, n: int) -> list[TransactionRecord]:
 @pytest.mark.parametrize("chunk_bytes", [64, 4096, ingest._CHUNK_BYTES])
 def test_chunk_size_and_threads_leave_the_table_alone(tmp_path, monkeypatch, chunk_bytes):
     # more threads than cores, switching often: a chunk parsed twice or
-    # never, or written to another's slice, shows in the columns
-    path = tmp_path / "tx.csv"
+    # never, or written to another's slice, shows in the columns.  Then
+    # under an 8-bit hash, where 30 addresses collide at seed 0 and every
+    # chunk is parsed again with a later seed: a reparse that keeps a
+    # chunk's stale keys shows too
+    path, path_8 = tmp_path / "tx.csv", tmp_path / "tx8.csv"
     records = _mixed_file(path, 400)
+    records_8 = _mixed_file(path_8, 400, n_addresses=30)
     want = _columns(TransactionTable.from_records(records))
+    with monkeypatch.context() as patch:
+        hash_8_bits(patch)
+        want_8 = TransactionTable.from_records(records_8).keys.tolist()
     monkeypatch.setattr(ingest, "_CHUNK_BYTES", chunk_bytes)
     assert path.stat().st_size > 2 * 4096
     interval = sys.getswitchinterval()
@@ -457,6 +475,12 @@ def test_chunk_size_and_threads_leave_the_table_alone(tmp_path, monkeypatch, chu
         for threads in (1, 2, 8):
             monkeypatch.setattr(ingest, "_THREADS", threads)
             assert _columns(parse_transactions(path)) == want
+        seeds = hash_8_bits(monkeypatch)
+        for threads in (1, 2, 8):
+            monkeypatch.setattr(ingest, "_THREADS", threads)
+            seeds.clear()
+            assert parse_transactions(path_8).keys.tolist() == want_8
+            assert max(seeds) > 0
     finally:
         sys.setswitchinterval(interval)
 
@@ -485,15 +509,8 @@ def test_keys_exact_when_8_bit_keys_collide_within_or_across_chunks(
                         for i, (a, b) in enumerate(rows)], path)
     want = parse_transactions(path).keys
 
-    full_hash = ingest._hash
-    seeds = []
-
-    def hash_8_bits(buf, starts, ends, seed):
-        seeds.append(seed)
-        return (full_hash(buf, starts, ends, seed) >> 56) & 0xFF
-
+    seeds = hash_8_bits(monkeypatch)
     monkeypatch.setattr(ingest, "_CHUNK_BYTES", 64)
-    monkeypatch.setattr(ingest, "_hash", hash_8_bits)
     got = parse_transactions(path).keys
     assert max(seeds) > 0
     assert np.array_equal(got[:, None] == got, want[:, None] == want)
@@ -506,9 +523,9 @@ def _chunk_spy(monkeypatch, wrap) -> list:
     chunk_columns = ingest._chunk_columns
     ended = []
 
-    def spy(buf, lo, hi, rows, tokens):
+    def spy(buf, lo, hi, *columns_and_seed):
         chunk = buf[lo:hi].tobytes()
-        out = wrap(chunk, lambda: chunk_columns(buf, lo, hi, rows, tokens))
+        out = wrap(chunk, lambda: chunk_columns(buf, lo, hi, *columns_and_seed))
         ended.append((chunk, out is None))
         return out
 

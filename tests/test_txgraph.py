@@ -16,7 +16,14 @@ from txpattern.ingest import (
 )
 from txpattern.txgraph import TransactionGraph, build_graph
 
-from conftest import DAY0_TS, address_ids, day_windows, random_records, toy_records
+from conftest import (
+    DAY0_TS,
+    address_ids,
+    day_windows,
+    hash_8_bits,
+    random_records,
+    toy_records,
+)
 
 
 def reference_rows(records: list[TransactionRecord]) -> tuple[list, int]:
@@ -179,17 +186,10 @@ def test_keys_exact_under_an_8_bit_hash(tmp_path, monkeypatch):
     ingest.write_transactions(records, path)
     want = day_feature_table(partition_daily(parse_transactions(path)), 3)
 
-    full_hash = ingest._hash
-    seeds = []
-
-    def hash_8_bits(buf, starts, ends, seed):
-        seeds.append(seed)
-        return (full_hash(buf, starts, ends, seed) >> 56) & 0xFF
-
     full = TransactionTable.from_records(records)
     full_keys = np.unique(full.keys)
     assert np.unique((full_keys >> 56) & 0xFF).size < full_keys.size
-    monkeypatch.setattr(ingest, "_hash", hash_8_bits)
+    seeds = hash_8_bits(monkeypatch)
     table = parse_transactions(path)
     assert max(seeds) > 0
     assert table.keys.max() <= 0xFF

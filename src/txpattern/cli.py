@@ -216,8 +216,8 @@ def _make_split(v: dict) -> SplitSpec:
 
 def _order_of(model) -> int:
     dim = model.weights.shape[0]
-    if dim % GRID_CELLS:
-        raise TxPatternError(f"model dimension {dim} is not a whole number of grids")
+    if dim % GRID_CELLS or not dim:
+        raise TxPatternError(f"model dimension {dim} is not one or more whole grids")
     return dim // GRID_CELLS
 
 

@@ -25,10 +25,10 @@ ids share a key, the lines are read one by one to tell a repeat from a
 hash collision.  No Python object is made per transaction or per
 address: the file's lines are cut into chunks, two threads parse them,
 each chunk into its own slice of the table's columns, and every check runs
-on whole columns, one chunk at a time.  Neither the chunk size nor the
-number of threads changes a table or an error.  One parser builds every
-table from a file's bytes:
-:func:`parse_transactions` reads its file to the end, so it may be a
+on whole columns: one chunk, then one range of key values across all
+chunks, at a time.  Neither the chunk size nor the number of threads
+changes a table or an error.  One parser builds every table from a file's
+bytes: :func:`parse_transactions` reads its file to the end, so it may be a
 pipe, and ``from_records`` parses what :func:`write_transactions` writes,
 so record ``n`` is line ``n + 1`` in its errors.  A :class:`DayWindow` is
 a date plus the row indices of the table that fall on it, so every day of
@@ -149,26 +149,25 @@ def _distinct(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
 
 
 def _exact_across(buf: np.ndarray, distinct: list[tuple | None]) -> bool:
-    """Whether every chunk's keys are exact and the tokens of keys that
-    recur across chunks have equal bytes, given each chunk's
-    :func:`_distinct`.  Each chunk's arrays are dropped from the list once
-    its tokens of recurring keys are picked, one per key."""
+    """Whether every chunk's keys are exact and tokens with equal keys in
+    different chunks have equal bytes, given each chunk's :func:`_distinct`.
+    The int64 keys are cut into one equal range per chunk, and the threads
+    run :func:`_distinct` on each range's keys from all chunks."""
     if None in distinct:
         return False
-    if len(distinct) < 2:                   # no other chunk to recur in
-        return True
-    merged = np.concatenate([keys for keys, _, _ in distinct])
-    merged.sort()
-    shared = merged[1:][merged[1:] == merged[:-1]]
-    del merged
-    if not shared.size:
-        return True
-    picked = []
-    while distinct:
-        keys, starts, ends = distinct.pop()
-        hit = shared[np.minimum(np.searchsorted(shared, keys), shared.size - 1)] == keys
-        picked.append((starts[hit], ends[hit], keys[hit]))
-    return _distinct(buf, *(np.concatenate(part) for part in zip(*picked))) is not None
+    n = len(distinct)
+    edges = np.array([(i << 64) // n - (1 << 63) for i in range(1, n)], dtype=np.int64)
+    # bounds[r][c]: where range r starts in chunk c's keys
+    bounds = np.array([np.concatenate(([0], np.searchsorted(keys, edges), [keys.size]))
+                       for keys, _, _ in distinct]).T.tolist()
+
+    def check(r: int) -> bool | None:
+        parts = [(keys[lo:hi], starts[lo:hi], ends[lo:hi])
+                 for (keys, starts, ends), lo, hi in zip(distinct, bounds[r], bounds[r + 1])]
+        keys, starts, ends = (np.concatenate(column) for column in zip(*parts))
+        return None if _distinct(buf, starts, ends, keys) is None else True
+
+    return None not in _on_threads(check, n)
 
 
 class TransactionTable:
@@ -416,9 +415,10 @@ def _parse(buf: np.ndarray) -> TransactionTable:
     rows and tokens by its line ends and ``;`` bytes, so each column is
     allocated once.  Then each chunk fills its own slice, checked as whole
     columns, with the address keys of seed 0.  They are exact when each
-    chunk's are and the tokens of keys that recur across chunks have equal
-    bytes; otherwise every chunk is parsed again with the next seed.  The
-    gaps that blank lines and empty tokens leave are closed afterwards.
+    chunk's are and, in each range of key values, the chunks' tokens of
+    equal keys have equal bytes; otherwise every chunk is parsed again with
+    the next seed.  The gaps that blank lines and empty tokens leave are
+    closed afterwards.
     When a check fails, or two tx ids share a key, the bytes are read
     again line by line, and the first bad line in file order raises."""
     size = buf.size - 9
@@ -443,9 +443,7 @@ def _parse(buf: np.ndarray) -> TransactionTable:
             _check_lines(buf[:size])
             raise RuntimeError("a column check failed but no line is bad")
         sizes = np.array([chunk[:2] for chunk in chunks], dtype=np.int64).reshape(-1, 2)
-        distinct = [chunk[2] for chunk in chunks]
-        del chunks                          # so the check can drop each chunk's spans
-        if _exact_across(buf, distinct):
+        if _exact_across(buf, [chunk[2] for chunk in chunks]):
             break
         seed += 1
     # close the gaps: chunk c's rows move from row_at[c] to row_to[c]

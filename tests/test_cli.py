@@ -421,6 +421,11 @@ def _model_json(**changes) -> str:
                  "svr_tolerance must be finite", id="inf-param"),
     pytest.param(_model_json(params={"svr_c": float("nan")}),
                  "svr_c must be finite", id="nan-param"),
+    # the order comes from the model file, so the error names its dimension
+    pytest.param(_model_json(feature_dim=0, weights=[]),
+                 "model dimension 0 is not one or more whole grids", id="no-weights"),
+    pytest.param(_model_json(), "model dimension 1 is not one or more whole grids",
+                 id="part-grid"),
 ])
 def test_predict_model_file_not_a_model(corpus, tmp_path, capsys, payload, message):
     tx, px = corpus

@@ -516,6 +516,56 @@ def test_keys_exact_when_8_bit_keys_collide_within_or_across_chunks(
     assert np.array_equal(got[:, None] == got, want[:, None] == want)
 
 
+@pytest.mark.parametrize("n_chunks", [1, 2, 3, 7])
+def test_keys_on_the_range_edges_are_checked_across_chunks(tmp_path, monkeypatch, n_chunks):
+    # at seed 0, address e{j} takes the j-th of the lowest key, each edge of
+    # the n key ranges and the highest key, and every row, one per chunk,
+    # holds all of them.  Then x and y, on the first and last rows, take
+    # one of those keys in place of its address, and the parse must take a
+    # later seed
+    edges = [-1 << 63, *((i << 64) // n_chunks - (1 << 63) for i in range(1, n_chunks)),
+             (1 << 63) - 1]
+    names = [f"e{j}" for j in range(len(edges))]
+    key_of = dict(zip(names, edges))
+    full_hash, seeds = ingest._hash, []
+
+    def on_edges(buf, starts, ends, seed):
+        seeds.append(seed)
+        keys = full_hash(buf, starts, ends, seed)
+        if seed == 0:
+            tokens = [buf[lo:hi].tobytes().decode() for lo, hi in zip(starts, ends)]
+            keys = np.array([key_of.get(token, key) for token, key in zip(tokens, keys.tolist())],
+                            dtype=np.int64)
+        return keys
+
+    def parse(*pair):
+        rows = [[name for name in names if key_of[name] != key_of.get("x")]
+                for _ in range(n_chunks)]
+        if pair:
+            rows[0].append(pair[0])
+            rows[-1].append(pair[1])
+        path = tmp_path / "tx.csv"
+        write_transactions([TransactionRecord(f"t{i}", DAY0_TS + i, tuple(row), (f"o{i}",))
+                            for i, row in enumerate(rows)], path)
+        want = parse_transactions(path).keys
+        with monkeypatch.context() as patch:
+            patch.setattr(ingest, "_hash", on_edges)
+            patch.setattr(ingest, "_CHUNK_BYTES", 1)     # one row per chunk
+            ended = _chunk_spy(patch, lambda chunk, call: call())
+            seeds.clear()
+            got = parse_transactions(path).keys
+        assert np.array_equal(got[:, None] == got, want[:, None] == want)
+        return got, len(ended)
+
+    got, chunks = parse()
+    assert chunks == n_chunks and max(seeds) == 0
+    assert got.reshape(n_chunks, -1)[:, :-1].tolist() == [edges] * n_chunks
+    for key in edges:
+        key_of["x"] = key_of["y"] = key
+        parse("x", "y")
+        assert max(seeds) > 0
+
+
 def _chunk_spy(monkeypatch, wrap) -> list:
     """Patch ``_chunk_columns`` so that ``wrap(chunk, call)`` runs each
     chunk, where ``chunk`` is its bytes; return the list of (chunk, failed)

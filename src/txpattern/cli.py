@@ -337,6 +337,8 @@ def _cmd_oracle_check(v: dict) -> int:
         raise BadSpec(f"seed must be >= 0, got {v['seed']}")
     check_params(v["order"])
     windows = partition_daily(parse_transactions(v["tx"]))
+    if not windows:
+        raise InsufficientData(f"no transactions in {v['tx']}")
     if v["sample"] and v["sample"] < len(windows):
         rng = np.random.default_rng(v["seed"])
         idx = sorted(rng.choice(len(windows), size=v["sample"], replace=False))

@@ -34,6 +34,10 @@ Two independent routes produce the grid:
 * :func:`occurrence_matrix_oracle` - explicit per-transaction frontier
   expansion with python sets, kept deliberately free of the matrix code.
   It computes the exact, unclamped frontier and clamps only when it tallies.
+  Order 1 is each transaction's own outputs.  Above it, transactions with
+  equal successor sets walk once, memoised by that set, and a union stops
+  once it holds every transaction (a level) or every paid address (a
+  frontier), since it cannot grow past them.
 
 The graph may hold several days (see :mod:`txpattern.txgraph`).  Its
 address nodes are (day, key), so it is block-diagonal: no reach row crosses
@@ -181,42 +185,64 @@ def feature_vector(graph: TransactionGraph, max_order: int) -> np.ndarray:
     return _day_grids(graph, max_order).reshape(graph.n_days, max_order * GRID_CELLS)
 
 
-def _walk_sets(
-    graph: TransactionGraph,
-) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
-    """Per transaction: its output addresses, and its successors (every
-    transaction that spends one of those outputs)."""
-    spenders: dict[int, list[int]] = {}
-    for t in range(graph.n_transactions):
-        for a in graph.input_ids(t).tolist():
-            spenders.setdefault(a, []).append(t)
-    outputs = [
-        frozenset(graph.output_ids(t).tolist()) for t in range(graph.n_transactions)
-    ]
-    successors = [
-        frozenset().union(*(spenders.get(a, ()) for a in outs)) for outs in outputs
-    ]
-    return outputs, successors
+def _union(sets, whole: int) -> set[int]:
+    """The union of ``sets``, all subsets of one universe of ``whole``
+    members.  It stops adding once it holds all of them, because a union
+    of subsets cannot grow past their universe."""
+    union: set[int] = set()
+    for s in sets:
+        union.update(s)
+        if len(union) == whole:
+            break
+    return union
 
 
 def occurrence_matrix_oracle(graph: TransactionGraph, k: int) -> OccurrenceMatrix:
     """Order-k pattern counts by per-transaction traversal; same clamping
     and empty-frontier rule as the matrix route, independent code path.
-    Frontiers are computed whole and clamped only in the tally."""
+    Frontiers are computed whole and clamped only in the tally.
+
+    Level 1 of transaction t is {t}, level d + 1 the transactions that
+    spend an output of level d (its successors), and the frontier the
+    outputs of level k.  Order 1 needs no successors: the frontier is t's
+    own outputs.  Above it, the walk from t depends only on t's successor
+    set, so transactions with equal successor sets share one walk, memoised
+    by that set.  A level stops growing once it holds every transaction,
+    and a frontier once it holds every paid address."""
     if k < 1:
         raise BadSpec(f"order must be >= 1, got {k}")
-    outputs, successors = _walk_sets(graph)
+    n_tx = graph.n_transactions
+    in_ptr, in_ids, out_ptr, out_ids = (a.tolist() for a in (
+        graph.in_indptr, graph.in_indices, graph.out_indptr, graph.out_indices))
+    outputs = [out_ids[out_ptr[t]:out_ptr[t + 1]] for t in range(n_tx)]
+    if k == 1:
+        sizes = [len(outs) for outs in outputs]
+    else:
+        spenders: dict[int, list[int]] = {}
+        for t in range(n_tx):
+            for a in in_ids[in_ptr[t]:in_ptr[t + 1]]:
+                spenders.setdefault(a, []).append(t)
+        successors = [frozenset().union(*(spenders.get(a, ()) for a in outs))
+                      for outs in outputs]
+        paid = len(set(out_ids))
+        reached: dict[frozenset[int], int] = {}
+        sizes = []
+        for start in successors:
+            n = reached.get(start)
+            if n is None:
+                # Exact-depth walk semantics: level d holds every transaction
+                # reachable by some length-d spend walk, so revisits are
+                # allowed (cycles from address reuse stay consistent with
+                # matrix powering).
+                level = start
+                for _ in range(k - 2):
+                    if not level:
+                        break
+                    level = _union((successors[u] for u in level), n_tx)
+                n = reached[start] = len(_union((outputs[u] for u in level), paid))
+            sizes.append(n)
     grid = np.zeros((CLAMP, CLAMP), dtype=np.int64)
-    for t in range(graph.n_transactions):
-        # Exact-depth walk semantics: level d holds every transaction
-        # reachable by some length-d spend walk, so revisits are allowed
-        # (cycles from address reuse stay consistent with matrix powering).
-        level = {t}
-        for _ in range(k - 1):
-            level = set().union(*(successors[u] for u in level))
-            if not level:
-                break
-        n = len(set().union(*(outputs[u] for u in level)))
+    for t, n in enumerate(sizes):
         if n > 0:
-            grid[min(len(graph.input_ids(t)), CLAMP) - 1, min(n, CLAMP) - 1] += 1
+            grid[min(in_ptr[t + 1] - in_ptr[t], CLAMP) - 1, min(n, CLAMP) - 1] += 1
     return OccurrenceMatrix(k, grid)

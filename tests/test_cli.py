@@ -613,6 +613,25 @@ def test_oracle_check(corpus, capsys):
     assert "oracle check passed" in out
 
 
+def test_oracle_check_header_only_transactions(tmp_path, capsys):
+    # no day to check is an error, not a pass over nothing
+    empty = tmp_path / "empty.csv"
+    empty.write_text("tx_id,timestamp,inputs,outputs\n")
+    code, out, err = run(capsys, "oracle-check", "--tx", str(empty), "--k", "3")
+    assert code == 1 and out == ""
+    assert err == f"error: no transactions in {empty}\n"
+
+
+def test_oracle_check_coinbase_only_day(tmp_path, capsys):
+    # a day of coinbase rows has an empty graph, and its grids are checked
+    coinbase = tmp_path / "coinbase.csv"
+    coinbase.write_text("tx_id,timestamp,inputs,outputs\n"
+                        "cb0,1420071750,,a0\ncb1,1420071800,,a1;a2\n")
+    code, out, _ = run(capsys, "oracle-check", "--tx", str(coinbase), "--k", "3")
+    assert code == 0
+    assert out == "oracle check passed: 1 days, 3 grids\n"
+
+
 def test_oracle_check_reads_the_feature_table(corpus, capsys, monkeypatch):
     """The fast grids are the feature table's rows, so a wrong cell there
     is a mismatch with exit 1."""

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from txpattern import kernels
+from txpattern import kernels, korder
 from txpattern.errors import BadSpec
 from txpattern.korder import (
     CLAMP,
@@ -407,6 +407,59 @@ def test_oracle_equivalence_with_cycles():
         assert fast.total() == 2  # the cycle never dies out
 
 
+# --- the oracle against the reference walk ----------------------------------
+
+def _walk_grid(graph, k: int) -> np.ndarray:
+    """The order-k grid tallied from :func:`subgraph_shape` of every
+    transaction, clamped as the grids are."""
+    grid = np.zeros((CLAMP, CLAMP), dtype=np.int64)
+    for t in range(graph.n_transactions):
+        m, n = subgraph_shape(graph, k, t)
+        if n:
+            grid[min(m, CLAMP) - 1, min(n, CLAMP) - 1] += 1
+    return grid
+
+
+def _saturating_records() -> list[TransactionRecord]:
+    """A day over a pool of 5 addresses: every row spends the whole pool
+    and pays one of it, so from order 2 every level holds every row and
+    every frontier every paid address, gathered one address at a time."""
+    pool = tuple(f"a{j}" for j in range(5))
+    return [TransactionRecord(f"t{t}", DAY0_TS + t, pool, (pool[t % 5],))
+            for t in range(8)]
+
+
+@pytest.mark.parametrize("records", [
+    pytest.param(_saturating_records(), id="saturating"),
+    *(pytest.param(_hub_records(width), id=f"hub-{width}") for width in (1, 3, 21)),
+    pytest.param(_straddle_records(), id="straddle"),
+])
+def test_oracle_matches_the_reference_walk(records):
+    graph = build_graph(day_windows(records)[0])
+    for k in range(1, 5):
+        assert np.array_equal(occurrence_matrix_oracle(graph, k).counts,
+                              _walk_grid(graph, k)), k
+
+
+@pytest.mark.parametrize("records", [
+    pytest.param(toy_records(), id="toy"),
+    pytest.param(_hub_records(30), id="hub-30"),
+])
+def test_oracle_runs_no_matrix_route_code(records, monkeypatch):
+    graph = build_graph(day_windows(records)[0])
+    want = occurrence_matrices(graph, 4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle ran matrix-route code")
+
+    for owner, name in ((kernels, "spgemm_bool"), (kernels, "csr"),
+                        (korder, "_first_entries"), (korder, "_linked"),
+                        (korder, "_day_grids")):
+        monkeypatch.setattr(owner, name, refuse)
+    for k, grid in enumerate(want, start=1):
+        assert occurrence_matrix_oracle(graph, k) == grid
+
+
 def test_occurrence_matrices_match_single_calls(toy_graph):
     # the order-k grid does not depend on how many orders are computed
     grids = occurrence_matrices(toy_graph, 3)
@@ -528,3 +581,13 @@ def test_matrix_route_matches_oracle_property(records):
     grids = occurrence_matrices(graph, 4)
     for k in range(1, 5):
         assert grids[k - 1] == occurrence_matrix_oracle(graph, k), k
+
+
+@given(records=adversarial_day())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_oracle_matches_the_reference_walk_property(records):
+    graph = build_graph(day_windows(records)[0])
+    for k in range(1, 5):
+        assert np.array_equal(occurrence_matrix_oracle(graph, k).counts,
+                              _walk_grid(graph, k)), k

@@ -18,21 +18,23 @@ Transactions are held as one :class:`TransactionTable` of flat int64
 columns in file order: timestamps, per-row input and output counts, and
 one column of address keys, each row's inputs then its outputs, all rows
 laid end to end.  A key is a 64-bit hash of the address bytes, and the
-parser makes it exact: when two different addresses of a file share a
-key, the file is parsed again with the next seed, so equal keys mean
-equal addresses.  Tx ids are checked for repeats and not kept: when two
-ids share a key, the lines are read one by one to tell a repeat from a
-hash collision.  No Python object is made per transaction or per
-address: the file's lines are cut into chunks, two threads parse them,
-each chunk into its own slice of the table's columns, and every check runs
-on whole columns: one chunk, then one range of key values across all
-chunks, at a time.  Neither the chunk size nor the number of threads
-changes a table or an error.  One parser builds every table from a file's
-bytes: :func:`parse_transactions` reads its file to the end, so it may be a
-pipe, and ``from_records`` parses what :func:`write_transactions` writes,
-so record ``n`` is line ``n + 1`` in its errors.  A :class:`DayWindow` is
-a date plus the row indices of the table that fall on it, so every day of
-a file shares the one table.  Nothing is modified after parsing.
+parser makes it exact, so equal keys mean equal addresses.  Tx ids are
+checked for repeats and not kept.  No Python object is made per
+transaction or per address on the fast path: the file's lines are cut
+into chunks, two threads parse them, each chunk into its own slice of the
+table's columns, and every check runs on whole columns: one chunk, then
+one range of key values across all chunks, at a time.  There is one slow
+path, taken at most once per parse: when a line fails a check, or two
+different addresses or two tx ids share a key, the lines are read one by
+one.  That either raises the first bad line or numbers every address in
+order of first appearance, and those numbers are the keys.  Neither the
+chunk size nor the number of threads changes a table or an error.  One
+parser builds every table from a file's bytes: :func:`parse_transactions`
+reads its file to the end, so it may be a pipe, and ``from_records``
+parses what :func:`write_transactions` writes, so record ``n`` is line
+``n + 1`` in its errors.  A :class:`DayWindow` is a date plus the row
+indices of the table that fall on it, so every day of a file shares the
+one table.  Nothing is modified after parsing.
 """
 
 from __future__ import annotations
@@ -109,19 +111,18 @@ def _word(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray,
 
 def _mix(h: np.ndarray) -> np.ndarray:
     # the xor-shift carries a word's high bits down: without it, words that
-    # differ in the top bit alone would collide under every seed
+    # differ in the top bit alone would always collide
     h = h * _FNV_PRIME
     return (h ^ (h >> np.uint64(32))) * _FNV_PRIME
 
 
-def _hash(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
-          seed: int) -> np.ndarray:
+def _hash(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """64-bit keys of the tokens ``buf[starts[i]:ends[i]]``: FNV-1a (Fowler,
-    Noll and Vo) over 8-byte words, then the length, from an offset basis
-    that the seed changes.  One vectorised pass per 8 bytes of the longest
-    token."""
+    Noll and Vo) over 8-byte words, then the length.  One vectorised pass
+    per 8 bytes of the longest token.  Keys are not exact: :func:`_parse`
+    checks them."""
     lens = ends - starts
-    h = np.full(lens.size, _FNV_BASIS ^ seed, dtype=np.uint64)
+    h = np.full(lens.size, _FNV_BASIS, dtype=np.uint64)
     for j in range(0, int(lens.max(initial=0)), 8):
         h = np.where(lens > j, _mix(h ^ _word(buf, starts, lens, j)), h)
     return _mix(h ^ lens.astype(np.uint64)).view(np.int64)
@@ -302,18 +303,17 @@ def _split(lo: np.ndarray, hi: np.ndarray, seps: np.ndarray,
 
 
 def _chunk_columns(buf: np.ndarray, lo: int, hi: int, rows: list[np.ndarray],
-                   keys: np.ndarray, seed: int) -> tuple | None:
+                   keys: np.ndarray) -> tuple | None:
     """Parse the lines in ``buf[lo:hi]``, which ends on a newline, into the
     front of the chunk's slices of the table's columns, or return None when
     a line fails a check.
 
     ``rows`` are the slices of the timestamps, input and output counts and
-    tx-id keys, and ``keys`` that of the address keys, in file order.  Ids
-    are keyed with seed 0 and addresses with ``seed``.  Returns the numbers
-    of rows and tokens written and the chunk's :func:`_distinct`: its
-    sorted distinct address keys and the span of one token of each, or None
-    in their place when two different tokens of the chunk share a key.  The
-    other tokens' spans are dropped."""
+    tx-id keys, and ``keys`` that of the address keys, in file order.
+    Returns the numbers of rows and tokens written and the chunk's
+    :func:`_distinct`: its sorted distinct address keys and the span of one
+    token of each, or None in their place when two different tokens of the
+    chunk share a key.  The other tokens' spans are dropped."""
     chunk = buf[lo:hi]
     ends = np.flatnonzero((chunk == 10) | (chunk == 13))
     starts = np.concatenate(([0], ends[:-1] + 1))
@@ -342,13 +342,13 @@ def _chunk_columns(buf: np.ndarray, lo: int, hi: int, rows: list[np.ndarray],
         semis[in_address], field_of - field_of // 4 * 2 - 2)
     if not n[1::2].all():
         return None
-    ids = _hash(buf, lo + starts, lo + commas[:, 0], 0)
+    ids = _hash(buf, lo + starts, lo + commas[:, 0])
     for column, values in zip(rows, (stamps, n[::2], n[1::2], ids)):
         column[:values.size] = values
     tok_starts += lo
     tok_ends += lo
     keys = keys[:tok_starts.size]
-    keys[:] = _hash(buf, tok_starts, tok_ends, seed)
+    keys[:] = _hash(buf, tok_starts, tok_ends)
     return stamps.size, keys.size, _distinct(buf, tok_starts, tok_ends, keys)
 
 
@@ -414,13 +414,13 @@ def _parse(buf: np.ndarray) -> TransactionTable:
     ``_THREADS`` threads take in turn.  A first pass bounds each chunk's
     rows and tokens by its line ends and ``;`` bytes, so each column is
     allocated once.  Then each chunk fills its own slice, checked as whole
-    columns, with the address keys of seed 0.  They are exact when each
+    columns, with the hashed address keys.  They are exact when each
     chunk's are and, in each range of key values, the chunks' tokens of
-    equal keys have equal bytes; otherwise every chunk is parsed again with
-    the next seed.  The gaps that blank lines and empty tokens leave are
-    closed afterwards.
-    When a check fails, or two tx ids share a key, the bytes are read
-    again line by line, and the first bad line in file order raises."""
+    equal keys have equal bytes.  The gaps that blank lines and empty
+    tokens leave are closed afterwards.
+    When a check fails, the keys are not exact, or two tx ids share a key,
+    :func:`_check_lines` reads the bytes once, line by line: the first bad
+    line in file order raises, or its exact keys replace the hashed ones."""
     size = buf.size - 9
     lo = _NEWLINE.search(buf).start()
     header = buf[:lo].tobytes().decode("utf-8", errors="replace")
@@ -434,18 +434,15 @@ def _parse(buf: np.ndarray) -> TransactionTable:
     row_at, token_at = indptr_from(bounds[:, 0]), indptr_from(bounds[:, 1])
     rows = [np.empty(row_at[-1], dtype=np.int64) for _ in range(4)]
     keys = np.empty(token_at[-1], dtype=np.int64)
-    seed = 0
-    while True:
-        chunks = _on_threads(lambda c: _chunk_columns(
-            buf, cuts[c], cuts[c + 1], [column[row_at[c]:row_at[c + 1]] for column in rows],
-            keys[token_at[c]:token_at[c + 1]], seed), len(cuts) - 1)
-        if None in chunks:
-            _check_lines(buf[:size])
-            raise RuntimeError("a column check failed but no line is bad")
-        sizes = np.array([chunk[:2] for chunk in chunks], dtype=np.int64).reshape(-1, 2)
-        if _exact_across(buf, [chunk[2] for chunk in chunks]):
-            break
-        seed += 1
+    chunks = _on_threads(lambda c: _chunk_columns(
+        buf, cuts[c], cuts[c + 1], [column[row_at[c]:row_at[c + 1]] for column in rows],
+        keys[token_at[c]:token_at[c + 1]]), len(cuts) - 1)
+    if None in chunks:
+        _check_lines(buf[:size])
+        raise RuntimeError("a column check failed but no line is bad")
+    sizes = np.array([chunk[:2] for chunk in chunks], dtype=np.int64).reshape(-1, 2)
+    exact = _exact_across(buf, [chunk[2] for chunk in chunks])
+    del chunks
     # close the gaps: chunk c's rows move from row_at[c] to row_to[c]
     row_to, token_to = indptr_from(sizes[:, 0]), indptr_from(sizes[:, 1])
     for columns, at, to in ((rows, row_at, row_to), ([keys], token_at, token_to)):
@@ -454,9 +451,10 @@ def _parse(buf: np.ndarray) -> TransactionTable:
                 column[to[c]:to[c + 1]] = column[at[c]:at[c] + to[c + 1] - to[c]]
     stamps, n_in, n_out, id_keys = (column[:row_to[-1]] for column in rows)
     id_keys.sort()
-    if (id_keys[1:] == id_keys[:-1]).any():
-        _check_lines(buf[:size])            # a tx_id repeats, or two share a key
-    return TransactionTable(stamps, n_in, n_out, keys[:token_to[-1]])
+    keys = keys[:token_to[-1]]
+    if not exact or (id_keys[1:] == id_keys[:-1]).any():
+        keys = _check_lines(buf[:size])
+    return TransactionTable(stamps, n_in, n_out, keys)
 
 
 def parse_transactions(path: str | Path) -> TransactionTable:
@@ -483,12 +481,15 @@ def _text(raw: str) -> str:
     return raw.encode("latin-1").decode("utf-8", errors="replace")
 
 
-def _check_lines(data: np.ndarray) -> None:
+def _check_lines(data: np.ndarray) -> np.ndarray:
     """Raise the error of the first line of a transactions file's bytes, in
     file order, that fails a check; the checks of one line run in a fixed
-    order.  Return when no line fails.  Latin-1 reads each byte as one
-    character, so fields compare as bytes."""
+    order.  When no line fails, return the exact address keys in file
+    order: each address's number in order of first appearance.  Latin-1
+    reads each byte as one character, so fields compare as bytes."""
     seen: dict[str, int] = {}
+    numbers: dict[str, int] = {}
+    keys: list[int] = []
     with io.TextIOWrapper(io.BytesIO(data), encoding="latin-1") as fh:
         fh.readline()
         for lineno, line in enumerate(fh, start=2):
@@ -498,7 +499,7 @@ def _check_lines(data: np.ndarray) -> None:
             parts = line.split(",")
             if len(parts) != 4:
                 raise MalformedRow(lineno, f"expected 4 fields, got {len(parts)}")
-            tx_id, ts_text, _, out_text = parts
+            tx_id, ts_text, in_text, out_text = parts
             if not tx_id:
                 raise MalformedRow(lineno, "empty tx_id")
             if tx_id in seen:
@@ -511,9 +512,13 @@ def _check_lines(data: np.ndarray) -> None:
             if len(digits) > 18 or not (
                     _FIRST_SECOND <= sign * int(digits or 0) <= _LAST_SECOND):
                 raise MalformedRow(lineno, f"timestamp {ts_text!r} out of range")
-            if not any(out_text.split(";")):
+            outputs = out_text.split(";")
+            if not any(outputs):
                 raise MalformedRow(lineno, "transaction has no outputs")
             seen[tx_id] = lineno
+            keys += [numbers.setdefault(a, len(numbers))
+                     for a in in_text.split(";") + outputs if a]
+    return np.array(keys, dtype=np.int64)
 
 
 def _csv(records: list[TransactionRecord]) -> bytes:

@@ -222,8 +222,10 @@ def occurrence_matrix_oracle(graph: TransactionGraph, k: int) -> OccurrenceMatri
         for t in range(n_tx):
             for a in in_ids[in_ptr[t]:in_ptr[t + 1]]:
                 spenders.setdefault(a, []).append(t)
-        successors = [frozenset().union(*(spenders.get(a, ()) for a in outs))
-                      for outs in outputs]
+        # one object per distinct set: every payer of a hub shares one
+        distinct: dict[frozenset[int], frozenset[int]] = {}
+        successors = [distinct.setdefault(s, s) for s in (
+            frozenset().union(*(spenders.get(a, ()) for a in outs)) for outs in outputs)]
         paid = len(set(out_ids))
         reached: dict[frozenset[int], int] = {}
         sizes = []

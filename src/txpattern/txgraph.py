@@ -11,8 +11,8 @@ window order, then file order, and each keeps its ``day``.
 An address node is (day, key), so no edge or id links two days.  Ids are
 dense, without a hash table: the chunk's keys are numbered by one sort, a
 neighbour compare and a cumulative sum, and only when the chunk holds more
-than one day is ``key_id * n_days + day`` numbered the same way.  Keys are
-64-bit hashes, so the key itself is never multiplied.  A key is exact for
+than one day is ``key_id * n_days + day`` numbered the same way.  Keys may
+be 64-bit hashes, so the key itself is never multiplied.  A key is exact for
 its file, so two tokens of one day share an id exactly when they are the
 same address, and identical chunks always produce identical index
 assignments.  Edges run address->transaction (inputs) and
@@ -48,12 +48,6 @@ class TransactionGraph:
     n_coinbase_skipped: int
     day: np.ndarray         # per transaction: its window's position in the chunk
     n_days: int
-
-    def input_ids(self, t: int) -> np.ndarray:
-        return self.in_indices[self.in_indptr[t]:self.in_indptr[t + 1]]
-
-    def output_ids(self, t: int) -> np.ndarray:
-        return self.out_indices[self.out_indptr[t]:self.out_indptr[t + 1]]
 
     @property
     def input_set_sizes(self) -> np.ndarray:

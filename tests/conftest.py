@@ -81,19 +81,27 @@ def toy_graph(toy_window):
     return build_graph(toy_window)
 
 
-def hash_8_bits(monkeypatch) -> list[int]:
+def hash_8_bits(monkeypatch) -> None:
     """Patch ``ingest._hash`` to keep the top 8 bits of each key, so that
-    keys of different addresses collide and the parser keys them again;
-    return the list that the seed of every call is appended to."""
+    keys of different addresses collide and the parser reads the lines to
+    key them exactly."""
     full_hash = ingest._hash
-    seeds: list[int] = []
+    monkeypatch.setattr(ingest, "_hash",
+                        lambda buf, starts, ends: (full_hash(buf, starts, ends) >> 56) & 0xFF)
 
-    def hash_8(buf, starts, ends, seed):
-        seeds.append(seed)
-        return (full_hash(buf, starts, ends, seed) >> 56) & 0xFF
 
-    monkeypatch.setattr(ingest, "_hash", hash_8)
-    return seeds
+def count_check_lines(monkeypatch) -> list[int]:
+    """Patch ``ingest._check_lines`` to append the size of the bytes of
+    each call to the returned list."""
+    check_lines = ingest._check_lines
+    calls: list[int] = []
+
+    def counting(data):
+        calls.append(data.size)
+        return check_lines(data)
+
+    monkeypatch.setattr(ingest, "_check_lines", counting)
+    return calls
 
 
 def random_records(rng: np.random.Generator, max_tx: int = 200,

@@ -34,6 +34,7 @@ from txpattern.ingest import (
 
 from conftest import (
     DAY0_TS,
+    count_check_lines,
     day_windows,
     hash_8_bits,
     latest_close,
@@ -457,16 +458,19 @@ def _mixed_file(path, n: int, n_addresses: int = 60) -> list[TransactionRecord]:
 def test_chunk_size_and_threads_leave_the_table_alone(tmp_path, monkeypatch, chunk_bytes):
     # more threads than cores, switching often: a chunk parsed twice or
     # never, or written to another's slice, shows in the columns.  Then
-    # under an 8-bit hash, where 30 addresses collide at seed 0 and every
-    # chunk is parsed again with a later seed: a reparse that keeps a
-    # chunk's stale keys shows too
+    # under an 8-bit hash, where 30 addresses collide: each chunk is still
+    # parsed once, and the lines are read once to key them exactly
     path, path_8 = tmp_path / "tx.csv", tmp_path / "tx8.csv"
     records = _mixed_file(path, 400)
     records_8 = _mixed_file(path_8, 400, n_addresses=30)
     want = _columns(TransactionTable.from_records(records))
+    hashed = TransactionTable.from_records(records_8).keys
     with monkeypatch.context() as patch:
         hash_8_bits(patch)
-        want_8 = TransactionTable.from_records(records_8).keys.tolist()
+        want_8 = TransactionTable.from_records(records_8).keys
+    # the line reader's keys stand for the same addresses as the hashed ones
+    assert np.array_equal(want_8[:, None] == want_8, hashed[:, None] == hashed)
+    want_8 = want_8.tolist()
     monkeypatch.setattr(ingest, "_CHUNK_BYTES", chunk_bytes)
     assert path.stat().st_size > 2 * 4096
     interval = sys.getswitchinterval()
@@ -475,29 +479,42 @@ def test_chunk_size_and_threads_leave_the_table_alone(tmp_path, monkeypatch, chu
         for threads in (1, 2, 8):
             monkeypatch.setattr(ingest, "_THREADS", threads)
             assert _columns(parse_transactions(path)) == want
-        seeds = hash_8_bits(monkeypatch)
+        hash_8_bits(monkeypatch)
+        checks = count_check_lines(monkeypatch)
+        ended = _chunk_spy(monkeypatch, lambda chunk, call: call())
         for threads in (1, 2, 8):
             monkeypatch.setattr(ingest, "_THREADS", threads)
-            seeds.clear()
+            checks.clear()
+            ended.clear()
             assert parse_transactions(path_8).keys.tolist() == want_8
-            assert max(seeds) > 0
+            assert len(checks) == 1
+            assert _each_chunk_once(ended, path_8)
     finally:
         sys.setswitchinterval(interval)
 
 
-def _seed_0_keys(names: list[str]) -> np.ndarray:
-    buf = ingest._padded(";".join(names).encode())
+def _hashed_keys(names: list[bytes]) -> np.ndarray:
+    buf = ingest._padded(b";".join(names))
     ends = np.cumsum([len(name) + 1 for name in names]) - 1
-    return ingest._hash(buf, ends - [len(name) for name in names], ends, 0)
+    return ingest._hash(buf, ends - [len(name) for name in names], ends)
+
+
+def _each_chunk_once(ended: list, path: Path) -> bool:
+    """Whether the chunks that :func:`_chunk_spy` saw end, put in file
+    order, are the file's lines after its header, each parsed once; the
+    last chunk may end in the newline that pads the file."""
+    lines = path.read_bytes()[len(HEADER):]
+    chunks = b"".join(sorted((chunk for chunk, _ in ended), key=(lines + b"\n").index))
+    return chunks in (lines, lines + b"\n")
 
 
 @pytest.mark.parametrize("far_apart", [False, True], ids=["one-chunk", "two-chunks"])
 def test_keys_exact_when_8_bit_keys_collide_within_or_across_chunks(
         tmp_path, monkeypatch, far_apart):
-    # x and y share an 8-bit key at seed 0 and no other two addresses do;
-    # they sit on one line, or on the first and last lines of 64-byte chunks
+    # x and y share an 8-bit key and no other two addresses do; they sit
+    # on one line, or on the first and last lines of 64-byte chunks
     names = [f"addr{i}" for i in range(40)]
-    low = ((_seed_0_keys(names) >> 56) & 0xFF).tolist()
+    low = ((_hashed_keys([name.encode() for name in names]) >> 56) & 0xFF).tolist()
     x, y = next((a, b) for i, a in enumerate(names) for j, b in enumerate(names)
                 if i < j and low[i] == low[j])
     others = [a for a, key in zip(names, low) if low.count(key) == 1][:8]
@@ -509,34 +526,32 @@ def test_keys_exact_when_8_bit_keys_collide_within_or_across_chunks(
                         for i, (a, b) in enumerate(rows)], path)
     want = parse_transactions(path).keys
 
-    seeds = hash_8_bits(monkeypatch)
+    hash_8_bits(monkeypatch)
+    checks = count_check_lines(monkeypatch)
+    ended = _chunk_spy(monkeypatch, lambda chunk, call: call())
     monkeypatch.setattr(ingest, "_CHUNK_BYTES", 64)
     got = parse_transactions(path).keys
-    assert max(seeds) > 0
+    assert len(checks) == 1
+    assert _each_chunk_once(ended, path)
     assert np.array_equal(got[:, None] == got, want[:, None] == want)
 
 
 @pytest.mark.parametrize("n_chunks", [1, 2, 3, 7])
 def test_keys_on_the_range_edges_are_checked_across_chunks(tmp_path, monkeypatch, n_chunks):
-    # at seed 0, address e{j} takes the j-th of the lowest key, each edge of
-    # the n key ranges and the highest key, and every row, one per chunk,
-    # holds all of them.  Then x and y, on the first and last rows, take
-    # one of those keys in place of its address, and the parse must take a
-    # later seed
+    # address e{j} takes the j-th of the lowest key, each edge of the n key
+    # ranges and the highest key, and every row, one per chunk, holds all
+    # of them.  Then x and y, on the first and last rows, take one of those
+    # keys in place of its address, and the parse must read the lines
     edges = [-1 << 63, *((i << 64) // n_chunks - (1 << 63) for i in range(1, n_chunks)),
              (1 << 63) - 1]
     names = [f"e{j}" for j in range(len(edges))]
     key_of = dict(zip(names, edges))
-    full_hash, seeds = ingest._hash, []
+    full_hash = ingest._hash
 
-    def on_edges(buf, starts, ends, seed):
-        seeds.append(seed)
-        keys = full_hash(buf, starts, ends, seed)
-        if seed == 0:
-            tokens = [buf[lo:hi].tobytes().decode() for lo, hi in zip(starts, ends)]
-            keys = np.array([key_of.get(token, key) for token, key in zip(tokens, keys.tolist())],
-                            dtype=np.int64)
-        return keys
+    def on_edges(buf, starts, ends):
+        tokens = [buf[lo:hi].tobytes().decode() for lo, hi in zip(starts, ends)]
+        return np.array([key_of.get(token, key) for token, key in
+                         zip(tokens, full_hash(buf, starts, ends).tolist())], dtype=np.int64)
 
     def parse(*pair):
         rows = [[name for name in names if key_of[name] != key_of.get("x")]
@@ -552,18 +567,70 @@ def test_keys_on_the_range_edges_are_checked_across_chunks(tmp_path, monkeypatch
             patch.setattr(ingest, "_hash", on_edges)
             patch.setattr(ingest, "_CHUNK_BYTES", 1)     # one row per chunk
             ended = _chunk_spy(patch, lambda chunk, call: call())
-            seeds.clear()
+            checks = count_check_lines(patch)
             got = parse_transactions(path).keys
         assert np.array_equal(got[:, None] == got, want[:, None] == want)
-        return got, len(ended)
+        assert len(ended) == n_chunks and _each_chunk_once(ended, path)
+        return got, len(checks)
 
-    got, chunks = parse()
-    assert chunks == n_chunks and max(seeds) == 0
+    got, checks = parse()
+    assert checks == 0
     assert got.reshape(n_chunks, -1)[:, :-1].tolist() == [edges] * n_chunks
     for key in edges:
         key_of["x"] = key_of["y"] = key
-        parse("x", "y")
-        assert max(seeds) > 0
+        _, checks = parse("x", "y")
+        assert checks == 1
+
+
+def _colliding_pairs(n: int) -> list[tuple[bytes, bytes]]:
+    """``n`` pairs of different 16-byte addresses a = a1 a2 and b = b1 b2
+    (little-endian words) that share a key under the real hash: with
+    b2 = a2 ^ mix(h0 ^ a1) ^ mix(h0 ^ b1), both reach the same state after
+    their second word.  b1 is drawn again while b2 holds a separator."""
+    rng = np.random.default_rng(28)
+    letters = np.frombuffer(b"abcdefghijklmnopqrstuvwxyz0123456789", dtype=np.uint8)
+
+    def draw() -> bytes:
+        return rng.choice(letters, 8).tobytes()
+
+    def mixed(word: bytes) -> int:
+        h = np.array([ingest._FNV_BASIS ^ int.from_bytes(word, "little")], dtype=np.uint64)
+        return int(ingest._mix(h)[0])
+
+    pairs = []
+    for _ in range(n):
+        a1, a2 = draw(), draw()
+        b2 = b","
+        while set(b2) & set(b",;\r\n"):
+            b1 = draw()
+            b2 = (int.from_bytes(a2, "little") ^ mixed(a1) ^ mixed(b1)).to_bytes(8, "little")
+        pairs.append((a1 + a2, b1 + b2))
+    return pairs
+
+
+@pytest.mark.parametrize("chunk_bytes", [64, ingest._CHUNK_BYTES])
+def test_addresses_sharing_a_key_of_the_real_hash_are_keyed_once(
+        tmp_path, monkeypatch, chunk_bytes):
+    # three crafted pairs collide under the unpatched hash; row i spends
+    # a_i and row 3 + i spends b_i, so at 64 bytes the pairs span chunks.
+    # Each chunk is parsed once and the lines are read once
+    pairs = _colliding_pairs(3)
+    for a, b in pairs:
+        assert a != b and len(set(_hashed_keys([a, b]).tolist())) == 1
+    spent = [a for a, _ in pairs] + [b for _, b in pairs]
+    path = tmp_path / "tx.csv"
+    path.write_bytes(HEADER.encode() + b"".join(
+        b"t%d,%d,%s,o%d;p\n" % (i, DAY0_TS + i, address, i) for i, address in enumerate(spent)))
+    monkeypatch.setattr(ingest, "_CHUNK_BYTES", chunk_bytes)
+    checks = count_check_lines(monkeypatch)
+    ended = _chunk_spy(monkeypatch, lambda chunk, call: call())
+    table = parse_transactions(path)
+    assert len(checks) == 1
+    assert _each_chunk_once(ended, path)
+    keys = table.keys.reshape(-1, 3)
+    assert (keys[:, 2] == keys[0, 2]).all()               # every row pays p
+    assert np.unique(keys[:, 0]).size == len(spent)       # each pair gets two keys
+    assert np.unique(table.keys).size == 2 * len(spent) + 1
 
 
 def _chunk_spy(monkeypatch, wrap) -> list:
@@ -573,9 +640,9 @@ def _chunk_spy(monkeypatch, wrap) -> list:
     chunk_columns = ingest._chunk_columns
     ended = []
 
-    def spy(buf, lo, hi, *columns_and_seed):
+    def spy(buf, lo, hi, *columns):
         chunk = buf[lo:hi].tobytes()
-        out = wrap(chunk, lambda: chunk_columns(buf, lo, hi, *columns_and_seed))
+        out = wrap(chunk, lambda: chunk_columns(buf, lo, hi, *columns))
         ended.append((chunk, out is None))
         return out
 

@@ -40,16 +40,18 @@ def subgraph_shape(graph, k: int, t: int) -> SubgraphShape:
     """(m, n) of transaction t at order k by explicit frontier expansion,
     unclamped: the reference walk.  Level d holds every transaction that
     some length-d spend walk from t reaches, so a walk may revisit one."""
+    ins, outs = ([indices[lo:hi].tolist() for lo, hi in zip(indptr[:-1], indptr[1:])]
+                 for indptr, indices in ((graph.in_indptr, graph.in_indices),
+                                         (graph.out_indptr, graph.out_indices)))
     spenders: dict[int, set[int]] = {}
-    for u in range(graph.n_transactions):
-        for a in graph.input_ids(u).tolist():
+    for u, addresses in enumerate(ins):
+        for a in addresses:
             spenders.setdefault(a, set()).add(u)
     level = {t}
     for _ in range(k - 1):
-        level = {s for u in level for a in graph.output_ids(u).tolist()
-                 for s in spenders.get(a, ())}
-    frontier = {a for u in level for a in graph.output_ids(u).tolist()}
-    return SubgraphShape(m=len(graph.input_ids(t)), n=len(frontier))
+        level = {s for u in level for a in outs[u] for s in spenders.get(a, ())}
+    frontier = {a for u in level for a in outs[u]}
+    return SubgraphShape(m=len(ins[t]), n=len(frontier))
 
 
 def _from_dense(dense: np.ndarray):

@@ -19,6 +19,7 @@ from txpattern.txgraph import TransactionGraph, build_graph
 from conftest import (
     DAY0_TS,
     address_ids,
+    count_check_lines,
     day_windows,
     hash_8_bits,
     random_records,
@@ -64,6 +65,11 @@ def assert_matches_reference(windows: list[DayWindow],
         assert_same_graph(build_graph(w), by_day.get(w.date, []), records)
 
 
+def _row(indptr: np.ndarray, indices: np.ndarray, t: int) -> list[int]:
+    """Row ``t`` of a CSR pair: a transaction's input or output ids."""
+    return indices[indptr[t]:indptr[t + 1]].tolist()
+
+
 def test_toy_graph_shape(toy_graph):
     assert toy_graph.n_transactions == 4
     assert toy_graph.n_addresses == 8
@@ -76,15 +82,16 @@ def test_address_ids_dense_in_key_order(toy_graph):
     keys = np.unique(table.keys)
     assert keys.size == toy_graph.n_addresses == 8
     a8 = int(np.searchsorted(keys, table.keys[-1]))
-    assert toy_graph.output_ids(2).tolist() == toy_graph.output_ids(3).tolist() == [a8]
+    outputs = toy_graph.out_indptr, toy_graph.out_indices
+    assert _row(*outputs, 2) == _row(*outputs, 3) == [a8]
     ids = np.concatenate((toy_graph.in_indices, toy_graph.out_indices))
     assert sorted(set(ids.tolist())) == list(range(8))
 
 
 def test_input_output_ids(toy_graph):
     a = address_ids(toy_records())
-    assert list(toy_graph.input_ids(0)) == sorted([a["a1"], a["a2"]])
-    assert list(toy_graph.output_ids(1)) == sorted([a["a4"], a["a6"]])
+    assert _row(toy_graph.in_indptr, toy_graph.in_indices, 0) == sorted([a["a1"], a["a2"]])
+    assert _row(toy_graph.out_indptr, toy_graph.out_indices, 1) == sorted([a["a4"], a["a6"]])
 
 
 def test_coinbase_skipped_and_counted():
@@ -102,13 +109,13 @@ def test_repeated_input_address_deduplicated():
         TransactionRecord("t1", DAY0_TS, ("a", "a", "b"), ("c", "c")),
     ]
     graph = build_graph(day_windows(records)[0])
-    assert len(graph.input_ids(0)) == 2
-    assert len(graph.output_ids(0)) == 1
+    assert len(_row(graph.in_indptr, graph.in_indices, 0)) == 2
+    assert len(_row(graph.out_indptr, graph.out_indices, 0)) == 1
 
 
 def test_input_set_sizes(toy_graph):
     assert list(toy_graph.input_set_sizes) == [2, 1, 2, 2]
-    assert len(toy_graph.input_ids(0)) == 2
+    assert len(_row(toy_graph.in_indptr, toy_graph.in_indices, 0)) == 2
 
 
 def test_csr_arrays_read_only(toy_graph):
@@ -173,8 +180,8 @@ def test_matches_reference_hand_built_file(tmp_path):
 
 
 def test_keys_exact_under_an_8_bit_hash(tmp_path, monkeypatch):
-    # two days over 24 addresses: 8-bit keys collide at seed 0, so the
-    # parser and from_records key everything again until the keys are exact
+    # two days over 24 addresses: 8-bit keys collide, so the parser and
+    # from_records read the lines once to make the keys exact
     rng = np.random.default_rng(0)
     pool = [f"addr{i}" for i in range(24)]
     records = [TransactionRecord(
@@ -189,9 +196,10 @@ def test_keys_exact_under_an_8_bit_hash(tmp_path, monkeypatch):
     full = TransactionTable.from_records(records)
     full_keys = np.unique(full.keys)
     assert np.unique((full_keys >> 56) & 0xFF).size < full_keys.size
-    seeds = hash_8_bits(monkeypatch)
+    hash_8_bits(monkeypatch)
+    checks = count_check_lines(monkeypatch)
     table = parse_transactions(path)
-    assert max(seeds) > 0
+    assert len(checks) == 1
     assert table.keys.max() <= 0xFF
     assert np.unique(table.keys).size == len({a for r in records for a in r.inputs + r.outputs})
     assert_matches_reference(partition_daily(table), records)
@@ -202,9 +210,9 @@ def test_keys_exact_under_an_8_bit_hash(tmp_path, monkeypatch):
 
 
 def test_ids_sharing_a_key_are_checked_line_by_line(tmp_path, monkeypatch):
-    # under seed 0 every id and address has the key 0: the ids' shared key
-    # sends the parse to the line-by-line reader, which finds no repeat in
-    # a clean file and both lines of a real one
+    # every tx id has the key 0: the ids' shared key sends the parse to
+    # the line-by-line reader once, which finds no repeat in a clean file
+    # and both lines of a real one
     records = random_records(np.random.default_rng(1), max_tx=40, max_addr=30)
     path = tmp_path / "tx.csv"
     ingest.write_transactions(records, path)
@@ -212,22 +220,18 @@ def test_ids_sharing_a_key_are_checked_line_by_line(tmp_path, monkeypatch):
     want = day_feature_table(partition_daily(want_table), 3)
 
     full_hash = ingest._hash
-    check_lines = ingest._check_lines
-    checks = []
 
-    def zero_at_seed_0(buf, starts, ends, seed):
-        keys = full_hash(buf, starts, ends, seed)
-        return keys * 0 if seed == 0 else keys
+    def ids_zero(buf, starts, ends):
+        # ids are t0, t1, ...; addresses a0, a1, ...
+        return np.where(buf[starts] == ord("t"), 0, full_hash(buf, starts, ends))
 
-    def counting(data):
-        checks.append(data.size)
-        return check_lines(data)
-
-    monkeypatch.setattr(ingest, "_hash", zero_at_seed_0)
-    monkeypatch.setattr(ingest, "_check_lines", counting)
+    monkeypatch.setattr(ingest, "_hash", ids_zero)
+    checks = count_check_lines(monkeypatch)
     table = parse_transactions(path)
     assert len(checks) == 1
     assert np.unique(table.keys).size == np.unique(want_table.keys).size
+    assert np.array_equal(table.keys[:, None] == table.keys,
+                          want_table.keys[:, None] == want_table.keys)
     got = day_feature_table(partition_daily(table), 3)
     assert got[0] == want[0] and np.array_equal(got[1], want[1])
 

@@ -241,6 +241,8 @@ def _cmd_synth(v: dict) -> int:
 def _cmd_features(v: dict) -> int:
     check_params(v["order"])
     windows = partition_daily(parse_transactions(v["tx"]))
+    if not windows:
+        raise InsufficientData(f"no transactions in {v['tx']}")
     dates, table = day_feature_table(windows, v["order"])
     write_feature_csv(dates, table, v["out"])
     print(f"wrote {len(dates)} rows x {table.shape[1]} features to {v['out']}")

@@ -33,11 +33,14 @@ Two independent routes produce the grid:
   the caller knows, and each product is one ``kernels.spgemm_bool`` call.
 * :func:`occurrence_matrix_oracle` - explicit per-transaction frontier
   expansion with python sets, kept deliberately free of the matrix code.
-  It computes the exact, unclamped frontier and clamps only when it tallies.
   Order 1 is each transaction's own outputs.  Above it, transactions with
-  equal successor sets walk once, memoised by that set, and a union stops
-  once it holds every transaction (a level) or every paid address (a
-  frontier), since it cannot grow past them.
+  equal successor sets walk once, memoised by that set.  Every level but
+  the last is built whole, and stops growing once it holds every
+  transaction.  The last level is walked lazily, each member once, and
+  the frontier its members pay is counted only up to the clamp (or up to
+  every paid address, if fewer): n is min(|frontier|, 20), exact because
+  the levels before it are whole and a union only grows.  The tests check
+  it against a reference walk that keeps every frontier whole.
 
 The graph may hold several days (see :mod:`txpattern.txgraph`).  Its
 address nodes are (day, key), so it is block-diagonal: no reach row crosses
@@ -197,18 +200,44 @@ def _union(sets, whole: int) -> set[int]:
     return union
 
 
+def _capped_size(sets, cap: int) -> int:
+    """min(cap, size of the union of ``sets``), reading sets only until the
+    union holds ``cap`` members.  One set may take it from below ``cap`` to
+    past it, so the stop is ``>=``, not ``==``."""
+    union: set[int] = set()
+    for s in sets:
+        union.update(s)
+        if len(union) >= cap:
+            return cap
+    return len(union)
+
+
+def _each_once(sets):
+    """The members of ``sets``, each yielded the first time it appears."""
+    seen: set[int] = set()
+    for s in sets:
+        for u in s:
+            if u not in seen:
+                seen.add(u)
+                yield u
+
+
 def occurrence_matrix_oracle(graph: TransactionGraph, k: int) -> OccurrenceMatrix:
     """Order-k pattern counts by per-transaction traversal; same clamping
     and empty-frontier rule as the matrix route, independent code path.
-    Frontiers are computed whole and clamped only in the tally.
 
     Level 1 of transaction t is {t}, level d + 1 the transactions that
     spend an output of level d (its successors), and the frontier the
     outputs of level k.  Order 1 needs no successors: the frontier is t's
     own outputs.  Above it, the walk from t depends only on t's successor
-    set, so transactions with equal successor sets share one walk, memoised
-    by that set.  A level stops growing once it holds every transaction,
-    and a frontier once it holds every paid address."""
+    set (level 2), so transactions with equal successor sets share one
+    walk, memoised by that set.  Levels 2..k-1 are built whole, and a
+    level stops growing once it holds every transaction.  Level k is never
+    built: its members are drawn one at a time from the successors of
+    level k-1, each once, and their outputs are counted only until the
+    frontier holds ``CLAMP`` addresses (or every paid one, if fewer), which
+    is all the tally reads.  Since every earlier level is whole and a union
+    only grows, that count is exactly min(|frontier|, CLAMP)."""
     if k < 1:
         raise BadSpec(f"order must be >= 1, got {k}")
     n_tx = graph.n_transactions
@@ -226,7 +255,7 @@ def occurrence_matrix_oracle(graph: TransactionGraph, k: int) -> OccurrenceMatri
         distinct: dict[frozenset[int], frozenset[int]] = {}
         successors = [distinct.setdefault(s, s) for s in (
             frozenset().union(*(spenders.get(a, ()) for a in outs)) for outs in outputs)]
-        paid = len(set(out_ids))
+        cap = min(CLAMP, len(set(out_ids)))
         reached: dict[frozenset[int], int] = {}
         sizes = []
         for start in successors:
@@ -236,12 +265,15 @@ def occurrence_matrix_oracle(graph: TransactionGraph, k: int) -> OccurrenceMatri
                 # reachable by some length-d spend walk, so revisits are
                 # allowed (cycles from address reuse stay consistent with
                 # matrix powering).
-                level = start
-                for _ in range(k - 2):
-                    if not level:
-                        break
-                    level = _union((successors[u] for u in level), n_tx)
-                n = reached[start] = len(_union((outputs[u] for u in level), paid))
+                last = start
+                if k > 2:
+                    level = start
+                    for _ in range(k - 3):
+                        if not level:
+                            break
+                        level = _union((successors[u] for u in level), n_tx)
+                    last = _each_once(successors[u] for u in level)
+                n = reached[start] = _capped_size((outputs[u] for u in last), cap)
             sizes.append(n)
     grid = np.zeros((CLAMP, CLAMP), dtype=np.int64)
     for t, n in enumerate(sizes):

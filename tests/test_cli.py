@@ -622,6 +622,32 @@ def test_oracle_check_header_only_transactions(tmp_path, capsys):
     assert err == f"error: no transactions in {empty}\n"
 
 
+def test_features_header_only_transactions(tmp_path, capsys):
+    # no day to write is an error, not an empty table
+    empty = tmp_path / "empty.csv"
+    empty.write_text("tx_id,timestamp,inputs,outputs\n")
+    out_csv = tmp_path / "feats.csv"
+    code, out, err = run(capsys, "features", "--tx", str(empty), "--k", "2",
+                         "--out", str(out_csv))
+    assert code == 1 and out == ""
+    assert err == f"error: no transactions in {empty}\n"
+    assert not out_csv.exists()
+
+
+def test_features_coinbase_only_day(tmp_path, capsys):
+    # a day of coinbase rows has an empty graph and still writes its row
+    coinbase = tmp_path / "coinbase.csv"
+    coinbase.write_text("tx_id,timestamp,inputs,outputs\n"
+                        "cb0,1420071750,,a0\ncb1,1420071800,,a1;a2\n")
+    out_csv = tmp_path / "feats.csv"
+    code, out, _ = run(capsys, "features", "--tx", str(coinbase), "--k", "2",
+                       "--out", str(out_csv))
+    assert code == 0
+    assert out == f"wrote 1 rows x {2 * GRID_CELLS} features to {out_csv}\n"
+    lines = out_csv.read_text().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("2015-01-01,")
+
+
 def test_oracle_check_coinbase_only_day(tmp_path, capsys):
     # a day of coinbase rows has an empty graph, and its grids are checked
     coinbase = tmp_path / "coinbase.csv"

@@ -230,7 +230,7 @@ def straddle_graph():
 
 
 def test_subgraph_shapes_unclamped(straddle_graph):
-    # the oracle keeps whole frontiers; only the tally clamps them
+    # the reference walk keeps whole frontiers; only its tally clamps them
     t = {r.tx_id: i for i, r in enumerate(_straddle_records())}.__getitem__
     assert subgraph_shape(straddle_graph, 2, t("A")) == (1, 27)
     assert subgraph_shape(straddle_graph, 2, t("B")) == (2, 19)
@@ -431,16 +431,61 @@ def _saturating_records() -> list[TransactionRecord]:
             for t in range(8)]
 
 
+def _one_at_a_time_records() -> list[TransactionRecord]:
+    """A day whose order-2 and order-3 frontiers hold 19, 20 and 21
+    addresses, gathered one address at a time.
+
+    Hub X_n pays s_n, which n spenders spend, and spender j pays only the
+    fresh address o_n_j, so X_n's order-2 frontier has n addresses and each
+    last-level transaction adds one.  E_n pays X_n's first input, so E_n's
+    order-3 frontier is the same n addresses.  X_n has m = 1..3 inputs and
+    E_n m = 4..6, so every pattern lands in a cell of its own."""
+    txs = []
+    for m, n in enumerate((19, 20, 21), start=1):
+        txs.append((f"E{n}", tuple(f"pre{n}_{i}" for i in range(m + 3)), (f"x{n}",)))
+        txs.append((f"X{n}", (f"x{n}",) + tuple(f"in{n}_{i}" for i in range(1, m)),
+                    (f"s{n}",)))
+        txs += [(f"S{n}_{j}", (f"s{n}",), (f"o{n}_{j}",)) for j in range(n)]
+    return [TransactionRecord(tx, DAY0_TS + i, ins, outs)
+            for i, (tx, ins, outs) in enumerate(txs)]
+
+
 @pytest.mark.parametrize("records", [
     pytest.param(_saturating_records(), id="saturating"),
     *(pytest.param(_hub_records(width), id=f"hub-{width}") for width in (1, 3, 21)),
     pytest.param(_straddle_records(), id="straddle"),
+    pytest.param(_one_at_a_time_records(), id="one-at-a-time"),
 ])
 def test_oracle_matches_the_reference_walk(records):
     graph = build_graph(day_windows(records)[0])
     for k in range(1, 5):
         assert np.array_equal(occurrence_matrix_oracle(graph, k).counts,
                               _walk_grid(graph, k)), k
+
+
+def test_one_at_a_time_frontiers():
+    records = _one_at_a_time_records()
+    t = {r.tx_id: i for i, r in enumerate(records)}.__getitem__
+    graph = build_graph(day_windows(records)[0])
+    for m, n in enumerate((19, 20, 21), start=1):
+        assert subgraph_shape(graph, 2, t(f"X{n}")) == (m, n)
+        assert subgraph_shape(graph, 3, t(f"E{n}")) == (m + 3, n)
+
+
+def test_capped_size_stops_once_past_the_cap():
+    def sets():
+        yield range(18)
+        yield range(11, 25)     # takes the union from 18 to 25
+        raise AssertionError("read a set after the union passed the cap")
+
+    assert korder._capped_size(sets(), CLAMP) == CLAMP
+    assert korder._capped_size([range(10), range(10, 20)], CLAMP) == CLAMP
+    assert korder._capped_size([range(5), range(3, 19)], CLAMP) == 19
+    assert korder._capped_size([], CLAMP) == 0
+
+
+def test_each_once_yields_every_member_once():
+    assert sorted(korder._each_once([{3, 1}, (1, 2), {2, 3, 4}, ()])) == [1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("records", [

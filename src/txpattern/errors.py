@@ -19,7 +19,8 @@ class BadSpec(TxPatternError, ValueError):
 # --- ingest ---------------------------------------------------------------
 
 class MissingFile(TxPatternError):
-    pass
+    def __init__(self, path: str):
+        super().__init__(f"no such file: {path}")
 
 
 class MalformedRow(TxPatternError):

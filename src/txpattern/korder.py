@@ -12,12 +12,13 @@ grids of Akcora et al., "Forecasting Bitcoin Price with Graph Chainlets"
 Two independent routes produce the grid:
 
 * :func:`occurrence_matrices` - sparse boolean linear algebra.  Q is the
-  tx->address output matrix.  The linked addresses L are those that some
-  transaction of the graph pays and some transaction spends; P_L is the
-  L->tx spender matrix and Q_L the tx->L part of Q.  Under the boolean
-  semiring ``reach_1 = Q`` and ``reach_{k+1} = Q_L (P_L reach_k)``: row a
-  of ``P_L reach_k`` is the union of the order-k rows of a's spenders, and
-  a transaction's order-(k+1) row is the union of those rows over the
+  graph's tx->address output matrix and P its address->tx spender matrix.
+  The linked addresses L are those that some transaction of the graph pays
+  and some transaction spends; P_L is P's rows of L, gathered with no
+  sort, and Q_L the tx->L part of Q.  Under the boolean semiring
+  ``reach_1 = Q`` and ``reach_{k+1} = Q_L (P_L reach_k)``: row a of
+  ``P_L reach_k`` is the union of the order-k rows of a's spenders, and a
+  transaction's order-(k+1) row is the union of those rows over the
   linked addresses it pays.  An address outside L has no spender or no
   payer, so dropping it changes no row, and the tx x tx hop ``Q P`` is
   never formed.  After every stage each row is kept to its first
@@ -33,8 +34,9 @@ Two independent routes produce the grid:
   the caller knows, and each product is one ``kernels.spgemm_bool`` call.
 * :func:`occurrence_matrix_oracle` - explicit per-transaction frontier
   expansion with python sets, kept deliberately free of the matrix code.
-  Order 1 is each transaction's own outputs.  Above it, transactions with
-  equal successor sets walk once, memoised by that set.  Every level but
+  Order 1 is each transaction's own outputs.  Above it, successors are
+  read from the graph's spender rows, and transactions with equal
+  successor sets walk once, memoised by that set.  Every level but
   the last is built whole, and stops growing once it holds every
   transaction.  The last level is walked lazily, each member once, and
   the frontier its members pay is counted only up to the clamp (or up to
@@ -116,24 +118,19 @@ def _first_entries(indptr: np.ndarray, indices: np.ndarray) -> Csr:
 def _linked(graph: TransactionGraph) -> tuple[Csr, Csr]:
     """``(P_L, Q_L)`` over the linked addresses L, those that some
     transaction pays and some transaction spends, numbered in id order.
-    ``P_L`` is |L| x |T| (row a: the spenders of a) and ``Q_L`` is |T| x |L|
-    (row t: the linked addresses t pays)."""
-    spent = np.zeros(graph.n_addresses, dtype=bool)
-    spent[graph.in_indices] = True
-    paid = np.zeros(graph.n_addresses, dtype=bool)
-    paid[graph.out_indices] = True
-    linked = spent & paid
-    renumber = np.cumsum(linked) - 1
-    n_tx = graph.n_transactions
-    spender = np.repeat(np.arange(n_tx, dtype=np.int64), graph.input_set_sizes)
-    kept = linked[graph.in_indices]
-    p_l = kernels.csr(renumber[graph.in_indices[kept]], spender[kept],
-                      int(linked.sum()), n_tx)
-    # Q_L is Q with its unlinked columns dropped; renumbering in id order
-    # keeps each row sorted
+    ``P_L`` is |L| x |T| (row a: the spenders of a), the graph's spender
+    rows of L, and ``Q_L`` is |T| x |L| (row t: the linked addresses t
+    pays), Q with its other columns dropped."""
+    n_spenders = np.diff(graph.spend_indptr)
+    linked = np.zeros(graph.n_addresses, dtype=bool)
+    linked[graph.out_indices] = True
+    linked &= n_spenders > 0
+    p_l = (kernels.indptr_from(n_spenders[linked]),
+           graph.spend_indices[np.repeat(linked, n_spenders)])
+    # renumbering in id order keeps each row of Q_L sorted
     q_indptr, q_indices = _keep(graph.out_indptr, graph.out_indices,
                                 linked[graph.out_indices])
-    return p_l, (q_indptr, renumber[q_indices])
+    return p_l, (q_indptr, (np.cumsum(linked) - 1)[q_indices])
 
 
 def _day_grids(graph: TransactionGraph, max_order: int) -> np.ndarray:
@@ -241,20 +238,17 @@ def occurrence_matrix_oracle(graph: TransactionGraph, k: int) -> OccurrenceMatri
     if k < 1:
         raise BadSpec(f"order must be >= 1, got {k}")
     n_tx = graph.n_transactions
-    in_ptr, in_ids, out_ptr, out_ids = (a.tolist() for a in (
-        graph.in_indptr, graph.in_indices, graph.out_indptr, graph.out_indices))
+    out_ptr, out_ids, sp_ptr, sp_ids = (a.tolist() for a in (
+        graph.out_indptr, graph.out_indices, graph.spend_indptr, graph.spend_indices))
     outputs = [out_ids[out_ptr[t]:out_ptr[t + 1]] for t in range(n_tx)]
     if k == 1:
         sizes = [len(outs) for outs in outputs]
     else:
-        spenders: dict[int, list[int]] = {}
-        for t in range(n_tx):
-            for a in in_ids[in_ptr[t]:in_ptr[t + 1]]:
-                spenders.setdefault(a, []).append(t)
         # one object per distinct set: every payer of a hub shares one
         distinct: dict[frozenset[int], frozenset[int]] = {}
         successors = [distinct.setdefault(s, s) for s in (
-            frozenset().union(*(spenders.get(a, ()) for a in outs)) for outs in outputs)]
+            frozenset().union(*(sp_ids[sp_ptr[a]:sp_ptr[a + 1]] for a in outs))
+            for outs in outputs)]
         cap = min(CLAMP, len(set(out_ids)))
         reached: dict[frozenset[int], int] = {}
         sizes = []
@@ -276,7 +270,7 @@ def occurrence_matrix_oracle(graph: TransactionGraph, k: int) -> OccurrenceMatri
                 n = reached[start] = _capped_size((outputs[u] for u in last), cap)
             sizes.append(n)
     grid = np.zeros((CLAMP, CLAMP), dtype=np.int64)
-    for t, n in enumerate(sizes):
+    for m, n in zip(graph.input_set_sizes.tolist(), sizes):
         if n > 0:
-            grid[min(in_ptr[t + 1] - in_ptr[t], CLAMP) - 1, min(n, CLAMP) - 1] += 1
+            grid[min(m, CLAMP) - 1, min(n, CLAMP) - 1] += 1
     return OccurrenceMatrix(k, grid)

@@ -15,15 +15,18 @@ than one day is ``key_id * n_days + day`` numbered the same way.  Keys may
 be 64-bit hashes, so the key itself is never multiplied.  A key is exact for
 its file, so two tokens of one day share an id exactly when they are the
 same address, and identical chunks always produce identical index
-assignments.  Edges run address->transaction (inputs) and
+assignments.  Edges run address->transaction (spends) and
 transaction->address (outputs); the bipartite structure is enforced by
 construction.
 
-Per-transaction input and output address lists are stored as canonical
-CSR arrays (indptr + indices, each row's ids sorted and distinct), built
-by :func:`txpattern.kernels.csr` and made read-only.  Coinbase rows
-(no inputs) are skipped with a counter: pattern counting needs a non-empty
-input-address set per transaction.
+Row a of the spender CSR (``spend_indptr``, ``spend_indices``) holds the
+transactions that spend address a, the direction the k-order reach
+follows; row t of the output CSR (``out_indptr``, ``out_indices``) holds
+the addresses t pays.  Each is one :func:`txpattern.kernels.csr` call,
+canonical (each row's ids sorted and distinct) and read-only, as is
+``input_set_sizes``, each transaction's number of distinct inputs.
+Coinbase rows (no inputs) are skipped with a counter: pattern counting
+needs a non-empty input-address set per transaction.
 """
 
 from __future__ import annotations
@@ -32,26 +35,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .errors import BadSpec
 from .ingest import DayWindow
-from .kernels import csr, ranges
 
 
 @dataclass
 class TransactionGraph:
     n_transactions: int
     n_addresses: int
-    in_indptr: np.ndarray
-    in_indices: np.ndarray
-    out_indptr: np.ndarray
+    spend_indptr: np.ndarray    # per address: the transactions that spend it
+    spend_indices: np.ndarray
+    out_indptr: np.ndarray      # per transaction: the addresses it pays
     out_indices: np.ndarray
+    input_set_sizes: np.ndarray     # per transaction: its distinct inputs
     n_coinbase_skipped: int
     day: np.ndarray         # per transaction: its window's position in the chunk
     n_days: int
-
-    @property
-    def input_set_sizes(self) -> np.ndarray:
-        return np.diff(self.in_indptr)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -78,9 +78,9 @@ def build_graph(*windows: DayWindow) -> TransactionGraph:
     empty graph of no days."""
     n_days = len(windows)
     if not n_days:
-        indptr, indices = _read_only(np.zeros(1, dtype=np.int64),
-                                     np.zeros(0, dtype=np.int64))
-        return TransactionGraph(0, 0, indptr, indices, indptr, indices, 0, indices, 0)
+        indptr, empty = _read_only(np.zeros(1, dtype=np.int64),
+                                   np.zeros(0, dtype=np.int64))
+        return TransactionGraph(0, 0, indptr, empty, indptr, empty, empty, 0, empty, 0)
     table = windows[0].table
     if any(w.table is not table for w in windows):
         raise BadSpec("the windows of one graph must share one table")
@@ -91,8 +91,8 @@ def build_graph(*windows: DayWindow) -> TransactionGraph:
     n_in = table.n_inputs[rows]
     n_out = table.n_outputs[rows]
     first = table.indptr[rows]
-    ids, n_addresses = _dense(np.concatenate((
-        table.keys[ranges(first, n_in)], table.keys[ranges(first + n_in, n_out)])))
+    ids, n_addresses = _dense(table.keys[np.concatenate((
+        kernels.ranges(first, n_in), kernels.ranges(first + n_in, n_out)))])
     if n_days > 1:
         # key ids are below the token count, so this cannot overflow
         ids, n_addresses = _dense(
@@ -100,9 +100,10 @@ def build_graph(*windows: DayWindow) -> TransactionGraph:
 
     tx = np.arange(rows.size, dtype=np.int64)
     n_in_tokens = int(n_in.sum())
-    in_csr = csr(np.repeat(tx, n_in), ids[:n_in_tokens], rows.size, n_addresses)
-    out_csr = csr(np.repeat(tx, n_out), ids[n_in_tokens:], rows.size, n_addresses)
+    spend = kernels.csr(ids[:n_in_tokens], np.repeat(tx, n_in), n_addresses, rows.size)
+    out = kernels.csr(np.repeat(tx, n_out), ids[n_in_tokens:], rows.size, n_addresses)
     return TransactionGraph(
-        rows.size, n_addresses, *_read_only(*in_csr, *out_csr),
+        rows.size, n_addresses, *_read_only(
+            *spend, *out, np.bincount(spend[1], minlength=rows.size)),
         sum(w.rows.size for w in windows) - rows.size, *_read_only(day), n_days,
     )

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from txpattern import features
+from txpattern import features, kernels, korder
 from txpattern.errors import BadSpec
 from txpattern.features import day_feature_table
 from txpattern.ingest import TransactionRecord, TransactionTable, partition_daily
@@ -131,11 +131,35 @@ def test_gap_and_all_coinbase_days_inside_a_chunk():
 def test_empty_window_list():
     graph = build_graph()
     assert (graph.n_days, graph.n_transactions, graph.n_addresses) == (0, 0, 0)
-    assert graph.in_indptr.tolist() == graph.out_indptr.tolist() == [0]
+    assert graph.spend_indptr.tolist() == graph.out_indptr.tolist() == [0]
     assert feature_vector(graph, 2).shape == (0, 2 * GRID_CELLS)
     assert [m.total() for m in occurrence_matrices(graph, 2)] == [0, 0]
     dates, table = day_feature_table([], 2)
     assert dates == [] and table.shape == (0, 2 * GRID_CELLS)
+
+
+def test_a_chunk_makes_four_csr_calls_at_order_2(monkeypatch):
+    # build_graph makes the spender and the output CSR, and each of the two
+    # products of order 2 one more; _linked gathers P_L from the graph's
+    # spender rows without building a CSR
+    windows = day_windows(toy_records() + [_rec(10, 1, ["x"], ["y"]),
+                                           _rec(11, 1, ["y"], ["z"])])
+    assert features._chunks(windows) == [(0, 2)]
+    want = assert_chunk_exact(windows, 2)
+    graph = build_graph(*windows)
+    calls = []
+    csr = kernels.csr
+
+    def counting(*args):
+        calls.append(args[2:])
+        return csr(*args)
+
+    monkeypatch.setattr(kernels, "csr", counting)
+    korder._linked(graph)
+    assert calls == []
+    _, table = day_feature_table(windows, 2)
+    assert len(calls) == 4
+    assert np.array_equal(table, want)
 
 
 def test_windows_of_two_tables_rejected():

@@ -146,6 +146,18 @@ def test_file_system_error_exit_1(corpus, tmp_path, capsys, argv):
     assert str(tmp_path) in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["features", "--tx", "MISSING", "--out", os.devnull],
+    ["backtest", "--tx", "TX", "--prices", "MISSING"],
+    ["predict", "--model-file", "MISSING", "--tx", "TX", "--prices", "PX"],
+])
+def test_missing_file_named(corpus, tmp_path, capsys, argv):
+    tx, px = corpus
+    missing = str(tmp_path / "missing.csv")
+    argv = [{"MISSING": missing, "TX": tx, "PX": px}.get(a, a) for a in argv]
+    assert run(capsys, *argv) == (1, "", f"error: no such file: {missing}\n")
+
+
 def _cli(*argv, stdin: bytes) -> subprocess.CompletedProcess:
     """The CLI in a fresh interpreter, reading ``stdin`` from a pipe."""
     src = str(Path(txpattern.__file__).parents[1])

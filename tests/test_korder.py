@@ -40,18 +40,14 @@ def subgraph_shape(graph, k: int, t: int) -> SubgraphShape:
     """(m, n) of transaction t at order k by explicit frontier expansion,
     unclamped: the reference walk.  Level d holds every transaction that
     some length-d spend walk from t reaches, so a walk may revisit one."""
-    ins, outs = ([indices[lo:hi].tolist() for lo, hi in zip(indptr[:-1], indptr[1:])]
-                 for indptr, indices in ((graph.in_indptr, graph.in_indices),
-                                         (graph.out_indptr, graph.out_indices)))
-    spenders: dict[int, set[int]] = {}
-    for u, addresses in enumerate(ins):
-        for a in addresses:
-            spenders.setdefault(a, set()).add(u)
+    outs, spenders = ([indices[lo:hi].tolist() for lo, hi in zip(indptr[:-1], indptr[1:])]
+                      for indptr, indices in ((graph.out_indptr, graph.out_indices),
+                                              (graph.spend_indptr, graph.spend_indices)))
     level = {t}
     for _ in range(k - 1):
-        level = {s for u in level for a in outs[u] for s in spenders.get(a, ())}
+        level = {s for u in level for a in outs[u] for s in spenders[a]}
     frontier = {a for u in level for a in outs[u]}
-    return SubgraphShape(m=len(ins[t]), n=len(frontier))
+    return SubgraphShape(m=int(graph.input_set_sizes[t]), n=len(frontier))
 
 
 def _from_dense(dense: np.ndarray):
@@ -73,13 +69,6 @@ def _matmul(a, b, n_cols: int):
     return kernels.spgemm_bool(*a, *b, a[0].size - 1, n_cols)
 
 
-def build_P(graph):
-    """|A| x |T| input matrix: (a, t) set iff address a funds transaction t."""
-    cols = np.repeat(np.arange(graph.n_transactions), graph.input_set_sizes)
-    return kernels.csr(graph.in_indices, cols,
-                       graph.n_addresses, graph.n_transactions)
-
-
 def build_Q(graph):
     """|T| x |A| output matrix: (t, a) set iff transaction t pays address a."""
     return graph.out_indptr, graph.out_indices
@@ -87,7 +76,7 @@ def build_Q(graph):
 
 def _qpq(graph):
     """The boolean depth-2 reach matrix Q P Q."""
-    P, Q = build_P(graph), build_Q(graph)
+    P, Q = (graph.spend_indptr, graph.spend_indices), build_Q(graph)
     return _matmul(_matmul(Q, P, graph.n_transactions), Q, graph.n_addresses)
 
 
@@ -96,7 +85,8 @@ def transition_matrix_counts(graph, k: int) -> np.ndarray:
     (t, a) counts the distinct k-hop paths from transaction t to address a.
     The reference that boolean products are checked against."""
     qd = _dense(build_Q(graph), graph.n_addresses).astype(np.int64)
-    hop = qd @ _dense(build_P(graph), graph.n_transactions).astype(np.int64)
+    hop = qd @ _dense((graph.spend_indptr, graph.spend_indices),
+                      graph.n_transactions).astype(np.int64)
     m = qd
     for _ in range(k - 1):
         m = hop @ m
@@ -114,7 +104,7 @@ def _expect_grid(cells: dict[tuple[int, int], int]) -> np.ndarray:
 
 def test_toy_matrix_shapes(toy_graph):
     assert (toy_graph.n_addresses, toy_graph.n_transactions) == (8, 4)
-    P = build_P(toy_graph)
+    P = toy_graph.spend_indptr, toy_graph.spend_indices
     Q = build_Q(toy_graph)
     assert (P[0].size - 1, Q[0].size - 1) == (8, 4)
     assert P[1].max() < 4 and Q[1].max() < 8
@@ -338,29 +328,30 @@ def _hub_records(width: int) -> list[TransactionRecord]:
             for i, (tx, ins, outs) in enumerate(txs)]
 
 
-def test_wide_hub_expansion_linear_in_edges(monkeypatch):
-    # the tx x tx hop matrix would pair all 2000 payers with all 2000
-    # spenders (4M pairs); each product may expand at most CLAMP entries
-    # per graph edge
-    graph = build_graph(day_windows(_hub_records(2000))[0])
-    expansions = []
+@pytest.mark.parametrize("width", [700, 1400, 2800])
+def test_wide_hub_expansion_linear_in_edges(monkeypatch, width):
+    # the tx x tx hop matrix would pair every payer with every spender
+    # (width**2 pairs); each product may expand at most CLAMP entries per
+    # entry of its left operand, as the module docstring says
+    graph = build_graph(day_windows(_hub_records(width))[0])
+    calls = []
     spgemm = kernels.spgemm_bool
 
     def recording(a_indptr, a_indices, b_indptr, *rest):
-        expansions.append(int(np.diff(b_indptr)[a_indices].sum()))
+        calls.append((int(np.diff(b_indptr)[a_indices].sum()), a_indices.size))
         return spgemm(a_indptr, a_indices, b_indptr, *rest)
 
     monkeypatch.setattr(kernels, "spgemm_bool", recording)
     grids = occurrence_matrices(graph, 3)
-    assert expansions
-    assert max(expansions) <= CLAMP * (len(graph.in_indices)
-                                       + len(graph.out_indices))
+    assert len(calls) == 4
+    for expansion, left_nnz in calls:
+        assert expansion <= CLAMP * left_nnz
     # order 1: every row pays 2; order 2: a payer reaches every spender's
     # outputs, a spender the next payer's two; order 3: past the clamp
-    assert np.array_equal(grids[0].counts, _expect_grid({(1, 2): 4000}))
+    assert np.array_equal(grids[0].counts, _expect_grid({(1, 2): 2 * width}))
     assert np.array_equal(grids[1].counts,
-                          _expect_grid({(1, 20): 2000, (1, 2): 2000}))
-    assert np.array_equal(grids[2].counts, _expect_grid({(1, 20): 4000}))
+                          _expect_grid({(1, 20): width, (1, 2): width}))
+    assert np.array_equal(grids[2].counts, _expect_grid({(1, 20): 2 * width}))
 
 
 def test_no_linked_address_runs_no_product(monkeypatch):

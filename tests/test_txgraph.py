@@ -38,19 +38,27 @@ def reference_rows(records: list[TransactionRecord]) -> tuple[list, int]:
 def assert_same_graph(got: TransactionGraph, records: list[TransactionRecord],
                       file_records: list[TransactionRecord]) -> None:
     """``got`` equals the reference graph of the day's records up to
-    relabelling: its addresses renamed through ``address_ids``, the rows
-    are the reference rows, as canonical CSR."""
+    relabelling: its addresses renamed through ``address_ids``, each
+    address's spenders and each row's outputs are the reference's, as
+    canonical CSR, and each row's input count is its distinct inputs."""
     rows, skipped = reference_rows(records)
     ids = address_ids(records, file_records)
     assert got.n_transactions == len(rows)
     assert got.n_addresses == len(ids)
     assert got.n_coinbase_skipped == skipped
-    for side, (indptr, indices) in enumerate(((got.in_indptr, got.in_indices),
-                                              (got.out_indptr, got.out_indices))):
+    spenders: dict[str, list[int]] = {a: [] for a in ids}
+    for t, (ins, _) in enumerate(rows):
+        for a in ins:
+            spenders[a].append(t)
+    for (indptr, indices), want in (
+            ((got.spend_indptr, got.spend_indices),
+             [spenders[a] for a in sorted(ids, key=ids.__getitem__)]),
+            ((got.out_indptr, got.out_indices),
+             [sorted(ids[a] for a in outs) for _, outs in rows])):
         assert indptr.dtype == np.int64 and indices.dtype == np.int64
-        want = [sorted(ids[a] for a in row[side]) for row in rows]
         assert indptr.tolist() == np.cumsum([0] + [len(w) for w in want]).tolist()
         assert indices.tolist() == [i for w in want for i in w]
+    assert got.input_set_sizes.tolist() == [len(ins) for ins, _ in rows]
 
 
 def assert_matches_reference(windows: list[DayWindow],
@@ -65,9 +73,10 @@ def assert_matches_reference(windows: list[DayWindow],
         assert_same_graph(build_graph(w), by_day.get(w.date, []), records)
 
 
-def _row(indptr: np.ndarray, indices: np.ndarray, t: int) -> list[int]:
-    """Row ``t`` of a CSR pair: a transaction's input or output ids."""
-    return indices[indptr[t]:indptr[t + 1]].tolist()
+def _row(indptr: np.ndarray, indices: np.ndarray, i: int) -> list[int]:
+    """Row ``i`` of a CSR pair: an address's spenders or a transaction's
+    outputs."""
+    return indices[indptr[i]:indptr[i + 1]].tolist()
 
 
 def test_toy_graph_shape(toy_graph):
@@ -84,13 +93,17 @@ def test_address_ids_dense_in_key_order(toy_graph):
     a8 = int(np.searchsorted(keys, table.keys[-1]))
     outputs = toy_graph.out_indptr, toy_graph.out_indices
     assert _row(*outputs, 2) == _row(*outputs, 3) == [a8]
-    ids = np.concatenate((toy_graph.in_indices, toy_graph.out_indices))
+    spent = np.flatnonzero(np.diff(toy_graph.spend_indptr))
+    ids = np.concatenate((spent, toy_graph.out_indices))
     assert sorted(set(ids.tolist())) == list(range(8))
 
 
 def test_input_output_ids(toy_graph):
     a = address_ids(toy_records())
-    assert _row(toy_graph.in_indptr, toy_graph.in_indices, 0) == sorted([a["a1"], a["a2"]])
+    spend = toy_graph.spend_indptr, toy_graph.spend_indices
+    assert _row(*spend, a["a1"]) == _row(*spend, a["a2"]) == [0]
+    assert _row(*spend, a["a5"]) == [2]
+    assert _row(*spend, a["a8"]) == []
     assert _row(toy_graph.out_indptr, toy_graph.out_indices, 1) == sorted([a["a4"], a["a6"]])
 
 
@@ -109,18 +122,22 @@ def test_repeated_input_address_deduplicated():
         TransactionRecord("t1", DAY0_TS, ("a", "a", "b"), ("c", "c")),
     ]
     graph = build_graph(day_windows(records)[0])
-    assert len(_row(graph.in_indptr, graph.in_indices, 0)) == 2
+    a = address_ids(records)
+    assert graph.input_set_sizes.tolist() == [2]
+    assert _row(graph.spend_indptr, graph.spend_indices, a["a"]) == [0]
     assert len(_row(graph.out_indptr, graph.out_indices, 0)) == 1
 
 
 def test_input_set_sizes(toy_graph):
     assert list(toy_graph.input_set_sizes) == [2, 1, 2, 2]
-    assert len(_row(toy_graph.in_indptr, toy_graph.in_indices, 0)) == 2
+    assert toy_graph.input_set_sizes.tolist() == np.bincount(
+        toy_graph.spend_indices, minlength=4).tolist()
 
 
 def test_csr_arrays_read_only(toy_graph):
-    for arr in (toy_graph.in_indptr, toy_graph.in_indices,
-                toy_graph.out_indptr, toy_graph.out_indices):
+    for arr in (toy_graph.spend_indptr, toy_graph.spend_indices,
+                toy_graph.out_indptr, toy_graph.out_indices,
+                toy_graph.input_set_sizes):
         assert not arr.flags.writeable
 
 
@@ -130,7 +147,7 @@ def test_empty_window():
                                   np.arange(0, dtype=np.int64)))
     assert graph.n_transactions == 0
     assert graph.n_addresses == 0
-    assert graph.in_indptr.tolist() == [0]
+    assert graph.spend_indptr.tolist() == [0]
 
 
 def test_matches_reference_random_days():

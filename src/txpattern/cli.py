@@ -28,7 +28,7 @@ from .features import day_feature_table, write_feature_csv
 from .ingest import parse_prices, parse_transactions, partition_daily
 # occurrence_matrices is not called here; e2ebench/tracer.py wraps it by this name
 from .korder import GRID_CELLS, occurrence_matrices, occurrence_matrix_oracle
-from .regress import RegressorSpec, load_model, predict, save_model
+from .regress import KINDS, RegressorSpec, load_model, predict, save_model
 from .synth import SynthSpec, write_synth
 from .txgraph import build_graph
 
@@ -88,16 +88,21 @@ def build_parser() -> argparse.ArgumentParser:
     decay_r = _shared("--r", type=float, default=0.8, help="geometric decay ratio")
     seed = _shared("--seed", type=int, default=42, help="random seed")
 
+    spec = RegressorSpec()
     model = argparse.ArgumentParser(add_help=False)
-    model.add_argument("--model", type=_model_kind, default="ridge",
-                       choices=("ridge", "linear_svr"),
+    model.add_argument("--model", type=_model_kind, default=spec.kind,
+                       choices=KINDS,
                        help="regressor kind, svr is shorthand for linear_svr")
-    model.add_argument("--ridge-lambda", type=float, default=1.0, help="ridge penalty")
-    model.add_argument("--svr-c", type=float, default=1.0, help="svr loss weight")
-    model.add_argument("--svr-epsilon", type=float, default=0.1,
+    model.add_argument("--ridge-lambda", type=float, default=spec.ridge_lambda,
+                       help="ridge penalty")
+    model.add_argument("--svr-c", type=float, default=spec.svr_c,
+                       help="svr loss weight")
+    model.add_argument("--svr-epsilon", type=float, default=spec.svr_epsilon,
                        help="svr tube half-width")
-    model.add_argument("--svr-tol", dest="svr_tolerance", type=float, default=1e-4,
-                       help="svr relative primal and dual residual tolerance")
+    model.add_argument("--svr-tol", dest="svr_tolerance", type=float,
+                       default=spec.svr_tolerance,
+                       help="svr bound on the relative duality gap, "
+                            "(objective - dual) / objective")
 
     split = argparse.ArgumentParser(add_help=False)
     split.add_argument("--interval", default="custom",

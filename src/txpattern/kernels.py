@@ -102,15 +102,23 @@ def spgemm_bool(a_indptr, a_indices, b_indptr, b_indices, n_rows, n_cols):
 # h = alpha*(Xw + b) + (1 - alpha)*(z + y) in place of the fitted values.
 # With a = h - y + u = alpha*(Xw + b - y) + (1 - alpha)*z + u, the z-step
 # is z = a - q, where q is the part of a outside the tube clipped to
-# [-C/rho, C/rho]; so the new scaled dual u + h - y - z is q itself.  The
-# residuals and the stopping test (Boyd section 3.3.1) run only every
-# _RHO_EVERY iterations, where rho is rebalanced, and at the last allowed
-# iteration, so a capped fit is the uncapped one cut short.
+# [-C/rho, C/rho]; so the new scaled dual u + h - y - z is q itself.
+#
+# The fit stops on a duality gap (Boyd and Vandenberghe, "Convex
+# Optimization", section 5.5).  The dual is: maximise D(nu) =
+# -0.5*||X'nu||^2 - y.nu - eps*||nu||_1 subject to sum(nu) = 0 and
+# |nu_i| <= C, and each feasible nu bounds the optimum from below.  ADMM's
+# own nu = rho*u lies in [-C, C], as the u-step clips u to +-C/rho; with
+# its larger-signed side scaled down to sum to 0, (P - D)/P bounds how far
+# the objective P is above the optimum, relative.  ||X'nu|| is ||p nu|| in
+# the eigenbasis.  The gap is checked, and rho rebalanced by Boyd's primal
+# and dual residuals (section 3.4.1), every _RHO_EVERY iterations and at
+# the last allowed one, so a capped fit is the uncapped one cut short.
 
 SVR_MAX_ITER = 10_000   # ADMM iterations before a fit gives up
-_RHO_EVERY = 10         # iterations between stopping tests and rho balancing
-_ALPHA = 1.8            # over-relaxation: of 1.0, 1.5, ..., 1.9, the fewest
-                        # iterations on the svr_sweep benchmark's fits
+_RHO_EVERY = 10         # iterations between gap checks and rho balancing
+_ALPHA = 1.8            # over-relaxation: on the svr_sweep benchmark's fits,
+                        # 1.5-1.9 take 1000-1190 iterations, 1.0 takes 1390
 
 
 def centred_eigh(x):
@@ -153,85 +161,64 @@ def ridge(x, y, lam):
 
 def svr_epochs(x, y, c, eps, tol, max_iter):
     """Fit (w, b) for the objective above; returns ``(w, b, objectives,
-    converged)``.
+    converged, gap)``.
 
     One "epoch" is one ADMM iteration: ``objectives`` holds the objective
     after each, so its length is the iteration count.  The fit stops when
-    Boyd's primal and dual residuals are both below ``tol`` relative to
-    their scales (``converged`` True), or after ``max_iter`` iterations.
-    The test runs every ``_RHO_EVERY`` iterations and at the last one, so
-    the count is a multiple of ``_RHO_EVERY`` unless ``max_iter`` ends it.
-
-    The loop's vectors are allocated once per fit and written in place by
-    ufuncs: at about 90 x 1200, the Python wrappers of ``np.clip`` and
-    ``ndarray.mean`` cost more than their arithmetic.  Its scalar bounds
-    are vectors too, as a ufunc takes a slower loop for a broadcast scalar.
-    Each in-place sequence rounds as the plain expression in its comment,
-    so the result is bit for bit that of the plain expressions."""
+    the relative duality gap is at most ``tol`` (``converged`` True), or
+    after ``max_iter`` iterations; ``gap`` is the last one checked.  The
+    check runs every ``_RHO_EVERY`` iterations and at the last one, so the
+    count is a multiple of ``_RHO_EVERY`` unless ``max_iter`` ends it.  An
+    optimum of 0, every target inside the tube, is met only up to rounding,
+    which no relative gap certifies: such a fit runs to the cap."""
     pt, lam, back = centred_eigh(x)
     p = np.ascontiguousarray(pt.T)
-    n = y.size
-    y_norm = np.linalg.norm(y)
     rho = 1.0
     scale = 1.0 / (lam + 1.0 / rho)
-    z, z_old = np.zeros_like(y), np.zeros_like(y)
+    z = np.zeros_like(y)
     u = np.zeros_like(y)
-    target, resid, a, tmp = (np.empty_like(y) for _ in range(4))
-    wv = np.empty_like(lam)
-    zero, lo_eps, hi_eps = (np.full_like(y, v) for v in (0.0, -eps, eps))
-    lo_u, hi_u = np.full_like(y, -c / rho), np.full_like(y, c / rho)
     objectives = np.empty(max_iter)
-    converged = False
+    converged, gap = False, np.inf
     for it in range(max_iter):
         # (w, b)-step, with w in the eigenbasis, where its norm is the same
-        np.add(y, z, out=target)                # target = y + z - u
-        np.subtract(target, u, out=target)
-        np.matmul(p, target, out=wv)            # wv = (p @ target) * scale
-        np.multiply(wv, scale, out=wv)
-        b = np.add.reduce(target) / n
-        np.matmul(pt, wv, out=resid)            # resid = Xw + b - y
-        np.add(resid, b, out=resid)
-        np.subtract(resid, y, out=resid)
-        np.abs(resid, out=tmp)                  # max(|resid| - eps, 0)
-        np.subtract(tmp, hi_eps, out=tmp)
-        np.maximum(tmp, zero, out=tmp)
-        objectives[it] = 0.5 * (wv @ wv) + c * np.add.reduce(tmp)
-        # z- and u-steps on the relaxed fit, a = h - y + u; the prox of
-        # (C/rho) times the eps-insensitive loss shrinks the part outside
-        # the tube by up to C/rho: u = clip(a - clip(a, -eps, eps), -C/rho,
-        # C/rho) and z = a - u
-        np.multiply(resid, _ALPHA, out=a)       # a = alpha resid
-        np.multiply(z, 1.0 - _ALPHA, out=tmp)   #     + (1 - alpha) z + u
-        np.add(a, tmp, out=a)
-        np.add(a, u, out=a)
-        np.maximum(a, lo_eps, out=tmp)
-        np.minimum(tmp, hi_eps, out=tmp)
-        np.subtract(a, tmp, out=tmp)
-        np.maximum(tmp, lo_u, out=u)
-        np.minimum(u, hi_u, out=u)
-        z, z_old = z_old, z
-        np.subtract(a, u, out=z)
+        target = y + z - u
+        wv = (p @ target) * scale
+        b = target.mean()
+        resid = pt @ wv + b - y
+        objectives[it] = 0.5 * (wv @ wv) + c * np.maximum(
+            np.abs(resid) - eps, 0.0).sum()
+        # z- and u-steps on the relaxed fit: the prox of (C/rho) times the
+        # eps-insensitive loss shrinks the part of a outside the tube by up
+        # to C/rho
+        a = _ALPHA * resid + (1.0 - _ALPHA) * z + u
+        u = np.clip(a - np.clip(a, -eps, eps), -c / rho, c / rho)
+        z_old, z = z, a - u
         if it % _RHO_EVERY != _RHO_EVERY - 1 and it != max_iter - 1:
             continue
-        # primal residual Xw + b - y - z, dual residual rho [X 1]'(z - z_old);
-        # the norm of X'q is that of p q, since V is orthogonal
-        dz = np.subtract(z, z_old, out=tmp)
-        s_norm = rho * np.hypot(np.linalg.norm(p @ dz), np.add.reduce(dz))
-        r_norm = np.linalg.norm(np.subtract(resid, z, out=tmp))
-        pri_scale = max(np.linalg.norm(np.add(resid, y, out=tmp)),
-                        np.linalg.norm(z), y_norm)
-        dual_scale = rho * np.hypot(np.linalg.norm(p @ u), np.add.reduce(u))
-        if r_norm <= tol * pri_scale and s_norm <= tol * dual_scale:
+        # the dual guess nu = rho*u, its larger-signed side scaled down so
+        # that it sums to 0
+        nu = rho * u
+        up, down = nu[nu > 0].sum(), -nu[nu < 0].sum()
+        if up != down:
+            nu[(nu > 0) if up > down else (nu < 0)] *= min(up, down) / max(up, down)
+        pn = p @ nu
+        dual = -0.5 * (pn @ pn) - y @ nu - eps * np.abs(nu).sum()
+        # no objective is below 0, so P = 0 is optimal
+        primal = objectives[it]
+        gap = float((primal - dual) / primal) if primal > 0 else 0.0
+        if gap <= tol:
             converged = True
             break
+        # primal residual Xw + b - y - z, dual residual rho [X 1]'(z - z_old)
+        dz = z - z_old
+        r_norm = np.linalg.norm(resid - z)
+        s_norm = rho * np.hypot(np.linalg.norm(p @ dz), dz.sum())
         if r_norm > 10.0 * s_norm or s_norm > 10.0 * r_norm:
             step = 2.0 if r_norm > s_norm else 0.5
             rho *= step
             u /= step
             scale = 1.0 / (lam + 1.0 / rho)
-            lo_u.fill(-c / rho)
-            hi_u.fill(c / rho)
-    return (*back(wv, b), objectives[:it + 1].copy(), converged)
+    return (*back(wv, b), objectives[:it + 1].copy(), converged, gap)
 
 
 # ---------------------------------------------------------------------------

@@ -78,26 +78,16 @@ GRID_CELLS = CLAMP * CLAMP
 Csr = tuple[np.ndarray, np.ndarray]
 
 
-@dataclass
+@dataclass(eq=False)
 class OccurrenceMatrix:
-    """20x20 grid of pattern counts at one order; cell (m, n) is 1-based."""
+    """20x20 grid of pattern counts at one order: the 1-based cell (m, n)
+    is ``counts[m - 1, n - 1]``."""
 
     order: int
     counts: np.ndarray
 
-    def cell(self, m: int, n: int) -> int:
-        return int(self.counts[m - 1, n - 1])
-
     def to_flat(self) -> np.ndarray:
         return self.counts.reshape(-1)
-
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OccurrenceMatrix):
-            return NotImplemented
-        return self.order == other.order and np.array_equal(self.counts, other.counts)
 
 
 def _keep(indptr: np.ndarray, indices: np.ndarray, mask: np.ndarray) -> Csr:

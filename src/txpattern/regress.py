@@ -11,10 +11,12 @@ kernels.centred_eigh).  Two built-in families:
   on the eigenbasis it shares with the SVR.  Deterministic and
   independently checkable, so it doubles as the test oracle downstream.
 * ``linear_svr`` - linear epsilon-insensitive regression, intercept
-  unpenalized, solved to a relative residual tolerance by deterministic
-  over-relaxed ADMM (see kernels.svr_epochs), which tests its residuals
-  every 10 iterations and at the cap.  A fit that reaches the iteration cap
-  first is kept, marked ``converged = False``, and reported on stderr.
+  unpenalized, solved by deterministic over-relaxed ADMM (see
+  kernels.svr_epochs) until its relative duality gap, which bounds how far
+  the objective is above the optimum, is at most ``svr_tolerance``; the gap
+  is checked every 10 iterations and at the cap.  A fit that reaches the
+  iteration cap first is kept, marked ``converged = False``, and reported
+  on stderr with its last gap.
 
 Training data and every hyperparameter must be finite; the defaults are
 not tuned but documented, CLI-overridable values.  Model files are strict
@@ -45,7 +47,7 @@ class RegressorSpec:
     ridge_lambda: float = 1.0
     svr_c: float = 1.0
     svr_epsilon: float = 0.1
-    svr_tolerance: float = 1e-4
+    svr_tolerance: float = 1e-5
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -67,7 +69,7 @@ class FittedModel:
     spec: RegressorSpec
     train_range: tuple[dt.date, dt.date] | None = None
     # linear_svr: the objective after each ADMM iteration, and whether the
-    # residuals met svr_tolerance before kernels.SVR_MAX_ITER
+    # relative duality gap met svr_tolerance before kernels.SVR_MAX_ITER
     epoch_losses: np.ndarray = field(default_factory=lambda: np.empty(0))
     converged: bool = True
 
@@ -97,11 +99,12 @@ def fit(
         w, b = kernels.ridge(x, y, spec.ridge_lambda)
         return FittedModel(w, b, spec, train_range)
     cap = kernels.SVR_MAX_ITER
-    w, b, losses, converged = kernels.svr_epochs(
+    w, b, losses, converged, gap = kernels.svr_epochs(
         x, y, spec.svr_c, spec.svr_epsilon, spec.svr_tolerance, cap)
     if not converged:
-        print(f"warning: linear_svr stopped at {cap} iterations before "
-              f"reaching svr_tolerance {spec.svr_tolerance}", file=sys.stderr)
+        print(f"warning: linear_svr stopped at {cap} iterations with relative "
+              f"duality gap {gap:.3g} above svr_tolerance {spec.svr_tolerance}",
+              file=sys.stderr)
     return FittedModel(w, b, spec, train_range, losses, converged)
 
 
@@ -169,10 +172,21 @@ def load_model(path: str | Path) -> tuple[FittedModel, int]:
     unknown = sorted(payload.keys() - {"schema_version", *_MODEL_KEYS})
     if unknown:
         raise BadSpec(f"{path} is not a model file: unknown {', '.join(unknown)}")
+    # numpy and float() also take strings and booleans, so each value that
+    # should be a JSON number is checked, by key, before any conversion
+    params = payload["params"]
+    numbers = ({key: [value] for key, value in params.items()}
+               if isinstance(params, dict) else {})
+    numbers.update(bias=[payload["bias"]], weights=payload["weights"])
+    for key, values in numbers.items():
+        if not (isinstance(values, list)
+                and all(type(value) in (int, float) for value in values)):
+            what = "a list of JSON numbers" if key == "weights" else "a JSON number"
+            raise BadSpec(f"{path} is not a model file: {key} is not {what}")
     try:
         weights = np.array(payload["weights"], dtype=np.float64)
         bias = float(payload["bias"])
-        spec = RegressorSpec(kind=payload["kind"], **payload["params"])
+        spec = RegressorSpec(kind=payload["kind"], **params)
         train_range = None
         if payload["train_range"]:
             first, last = payload["train_range"]

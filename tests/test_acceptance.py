@@ -88,7 +88,8 @@ def test_2_oracle_equivalence():
         k = 1 + i % 4
         fast = occurrence_matrices(graph, k)[k - 1]
         slow = occurrence_matrix_oracle(graph, k)
-        assert fast == slow, f"divergence at instance {i}, order {k}"
+        assert np.array_equal(fast.counts, slow.counts), (
+            f"divergence at instance {i}, order {k}")
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"equivalence sweep took {elapsed:.1f} s"
 

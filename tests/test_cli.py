@@ -11,7 +11,7 @@ from txpattern import cli, kernels
 from txpattern.cli import main
 from txpattern.errors import BadSpec
 from txpattern.korder import GRID_CELLS
-from txpattern.regress import MODEL_SCHEMA_VERSION, load_model
+from txpattern.regress import MODEL_SCHEMA_VERSION, RegressorSpec, load_model
 
 
 def run(capsys, *argv):
@@ -421,6 +421,16 @@ def _model_json(**changes) -> str:
                  "unknown scaler_mean, scaler_std", id="schema-2-keys"),
     pytest.param(_model_json(params={"bogus": 1}), "bogus", id="unknown-param"),
     pytest.param(_model_json(weights="abc"), "not a model file", id="text-weights"),
+    # numpy and float() would take these, so each is refused by its key
+    pytest.param(_model_json(weights=["1.5"]), "weights is not a list of JSON numbers",
+                 id="text-weight"),
+    pytest.param(_model_json(weights=[True]), "weights is not a list of JSON numbers",
+                 id="bool-weight"),
+    pytest.param(_model_json(bias="3"), "bias is not a JSON number", id="text-bias"),
+    pytest.param(_model_json(params={"ridge_lambda": "1.0"}),
+                 "ridge_lambda is not a JSON number", id="text-param"),
+    pytest.param(_model_json(params={"svr_c": False}), "svr_c is not a JSON number",
+                 id="bool-param"),
     pytest.param(_model_json(train_range=["2015-01-01", "2015-13-40"]),
                  "not a model file", id="bad-date"),
     pytest.param(_model_json(horizon=-5), "horizon -5", id="negative-horizon"),
@@ -777,3 +787,15 @@ def test_main_without_a_known_blas_setter_prints_the_same_bytes(corpus, monkeypa
     monkeypatch.setattr(kernels, "blas_threads", lambda: None)
     assert run(capsys, *argv) == with_setter
     assert with_setter[0] == 0 and with_setter[1].startswith("window,mape_percent\n")
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("train", ["--out", "model.json"]),
+    ("backtest", []),
+    ("sweep-window", []),
+    ("sweep-horizon", []),
+])
+def test_model_flags_default_to_the_spec(command, extra):
+    args = cli.build_parser().parse_args([command, "--tx", "tx.csv",
+                                          "--prices", "px.csv", *extra])
+    assert cli._make_spec(vars(args)) == RegressorSpec()

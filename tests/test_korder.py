@@ -115,9 +115,9 @@ def test_toy_matrix_shapes(toy_graph):
 def test_toy_order1_grid(toy_graph):
     oc = _grid(toy_graph, 1)
     assert np.array_equal(oc.counts, _expect_grid({(2, 1): 3, (1, 2): 1}))
-    assert oc.cell(2, 1) == 3
-    assert oc.cell(1, 2) == 1
-    assert oc.total() == 4
+    assert oc.counts[1, 0] == 3
+    assert oc.counts[0, 1] == 1
+    assert oc.counts.sum() == 4
 
 
 def test_toy_order2_grid(toy_graph):
@@ -127,12 +127,14 @@ def test_toy_order2_grid(toy_graph):
 
 def test_toy_order3_grid_empty(toy_graph):
     # nothing spends a8, so no transaction has a depth-3 frontier
-    assert _grid(toy_graph, 3).total() == 0
+    assert _grid(toy_graph, 3).counts.sum() == 0
 
 
 def test_toy_oracle_agrees(toy_graph):
     for k in (1, 2, 3):
-        assert _grid(toy_graph, k) == occurrence_matrix_oracle(toy_graph, k)
+        oracle = occurrence_matrix_oracle(toy_graph, k)
+        assert oracle.order == k
+        assert np.array_equal(_grid(toy_graph, k).counts, oracle.counts)
 
 
 def test_toy_depth2_reach(toy_graph):
@@ -246,9 +248,10 @@ def test_rows_straddling_the_clamp(straddle_graph):
     grids = occurrence_matrices(straddle_graph, 4)
     assert np.array_equal(grids[1].counts, order2)
     assert np.array_equal(grids[2].counts, order3)
-    assert grids[3].total() == 0
+    assert grids[3].counts.sum() == 0
     for k, grid in enumerate(grids, start=1):
-        assert grid == occurrence_matrix_oracle(straddle_graph, k)
+        assert np.array_equal(grid.counts,
+                              occurrence_matrix_oracle(straddle_graph, k).counts)
 
 
 def test_order_out_of_range(toy_graph):
@@ -265,8 +268,8 @@ def test_clamp_inputs_to_last_row():
     records = [TransactionRecord("big", DAY0_TS, many, ("o1",))]
     graph = build_graph(day_windows(records)[0])
     oc = _grid(graph, 1)
-    assert oc.cell(CLAMP, 1) == 1
-    assert oc.total() == 1
+    assert oc.counts[CLAMP - 1, 0] == 1
+    assert oc.counts.sum() == 1
 
 
 def test_clamp_outputs_to_last_column():
@@ -274,7 +277,7 @@ def test_clamp_outputs_to_last_column():
     records = [TransactionRecord("wide", DAY0_TS, ("i1",), outs)]
     graph = build_graph(day_windows(records)[0])
     oc = _grid(graph, 1)
-    assert oc.cell(1, CLAMP) == 1
+    assert oc.counts[0, CLAMP - 1] == 1
 
 
 def test_exact_clamp_boundary():
@@ -286,13 +289,13 @@ def test_exact_clamp_boundary():
     ]
     graph = build_graph(day_windows(records)[0])
     oc = _grid(graph, 1)
-    assert oc.cell(19, 20) == 1   # n=20 already sits in the last column
-    assert oc.cell(20, 20) == 1   # m=20 and n=21 both clamp
+    assert oc.counts[18, 19] == 1   # n=20 already sits in the last column
+    assert oc.counts[19, 19] == 1   # m=20 and n=21 both clamp
 
 
 def test_empty_frontier_counts_nowhere(toy_graph):
     # 4 transactions, but only 2 have any depth-2 frontier
-    assert _grid(toy_graph, 2).total() == 2
+    assert _grid(toy_graph, 2).counts.sum() == 2
 
 
 def test_total_bounded_by_transactions():
@@ -300,7 +303,7 @@ def test_total_bounded_by_transactions():
     for _ in range(20):
         graph = build_graph(random_window(rng, max_tx=60, max_addr=150))
         for k in (1, 2, 3):
-            assert _grid(graph, k).total() <= graph.n_transactions
+            assert _grid(graph, k).counts.sum() <= graph.n_transactions
 
 
 def test_coinbase_excluded():
@@ -310,8 +313,8 @@ def test_coinbase_excluded():
     ]
     graph = build_graph(day_windows(records)[0])
     oc = _grid(graph, 1)
-    assert oc.total() == 1
-    assert oc.cell(1, 1) == 1
+    assert oc.counts.sum() == 1
+    assert oc.counts[0, 0] == 1
 
 
 # --- hub days: one address that many transactions pay and spend ----------
@@ -364,8 +367,8 @@ def test_no_linked_address_runs_no_product(monkeypatch):
                         lambda *args: calls.append(args))
     grids = occurrence_matrices(graph, 3)
     assert not calls
-    assert grids[0].total() == 2
-    assert grids[1].total() == grids[2].total() == 0
+    assert grids[0].counts.sum() == 2
+    assert grids[1].counts.sum() == grids[2].counts.sum() == 0
 
 
 # --- the two independent routes must agree ----------------------------------
@@ -375,14 +378,16 @@ def test_oracle_equivalence_random_graphs():
     for i in range(40):
         graph = build_graph(random_window(rng, max_tx=80, max_addr=200))
         k = 1 + i % 4
-        assert _grid(graph, k) == occurrence_matrix_oracle(graph, k), (
+        assert np.array_equal(_grid(graph, k).counts,
+                              occurrence_matrix_oracle(graph, k).counts), (
             f"divergence at instance {i}, order {k}"
         )
     # days around one hub address, from below the clamp to past it
     for width in (3, 9, 10, 19, 20, 30):
         graph = build_graph(day_windows(_hub_records(width))[0])
         for k in (1, 2, 3, 4):
-            assert _grid(graph, k) == occurrence_matrix_oracle(graph, k), (
+            assert np.array_equal(_grid(graph, k).counts,
+                                  occurrence_matrix_oracle(graph, k).counts), (
                 f"divergence at hub width {width}, order {k}"
             )
 
@@ -396,8 +401,8 @@ def test_oracle_equivalence_with_cycles():
     graph = build_graph(day_windows(records)[0])
     for k in (1, 2, 3, 4, 5):
         fast = _grid(graph, k)
-        assert fast == occurrence_matrix_oracle(graph, k)
-        assert fast.total() == 2  # the cycle never dies out
+        assert np.array_equal(fast.counts, occurrence_matrix_oracle(graph, k).counts)
+        assert fast.counts.sum() == 2  # the cycle never dies out
 
 
 # --- the oracle against the reference walk ----------------------------------
@@ -495,14 +500,15 @@ def test_oracle_runs_no_matrix_route_code(records, monkeypatch):
                         (korder, "_day_grids")):
         monkeypatch.setattr(owner, name, refuse)
     for k, grid in enumerate(want, start=1):
-        assert occurrence_matrix_oracle(graph, k) == grid
+        assert np.array_equal(occurrence_matrix_oracle(graph, k).counts, grid.counts)
 
 
 def test_occurrence_matrices_match_single_calls(toy_graph):
     # the order-k grid does not depend on how many orders are computed
     grids = occurrence_matrices(toy_graph, 3)
     for k, oc in enumerate(grids, start=1):
-        assert oc == occurrence_matrices(toy_graph, k)[-1]
+        assert oc.order == k
+        assert np.array_equal(oc.counts, occurrence_matrices(toy_graph, k)[-1].counts)
 
 
 # --- feature vector layout ----------------------------------------------------
@@ -618,7 +624,8 @@ def test_matrix_route_matches_oracle_property(records):
     graph = build_graph(day_windows(records)[0])
     grids = occurrence_matrices(graph, 4)
     for k in range(1, 5):
-        assert grids[k - 1] == occurrence_matrix_oracle(graph, k), k
+        assert np.array_equal(grids[k - 1].counts,
+                              occurrence_matrix_oracle(graph, k).counts), k
 
 
 @given(records=adversarial_day())

@@ -313,13 +313,20 @@ def _scipy_svr_objective(x, y, c, eps):
 
 
 def test_svr_matches_scipy_reference():
-    c, eps = 1.0, 0.1
-    for x, y in (_planted_uncentred(), _mostly_constant()):
+    # a converged fit is within svr_tolerance of the optimum, relative, and
+    # scipy's reference is itself only about that close, hence twice the
+    # tolerance.  On the last design, small targets and a large C, a stop
+    # on Boyd's residual pair called the fit converged 1.3% above it
+    eps = 0.1
+    x, y = _planted_uncentred()
+    for x, y, c in ((x, y, 1.0), (*_mostly_constant(), 1.0), (x, 0.03 * y, 10.0)):
         reference = _scipy_svr_objective(x, y, c, eps)
-        model = fit(RegressorSpec(kind="linear_svr", svr_c=c, svr_epsilon=eps), x, y)
+        spec = RegressorSpec(kind="linear_svr", svr_c=c, svr_epsilon=eps)
+        model = fit(spec, x, y)
         assert model.converged
         ours = _svr_objective(x, y, model.weights, model.bias, c, eps)
-        assert abs(ours - reference) <= 1e-3 * reference
+        assert ours >= (1 - 1e-3) * reference
+        assert ours <= (1 + 2 * spec.svr_tolerance) * reference
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -368,12 +375,17 @@ def test_all_constant_design_fits_zero_weights(kind, capsys):
 def test_svr_iteration_cap_not_converged(monkeypatch, capsys):
     x, y = _planted_uncentred(seed=1)
     monkeypatch.setattr(kernels, "SVR_MAX_ITER", 3)
-    model = fit(RegressorSpec(kind="linear_svr"), x, y)
+    spec = RegressorSpec(kind="linear_svr")
+    model = fit(spec, x, y)
     assert model.converged is False
     assert len(model.epoch_losses) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert [line.split(":")[0] for line in captured.err.splitlines()] == ["warning"]
+    gap = kernels.svr_epochs(x, y, spec.svr_c, spec.svr_epsilon, spec.svr_tolerance,
+                             3)[4]
+    assert (f"relative duality gap {gap:.3g} above svr_tolerance "
+            f"{spec.svr_tolerance}") in captured.err
     assert fit(RegressorSpec(), x, y).converged is True
 
 
@@ -402,62 +414,8 @@ def test_svr_cap_only_truncates(monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
-def _svr_reference(x, y, c, eps, tol, max_iter):
-    """``kernels.svr_epochs`` written as plain numpy expressions, each step
-    a new array, with the live columns gathered twice and z-scored with
-    population statistics; the kernel must equal it bit for bit.  Also
-    returns how often rho was rebalanced."""
-    live = np.flatnonzero(x.max(axis=0) > x.min(axis=0))
-    mu = x[:, live].mean(axis=0)
-    xl = x[:, live] - mu
-    sd = xl.std(axis=0)
-    xl = xl / sd
-    lam, v = np.linalg.eigh(xl.T @ xl)
-    pt = xl @ v
-    p = np.ascontiguousarray(pt.T)
-    y_norm = np.linalg.norm(y)
-    rho = 1.0
-    scale = 1.0 / (lam + 1.0 / rho)
-    z = np.zeros_like(y)
-    u = np.zeros_like(y)
-    objectives = np.empty(max_iter)
-    converged, rebalanced = False, 0
-    for it in range(max_iter):
-        target = y + z - u
-        wv = (p @ target) * scale
-        b = target.mean()
-        resid = pt @ wv + b - y
-        objectives[it] = 0.5 * (wv @ wv) + c * np.maximum(
-            np.abs(resid) - eps, 0.0).sum()
-        a = kernels._ALPHA * resid + (1.0 - kernels._ALPHA) * z + u
-        u = np.clip(a - np.clip(a, -eps, eps), -c / rho, c / rho)
-        z_old = z
-        z = a - u
-        if (it % kernels._RHO_EVERY != kernels._RHO_EVERY - 1
-                and it != max_iter - 1):
-            continue
-        dz = z - z_old
-        r_norm = np.linalg.norm(resid - z)
-        s_norm = rho * np.hypot(np.linalg.norm(p @ dz), dz.sum())
-        pri_scale = max(np.linalg.norm(resid + y), np.linalg.norm(z), y_norm)
-        dual_scale = rho * np.hypot(np.linalg.norm(p @ u), u.sum())
-        if r_norm <= tol * pri_scale and s_norm <= tol * dual_scale:
-            converged = True
-            break
-        if r_norm > 10.0 * s_norm or s_norm > 10.0 * r_norm:
-            step = 2.0 if r_norm > s_norm else 0.5
-            rho *= step
-            u /= step
-            scale = 1.0 / (lam + 1.0 / rho)
-            rebalanced += 1
-    w = np.zeros(x.shape[1])
-    w[live] = (v @ wv) / sd
-    return w, float(b - mu @ w[live]), objectives[:it + 1], converged, rebalanced
-
-
 def _noisy_wide(n=120, d=40, seed=11):
-    """More columns than the planted designs and heavy noise; the fit
-    rebalances rho three times."""
+    """More columns than the planted designs and heavy noise."""
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, d)) * rng.uniform(0.1, 5.0, d)
     return x, x[:, :3] @ [1.0, -2.0, 0.5] + 3.0 * rng.normal(size=n)
@@ -465,8 +423,8 @@ def _noisy_wide(n=120, d=40, seed=11):
 
 @pytest.mark.parametrize("case", ["constant_columns", "eps_zero", "capped_at_25",
                                   "rebalances_rho"])
-def test_svr_loop_equals_its_reference_bit_for_bit(case):
-    c, eps, tol, max_iter = 1.0, 0.1, 1e-4, kernels.SVR_MAX_ITER
+def test_svr_gap_bounds_the_distance_to_the_optimum(case):
+    c, eps, tol, max_iter = 1.0, 0.1, 1e-5, kernels.SVR_MAX_ITER
     if case == "constant_columns":
         x, y = _mostly_constant()
     elif case == "eps_zero":
@@ -474,19 +432,38 @@ def test_svr_loop_equals_its_reference_bit_for_bit(case):
     elif case == "capped_at_25":
         (x, y), max_iter = _planted_uncentred(seed=1), 25
     else:
-        x, y = _noisy_wide()
-    w, b, objectives, converged = kernels.svr_epochs(x, y, c, eps, tol, max_iter)
-    rw, rb, r_objectives, r_converged, rebalanced = _svr_reference(
-        x, y, c, eps, tol, max_iter)
-    assert np.array_equal(w, rw) and b == rb
-    assert objectives.tobytes() == r_objectives.tobytes()
-    assert converged is r_converged
-    if case == "constant_columns":
-        assert (w == 0.0).sum() >= 20 and converged
-    elif case == "capped_at_25":
+        # large targets and a small C: with rho fixed at 1, ADMM reaches
+        # the cap on this fit
+        (x, y), c = _noisy_wide(), 0.1
+        y = y * 100.0
+    w, b, objectives, converged, gap = kernels.svr_epochs(x, y, c, eps, tol, max_iter)
+    assert objectives[-1] == pytest.approx(_svr_objective(x, y, w, b, c, eps), rel=1e-9)
+    assert converged is (gap <= tol)
+    # a far tighter fit of the same problem is below this one by at most
+    # the gap, relative, as the gap bounds the distance to the optimum
+    *_, tight, tight_converged, _ = kernels.svr_epochs(
+        x, y, c, eps, 1e-10, 10 * kernels.SVR_MAX_ITER)
+    assert tight_converged
+    assert objectives[-1] - tight[-1] <= gap * objectives[-1]
+    if case == "capped_at_25":
         assert len(objectives) == 25 and 25 % kernels._RHO_EVERY and not converged
-    elif case == "rebalances_rho":
-        assert rebalanced >= 1 and converged
+    else:
+        assert converged
+    if case == "constant_columns":
+        assert (w == 0.0).sum() >= 20
+
+
+def test_svr_optimum_of_zero_ends_at_the_cap(monkeypatch, capsys):
+    # every target inside the tube: w = 0 and a bias in the tube cost
+    # nothing, an optimum that ADMM meets only up to rounding and that no
+    # relative gap certifies
+    x, _ = _planted_uncentred(seed=2)
+    y = 5.0 + 0.05 * np.sin(np.arange(len(x)))
+    monkeypatch.setattr(kernels, "SVR_MAX_ITER", 200)
+    model = fit(RegressorSpec(kind="linear_svr"), x, y)
+    assert not model.converged and len(model.epoch_losses) == 200
+    assert model.epoch_losses[-1] < 1e-12
+    assert capsys.readouterr().err.startswith("warning: linear_svr stopped at 200")
 
 
 def test_svr_deterministic():

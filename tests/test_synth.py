@@ -78,7 +78,7 @@ def test_no_spending_means_no_depth2_patterns():
                                     spend_probability=0.0))
     for window in partition_daily(records):
         graph = build_graph(window)
-        assert occurrence_matrices(graph, 2)[1].total() == 0
+        assert occurrence_matrices(graph, 2)[1].counts.sum() == 0
 
 
 def test_spending_creates_depth2_patterns():
@@ -87,7 +87,7 @@ def test_spending_creates_depth2_patterns():
     total = 0
     for window in partition_daily(records):
         graph = build_graph(window)
-        total += occurrence_matrices(graph, 2)[1].total()
+        total += occurrence_matrices(graph, 2)[1].counts.sum()
     assert total > 0
 
 

@@ -34,15 +34,15 @@ Two independent routes produce the grid:
   the caller knows, and each product is one ``kernels.spgemm_bool`` call.
 * :func:`occurrence_matrix_oracle` - explicit per-transaction frontier
   expansion with python sets, kept deliberately free of the matrix code.
-  Order 1 is each transaction's own outputs.  Above it, successors are
-  read from the graph's spender rows, and transactions with equal
-  successor sets walk once, memoised by that set.  Every level but
-  the last is built whole, and stops growing once it holds every
-  transaction.  The last level is walked lazily, each member once, and
-  the frontier its members pay is counted only up to the clamp (or up to
-  every paid address, if fewer): n is min(|frontier|, 20), exact because
-  the levels before it are whole and a union only grows.  The tests check
-  it against a reference walk that keeps every frontier whole.
+  Order 1 is each transaction's own outputs.  Above it, one lazy walk
+  reads the graph's spender rows: level 2 is the spenders of a
+  transaction's spent outputs, level d + 1 the spenders of level d's
+  outputs, each member drawn once per level.  Transactions with the same
+  spent outputs walk once, memoised by them.  The frontier the last level
+  pays is counted only up to the clamp (or up to every paid address, if
+  fewer): n is min(|frontier|, 20), exact because a count that never
+  stops has drained every level whole.  The tests check it against a
+  reference walk that keeps every frontier whole.
 
 The graph may hold several days (see :mod:`txpattern.txgraph`).  Its
 address nodes are (day, key), so it is block-diagonal: no reach row crosses
@@ -175,18 +175,6 @@ def feature_vector(graph: TransactionGraph, max_order: int) -> np.ndarray:
     return _day_grids(graph, max_order).reshape(graph.n_days, max_order * GRID_CELLS)
 
 
-def _union(sets, whole: int) -> set[int]:
-    """The union of ``sets``, all subsets of one universe of ``whole``
-    members.  It stops adding once it holds all of them, because a union
-    of subsets cannot grow past their universe."""
-    union: set[int] = set()
-    for s in sets:
-        union.update(s)
-        if len(union) == whole:
-            break
-    return union
-
-
 def _capped_size(sets, cap: int) -> int:
     """min(cap, size of the union of ``sets``), reading sets only until the
     union holds ``cap`` members.  One set may take it from below ``cap`` to
@@ -214,50 +202,43 @@ def occurrence_matrix_oracle(graph: TransactionGraph, k: int) -> OccurrenceMatri
     and empty-frontier rule as the matrix route, independent code path.
 
     Level 1 of transaction t is {t}, level d + 1 the transactions that
-    spend an output of level d (its successors), and the frontier the
-    outputs of level k.  Order 1 needs no successors: the frontier is t's
-    own outputs.  Above it, the walk from t depends only on t's successor
-    set (level 2), so transactions with equal successor sets share one
-    walk, memoised by that set.  Levels 2..k-1 are built whole, and a
-    level stops growing once it holds every transaction.  Level k is never
-    built: its members are drawn one at a time from the successors of
-    level k-1, each once, and their outputs are counted only until the
-    frontier holds ``CLAMP`` addresses (or every paid one, if fewer), which
-    is all the tally reads.  Since every earlier level is whole and a union
-    only grows, that count is exactly min(|frontier|, CLAMP)."""
+    spend an output of level d, and the frontier the outputs of level k.
+    Order 1 is t's own outputs.  Above it, level 2 is the spenders of t's
+    spent outputs, so the walk from t depends only on those outputs, and
+    transactions that spend into the same ones share one walk, memoised by
+    their tuple (sorted, as CSR rows are).  No level is built whole: each
+    is drawn lazily from the spender rows of the one before it, each member
+    once, and the frontier its last level pays is counted only until it
+    holds ``CLAMP`` addresses (or every paid one, if fewer), which is all
+    the tally reads.  A count that never stops has drained every level
+    whole, so it is exactly min(|frontier|, CLAMP)."""
     if k < 1:
         raise BadSpec(f"order must be >= 1, got {k}")
-    n_tx = graph.n_transactions
     out_ptr, out_ids, sp_ptr, sp_ids = (a.tolist() for a in (
         graph.out_indptr, graph.out_indices, graph.spend_indptr, graph.spend_indices))
-    outputs = [out_ids[out_ptr[t]:out_ptr[t + 1]] for t in range(n_tx)]
+    outputs = [out_ids[out_ptr[t]:out_ptr[t + 1]] for t in range(graph.n_transactions)]
+
+    def spenders(addresses):
+        return _each_once(sp_ids[sp_ptr[a]:sp_ptr[a + 1]] for a in addresses)
+
     if k == 1:
         sizes = [len(outs) for outs in outputs]
     else:
-        # one object per distinct set: every payer of a hub shares one
-        distinct: dict[frozenset[int], frozenset[int]] = {}
-        successors = [distinct.setdefault(s, s) for s in (
-            frozenset().union(*(sp_ids[sp_ptr[a]:sp_ptr[a + 1]] for a in outs))
-            for outs in outputs)]
         cap = min(CLAMP, len(set(out_ids)))
-        reached: dict[frozenset[int], int] = {}
+        reached: dict[tuple[int, ...], int] = {}
         sizes = []
-        for start in successors:
-            n = reached.get(start)
+        for outs in outputs:
+            spent = tuple(a for a in outs if sp_ptr[a] < sp_ptr[a + 1])
+            n = reached.get(spent)
             if n is None:
                 # Exact-depth walk semantics: level d holds every transaction
                 # reachable by some length-d spend walk, so revisits are
                 # allowed (cycles from address reuse stay consistent with
                 # matrix powering).
-                last = start
-                if k > 2:
-                    level = start
-                    for _ in range(k - 3):
-                        if not level:
-                            break
-                        level = _union((successors[u] for u in level), n_tx)
-                    last = _each_once(successors[u] for u in level)
-                n = reached[start] = _capped_size((outputs[u] for u in last), cap)
+                level = spenders(spent)
+                for _ in range(k - 2):
+                    level = spenders(a for u in level for a in outputs[u])
+                n = reached[spent] = _capped_size((outputs[u] for u in level), cap)
             sizes.append(n)
     grid = np.zeros((CLAMP, CLAMP), dtype=np.int64)
     for m, n in zip(graph.input_set_sizes.tolist(), sizes):

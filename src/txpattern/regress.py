@@ -132,12 +132,10 @@ def save_model(path: str | Path, model: FittedModel, horizon: int) -> None:
     payload = {
         "schema_version": MODEL_SCHEMA_VERSION,
         "kind": spec.kind,
-        "params": {
-            "ridge_lambda": spec.ridge_lambda,
-            "svr_c": spec.svr_c,
-            "svr_epsilon": spec.svr_epsilon,
-            "svr_tolerance": spec.svr_tolerance,
-        },
+        # only the settings its kind reads
+        "params": ({"ridge_lambda": spec.ridge_lambda} if spec.kind == "ridge" else
+                   {"svr_c": spec.svr_c, "svr_epsilon": spec.svr_epsilon,
+                    "svr_tolerance": spec.svr_tolerance}),
         "horizon": horizon,
         "feature_dim": model.feature_dim,
         "weights": model.weights.tolist(),
@@ -201,6 +199,10 @@ def load_model(path: str | Path) -> tuple[FittedModel, int]:
                       "is not an integer >= 1")
     if not (np.isfinite(weights).all() and math.isfinite(bias)):
         raise BadSpec(f"{path} is not a model file: non-finite weight or bias")
-    if weights.shape != (payload["feature_dim"],):
+    feature_dim = payload["feature_dim"]
+    if type(feature_dim) is not int:
+        raise BadSpec(f"{path} is not a model file: feature_dim {feature_dim!r} "
+                      "is not an integer")
+    if weights.shape != (feature_dim,):
         raise DimensionMismatch("stored weights do not match declared feature_dim")
     return FittedModel(weights, bias, spec, train_range), horizon

@@ -437,6 +437,13 @@ def _model_json(**changes) -> str:
     pytest.param(_model_json(horizon=0), "horizon 0", id="zero-horizon"),
     pytest.param(_model_json(horizon=2.7), "horizon 2.7", id="fractional-horizon"),
     pytest.param(_model_json(horizon="1"), "horizon '1'", id="text-horizon"),
+    # a shape check would take True and 1.0 as 1
+    pytest.param(_model_json(feature_dim=True), "feature_dim True is not an integer",
+                 id="bool-dim"),
+    pytest.param(_model_json(feature_dim=1.0), "feature_dim 1.0 is not an integer",
+                 id="float-dim"),
+    pytest.param(_model_json(feature_dim="1"), "feature_dim '1' is not an integer",
+                 id="text-dim"),
     pytest.param(_model_json(weights=[float("nan")]), "non-finite", id="nan-weight"),
     pytest.param(_model_json(bias=float("inf")), "non-finite", id="inf-bias"),
     pytest.param(_model_json(params={"svr_tolerance": float("inf")}),

@@ -446,15 +446,37 @@ def _one_at_a_time_records() -> list[TransactionRecord]:
             for i, (tx, ins, outs) in enumerate(txs)]
 
 
+def _spent_change_records() -> list[TransactionRecord]:
+    """A day whose walks share transactions but not their memo keys.
+
+    Payer P_i has i + 1 inputs and pays the hub and its change c_i, which
+    C_i alone spends, so the payers' spent outputs differ though every walk
+    runs through the hub's spenders.  C_i pays i + 1 fresh addresses and z0.
+    The hub's spenders H0 and H1 pay x and y, which T spends, so both have
+    the successors {T} but different spent outputs.  T pays z0, and a chain
+    Z0..Z5 carries z0 on, each Z_j paying z_(j+1) and j + 1 fresh addresses,
+    so the walks run six levels deep."""
+    txs = [(f"P{i}", tuple(f"p{i}_{n}" for n in range(i + 1)), ("hub", f"c{i}"))
+           for i in range(4)]
+    txs += [(f"C{i}", (f"c{i}",), (*(f"f{i}_{n}" for n in range(i + 1)), "z0"))
+            for i in range(4)]
+    txs += [("H0", ("hub",), ("x",)), ("H1", ("hub",), ("y",)), ("T", ("x", "y"), ("z0",))]
+    txs += [(f"Z{j}", (f"z{j}",), (f"z{j + 1}", *(f"w{j}_{n}" for n in range(j + 1))))
+            for j in range(6)]
+    return [TransactionRecord(tx, DAY0_TS + i, ins, outs)
+            for i, (tx, ins, outs) in enumerate(txs)]
+
+
 @pytest.mark.parametrize("records", [
     pytest.param(_saturating_records(), id="saturating"),
     *(pytest.param(_hub_records(width), id=f"hub-{width}") for width in (1, 3, 21)),
     pytest.param(_straddle_records(), id="straddle"),
     pytest.param(_one_at_a_time_records(), id="one-at-a-time"),
+    pytest.param(_spent_change_records(), id="spent-change"),
 ])
 def test_oracle_matches_the_reference_walk(records):
     graph = build_graph(day_windows(records)[0])
-    for k in range(1, 5):
+    for k in range(1, 7):
         assert np.array_equal(occurrence_matrix_oracle(graph, k).counts,
                               _walk_grid(graph, k)), k
 

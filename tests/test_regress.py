@@ -1,4 +1,5 @@
 import datetime as dt
+import json
 import warnings
 
 import numpy as np
@@ -488,6 +489,22 @@ def test_save_load_roundtrip(tmp_path):
     assert loaded.train_range == model.train_range
     probe = np.linspace(-1, 1, x.shape[1])
     assert predict(loaded, probe) == predict(model, probe)
+
+
+@pytest.mark.parametrize("spec, params", [
+    (RegressorSpec(ridge_lambda=0.1), {"ridge_lambda"}),
+    (RegressorSpec(kind="linear_svr", svr_c=2.0, svr_epsilon=0.05, svr_tolerance=1e-6),
+     {"svr_c", "svr_epsilon", "svr_tolerance"}),
+], ids=KINDS)
+def test_model_file_holds_only_its_kinds_settings(tmp_path, spec, params):
+    x, y, _ = _linear_data(noise=0.2, seed=11)
+    model = fit(spec, x, y)
+    path = tmp_path / "model.json"
+    save_model(path, model, horizon=1)
+    assert json.loads(path.read_text())["params"].keys() == params
+    loaded, _ = load_model(path)
+    assert loaded.spec == spec
+    assert np.array_equal(predict(loaded, x), predict(model, x))
 
 
 def test_save_load_deterministic_bytes(tmp_path):

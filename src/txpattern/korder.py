@@ -21,17 +21,23 @@ Two independent routes produce the grid:
   transaction's order-(k+1) row is the union of those rows over the
   linked addresses it pays.  An address outside L has no spender or no
   payer, so dropping it changes no row, and the tx x tx hop ``Q P`` is
-  never formed.  After every stage each row is kept to its first
-  ``CLAMP`` entries, so n is the row population count only up to the
-  clamp: a capped row holds min(|frontier|, 20) members of the true one.
-  The grid stays exact, because at each stage a union of capped rows has
-  at least 20 members exactly when the union of the true rows does, and
-  below 20 every capped row is whole.  Each product therefore expands at
-  most ``CLAMP`` entries per entry of its left operand, and an order costs
-  at most ``CLAMP * (nnz(P_L) + nnz(Q_L))``: linear in the graph's edges,
-  however wide a hub address is.  Each matrix is a bare canonical CSR
-  pair ``(indptr, indices)`` (see :mod:`txpattern.kernels`) whose shape
-  the caller knows, and each product is one ``kernels.spgemm_bool`` call.
+  never formed.  After every stage each row is capped at ``CLAMP``
+  entries, so n is the row population count only up to the clamp: a
+  capped row holds min(|frontier|, 20) members of the true one.  A row
+  that meets a full row (``CLAMP`` entries) of the right operand takes
+  that row, which its true row holds whole; any other row is the union of
+  the rows it meets, cut to its first ``CLAMP`` entries.  The grid stays
+  exact, because at each stage a union of capped rows has at least 20
+  members exactly when the union of the true rows does, and below 20
+  every capped row is whole.  Each product therefore expands at most
+  ``CLAMP`` entries per entry of its left operand, and exactly ``CLAMP``
+  per row that meets a full row, so an order costs at most ``CLAMP *
+  (nnz(P_L) + nnz(Q_L))``: linear in the graph's edges, however wide a
+  hub address is, and a stage whose rows are all full costs ``CLAMP`` per
+  non-empty row.  Each matrix is a bare canonical CSR pair ``(indptr,
+  indices)`` (see :mod:`txpattern.kernels`) whose shape the caller knows,
+  and each product is one ``kernels.spgemm_bool`` call on the left entries
+  that remain.
 * :func:`occurrence_matrix_oracle` - explicit per-transaction frontier
   expansion with python sets, kept deliberately free of the matrix code.
   Order 1 is each transaction's own outputs.  Above it, one lazy walk
@@ -105,6 +111,27 @@ def _first_entries(indptr: np.ndarray, indices: np.ndarray) -> Csr:
     return _keep(indptr, indices, rank < CLAMP)
 
 
+def _capped_product(a: Csr, b: Csr, n_rows: int, n_cols: int) -> Csr:
+    """``A . B`` with each row capped at ``CLAMP`` entries, for a B whose
+    rows hold at most ``CLAMP``.  A row of A that meets a full row of B
+    (``CLAMP`` entries) keeps only its first such entry, so it takes that
+    row, which its true row holds whole, and its other entries are never
+    expanded.  Every other row expands whole and keeps its first
+    ``CLAMP`` entries."""
+    a_indptr, a_indices = a
+    hits = np.flatnonzero((np.diff(b[0]) == CLAMP)[a_indices])
+    if hits.size:
+        rows = np.searchsorted(a_indptr, hits, side="right") - 1
+        first = np.ones(hits.size, dtype=bool)      # each row's first hit
+        np.not_equal(rows[1:], rows[:-1], out=first[1:])
+        rows = rows[first]
+        keep = np.ones(a_indices.size, dtype=bool)
+        keep[kernels.ranges(a_indptr[rows], a_indptr[rows + 1] - a_indptr[rows])] = False
+        keep[hits[first]] = True
+        a = _keep(a_indptr, a_indices, keep)
+    return _first_entries(*kernels.spgemm_bool(*a, *b, n_rows, n_cols))
+
+
 def _linked(graph: TransactionGraph) -> tuple[Csr, Csr]:
     """``(P_L, Q_L)`` over the linked addresses L, those that some
     transaction pays and some transaction spends, numbered in id order.
@@ -129,12 +156,14 @@ def _day_grids(graph: TransactionGraph, max_order: int) -> np.ndarray:
     ``Q_L`` and one product per stage for the whole chunk.
 
     ``reach_1 = cap(Q)`` and ``reach_{k+1} = cap(Q_L . cap(P_L . reach_k))``,
-    where ``cap`` keeps each row's first ``CLAMP`` entries; every reach
-    matrix has one column per address.  The tx x tx hop ``Q . P`` is never
-    formed, so an order expands at most ``CLAMP * (nnz(P_L) + nnz(Q_L))``
-    entries, and none when no address is linked.  A row's population count
-    is min(n, CLAMP), not n, and the grids equal those of the full reach
-    matrix (see the module docstring).  The tally is one ``bincount`` of
+    where ``cap`` keeps each row's first ``CLAMP`` entries, except that a
+    row meeting a full row of the right operand takes that row and expands
+    nothing else (:func:`_capped_product`); every reach matrix has one
+    column per address.  The tx x tx hop ``Q . P`` is never formed, so an
+    order expands at most ``CLAMP * (nnz(P_L) + nnz(Q_L))`` entries, and
+    none when no address is linked.  A row's population count is min(n,
+    CLAMP), not n, and the grids equal those of the full reach matrix (see
+    the module docstring).  The tally is one ``bincount`` of
     each transaction's flat cell ``day * max_order * 400 + (k - 1) * 400 +
     (m - 1) * 20 + (n - 1)``, clamped; an empty frontier counts nowhere."""
     if max_order < 1:
@@ -155,8 +184,8 @@ def _day_grids(graph: TransactionGraph, max_order: int) -> np.ndarray:
         for k in range(2, max_order + 1):
             if not n_linked:
                 break           # every higher frontier is empty
-            via = _first_entries(*kernels.spgemm_bool(*p_l, *reach, n_linked, n_addr))
-            reach = _first_entries(*kernels.spgemm_bool(*q_l, *via, n_tx, n_addr))
+            via = _capped_product(p_l, reach, n_linked, n_addr)
+            reach = _capped_product(q_l, via, n_tx, n_addr)
             tallied.append(cells(k, reach))
     counts = np.bincount(np.concatenate(tallied), minlength=graph.n_days * width)
     return counts.reshape(graph.n_days, max_order, CLAMP, CLAMP)

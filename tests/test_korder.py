@@ -11,6 +11,7 @@ from txpattern.errors import BadSpec
 from txpattern.korder import (
     CLAMP,
     GRID_CELLS,
+    _capped_product,
     _first_entries,
     feature_vector,
     occurrence_matrices,
@@ -331,30 +332,70 @@ def _hub_records(width: int) -> list[TransactionRecord]:
             for i, (tx, ins, outs) in enumerate(txs)]
 
 
+class Product(NamedTuple):
+    expansion: int      # (row, col) pairs the product expands
+    left_nnz: int
+    left_rows: int      # non-empty rows of the left operand
+
+
+def _record_products(monkeypatch) -> list[Product]:
+    """Wrap ``kernels.spgemm_bool`` to record what each call expands."""
+    calls = []
+    spgemm = kernels.spgemm_bool
+
+    def recording(a_indptr, a_indices, b_indptr, *rest):
+        calls.append(Product(int(np.diff(b_indptr)[a_indices].sum()), a_indices.size,
+                             int(np.count_nonzero(np.diff(a_indptr)))))
+        return spgemm(a_indptr, a_indices, b_indptr, *rest)
+
+    monkeypatch.setattr(kernels, "spgemm_bool", recording)
+    return calls
+
+
 @pytest.mark.parametrize("width", [700, 1400, 2800])
 def test_wide_hub_expansion_linear_in_edges(monkeypatch, width):
     # the tx x tx hop matrix would pair every payer with every spender
     # (width**2 pairs); each product may expand at most CLAMP entries per
     # entry of its left operand, as the module docstring says
     graph = build_graph(day_windows(_hub_records(width))[0])
-    calls = []
-    spgemm = kernels.spgemm_bool
-
-    def recording(a_indptr, a_indices, b_indptr, *rest):
-        calls.append((int(np.diff(b_indptr)[a_indices].sum()), a_indices.size))
-        return spgemm(a_indptr, a_indices, b_indptr, *rest)
-
-    monkeypatch.setattr(kernels, "spgemm_bool", recording)
+    calls = _record_products(monkeypatch)
     grids = occurrence_matrices(graph, 3)
     assert len(calls) == 4
-    for expansion, left_nnz in calls:
-        assert expansion <= CLAMP * left_nnz
+    for call in calls:
+        assert call.expansion <= CLAMP * call.left_nnz
     # order 1: every row pays 2; order 2: a payer reaches every spender's
     # outputs, a spender the next payer's two; order 3: past the clamp
     assert np.array_equal(grids[0].counts, _expect_grid({(1, 2): 2 * width}))
     assert np.array_equal(grids[1].counts,
                           _expect_grid({(1, 20): width, (1, 2): width}))
     assert np.array_equal(grids[2].counts, _expect_grid({(1, 20): 2 * width}))
+
+
+def _saturated_records(width: int, shared: int = 5) -> list[TransactionRecord]:
+    """A day of ``width`` rows, each paying ``CLAMP`` addresses of its own
+    and all ``shared`` shared addresses, and spending two of those, so
+    every reach row is full at every order and every address spent has
+    about ``2 * width / shared`` spenders."""
+    return [TransactionRecord(
+        f"t{i}", DAY0_TS + i, (f"s{i % shared}", f"s{(i + 1) % shared}"),
+        tuple(f"o{i}_{j}" for j in range(CLAMP)) + tuple(f"s{j}" for j in range(shared)))
+        for i in range(width)]
+
+
+@pytest.mark.parametrize("width", [50, 400])
+def test_saturated_rows_expand_one_full_row_each(monkeypatch, width):
+    # every non-empty left row meets a full right row, so it takes that row
+    # whole and expands exactly CLAMP pairs, however many entries it has:
+    # 5 (then width) rows, against 2 * width (then 5 * width) entries
+    graph = build_graph(day_windows(_saturated_records(width))[0])
+    calls = _record_products(monkeypatch)
+    grids = occurrence_matrices(graph, 3)
+    assert len(calls) == 4
+    for call in calls:
+        assert call.expansion == CLAMP * call.left_rows
+    for k, grid in enumerate(grids, start=1):
+        assert np.array_equal(grid.counts, _expect_grid({(2, 20): width}))
+        assert np.array_equal(grid.counts, occurrence_matrix_oracle(graph, k).counts)
 
 
 def test_no_linked_address_runs_no_product(monkeypatch):
@@ -518,7 +559,8 @@ def test_oracle_runs_no_matrix_route_code(records, monkeypatch):
         raise AssertionError("the oracle ran matrix-route code")
 
     for owner, name in ((kernels, "spgemm_bool"), (kernels, "csr"),
-                        (korder, "_first_entries"), (korder, "_linked"),
+                        (korder, "_first_entries"), (korder, "_capped_product"),
+                        (korder, "_linked"),
                         (korder, "_day_grids")):
         monkeypatch.setattr(owner, name, refuse)
     for k, grid in enumerate(want, start=1):
@@ -605,6 +647,50 @@ def test_first_entries_keeps_first_clamp_of_each_row():
         row = indices[indptr[r]:indptr[r + 1]]
         kept = kept_indices[kept_indptr[r]:kept_indptr[r + 1]]
         assert np.array_equal(kept, row[:CLAMP])
+
+
+def _capped_operand(rng, n_rows: int, n_cols: int, full: np.ndarray):
+    """A random canonical CSR whose rows hold under ``CLAMP`` entries,
+    except the rows ``full``, which hold exactly ``CLAMP``."""
+    sizes = rng.integers(0, CLAMP, n_rows)
+    sizes[full] = CLAMP
+    cols = [rng.choice(n_cols, size, replace=False) for size in sizes]
+    return kernels.csr(np.repeat(np.arange(n_rows), sizes), np.concatenate(cols),
+                       n_rows, n_cols)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n_full", [0, 1, 6])
+def test_capped_product_against_dense(seed, n_full):
+    # each row is canonical and a subset of the true boolean row with
+    # min(|true|, CLAMP) members; a row meeting a full row takes the first
+    rng = np.random.default_rng(seed)
+    n_rows, n_mid, n_cols = 40, 30, 3 * CLAMP
+    full = np.sort(rng.choice(n_mid, n_full, replace=False))
+    other = np.setdiff1d(np.arange(n_mid), full)
+    b = _capped_operand(rng, n_mid, n_cols, full)
+    da = rng.random((n_rows, n_mid)) < 0.15
+    # rows 0-3: empty, then meeting no full row, one, and up to three
+    da[:4] = False
+    da[1, other[:4]] = True
+    da[2, other[:2]] = da[2, full[:1]] = True
+    da[3, other[:3]] = da[3, full[:3]] = True
+    indptr, indices = _capped_product(_from_dense(da), b, n_rows, n_cols)
+    true = (da.astype(np.int64) @ _dense(b, n_cols).astype(np.int64)) > 0
+    got = _dense((indptr, indices), n_cols)
+    assert not (got & ~true).any()
+    assert np.array_equal(np.diff(indptr), np.minimum(true.sum(axis=1), CLAMP))
+    for r in range(n_rows):
+        row = indices[indptr[r]:indptr[r + 1]]
+        assert np.all(row[1:] > row[:-1])
+        meets = full[da[r, full]]
+        if meets.size:
+            # the row of the first full row it meets, whole
+            assert np.array_equal(row, b[1][b[0][meets[0]]:b[0][meets[0] + 1]])
+    if not n_full:
+        want = _first_entries(*kernels.spgemm_bool(*_from_dense(da), *b, n_rows, n_cols))
+        assert np.array_equal(indptr, want[0])
+        assert np.array_equal(indices, want[1])
 
 
 @st.composite

@@ -21,8 +21,10 @@ table of per-day features is built once, each offset model is fitted once
 for all runs, and a run predicts all its test rows at once, one
 matrix-vector product per offset on the rows j days behind them.
 
-Reports serialize to JSON and CSV; identical runs produce byte-identical
-report files.
+A report keeps its offset models (``BacktestReport.models``) and reads
+each JSON ``offsets`` entry from its model's ``train_range``.  Reports
+serialize to JSON and CSV; identical runs produce byte-identical report
+files.
 """
 
 from __future__ import annotations
@@ -136,13 +138,18 @@ def trend_labels(pred_prices, base_prices) -> np.ndarray:
     return np.where(pred > base, 1, -1).astype(np.int64)
 
 
-@dataclass
-class OffsetInfo:
-    offset: int
-    train_rows: int
-    train_start: dt.date
-    train_end: dt.date    # last feature date used
-    target_end: dt.date   # last future date a target peeked at
+def _offset_entry(offset: int, model: FittedModel) -> dict:
+    """A report's entry for one offset model.  Its training rows are
+    consecutive days, and its last target reads the close ``offset`` days
+    after the last of them."""
+    first, last = model.train_range
+    return {
+        "offset": offset,
+        "train_rows": (last - first).days + 1,
+        "train_start": first.isoformat(),
+        "train_end": last.isoformat(),
+        "target_end": (last + dt.timedelta(days=offset)).isoformat(),
+    }
 
 
 @dataclass
@@ -158,7 +165,7 @@ class BacktestReport:
     n_test_days: int
     first_test_date: dt.date
     weights: list[float]
-    offsets: list[OffsetInfo]
+    models: dict[int, FittedModel]   # by offset, in order of first use
     dates: list[dt.date]
     true_prices: np.ndarray
     predicted_prices: np.ndarray
@@ -179,16 +186,7 @@ class BacktestReport:
             "n_test_days": self.n_test_days,
             "first_test_date": self.first_test_date.isoformat(),
             "weights": self.weights,
-            "offsets": [
-                {
-                    "offset": o.offset,
-                    "train_rows": o.train_rows,
-                    "train_start": o.train_start.isoformat(),
-                    "train_end": o.train_end.isoformat(),
-                    "target_end": o.target_end.isoformat(),
-                }
-                for o in self.offsets
-            ],
+            "offsets": [_offset_entry(j, m) for j, m in self.models.items()],
             "mape_percent": self.mape,
             "trend_accuracy": self.trend_accuracy,
             "records": [
@@ -261,23 +259,13 @@ class DayTable:
         ahead = self.start + offset
         return n, self.prices.closes[ahead:ahead + n] - self.base[:n]
 
-    def fit_offset(self, offset: int, spec: RegressorSpec, cut: dt.date):
-        """Train the offset model on the rows of :meth:`targets`; returns
-        (model, OffsetInfo)."""
+    def fit_offset(self, offset: int, spec: RegressorSpec, cut: dt.date) -> FittedModel:
+        """The offset model trained on the rows of :meth:`targets`; its
+        ``train_range`` holds their first and last dates."""
         n, y = self.targets(offset, cut)
         if n < 2:
             raise InsufficientData(f"offset {offset}: only {n} usable training rows")
-        train_start = self.dates[0]
-        train_end = self.dates[n - 1]
-        model = fit(spec, self.x[:n], y, train_range=(train_start, train_end))
-        info = OffsetInfo(
-            offset=offset,
-            train_rows=n,
-            train_start=train_start,
-            train_end=train_end,
-            target_end=train_end + dt.timedelta(days=offset),
-        )
-        return model, info
+        return fit(spec, self.x[:n], y, train_range=(self.dates[0], self.dates[n - 1]))
 
 
 def _check_horizon(horizon: int) -> None:
@@ -324,7 +312,7 @@ def _evaluate(
     max_order: int,
     spec: RegressorSpec,
     runs: list[tuple[int, np.ndarray]],
-) -> tuple[DayTable, int, dict[int, tuple], list[np.ndarray]]:
+) -> tuple[DayTable, int, dict[int, FittedModel], list[np.ndarray]]:
     """Each run ``(horizon, alphas)`` on the split's table: the predicted
     closes of the test rows ``n_train..``, combining ``len(alphas)`` offset
     models from ``horizon`` up.  Returns the table, its number of training
@@ -332,22 +320,24 @@ def _evaluate(
     once for all runs, and one prediction array per run."""
     table, n_train = _split_table(transactions, prices, split, max_order)
     n = len(table.dates)
-    fitted: dict[int, tuple] = {}
+    models: dict[int, FittedModel] = {}
     preds = []
     for horizon, alphas in runs:
         offsets = range(horizon, horizon + len(alphas))
         for j in offsets:
-            if j not in fitted:
-                fitted[j] = table.fit_offset(j, spec, table.dates[n_train - 1])
-                if fitted[j][1].target_end >= table.dates[n_train]:
+            if j not in models:
+                models[j] = table.fit_offset(j, spec, table.dates[n_train - 1])
+                # the last target reads the close j days after the last row
+                last = models[j].train_range[1]
+                if last + dt.timedelta(days=j) >= table.dates[n_train]:
                     raise RuntimeError(
                         "chronology violation: training touched the test range")
         # each offset model trained on >= 2 rows before the test range, so
         # n_train >= j + 2 and every test row i has its row i - j
-        preds.append(predict_price([fitted[j][0] for j in offsets], alphas,
+        preds.append(predict_price([models[j] for j in offsets], alphas,
                                    [table.x[n_train - j:n - j] for j in offsets],
                                    [table.base[n_train - j:n - j] for j in offsets]))
-    return table, n_train, fitted, preds
+    return table, n_train, models, preds
 
 
 def run_backtest(
@@ -364,7 +354,7 @@ def run_backtest(
     check_params(max_order, [horizon], r, [window])
     spec = spec or RegressorSpec()
     alphas = decay_weights(r, window)
-    table, n_train, fitted, (preds,) = _evaluate(
+    table, n_train, models, (preds,) = _evaluate(
         transactions, prices, split, max_order, spec, [(horizon, alphas)])
     n_days = len(table.dates)
     truths = table.base[n_train:]
@@ -383,7 +373,7 @@ def run_backtest(
         n_test_days=n_days - n_train,
         first_test_date=table.dates[n_train],
         weights=[float(a) for a in alphas],
-        offsets=[info for _, info in fitted.values()],
+        models=models,
         dates=table.dates[n_train:],
         true_prices=truths,
         predicted_prices=preds,

@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 data, input or file-system errors, 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime as dt
 import sys
 
@@ -25,11 +26,11 @@ from .backtest import (INTERVALS, DayTable, SplitSpec, check_params, decay_weigh
                        horizon_sweep, run_backtest, window_sweep)
 from .errors import BadSpec, InsufficientData, PriceMissing, TxPatternError
 from .features import day_feature_table, write_feature_csv
-from .ingest import parse_prices, parse_transactions, partition_daily
+from .ingest import DayWindow, parse_prices, parse_transactions, partition_daily
 # occurrence_matrices is not called here; e2ebench/tracer.py wraps it by this name
 from .korder import GRID_CELLS, occurrence_matrices, occurrence_matrix_oracle
 from .regress import KINDS, RegressorSpec, load_model, predict, save_model
-from .synth import SynthSpec, write_synth
+from .synth import PRICE_MODELS, SynthSpec, write_synth
 from .txgraph import build_graph
 
 
@@ -90,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     spec = RegressorSpec()
     model = argparse.ArgumentParser(add_help=False)
-    model.add_argument("--model", type=_model_kind, default=spec.kind,
+    model.add_argument("--model", dest="kind", type=_model_kind, default=spec.kind,
                        choices=KINDS,
                        help="regressor kind, svr is shorthand for linear_svr")
     model.add_argument("--ridge-lambda", type=float, default=spec.ridge_lambda,
@@ -128,28 +129,33 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(handler=handler)
         return sp
 
+    # --seed keeps the shared default, 42, not SynthSpec's
+    gen = SynthSpec()
     sp = command("synth", _cmd_synth, "generate a synthetic corpus", [seed])
     sp.add_argument("--out-tx", required=True, help="transactions CSV to write")
     sp.add_argument("--out-prices", required=True, help="prices CSV to write")
-    sp.add_argument("--days", type=int, default=30, help="number of day windows")
-    sp.add_argument("--tx-per-day", type=int, default=200,
+    sp.add_argument("--days", type=int, default=gen.days, help="number of day windows")
+    sp.add_argument("--tx-per-day", type=int, default=gen.tx_per_day,
                     help="mean transactions per day")
-    sp.add_argument("--spend-prob", dest="spend_probability", type=float, default=0.35,
+    sp.add_argument("--spend-prob", dest="spend_probability", type=float,
+                    default=gen.spend_probability,
                     help="chance an input reuses an earlier output address")
-    sp.add_argument("--coinbase-per-day", type=int, default=1,
+    sp.add_argument("--coinbase-per-day", type=int, default=gen.coinbase_per_day,
                     help="inputless transactions per day")
     sp.add_argument("--fixed-tx-count", action="store_true",
                     help="exact instead of Poisson transaction counts")
-    sp.add_argument("--price-model", default="random_walk",
-                    choices=("random_walk", "planted_linear"), help="price process")
-    sp.add_argument("--start-date", type=_iso_date, default=dt.date(2015, 1, 1),
+    sp.add_argument("--price-model", default=gen.price_model,
+                    choices=PRICE_MODELS, help="price process")
+    sp.add_argument("--start-date", type=_iso_date, default=gen.start_date,
                     help="first day")
-    sp.add_argument("--start-price", type=float, default=1000.0, help="initial close")
-    sp.add_argument("--volatility", type=float, default=0.02,
+    sp.add_argument("--start-price", type=float, default=gen.start_price,
+                    help="initial close")
+    sp.add_argument("--volatility", type=float, default=gen.volatility,
                     help="random walk log-sigma")
-    sp.add_argument("--noise-sigma", type=float, default=0.01,
+    sp.add_argument("--noise-sigma", type=float, default=gen.noise_sigma,
                     help="planted model noise, as a fraction of price")
-    sp.add_argument("--planted", type=_planted,
+    sp.add_argument("--planted", dest="planted_weights", metavar="PLANTED",
+                    type=_planted,
                     help="planted weights 'order,m,n:coeff;...', "
                          "None for the built-in set")
 
@@ -196,14 +202,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_spec(v: dict) -> RegressorSpec:
-    return RegressorSpec(
-        kind=v["model"],
-        ridge_lambda=v["ridge_lambda"],
-        svr_c=v["svr_c"],
-        svr_epsilon=v["svr_epsilon"],
-        svr_tolerance=v["svr_tolerance"],
-    )
+def _spec(cls, v: dict):
+    """A ``cls`` spec built from the parsed options named after its fields;
+    a field whose option is absent or unset keeps its default."""
+    return cls(**{f.name: v[f.name] for f in dataclasses.fields(cls)
+                  if v.get(f.name) is not None})
+
+
+def _windows(v: dict) -> list[DayWindow]:
+    """The day windows of --tx; raises InsufficientData when there are none."""
+    windows = partition_daily(parse_transactions(v["tx"]))
+    if not windows:
+        raise InsufficientData(f"no transactions in {v['tx']}")
+    return windows
 
 
 def _make_split(v: dict) -> SplitSpec:
@@ -227,17 +238,7 @@ def _order_of(model) -> int:
 
 
 def _cmd_synth(v: dict) -> int:
-    kwargs = dict(
-        days=v["days"], tx_per_day=v["tx_per_day"], seed=v["seed"],
-        spend_probability=v["spend_probability"],
-        coinbase_per_day=v["coinbase_per_day"],
-        fixed_tx_count=v["fixed_tx_count"], price_model=v["price_model"],
-        start_date=v["start_date"], start_price=v["start_price"],
-        volatility=v["volatility"], noise_sigma=v["noise_sigma"],
-    )
-    if v["planted"] is not None:
-        kwargs["planted_weights"] = v["planted"]
-    n_tx, n_prices = write_synth(SynthSpec(**kwargs), v["out_tx"], v["out_prices"])
+    n_tx, n_prices = write_synth(_spec(SynthSpec, v), v["out_tx"], v["out_prices"])
     print(f"wrote {n_tx} transactions to {v['out_tx']}")
     print(f"wrote {n_prices} price rows to {v['out_prices']}")
     return 0
@@ -245,33 +246,30 @@ def _cmd_synth(v: dict) -> int:
 
 def _cmd_features(v: dict) -> int:
     check_params(v["order"])
-    windows = partition_daily(parse_transactions(v["tx"]))
-    if not windows:
-        raise InsufficientData(f"no transactions in {v['tx']}")
-    dates, table = day_feature_table(windows, v["order"])
+    dates, table = day_feature_table(_windows(v), v["order"])
     write_feature_csv(dates, table, v["out"])
     print(f"wrote {len(dates)} rows x {table.shape[1]} features to {v['out']}")
     return 0
 
 
 def _cmd_train(v: dict) -> int:
-    spec = _make_spec(v)
+    spec = _spec(RegressorSpec, v)
     check_params(v["order"], [v["horizon"]])
     transactions = parse_transactions(v["tx"])
     prices = parse_prices(v["prices"])
     table = DayTable(partition_daily(transactions), prices, v["order"])
-    model, info = table.fit_offset(v["horizon"], spec, prices.last_date)
+    model = table.fit_offset(v["horizon"], spec, prices.last_date)
     save_model(v["out"], model, v["horizon"])
-    print(f"trained {model.spec.kind} on {info.train_rows} days, wrote {v['out']}")
+    first, last = model.train_range
+    print(f"trained {model.spec.kind} on {(last - first).days + 1} days, "
+          f"wrote {v['out']}")
     return 0
 
 
 def _cmd_predict(v: dict) -> int:
     model, horizon = load_model(v["model_file"])
-    windows = partition_daily(parse_transactions(v["tx"]))
+    windows = _windows(v)
     prices = parse_prices(v["prices"])
-    if not windows:
-        raise InsufficientData(f"no transactions in {v['tx']}")
     date = v["date"] or windows[-1].date
     i = (date - windows[0].date).days
     if not 0 <= i < len(windows):
@@ -287,7 +285,7 @@ def _cmd_predict(v: dict) -> int:
 
 
 def _cmd_backtest(v: dict) -> int:
-    split, spec = _make_split(v), _make_spec(v)
+    split, spec = _make_split(v), _spec(RegressorSpec, v)
     check_params(v["order"], [v["horizon"]], v["r"], [v["window"]])
     transactions = parse_transactions(v["tx"])
     prices = parse_prices(v["prices"])
@@ -306,7 +304,7 @@ def _cmd_backtest(v: dict) -> int:
 def _cmd_sweep_horizon(v: dict) -> int:
     if not v["horizons"]:
         raise BadSpec("--horizons lists no horizon")
-    split, spec = _make_split(v), _make_spec(v)
+    split, spec = _make_split(v), _spec(RegressorSpec, v)
     check_params(v["order"], v["horizons"])
     transactions = parse_transactions(v["tx"])
     prices = parse_prices(v["prices"])
@@ -320,7 +318,7 @@ def _cmd_sweep_horizon(v: dict) -> int:
 def _cmd_sweep_window(v: dict) -> int:
     if not v["windows"]:
         raise BadSpec("--windows lists no window")
-    split, spec = _make_split(v), _make_spec(v)
+    split, spec = _make_split(v), _spec(RegressorSpec, v)
     check_params(v["order"], [v["horizon"]], v["r"], v["windows"])
     transactions = parse_transactions(v["tx"])
     prices = parse_prices(v["prices"])
@@ -343,9 +341,7 @@ def _cmd_oracle_check(v: dict) -> int:
     if v["seed"] < 0:
         raise BadSpec(f"seed must be >= 0, got {v['seed']}")
     check_params(v["order"])
-    windows = partition_daily(parse_transactions(v["tx"]))
-    if not windows:
-        raise InsufficientData(f"no transactions in {v['tx']}")
+    windows = _windows(v)
     if v["sample"] and v["sample"] < len(windows):
         rng = np.random.default_rng(v["seed"])
         idx = sorted(rng.choice(len(windows), size=v["sample"], replace=False))

@@ -168,10 +168,17 @@ def svr_epochs(x, y, c, eps, tol, max_iter):
     the relative duality gap is at most ``tol`` (``converged`` True), or
     after ``max_iter`` iterations; ``gap`` is the last one checked.  The
     check runs every ``_RHO_EVERY`` iterations and at the last one, so the
-    count is a multiple of ``_RHO_EVERY`` unless ``max_iter`` ends it.  An
-    optimum of 0, every target inside the tube, is met only up to rounding,
-    which no relative gap certifies: such a fit runs to the cap."""
+    count is a multiple of ``_RHO_EVERY`` unless ``max_iter`` ends it or
+    the targets fit inside the tube.  When no two targets are more than
+    ``2 * eps`` apart, w = 0 and the midrange bias cost 0, the optimum,
+    which ADMM meets only up to rounding and no relative gap certifies:
+    that fit returns them after one step, converged with gap 0."""
     pt, lam, back = centred_eigh(x)
+    lo, hi = y.min(), y.max()
+    if hi - lo <= 2 * eps:
+        b = 0.5 * (lo + hi)
+        loss = c * np.maximum(np.abs(b - y) - eps, 0.0).sum()
+        return (*back(np.zeros(lam.size), b), np.array([loss]), True, 0.0)
     p = np.ascontiguousarray(pt.T)
     rho = 1.0
     scale = 1.0 / (lam + 1.0 / rho)
@@ -285,4 +292,5 @@ def warmup() -> None:
     ip = np.array([0, 1], np.int64)
     ix = np.array([0], np.int64)
     spgemm_bool(ip, ix, ip, ix, 1, 1)
-    svr_epochs(np.ones((2, 1)), np.zeros(2), 1.0, 0.1, 1e-4, 1)
+    # targets further apart than 2 * eps, so that the ADMM loop runs
+    svr_epochs(np.ones((2, 1)), np.array([0.0, 1.0]), 1.0, 0.1, 1e-4, 1)

@@ -14,9 +14,11 @@ kernels.centred_eigh).  Two built-in families:
   unpenalized, solved by deterministic over-relaxed ADMM (see
   kernels.svr_epochs) until its relative duality gap, which bounds how far
   the objective is above the optimum, is at most ``svr_tolerance``; the gap
-  is checked every 10 iterations and at the cap.  A fit that reaches the
-  iteration cap first is kept, marked ``converged = False``, and reported
-  on stderr with its last gap.
+  is checked every 10 iterations and at the cap.  Targets that all lie
+  within ``2 * svr_epsilon`` of each other are fitted in one step, by w = 0
+  and the midrange bias.  A fit that reaches the iteration cap first is
+  kept, marked ``converged = False``, and reported on stderr with its last
+  gap.
 
 Training data and every hyperparameter must be finite; the defaults are
 not tuned but documented, CLI-overridable values.  Model files are strict

@@ -198,11 +198,12 @@ def test_7_leakage_guard(interval_corpus):
         report = run_backtest(records, prices, split, max_order=1, window=3,
                               spec=RegressorSpec(ridge_lambda=1.0))
         assert report.interval == name
-        assert len(report.offsets) == 3
-        for info in report.offsets:
-            assert info.train_start < report.first_test_date
-            assert info.train_end < report.first_test_date
-            assert info.target_end < report.first_test_date
+        offsets = report.to_dict()["offsets"]
+        assert len(offsets) == 3
+        for info in offsets:
+            assert dt.date.fromisoformat(info["train_start"]) < report.first_test_date
+            assert dt.date.fromisoformat(info["train_end"]) < report.first_test_date
+            assert dt.date.fromisoformat(info["target_end"]) < report.first_test_date
 
 
 @criterion(8, "byte-identical reports across runs")

@@ -92,18 +92,40 @@ def test_no_training_sees_test_dates(planted_corpus):
     records, prices = planted_corpus
     report = run_backtest(records, prices, SplitSpec(0.75, "t"), window=3,
                           spec=_ridge(), horizon=2)
-    for info in report.offsets:
-        assert info.train_end < report.first_test_date
-        assert info.target_end < report.first_test_date
-    assert report.offsets[0].offset == 2
-    assert report.offsets[-1].offset == 4
+    offsets = report.to_dict()["offsets"]
+    for info in offsets:
+        assert dt.date.fromisoformat(info["train_end"]) < report.first_test_date
+        assert dt.date.fromisoformat(info["target_end"]) < report.first_test_date
+    assert offsets[0]["offset"] == 2
+    assert offsets[-1]["offset"] == 4
+
+
+@pytest.mark.parametrize("window,horizon", [(1, 1), (3, 2)])
+def test_report_offsets_are_read_from_their_models(planted_corpus, window, horizon):
+    records, prices = planted_corpus
+    split = SplitSpec(0.75, "t")
+    report = run_backtest(records, prices, split, window=window, spec=_ridge(),
+                          horizon=horizon)
+    table, n_train = backtest._split_table(records, prices, split, 2)
+    offsets = report.to_dict()["offsets"]
+    assert list(report.models) == list(range(horizon, horizon + window))
+    assert len(offsets) == window
+    for info, (j, model) in zip(offsets, report.models.items()):
+        # the model trained on the table's first n rows, one per day
+        n, _ = table.targets(j, table.dates[n_train - 1])
+        first, last = model.train_range
+        assert (first, last) == (table.dates[0], table.dates[n - 1])
+        assert info == {"offset": j, "train_rows": n,
+                        "train_start": first.isoformat(),
+                        "train_end": last.isoformat(),
+                        "target_end": (last + dt.timedelta(days=j)).isoformat()}
 
 
 def test_deeper_offsets_train_on_fewer_rows(planted_corpus):
     records, prices = planted_corpus
     report = run_backtest(records, prices, SplitSpec(0.75, "t"), window=4,
                           spec=_ridge())
-    rows = [info.train_rows for info in report.offsets]
+    rows = [info["train_rows"] for info in report.to_dict()["offsets"]]
     assert rows == sorted(rows, reverse=True)
     assert rows[0] - rows[-1] == 3
 
@@ -184,7 +206,7 @@ def _per_day_predictions(table, n_train, alphas, horizon, models):
 def _offset_models(records, prices, split, spec, offsets):
     table, n_train = backtest._split_table(records, prices, split, 2)
     cut = table.dates[n_train - 1]
-    return table, n_train, [table.fit_offset(j, spec, cut)[0] for j in offsets]
+    return table, n_train, [table.fit_offset(j, spec, cut) for j in offsets]
 
 
 @pytest.mark.parametrize("kind", ["ridge", "linear_svr"])

@@ -12,6 +12,7 @@ from txpattern.cli import main
 from txpattern.errors import BadSpec
 from txpattern.korder import GRID_CELLS
 from txpattern.regress import MODEL_SCHEMA_VERSION, RegressorSpec, load_model
+from txpattern.synth import SynthSpec
 
 
 def run(capsys, *argv):
@@ -796,13 +797,20 @@ def test_main_without_a_known_blas_setter_prints_the_same_bytes(corpus, monkeypa
     assert with_setter[0] == 0 and with_setter[1].startswith("window,mape_percent\n")
 
 
+_DATA = ["--tx", "tx.csv", "--prices", "px.csv"]
+
+
 @pytest.mark.parametrize("command, extra", [
-    ("train", ["--out", "model.json"]),
-    ("backtest", []),
-    ("sweep-window", []),
-    ("sweep-horizon", []),
+    ("train", [*_DATA, "--out", "model.json"]),
+    ("backtest", _DATA),
+    ("sweep-window", _DATA),
+    ("sweep-horizon", _DATA),
+    ("synth", ["--out-tx", "tx.csv", "--out-prices", "px.csv"]),
 ])
 def test_model_flags_default_to_the_spec(command, extra):
-    args = cli.build_parser().parse_args([command, "--tx", "tx.csv",
-                                          "--prices", "px.csv", *extra])
-    assert cli._make_spec(vars(args)) == RegressorSpec()
+    args = vars(cli.build_parser().parse_args([command, *extra]))
+    if command == "synth":
+        # --seed is the shared option, whose default is 42
+        assert cli._spec(SynthSpec, args) == SynthSpec(seed=42)
+    else:
+        assert cli._spec(RegressorSpec, args) == RegressorSpec()

@@ -1,3 +1,4 @@
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from txpattern import kernels, korder
 from txpattern.errors import BadSpec
+from txpattern.features import day_feature_table
 from txpattern.korder import (
     CLAMP,
     GRID_CELLS,
@@ -369,6 +371,47 @@ def test_wide_hub_expansion_linear_in_edges(monkeypatch, width):
     assert np.array_equal(grids[1].counts,
                           _expect_grid({(1, 20): width, (1, 2): width}))
     assert np.array_equal(grids[2].counts, _expect_grid({(1, 20): 2 * width}))
+
+
+# Peak bytes allocated per token (input or output) of a hub day, about 3x
+# the 338-342 B/token of the feature stage and the 122-150 B/token of the
+# walk oracle at widths 700-2800: room for other numpy and Python versions,
+# while width**2 payer x spender pairs would cost thousands of B/token.
+FEATURE_BYTES_PER_TOKEN = 1024
+ORACLE_BYTES_PER_TOKEN = 512
+
+
+def _peak_bytes(run) -> int:
+    """The tracemalloc peak while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _hub_day(width: int):
+    records = _hub_records(width)
+    return day_windows(records)[0], sum(len(r.inputs) + len(r.outputs) for r in records)
+
+
+@pytest.mark.parametrize("width", [700, 1400, 2800])
+def test_hub_day_feature_memory_linear_in_tokens(width):
+    # every reach row is capped at CLAMP before the next product reads it
+    window, tokens = _hub_day(width)
+    assert _peak_bytes(lambda: day_feature_table([window], 3)) <= (
+        FEATURE_BYTES_PER_TOKEN * tokens)
+
+
+@pytest.mark.parametrize("width", [700, 1400, 2800])
+def test_hub_day_oracle_memory_linear_in_tokens(width):
+    # the payers share one walk, memoised by the hub they spend into, and
+    # no level is held whole
+    window, tokens = _hub_day(width)
+    graph = build_graph(window)
+    assert _peak_bytes(lambda: [occurrence_matrix_oracle(graph, k)
+                                for k in (1, 2, 3)]) <= ORACLE_BYTES_PER_TOKEN * tokens
 
 
 def _saturated_records(width: int, shared: int = 5) -> list[TransactionRecord]:

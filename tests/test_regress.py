@@ -454,17 +454,47 @@ def test_svr_gap_bounds_the_distance_to_the_optimum(case):
         assert (w == 0.0).sum() >= 20
 
 
-def test_svr_optimum_of_zero_ends_at_the_cap(monkeypatch, capsys):
-    # every target inside the tube: w = 0 and a bias in the tube cost
-    # nothing, an optimum that ADMM meets only up to rounding and that no
+def _targets_with_range(n, width):
+    """n targets around 5 whose largest and smallest are ``width`` apart."""
+    y = 5.0 + 0.5 * width * np.sin(np.arange(n))
+    y[[0, 1]] = 5.0 - 0.5 * width, 5.0 + 0.5 * width
+    return y
+
+
+def test_svr_targets_inside_the_tube_fit_in_one_step(capsys):
+    # no two targets more than 2 eps apart: w = 0 and the midrange bias
+    # cost 0, an optimum that ADMM meets only up to rounding and that no
     # relative gap certifies
     x, _ = _planted_uncentred(seed=2)
-    y = 5.0 + 0.05 * np.sin(np.arange(len(x)))
-    monkeypatch.setattr(kernels, "SVR_MAX_ITER", 200)
-    model = fit(RegressorSpec(kind="linear_svr"), x, y)
-    assert not model.converged and len(model.epoch_losses) == 200
-    assert model.epoch_losses[-1] < 1e-12
-    assert capsys.readouterr().err.startswith("warning: linear_svr stopped at 200")
+    spec = RegressorSpec(kind="linear_svr")
+    for width in (0.0, 0.1, 2 * spec.svr_epsilon):
+        y = _targets_with_range(len(x), width)
+        assert y.max() - y.min() <= 2 * spec.svr_epsilon
+        model = fit(spec, x, y)
+        assert model.converged and len(model.epoch_losses) == 1
+        assert (model.weights == 0.0).all()
+        assert model.bias == 0.5 * (y.min() + y.max())
+        assert model.epoch_losses[0] == pytest.approx(
+            _svr_objective(x, y, model.weights, model.bias), abs=1e-12)
+        assert model.epoch_losses[0] < 1e-12
+    # a range just above 2 eps costs something at w = 0: the fit iterates
+    y = _targets_with_range(len(x), 2 * spec.svr_epsilon * (1 + 1e-6))
+    assert y.max() - y.min() > 2 * spec.svr_epsilon
+    model = fit(spec, x, y)
+    assert model.converged and len(model.epoch_losses) > 1
+    assert len(model.epoch_losses) % kernels._RHO_EVERY == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_warmup_runs_the_svr_loop(monkeypatch):
+    # the loop's first-call costs fall outside a timed region only if the
+    # warm-up targets are too far apart for the one-step fit
+    calls = []
+    svr = kernels.svr_epochs
+    monkeypatch.setattr(kernels, "svr_epochs", lambda *args: calls.append(args) or svr(*args))
+    kernels.warmup()
+    [(_, y, _, eps, *_)] = calls
+    assert y.max() - y.min() > 2 * eps
 
 
 def test_svr_deterministic():

@@ -14,27 +14,29 @@ Timestamps are seconds since epoch, interpreted as UTC; day boundaries sit
 at UTC midnight.  They must fall on a day ``datetime.date`` can hold, years
 1 to 9999.  Lines end in ``\\n``, ``\\r\\n`` or ``\\r``.
 
-Transactions are held as one :class:`TransactionTable` of flat int64
-columns in file order: timestamps, per-row input and output counts, and
-one column of address keys, each row's inputs then its outputs, all rows
-laid end to end.  A key is a 64-bit hash of the address bytes, and the
-parser makes it exact, so equal keys mean equal addresses.  Tx ids are
-checked for repeats and not kept.  No Python object is made per
-transaction or per address on the fast path: the file's lines are cut
-into chunks, two threads parse them, each chunk into its own slice of the
-table's columns, and every check runs on whole columns: one chunk, then
-one range of key values across all chunks, at a time.  There is one slow
-path, taken at most once per parse: when a line fails a check, or two
-different addresses or two tx ids share a key, the lines are read one by
-one.  That either raises the first bad line or numbers every address in
-order of first appearance, and those numbers are the keys.  Neither the
-chunk size nor the number of threads changes a table or an error.  One
-parser builds every table from a file's bytes: :func:`parse_transactions`
-reads its file to the end, so it may be a pipe, and ``from_records``
-parses what :func:`write_transactions` writes, so record ``n`` is line
-``n + 1`` in its errors.  A :class:`DayWindow` is a date plus the row
-indices of the table that fall on it, so every day of a file shares the
-one table.  Nothing is modified after parsing.
+Transactions are held as one :class:`TransactionTable` of flat columns
+in file order: int64 timestamps and per-row input and output counts, and
+per address token (each row's inputs then its outputs, all rows laid end
+to end) an int64 key, an int64 start and an int32 length in the file's
+bytes, which the table keeps.  A key is a 64-bit hash of the address
+bytes: equal bytes give equal keys, but two different addresses may share
+one.  The parse proves nothing more about keys.  Ids are made exact where
+they are read: :meth:`TransactionTable.address_ids` sorts one graph's
+tokens by key and compares the bytes of equal-key neighbours.  Tx ids are
+checked for repeats across the file and not kept.  No Python object is
+made per transaction or per address on the fast path: the file's lines are
+cut into chunks, two threads parse them, each chunk into its own slice of
+the table's columns, and every check runs on one chunk's columns at a
+time.  When a line fails a check, or two tx ids share a key, the lines are
+read one by one: that raises the first bad line, or returns when the two
+ids share only a key.  Neither the chunk size nor the number of threads
+changes a table or an error.  One parser builds every table from a file's
+bytes: :func:`parse_transactions` reads its file to the end, so it may be
+a pipe, and ``from_records`` parses what :func:`write_transactions`
+writes, so record ``n`` is line ``n + 1`` in its errors.  A
+:class:`DayWindow` is a date plus the row indices of the table that fall
+on it, so every day of a file shares the one table.  Nothing is modified
+after parsing.
 """
 
 from __future__ import annotations
@@ -119,8 +121,8 @@ def _mix(h: np.ndarray) -> np.ndarray:
 def _hash(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """64-bit keys of the tokens ``buf[starts[i]:ends[i]]``: FNV-1a (Fowler,
     Noll and Vo) over 8-byte words, then the length.  One vectorised pass
-    per 8 bytes of the longest token.  Keys are not exact: :func:`_parse`
-    checks them."""
+    per 8 bytes of the longest token.  Keys are not exact:
+    :meth:`TransactionTable.address_ids` compares the bytes of equal ones."""
     lens = ends - starts
     h = np.full(lens.size, _FNV_BASIS, dtype=np.uint64)
     for j in range(0, int(lens.max(initial=0)), 8):
@@ -128,61 +130,64 @@ def _hash(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return _mix(h ^ lens.astype(np.uint64)).view(np.int64)
 
 
-def _distinct(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
-              keys: np.ndarray) -> tuple | None:
-    """The sorted distinct ``keys`` of the tokens ``buf[starts[i]:ends[i]]``
-    and the start and end of one token of each, or None when two tokens
-    with equal keys differ in their bytes.  Each token is compared with its
-    neighbour in key order when their keys are equal; equality is
-    transitive along a run."""
-    order = np.argsort(keys)
-    ordered = keys[order]
-    head = np.ones(order.size, dtype=bool)
-    head[1:] = ordered[1:] != ordered[:-1]
-    a, b = order[1:][~head[1:]], order[:-1][~head[1:]]
-    lens = ends[a] - starts[a]
-    if not (np.array_equal(lens, ends[b] - starts[b]) and all(
-            np.array_equal(_word(buf, starts[a], lens, j), _word(buf, starts[b], lens, j))
-            for j in range(0, int(lens.max(initial=0)), 8))):
-        return None
-    first = order[head]
-    return ordered[head], starts[first], ends[first]
-
-
-def _exact_across(buf: np.ndarray, distinct: list[tuple | None]) -> bool:
-    """Whether every chunk's keys are exact and tokens with equal keys in
-    different chunks have equal bytes, given each chunk's :func:`_distinct`.
-    The int64 keys are cut into one equal range per chunk, and the threads
-    run :func:`_distinct` on each range's keys from all chunks."""
-    if None in distinct:
-        return False
-    n = len(distinct)
-    edges = np.array([(i << 64) // n - (1 << 63) for i in range(1, n)], dtype=np.int64)
-    # bounds[r][c]: where range r starts in chunk c's keys
-    bounds = np.array([np.concatenate(([0], np.searchsorted(keys, edges), [keys.size]))
-                       for keys, _, _ in distinct]).T.tolist()
-
-    def check(r: int) -> bool | None:
-        parts = [(keys[lo:hi], starts[lo:hi], ends[lo:hi])
-                 for (keys, starts, ends), lo, hi in zip(distinct, bounds[r], bounds[r + 1])]
-        keys, starts, ends = (np.concatenate(column) for column in zip(*parts))
-        return None if _distinct(buf, starts, ends, keys) is None else True
-
-    return None not in _on_threads(check, n)
-
-
 class TransactionTable:
     """Transactions as columns.  Row ``i`` is at ``timestamps[i]``, and its
-    address keys are ``keys[indptr[i]:indptr[i + 1]]``: its ``n_inputs[i]``
-    inputs (none for a coinbase), then its ``n_outputs[i]`` outputs.  Two
-    tokens of a table have equal keys exactly when their bytes are equal."""
+    address tokens are ``indptr[i]`` to ``indptr[i + 1]``: its
+    ``n_inputs[i]`` inputs (none for a coinbase), then its ``n_outputs[i]``
+    outputs.  Token ``j`` is the bytes ``buf[starts[j]:starts[j] +
+    lengths[j]]`` of the file, and ``keys[j]`` is their hash.  Equal bytes
+    give equal keys; :meth:`address_ids` tells apart different bytes that
+    share one."""
 
-    def __init__(self, timestamps, n_inputs, n_outputs, keys):
-        self.timestamps = np.asarray(timestamps, dtype=np.int64)
-        self.n_inputs = np.asarray(n_inputs, dtype=np.int64)
-        self.n_outputs = np.asarray(n_outputs, dtype=np.int64)
-        self.indptr = indptr_from(self.n_inputs + self.n_outputs)
-        self.keys = np.asarray(keys, dtype=np.int64)
+    def __init__(self, timestamps, n_inputs, n_outputs, keys, starts, lengths, buf):
+        self.timestamps = timestamps
+        self.n_inputs = n_inputs
+        self.n_outputs = n_outputs
+        self.indptr = indptr_from(n_inputs + n_outputs)
+        self.keys = keys
+        self.starts = starts
+        self.lengths = lengths
+        self.buf = buf
+
+    def address_ids(self, tokens: np.ndarray) -> tuple[np.ndarray, int]:
+        """Dense ids of the given tokens, in key order, equal exactly when
+        their bytes are, and how many there are.  One sort by key, then each
+        token's bytes are compared with those of its neighbour of equal key;
+        a run of equal keys that holds different bytes is numbered by its
+        bytes, in Python, over that run only."""
+        keys = self.keys[tokens]
+        order = np.argsort(keys)
+        keys = keys[order]
+        new = np.ones(order.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        # on a hub day the arrays of the pairs set the graph's peak memory,
+        # so what they no longer need is freed first
+        del keys
+        same = np.flatnonzero(~new)         # the key of same - 1 is the same
+        a, b = tokens[order[same]], tokens[order[same - 1]]
+        starts_a, starts_b = self.starts[a], self.starts[b]
+        lens, lens_b = self.lengths[a], self.lengths[b]
+        del a, b
+        differ = lens != lens_b
+        np.minimum(lens, lens_b, out=lens)
+        for j in range(0, int(lens.max(initial=0)), 8):
+            differ |= (_word(self.buf, starts_a, lens, j)
+                       != _word(self.buf, starts_b, lens, j))
+        if differ.any():
+            heads = np.flatnonzero(new)
+            runs = np.unique(np.searchsorted(heads, same[differ]) - 1)
+            for lo, hi in zip(heads[runs].tolist(),
+                              np.append(heads, order.size)[runs + 1].tolist()):
+                run = order[lo:hi]
+                at = tokens[run]
+                names = [self.buf[start:start + n].tobytes() for start, n in zip(
+                    self.starts[at].tolist(), self.lengths[at].tolist())]
+                by = sorted(range(run.size), key=names.__getitem__)
+                order[lo:hi] = run[by]
+                new[lo + 1:hi] = [names[x] != names[y] for x, y in zip(by[1:], by)]
+        ids = np.empty(order.size, dtype=np.int64)
+        ids[order] = np.cumsum(new) - 1
+        return ids, int(new.sum())
 
     @classmethod
     def from_records(cls, records: list[TransactionRecord]) -> "TransactionTable":
@@ -303,17 +308,14 @@ def _split(lo: np.ndarray, hi: np.ndarray, seps: np.ndarray,
 
 
 def _chunk_columns(buf: np.ndarray, lo: int, hi: int, rows: list[np.ndarray],
-                   keys: np.ndarray) -> tuple | None:
+                   tokens: list[np.ndarray]) -> tuple[int, int] | None:
     """Parse the lines in ``buf[lo:hi]``, which ends on a newline, into the
-    front of the chunk's slices of the table's columns, or return None when
-    a line fails a check.
+    front of the chunk's slices of the table's columns, and return the
+    numbers of rows and tokens written, or None when a line fails a check.
 
     ``rows`` are the slices of the timestamps, input and output counts and
-    tx-id keys, and ``keys`` that of the address keys, in file order.
-    Returns the numbers of rows and tokens written and the chunk's
-    :func:`_distinct`: its sorted distinct address keys and the span of one
-    token of each, or None in their place when two different tokens of the
-    chunk share a key.  The other tokens' spans are dropped."""
+    tx-id keys, and ``tokens`` those of the address keys, starts and
+    lengths, in file order."""
     chunk = buf[lo:hi]
     ends = np.flatnonzero((chunk == 10) | (chunk == 13))
     starts = np.concatenate(([0], ends[:-1] + 1))
@@ -347,9 +349,10 @@ def _chunk_columns(buf: np.ndarray, lo: int, hi: int, rows: list[np.ndarray],
         column[:values.size] = values
     tok_starts += lo
     tok_ends += lo
-    keys = keys[:tok_starts.size]
-    keys[:] = _hash(buf, tok_starts, tok_ends)
-    return stamps.size, keys.size, _distinct(buf, tok_starts, tok_ends, keys)
+    for column, values in zip(tokens, (_hash(buf, tok_starts, tok_ends), tok_starts,
+                                       tok_ends - tok_starts)):
+        column[:values.size] = values
+    return stamps.size, tok_starts.size
 
 
 def _padded(data: bytes) -> np.ndarray:
@@ -414,13 +417,13 @@ def _parse(buf: np.ndarray) -> TransactionTable:
     ``_THREADS`` threads take in turn.  A first pass bounds each chunk's
     rows and tokens by its line ends and ``;`` bytes, so each column is
     allocated once.  Then each chunk fills its own slice, checked as whole
-    columns, with the hashed address keys.  They are exact when each
-    chunk's are and, in each range of key values, the chunks' tokens of
-    equal keys have equal bytes.  The gaps that blank lines and empty
-    tokens leave are closed afterwards.
-    When a check fails, the keys are not exact, or two tx ids share a key,
-    :func:`_check_lines` reads the bytes once, line by line: the first bad
-    line in file order raises, or its exact keys replace the hashed ones."""
+    columns, with each address token's hashed key and its span in ``buf``,
+    which the table keeps.  The gaps that blank lines and empty tokens
+    leave are closed afterwards.  When a check fails or two tx ids share a
+    key, :func:`_check_lines` reads the bytes once, line by line: the first
+    bad line in file order raises.  Two ids that share only a key are no
+    error, and address keys are not checked here at all: the graph that
+    reads them makes its ids exact."""
     size = buf.size - 9
     lo = _NEWLINE.search(buf).start()
     header = buf[:lo].tobytes().decode("utf-8", errors="replace")
@@ -433,28 +436,26 @@ def _parse(buf: np.ndarray) -> TransactionTable:
                                   len(cuts) - 1), dtype=np.int64).reshape(-1, 2)
     row_at, token_at = indptr_from(bounds[:, 0]), indptr_from(bounds[:, 1])
     rows = [np.empty(row_at[-1], dtype=np.int64) for _ in range(4)]
-    keys = np.empty(token_at[-1], dtype=np.int64)
+    tokens = [np.empty(token_at[-1], dtype=dtype) for dtype in (np.int64, np.int64, np.int32)]
     chunks = _on_threads(lambda c: _chunk_columns(
         buf, cuts[c], cuts[c + 1], [column[row_at[c]:row_at[c + 1]] for column in rows],
-        keys[token_at[c]:token_at[c + 1]]), len(cuts) - 1)
+        [column[token_at[c]:token_at[c + 1]] for column in tokens]), len(cuts) - 1)
     if None in chunks:
         _check_lines(buf[:size])
         raise RuntimeError("a column check failed but no line is bad")
-    sizes = np.array([chunk[:2] for chunk in chunks], dtype=np.int64).reshape(-1, 2)
-    exact = _exact_across(buf, [chunk[2] for chunk in chunks])
-    del chunks
+    sizes = np.array(chunks, dtype=np.int64).reshape(-1, 2)
     # close the gaps: chunk c's rows move from row_at[c] to row_to[c]
     row_to, token_to = indptr_from(sizes[:, 0]), indptr_from(sizes[:, 1])
-    for columns, at, to in ((rows, row_at, row_to), ([keys], token_at, token_to)):
+    for columns, at, to in ((rows, row_at, row_to), (tokens, token_at, token_to)):
         for c in np.flatnonzero(at[:-1] > to[:-1]):
             for column in columns:
                 column[to[c]:to[c + 1]] = column[at[c]:at[c] + to[c + 1] - to[c]]
     stamps, n_in, n_out, id_keys = (column[:row_to[-1]] for column in rows)
     id_keys.sort()
-    keys = keys[:token_to[-1]]
-    if not exact or (id_keys[1:] == id_keys[:-1]).any():
-        keys = _check_lines(buf[:size])
-    return TransactionTable(stamps, n_in, n_out, keys)
+    if (id_keys[1:] == id_keys[:-1]).any():
+        _check_lines(buf[:size])
+    return TransactionTable(stamps, n_in, n_out,
+                            *(column[:token_to[-1]] for column in tokens), buf)
 
 
 def parse_transactions(path: str | Path) -> TransactionTable:
@@ -481,15 +482,12 @@ def _text(raw: str) -> str:
     return raw.encode("latin-1").decode("utf-8", errors="replace")
 
 
-def _check_lines(data: np.ndarray) -> np.ndarray:
+def _check_lines(data: np.ndarray) -> None:
     """Raise the error of the first line of a transactions file's bytes, in
-    file order, that fails a check; the checks of one line run in a fixed
-    order.  When no line fails, return the exact address keys in file
-    order: each address's number in order of first appearance.  Latin-1
-    reads each byte as one character, so fields compare as bytes."""
+    file order, that fails a check, or return when none does; the checks of
+    one line run in a fixed order.  Latin-1 reads each byte as one
+    character, so fields compare as bytes."""
     seen: dict[str, int] = {}
-    numbers: dict[str, int] = {}
-    keys: list[int] = []
     with io.TextIOWrapper(io.BytesIO(data), encoding="latin-1") as fh:
         fh.readline()
         for lineno, line in enumerate(fh, start=2):
@@ -499,7 +497,7 @@ def _check_lines(data: np.ndarray) -> np.ndarray:
             parts = line.split(",")
             if len(parts) != 4:
                 raise MalformedRow(lineno, f"expected 4 fields, got {len(parts)}")
-            tx_id, ts_text, in_text, out_text = parts
+            tx_id, ts_text, _, out_text = parts
             if not tx_id:
                 raise MalformedRow(lineno, "empty tx_id")
             if tx_id in seen:
@@ -512,13 +510,9 @@ def _check_lines(data: np.ndarray) -> np.ndarray:
             if len(digits) > 18 or not (
                     _FIRST_SECOND <= sign * int(digits or 0) <= _LAST_SECOND):
                 raise MalformedRow(lineno, f"timestamp {ts_text!r} out of range")
-            outputs = out_text.split(";")
-            if not any(outputs):
+            if not any(out_text.split(";")):
                 raise MalformedRow(lineno, "transaction has no outputs")
             seen[tx_id] = lineno
-            keys += [numbers.setdefault(a, len(numbers))
-                     for a in in_text.split(";") + outputs if a]
-    return np.array(keys, dtype=np.int64)
 
 
 def _csv(records: list[TransactionRecord]) -> bytes:

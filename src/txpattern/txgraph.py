@@ -8,16 +8,16 @@ follow those of day ``d - 1``.  The graph reads the rows' address keys
 straight from the table's flat columns.  Transactions are numbered in
 window order, then file order, and each keeps its ``day``.
 
-An address node is (day, key), so no edge or id links two days.  Ids are
-dense, without a hash table: the chunk's keys are numbered by one sort, a
-neighbour compare and a cumulative sum, and only when the chunk holds more
-than one day is ``key_id * n_days + day`` numbered the same way.  Keys may
-be 64-bit hashes, so the key itself is never multiplied.  A key is exact for
-its file, so two tokens of one day share an id exactly when they are the
-same address, and identical chunks always produce identical index
-assignments.  Edges run address->transaction (spends) and
-transaction->address (outputs); the bipartite structure is enforced by
-construction.
+An address node is (day, address), so no edge or id links two days.  Ids
+are dense, without a hash table.  The chunk's tokens are numbered by
+:meth:`~txpattern.ingest.TransactionTable.address_ids`: one sort of their
+64-bit keys, a compare of the bytes of equal-key neighbours and a
+cumulative sum, so two tokens share an id exactly when their bytes are
+equal, even when two different addresses share a key.  Only when the
+chunk holds more than one day is ``id * n_days + day`` numbered again, by
+a sort.  Identical chunks always produce identical index assignments.
+Edges run address->transaction (spends) and transaction->address
+(outputs); the bipartite structure is enforced by construction.
 
 Row a of the spender CSR (``spend_indptr``, ``spend_indices``) holds the
 transactions that spend address a, the direction the k-order reach
@@ -91,10 +91,10 @@ def build_graph(*windows: DayWindow) -> TransactionGraph:
     n_in = table.n_inputs[rows]
     n_out = table.n_outputs[rows]
     first = table.indptr[rows]
-    ids, n_addresses = _dense(table.keys[np.concatenate((
-        kernels.ranges(first, n_in), kernels.ranges(first + n_in, n_out)))])
+    ids, n_addresses = table.address_ids(np.concatenate((
+        kernels.ranges(first, n_in), kernels.ranges(first + n_in, n_out))))
     if n_days > 1:
-        # key ids are below the token count, so this cannot overflow
+        # address ids are below the token count, so this cannot overflow
         ids, n_addresses = _dense(
             ids * n_days + np.concatenate((np.repeat(day, n_in), np.repeat(day, n_out))))
 

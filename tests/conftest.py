@@ -83,11 +83,25 @@ def toy_graph(toy_window):
 
 def hash_8_bits(monkeypatch) -> None:
     """Patch ``ingest._hash`` to keep the top 8 bits of each key, so that
-    keys of different addresses collide and the parser reads the lines to
-    key them exactly."""
+    different addresses share keys, which the graph must tell apart by
+    their bytes, and different tx ids share keys, which send the parser to
+    the line reader once."""
     full_hash = ingest._hash
     monkeypatch.setattr(ingest, "_hash",
                         lambda buf, starts, ends: (full_hash(buf, starts, ends) >> 56) & 0xFF)
+
+
+def hash_by_name(monkeypatch, key_of: dict[str, int]) -> None:
+    """Patch ``ingest._hash`` to give each token named in ``key_of`` its
+    key there, read when the hash runs; other tokens keep the real key."""
+    full_hash = ingest._hash
+
+    def by_name(buf, starts, ends):
+        tokens = [buf[lo:hi].tobytes().decode() for lo, hi in zip(starts, ends)]
+        return np.array([key_of.get(token, key) for token, key in
+                         zip(tokens, full_hash(buf, starts, ends).tolist())], dtype=np.int64)
+
+    monkeypatch.setattr(ingest, "_hash", by_name)
 
 
 def count_check_lines(monkeypatch) -> list[int]:
@@ -156,17 +170,73 @@ def latest_close(entries: list[tuple[dt.date, float]], date: dt.date) -> float |
     return [close for d, close in entries if d <= date][-1]
 
 
-def address_ids(records: list[TransactionRecord],
-                file_records: list[TransactionRecord] | None = None) -> dict[str, int]:
-    """The graph id of every address of one day's records, by name.
-    ``build_graph`` numbers the addresses of the day's non-coinbase rows in
-    the order of their keys.  The keys are those of ``from_records`` over
-    the rows of the whole file (by default the day's rows), which parses the
-    bytes of that file; the names must hold no ``;`` and none be empty, so
-    that each is one token."""
-    file_records = records if file_records is None else file_records
+def chunk_ids(days: list[list[TransactionRecord]],
+              file_records: list[TransactionRecord] | None = None) -> dict[tuple, int]:
+    """The graph id of every address (day, name) of a chunk whose d-th day
+    holds the records ``days[d]``, numbered in Python by name.
+    ``build_graph`` numbers the addresses of each day's non-coinbase rows
+    in the order of their keys, then of their bytes, then of their day.
+    The keys are those of ``from_records`` over the rows of the whole file
+    (by default the chunk's rows), which parses the bytes of that file; the
+    names must hold no ``;`` and none be empty, so that each is one token."""
+    if file_records is None:
+        file_records = [r for records in days for r in records]
     table = TransactionTable.from_records(file_records)
     key = dict(zip([a for r in file_records for a in r.inputs + r.outputs],
                    table.keys.tolist()))
-    names = {a for r in records if r.inputs for a in r.inputs + r.outputs}
-    return {a: i for i, a in enumerate(sorted(names, key=key.__getitem__))}
+    nodes = {(d, a) for d, records in enumerate(days)
+             for r in records if r.inputs for a in r.inputs + r.outputs}
+    return {node: i for i, node in enumerate(
+        sorted(nodes, key=lambda node: (key[node[1]], node[1].encode(), node[0])))}
+
+
+def address_ids(records: list[TransactionRecord],
+                file_records: list[TransactionRecord] | None = None) -> dict[str, int]:
+    """The graph id of every address of one day's records, by name: its
+    :func:`chunk_ids` in a chunk of that day alone."""
+    return {a: i for (_, a), i in chunk_ids([records], file_records).items()}
+
+
+def assert_same_graph(got, days: list[list[TransactionRecord]],
+                      file_records: list[TransactionRecord]) -> None:
+    """``got`` equals the chunk graph of ``days`` built row by row, by name:
+    each non-coinbase row's distinct input and output addresses (day,
+    name), numbered by :func:`chunk_ids`.  Each address's spenders and each
+    row's outputs are the reference's, as canonical CSR, each row's input
+    count is its distinct inputs, and each row keeps its day."""
+    kept = [(d, r) for d, records in enumerate(days) for r in records if r.inputs]
+    ids = chunk_ids(days, file_records)
+    assert got.n_days == len(days)
+    assert got.n_transactions == len(kept)
+    assert got.n_addresses == len(ids)
+    assert got.n_coinbase_skipped == sum(map(len, days)) - len(kept)
+    assert got.day.tolist() == [d for d, _ in kept]
+    spenders: list[list[int]] = [[] for _ in ids]
+    for t, (d, r) in enumerate(kept):
+        for a in set(r.inputs):
+            spenders[ids[d, a]].append(t)
+    for (indptr, indices), want in (
+            ((got.spend_indptr, got.spend_indices), spenders),
+            ((got.out_indptr, got.out_indices),
+             [sorted({ids[d, a] for a in r.outputs}) for d, r in kept])):
+        assert indptr.dtype == np.int64 and indices.dtype == np.int64
+        assert indptr.tolist() == np.cumsum([0] + [len(w) for w in want]).tolist()
+        assert indices.tolist() == [i for w in want for i in w]
+    assert got.input_set_sizes.tolist() == [len(set(r.inputs)) for _, r in kept]
+
+
+def assert_matches_reference(windows: list[DayWindow], records: list[TransactionRecord],
+                             chunked: bool = False) -> None:
+    """Every window's graph equals the reference over that day's rows, in
+    file order, or, when ``chunked``, the graph of all the windows equals
+    the reference over the chunk; gap days are empty."""
+    by_day: dict[dt.date, list[TransactionRecord]] = {}
+    for rec in records:
+        by_day.setdefault(ingest.day_of(rec.timestamp), []).append(rec)
+    assert {w.date for w in windows} >= set(by_day)
+    days = [by_day.get(w.date, []) for w in windows]
+    if chunked:
+        assert_same_graph(build_graph(*windows), days, records)
+    else:
+        for w, day in zip(windows, days):
+            assert_same_graph(build_graph(w), [day], records)

@@ -25,7 +25,7 @@ from txpattern.korder import (
 from txpattern.synth import SynthSpec, generate
 from txpattern.txgraph import build_graph
 
-from conftest import DAY0_TS, day_windows, toy_records
+from conftest import DAY0_TS, day_windows, hash_by_name, toy_records
 
 DAY = 86400
 
@@ -180,16 +180,22 @@ def test_feature_table_of_two_tables_rejected(small_first):
         day_feature_table(windows, 2)
 
 
-def test_keys_at_the_int64_extremes():
+def test_keys_at_the_int64_extremes(monkeypatch):
     # keys in pairs 2**63 apart, (top, -1), (bottom, 0) and (5, 5 - 2**63):
-    # key * 2 would wrap each pair onto one value
+    # key * 2 would wrap each pair onto one value.  Each address is parsed
+    # under a hash that gives it its key
     top, bottom = 2**63 - 1, -2**63
-    table = TransactionTable(
-        timestamps=[DAY0_TS, DAY0_TS + 1, DAY0_TS + DAY, DAY0_TS + DAY + 1],
-        n_inputs=[1, 2, 1, 2], n_outputs=[2, 2, 2, 1],
-        keys=[bottom, top, -1, top, -1, bottom, 0,
-              0, 5, 5 - 2**63, 5, 5 - 2**63, bottom],
-    )
+    key_of = {"top": top, "bottom": bottom, "m1": -1, "zero": 0, "five": 5,
+              "five_low": 5 - 2**63}
+    hash_by_name(monkeypatch, key_of)
+    table = TransactionTable.from_records([
+        TransactionRecord("t0", DAY0_TS, ("bottom",), ("top", "m1")),
+        TransactionRecord("t1", DAY0_TS + 1, ("top", "m1"), ("bottom", "zero")),
+        TransactionRecord("t2", DAY0_TS + DAY, ("zero",), ("five", "five_low")),
+        TransactionRecord("t3", DAY0_TS + DAY + 1, ("five", "five_low"), ("bottom",)),
+    ])
+    assert table.keys.tolist() == [bottom, top, -1, top, -1, bottom, 0,
+                                   0, 5, 5 - 2**63, 5, 5 - 2**63, bottom]
     windows = partition_daily(table)
     assert len(windows) == 2
     graph = build_graph(*windows)

@@ -468,15 +468,18 @@ def test_predict_model_file_not_a_model(corpus, tmp_path, capsys, payload, messa
     assert "Traceback" not in err
 
 
-def test_predict_header_only_transactions(corpus, tmp_path, capsys):
+@pytest.mark.parametrize("prices_exist", [True, False], ids=["prices", "no-prices"])
+def test_predict_header_only_transactions(corpus, tmp_path, capsys, prices_exist):
+    # the empty transactions file is reported before --prices is read
     tx, px = corpus
     model_path = str(tmp_path / "model.json")
     assert main(["train", "--tx", tx, "--prices", px, "--out", model_path,
                  "--k", "1"]) == 0
     empty = tmp_path / "empty.csv"
     empty.write_text(open(tx).readline())
+    prices = px if prices_exist else str(tmp_path / "missing.csv")
     code, _, err = run(capsys, "predict", "--model-file", model_path,
-                       "--tx", str(empty), "--prices", px)
+                       "--tx", str(empty), "--prices", prices)
     assert code == 1
     assert err.startswith("error: no transactions")
 

@@ -31,12 +31,15 @@ from txpattern.ingest import (
     write_prices,
     write_transactions,
 )
+from txpattern.txgraph import build_graph
 
 from conftest import (
     DAY0_TS,
+    assert_matches_reference,
     count_check_lines,
     day_windows,
     hash_8_bits,
+    hash_by_name,
     latest_close,
     price_entries,
     toy_records,
@@ -458,19 +461,17 @@ def _mixed_file(path, n: int, n_addresses: int = 60) -> list[TransactionRecord]:
 def test_chunk_size_and_threads_leave_the_table_alone(tmp_path, monkeypatch, chunk_bytes):
     # more threads than cores, switching often: a chunk parsed twice or
     # never, or written to another's slice, shows in the columns.  Then
-    # under an 8-bit hash, where 30 addresses collide: each chunk is still
-    # parsed once, and the lines are read once to key them exactly
+    # under an 8-bit hash, where 30 addresses share fewer keys and 400 tx
+    # ids share keys: each chunk is still parsed once, the lines are read
+    # once, for the ids, and the day's graph tells the addresses apart
     path, path_8 = tmp_path / "tx.csv", tmp_path / "tx8.csv"
     records = _mixed_file(path, 400)
     records_8 = _mixed_file(path_8, 400, n_addresses=30)
     want = _columns(TransactionTable.from_records(records))
-    hashed = TransactionTable.from_records(records_8).keys
     with monkeypatch.context() as patch:
         hash_8_bits(patch)
-        want_8 = TransactionTable.from_records(records_8).keys
-    # the line reader's keys stand for the same addresses as the hashed ones
-    assert np.array_equal(want_8[:, None] == want_8, hashed[:, None] == hashed)
-    want_8 = want_8.tolist()
+        want_8 = _columns(TransactionTable.from_records(records_8))
+    assert len(set(want_8[3])) < 30
     monkeypatch.setattr(ingest, "_CHUNK_BYTES", chunk_bytes)
     assert path.stat().st_size > 2 * 4096
     interval = sys.getswitchinterval()
@@ -486,9 +487,11 @@ def test_chunk_size_and_threads_leave_the_table_alone(tmp_path, monkeypatch, chu
             monkeypatch.setattr(ingest, "_THREADS", threads)
             checks.clear()
             ended.clear()
-            assert parse_transactions(path_8).keys.tolist() == want_8
+            table = parse_transactions(path_8)
+            assert _columns(table) == want_8
             assert len(checks) == 1
             assert _each_chunk_once(ended, path_8)
+            assert_matches_reference(partition_daily(table), records_8)
     finally:
         sys.setswitchinterval(interval)
 
@@ -512,7 +515,8 @@ def _each_chunk_once(ended: list, path: Path) -> bool:
 def test_keys_exact_when_8_bit_keys_collide_within_or_across_chunks(
         tmp_path, monkeypatch, far_apart):
     # x and y share an 8-bit key and no other two addresses do; they sit
-    # on one line, or on the first and last lines of 64-byte chunks
+    # on one line, or on the first and last lines of 64-byte chunks.  Each
+    # chunk is parsed once, and the day's graph gives x and y two ids
     names = [f"addr{i}" for i in range(40)]
     low = ((_hashed_keys([name.encode() for name in names]) >> 56) & 0xFF).tolist()
     x, y = next((a, b) for i, a in enumerate(names) for j, b in enumerate(names)
@@ -522,36 +526,31 @@ def test_keys_exact_when_8_bit_keys_collide_within_or_across_chunks(
     if not far_apart:
         rows[0], rows[-1] = (x, y), (others[0], others[1])
     path = tmp_path / "tx.csv"
-    write_transactions([TransactionRecord(f"t{i}", DAY0_TS + i, (a,), (b,))
-                        for i, (a, b) in enumerate(rows)], path)
-    want = parse_transactions(path).keys
+    records = [TransactionRecord(f"t{i}", DAY0_TS + i, (a,), (b,))
+               for i, (a, b) in enumerate(rows)]
+    write_transactions(records, path)
 
     hash_8_bits(monkeypatch)
-    checks = count_check_lines(monkeypatch)
     ended = _chunk_spy(monkeypatch, lambda chunk, call: call())
     monkeypatch.setattr(ingest, "_CHUNK_BYTES", 64)
-    got = parse_transactions(path).keys
-    assert len(checks) == 1
+    table = parse_transactions(path)
     assert _each_chunk_once(ended, path)
-    assert np.array_equal(got[:, None] == got, want[:, None] == want)
+    tokens = [a for row in rows for a in row]
+    assert table.keys[tokens.index(x)] == table.keys[tokens.index(y)]
+    assert_matches_reference(partition_daily(table), records)
 
 
 @pytest.mark.parametrize("n_chunks", [1, 2, 3, 7])
 def test_keys_on_the_range_edges_are_checked_across_chunks(tmp_path, monkeypatch, n_chunks):
-    # address e{j} takes the j-th of the lowest key, each edge of the n key
-    # ranges and the highest key, and every row, one per chunk, holds all
-    # of them.  Then x and y, on the first and last rows, take one of those
-    # keys in place of its address, and the parse must read the lines
+    # address e{j} takes the j-th of the lowest key, each edge of n equal
+    # ranges of keys and the highest key, and every row, one per chunk and
+    # all on one day, holds all of them.  Then x and y, on the first and
+    # last rows, take one of those keys in place of its address: the parse
+    # reads no line, and the day's graph gives x and y two ids
     edges = [-1 << 63, *((i << 64) // n_chunks - (1 << 63) for i in range(1, n_chunks)),
              (1 << 63) - 1]
     names = [f"e{j}" for j in range(len(edges))]
     key_of = dict(zip(names, edges))
-    full_hash = ingest._hash
-
-    def on_edges(buf, starts, ends):
-        tokens = [buf[lo:hi].tobytes().decode() for lo, hi in zip(starts, ends)]
-        return np.array([key_of.get(token, key) for token, key in
-                         zip(tokens, full_hash(buf, starts, ends).tolist())], dtype=np.int64)
 
     def parse(*pair):
         rows = [[name for name in names if key_of[name] != key_of.get("x")]
@@ -560,26 +559,26 @@ def test_keys_on_the_range_edges_are_checked_across_chunks(tmp_path, monkeypatch
             rows[0].append(pair[0])
             rows[-1].append(pair[1])
         path = tmp_path / "tx.csv"
-        write_transactions([TransactionRecord(f"t{i}", DAY0_TS + i, tuple(row), (f"o{i}",))
-                            for i, row in enumerate(rows)], path)
-        want = parse_transactions(path).keys
+        records = [TransactionRecord(f"t{i}", DAY0_TS + i, tuple(row), (f"o{i}",))
+                   for i, row in enumerate(rows)]
+        write_transactions(records, path)
         with monkeypatch.context() as patch:
-            patch.setattr(ingest, "_hash", on_edges)
+            hash_by_name(patch, key_of)
             patch.setattr(ingest, "_CHUNK_BYTES", 1)     # one row per chunk
             ended = _chunk_spy(patch, lambda chunk, call: call())
             checks = count_check_lines(patch)
-            got = parse_transactions(path).keys
-        assert np.array_equal(got[:, None] == got, want[:, None] == want)
-        assert len(ended) == n_chunks and _each_chunk_once(ended, path)
-        return got, len(checks)
+            table = parse_transactions(path)
+            assert checks == []
+            assert len(ended) == n_chunks and _each_chunk_once(ended, path)
+            assert_matches_reference(partition_daily(table), records)
+        return table.keys
 
-    got, checks = parse()
-    assert checks == 0
-    assert got.reshape(n_chunks, -1)[:, :-1].tolist() == [edges] * n_chunks
+    keys = parse()
+    assert keys.reshape(n_chunks, -1)[:, :-1].tolist() == [edges] * n_chunks
     for key in edges:
         key_of["x"] = key_of["y"] = key
-        _, checks = parse("x", "y")
-        assert checks == 1
+        keys = parse("x", "y")
+        assert (keys == key).sum() == 2
 
 
 def _colliding_pairs(n: int) -> list[tuple[bytes, bytes]]:
@@ -608,29 +607,70 @@ def _colliding_pairs(n: int) -> list[tuple[bytes, bytes]]:
     return pairs
 
 
+def _spending_days(path: Path, days: list[list[bytes]]) -> None:
+    """Write the file whose d-th day holds one row per address of
+    ``days[d]``: row i spends that address and pays o{i} and p."""
+    rows = [(d, address) for d, spent in enumerate(days) for address in spent]
+    path.write_bytes(HEADER.encode() + b"".join(
+        b"t%d,%d,%s,o%d;p\n" % (i, DAY0_TS + 86400 * d + i, address, i)
+        for i, (d, address) in enumerate(rows)))
+
+
+def _assert_each_spent_address_is_a_node(windows, days: list[list[bytes]]) -> None:
+    """The graph of each window, and of all of them as one chunk, has a
+    node for each address a day spends, each o{i} and each day's p, and
+    each spent address has one spender: two addresses of a day that shared
+    a node would have two."""
+    for chunk, spent in [([w], [day]) for w, day in zip(windows, days)] + [(windows, days)]:
+        graph = build_graph(*chunk)
+        n_spent = sum(map(len, spent))
+        assert graph.n_addresses == 2 * n_spent + len(spent)
+        spenders = np.bincount(np.diff(graph.spend_indptr), minlength=2)
+        assert spenders.tolist() == [n_spent + len(spent), n_spent]
+
+
 @pytest.mark.parametrize("chunk_bytes", [64, ingest._CHUNK_BYTES])
 def test_addresses_sharing_a_key_of_the_real_hash_are_keyed_once(
         tmp_path, monkeypatch, chunk_bytes):
     # three crafted pairs collide under the unpatched hash; row i spends
     # a_i and row 3 + i spends b_i, so at 64 bytes the pairs span chunks.
-    # Each chunk is parsed once and the lines are read once
+    # Each chunk is parsed once, no line is read, and the day's graph gives
+    # each pair two ids
     pairs = _colliding_pairs(3)
     for a, b in pairs:
         assert a != b and len(set(_hashed_keys([a, b]).tolist())) == 1
     spent = [a for a, _ in pairs] + [b for _, b in pairs]
     path = tmp_path / "tx.csv"
-    path.write_bytes(HEADER.encode() + b"".join(
-        b"t%d,%d,%s,o%d;p\n" % (i, DAY0_TS + i, address, i) for i, address in enumerate(spent)))
+    _spending_days(path, [spent])
     monkeypatch.setattr(ingest, "_CHUNK_BYTES", chunk_bytes)
     checks = count_check_lines(monkeypatch)
     ended = _chunk_spy(monkeypatch, lambda chunk, call: call())
     table = parse_transactions(path)
-    assert len(checks) == 1
+    assert checks == []
     assert _each_chunk_once(ended, path)
     keys = table.keys.reshape(-1, 3)
     assert (keys[:, 2] == keys[0, 2]).all()               # every row pays p
-    assert np.unique(keys[:, 0]).size == len(spent)       # each pair gets two keys
-    assert np.unique(table.keys).size == 2 * len(spent) + 1
+    assert (keys[:3, 0] == keys[3:, 0]).all()             # each pair shares a key
+    _assert_each_spent_address_is_a_node(partition_daily(table), [spent])
+
+
+@pytest.mark.parametrize("across_days", [False, True], ids=["one-day", "across-days"])
+@pytest.mark.parametrize("n_pairs", [1, 5, 1000])
+def test_crafted_pairs_get_two_ids_on_a_shared_day(tmp_path, monkeypatch, n_pairs, across_days):
+    # a_i and b_i share a key under the unpatched hash.  One day spends
+    # every a_i and b_i; across days, a day that spends only the a_i and
+    # one that spends only the b_i come first.  No line is read
+    pairs = _colliding_pairs(n_pairs)
+    a, b = ([pair[j] for pair in pairs] for j in (0, 1))
+    assert np.array_equal(_hashed_keys(a), _hashed_keys(b))
+    days = [a, b, a + b] if across_days else [a + b]
+    path = tmp_path / "tx.csv"
+    _spending_days(path, days)
+    checks = count_check_lines(monkeypatch)
+    windows = partition_daily(parse_transactions(path))
+    assert checks == []
+    assert len(windows) == len(days)
+    _assert_each_spent_address_is_a_node(windows, days)
 
 
 def _chunk_spy(monkeypatch, wrap) -> list:

@@ -2,6 +2,8 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from txpattern import ingest
 from txpattern.errors import DuplicateTxId
@@ -14,63 +16,18 @@ from txpattern.ingest import (
     parse_transactions,
     partition_daily,
 )
-from txpattern.txgraph import TransactionGraph, build_graph
+from txpattern.txgraph import build_graph
 
 from conftest import (
     DAY0_TS,
     address_ids,
+    assert_matches_reference,
     count_check_lines,
     day_windows,
     hash_8_bits,
     random_records,
     toy_records,
 )
-
-
-def reference_rows(records: list[TransactionRecord]) -> tuple[list, int]:
-    """One day's graph built row by row, by name: each non-coinbase row's
-    distinct input and output addresses, in file order, and the number of
-    coinbase rows skipped."""
-    kept = [r for r in records if r.inputs]
-    return [(set(r.inputs), set(r.outputs)) for r in kept], len(records) - len(kept)
-
-
-def assert_same_graph(got: TransactionGraph, records: list[TransactionRecord],
-                      file_records: list[TransactionRecord]) -> None:
-    """``got`` equals the reference graph of the day's records up to
-    relabelling: its addresses renamed through ``address_ids``, each
-    address's spenders and each row's outputs are the reference's, as
-    canonical CSR, and each row's input count is its distinct inputs."""
-    rows, skipped = reference_rows(records)
-    ids = address_ids(records, file_records)
-    assert got.n_transactions == len(rows)
-    assert got.n_addresses == len(ids)
-    assert got.n_coinbase_skipped == skipped
-    spenders: dict[str, list[int]] = {a: [] for a in ids}
-    for t, (ins, _) in enumerate(rows):
-        for a in ins:
-            spenders[a].append(t)
-    for (indptr, indices), want in (
-            ((got.spend_indptr, got.spend_indices),
-             [spenders[a] for a in sorted(ids, key=ids.__getitem__)]),
-            ((got.out_indptr, got.out_indices),
-             [sorted(ids[a] for a in outs) for _, outs in rows])):
-        assert indptr.dtype == np.int64 and indices.dtype == np.int64
-        assert indptr.tolist() == np.cumsum([0] + [len(w) for w in want]).tolist()
-        assert indices.tolist() == [i for w in want for i in w]
-    assert got.input_set_sizes.tolist() == [len(ins) for ins, _ in rows]
-
-
-def assert_matches_reference(windows: list[DayWindow],
-                             records: list[TransactionRecord]) -> None:
-    """Every window's graph equals the reference over that day's rows, in
-    file order; gap days are empty."""
-    by_day: dict[dt.date, list[TransactionRecord]] = {}
-    for rec in records:
-        by_day.setdefault(day_of(rec.timestamp), []).append(rec)
-    assert {w.date for w in windows} >= set(by_day)
-    for w in windows:
-        assert_same_graph(build_graph(w), by_day.get(w.date, []), records)
 
 
 def _row(indptr: np.ndarray, indices: np.ndarray, i: int) -> list[int]:
@@ -197,8 +154,10 @@ def test_matches_reference_hand_built_file(tmp_path):
 
 
 def test_keys_exact_under_an_8_bit_hash(tmp_path, monkeypatch):
-    # two days over 24 addresses: 8-bit keys collide, so the parser and
-    # from_records read the lines once to make the keys exact
+    # two days over 24 addresses: 8-bit keys of different addresses
+    # collide on a day, and the graph of each day, and of both days as one
+    # chunk, still gives two tokens one id exactly when their bytes are
+    # equal.  The parser keeps the 8-bit keys, as from_records does
     rng = np.random.default_rng(0)
     pool = [f"addr{i}" for i in range(24)]
     records = [TransactionRecord(
@@ -216,14 +175,72 @@ def test_keys_exact_under_an_8_bit_hash(tmp_path, monkeypatch):
     hash_8_bits(monkeypatch)
     checks = count_check_lines(monkeypatch)
     table = parse_transactions(path)
-    assert len(checks) == 1
+    assert len(checks) <= 1             # only tx ids that share a key
     assert table.keys.max() <= 0xFF
-    assert np.unique(table.keys).size == len({a for r in records for a in r.inputs + r.outputs})
-    assert_matches_reference(partition_daily(table), records)
-    got = day_feature_table(partition_daily(table), 3)
+    windows = partition_daily(table)
+    shared = []
+    for w in windows:
+        kept = [i for i in w.rows if table.n_inputs[i]]
+        names = {a for r in records if day_of(r.timestamp) == w.date and r.inputs
+                 for a in r.inputs + r.outputs}
+        keys = [table.keys[table.indptr[i]:table.indptr[i + 1]] for i in kept]
+        shared.append(np.unique(np.concatenate(keys)).size < len(names))
+    assert any(shared)
+    assert_matches_reference(windows, records)
+    assert_matches_reference(windows, records, chunked=True)
+    got = day_feature_table(windows, 3)
     assert got[0] == want[0] and np.array_equal(got[1], want[1])
     from_records = TransactionTable.from_records(records)
     assert np.array_equal(from_records.keys, table.keys)
+
+
+_NAME = st.text(st.characters(exclude_characters=",;\r\n", exclude_categories=("Cs",)),
+                min_size=1, max_size=6)
+
+
+def _key_sharing_names() -> list[str]:
+    """Two groups of four names whose real keys share their top 8 bits, so
+    that under ``hash_8_bits`` each group shares one key."""
+    names = [f"g{i}" for i in range(400)]
+    keys = TransactionTable.from_records([TransactionRecord("t", DAY0_TS, (), tuple(names))]).keys
+    groups: dict[int, list[str]] = {}
+    for name, key in zip(names, (keys >> 56).tolist()):
+        groups.setdefault(key, []).append(name)
+    return [name for group in groups.values() if len(group) >= 4 for name in group[:4]][:8]
+
+
+_KEY_SHARING = _key_sharing_names()
+
+
+@st.composite
+def _days(draw) -> list[TransactionRecord]:
+    """Up to 20 rows over one to four days, their addresses drawn from a
+    pool of up to 12 names, any names or those of :data:`_KEY_SHARING`."""
+    pool = draw(st.lists(_NAME | st.sampled_from(_KEY_SHARING), min_size=1, max_size=12,
+                         unique=True))
+    address = st.sampled_from(pool)
+    n_days = draw(st.integers(1, 4))
+    return [TransactionRecord(
+        f"t{i}", DAY0_TS + 86400 * draw(st.integers(0, n_days - 1)) + i,
+        tuple(draw(st.lists(address, max_size=4))),
+        tuple(draw(st.lists(address, min_size=1, max_size=4))))
+        for i in range(draw(st.integers(1, 20)))]
+
+
+@pytest.mark.parametrize("chunked", [False, True], ids=["one-day", "multi-day"])
+@pytest.mark.parametrize("bits", [64, 8])
+@given(records=_days())
+@settings(max_examples=100, deadline=None)
+def test_ids_within_a_day_are_the_addresses_bytes(bits, chunked, records):
+    # within a day, two tokens share a graph id exactly when their names,
+    # numbered in Python by their bytes, share a number, whether each day
+    # is its own graph or all days are one chunk, and whether the keys are
+    # the real hash or 8 bits of it, where different addresses often
+    # share a key
+    with pytest.MonkeyPatch.context() as patch:
+        if bits == 8:
+            hash_8_bits(patch)
+        assert_matches_reference(day_windows(records), records, chunked)
 
 
 def test_ids_sharing_a_key_are_checked_line_by_line(tmp_path, monkeypatch):

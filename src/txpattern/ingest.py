@@ -14,29 +14,24 @@ Timestamps are seconds since epoch, interpreted as UTC; day boundaries sit
 at UTC midnight.  They must fall on a day ``datetime.date`` can hold, years
 1 to 9999.  Lines end in ``\\n``, ``\\r\\n`` or ``\\r``.
 
-Transactions are held as one :class:`TransactionTable` of flat columns
-in file order: int64 timestamps and per-row input and output counts, and
-per address token (each row's inputs then its outputs, all rows laid end
-to end) an int64 key, an int64 start and an int32 length in the file's
-bytes, which the table keeps.  A key is a 64-bit hash of the address
-bytes: equal bytes give equal keys, but two different addresses may share
-one.  The parse proves nothing more about keys.  Ids are made exact where
-they are read: :meth:`TransactionTable.address_ids` sorts one graph's
-tokens by key and compares the bytes of equal-key neighbours.  Tx ids are
-checked for repeats across the file and not kept.  No Python object is
-made per transaction or per address on the fast path: the file's lines are
-cut into chunks, two threads parse them, each chunk into its own slice of
-the table's columns, and every check runs on one chunk's columns at a
-time.  When a line fails a check, or two tx ids share a key, the lines are
-read one by one: that raises the first bad line, or returns when the two
-ids share only a key.  Neither the chunk size nor the number of threads
-changes a table or an error.  One parser builds every table from a file's
-bytes: :func:`parse_transactions` reads its file to the end, so it may be
-a pipe, and ``from_records`` parses what :func:`write_transactions`
-writes, so record ``n`` is line ``n + 1`` in its errors.  A
-:class:`DayWindow` is a date plus the row indices of the table that fall
-on it, so every day of a file shares the one table.  Nothing is modified
-after parsing.
+Transactions are held as one :class:`TransactionTable` of flat columns in
+file order: int64 timestamps and per-row input and output counts, and per
+address token (each row's inputs then its outputs, all rows laid end to
+end) an int64 key, an int64 start and an int32 length in the file's bytes,
+which the table keeps.  A key is a 64-bit hash of a token's bytes, which
+two different tokens may share: :func:`_exact_ids` tells them apart by
+their bytes, for a graph's address tokens and for the tx ids, which the
+table does not keep.  No Python object is made per transaction or per
+address on the fast path: two threads parse the file's chunks of lines,
+each into its own slice of the columns, and every check runs on one
+chunk's columns.  Only when a line fails a check, or two tx ids are equal,
+are the lines read one by one, to raise the first bad line.  Neither the
+chunk size nor the number of threads changes a table or an error.
+:func:`parse_transactions` reads its file to the end, so it may be a pipe,
+and ``from_records`` parses what :func:`write_transactions` writes, so
+record ``n`` is line ``n + 1`` in its errors.  A :class:`DayWindow` is a
+date plus the row indices of the table that fall on it, so every day of a
+file shares the one table.  Nothing is modified after parsing.
 """
 
 from __future__ import annotations
@@ -100,7 +95,7 @@ class TransactionRecord:
 
 
 # ---------------------------------------------------------------------------
-# address keys
+# keys
 # ---------------------------------------------------------------------------
 
 def _word(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray,
@@ -122,12 +117,53 @@ def _hash(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """64-bit keys of the tokens ``buf[starts[i]:ends[i]]``: FNV-1a (Fowler,
     Noll and Vo) over 8-byte words, then the length.  One vectorised pass
     per 8 bytes of the longest token.  Keys are not exact:
-    :meth:`TransactionTable.address_ids` compares the bytes of equal ones."""
+    :func:`_exact_ids` compares the bytes of equal ones."""
     lens = ends - starts
     h = np.full(lens.size, _FNV_BASIS, dtype=np.uint64)
     for j in range(0, int(lens.max(initial=0)), 8):
         h = np.where(lens > j, _mix(h ^ _word(buf, starts, lens, j)), h)
     return _mix(h ^ lens.astype(np.uint64)).view(np.int64)
+
+
+def _exact_ids(buf: np.ndarray, keys: np.ndarray, starts: np.ndarray,
+               lengths: np.ndarray, tokens: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense ids of the tokens ``j`` in ``tokens``, ``buf[starts[j]:starts[j]
+    + lengths[j]]`` keyed ``keys[j]``, in key order and equal exactly when
+    their bytes are, and how many there are.  One sort by key, then a
+    compare of the bytes of equal-key neighbours; only the runs of equal keys
+    that hold different bytes are numbered by their bytes, in Python."""
+    keys = keys[tokens]
+    order = np.argsort(keys)
+    keys = keys[order]
+    new = np.ones(order.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    # on a hub day the arrays of the pairs set the graph's peak memory,
+    # so what they no longer need is freed first
+    del keys
+    same = np.flatnonzero(~new)         # the key of same - 1 is the same
+    a, b = tokens[order[same]], tokens[order[same - 1]]
+    starts_a, starts_b = starts[a], starts[b]
+    lens, lens_b = lengths[a], lengths[b]
+    del a, b
+    differ = lens != lens_b
+    np.minimum(lens, lens_b, out=lens)
+    for j in range(0, int(lens.max(initial=0)), 8):
+        differ |= _word(buf, starts_a, lens, j) != _word(buf, starts_b, lens, j)
+    if differ.any():
+        heads = np.flatnonzero(new)
+        runs = np.unique(np.searchsorted(heads, same[differ]) - 1)
+        for lo, hi in zip(heads[runs].tolist(),
+                          np.append(heads, order.size)[runs + 1].tolist()):
+            run = order[lo:hi]
+            at = tokens[run]
+            names = [buf[start:start + n].tobytes() for start, n in zip(
+                starts[at].tolist(), lengths[at].tolist())]
+            by = sorted(range(run.size), key=names.__getitem__)
+            order[lo:hi] = run[by]
+            new[lo + 1:hi] = [names[x] != names[y] for x, y in zip(by[1:], by)]
+    ids = np.empty(order.size, dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ids, int(new.sum())
 
 
 class TransactionTable:
@@ -150,44 +186,8 @@ class TransactionTable:
         self.buf = buf
 
     def address_ids(self, tokens: np.ndarray) -> tuple[np.ndarray, int]:
-        """Dense ids of the given tokens, in key order, equal exactly when
-        their bytes are, and how many there are.  One sort by key, then each
-        token's bytes are compared with those of its neighbour of equal key;
-        a run of equal keys that holds different bytes is numbered by its
-        bytes, in Python, over that run only."""
-        keys = self.keys[tokens]
-        order = np.argsort(keys)
-        keys = keys[order]
-        new = np.ones(order.size, dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=new[1:])
-        # on a hub day the arrays of the pairs set the graph's peak memory,
-        # so what they no longer need is freed first
-        del keys
-        same = np.flatnonzero(~new)         # the key of same - 1 is the same
-        a, b = tokens[order[same]], tokens[order[same - 1]]
-        starts_a, starts_b = self.starts[a], self.starts[b]
-        lens, lens_b = self.lengths[a], self.lengths[b]
-        del a, b
-        differ = lens != lens_b
-        np.minimum(lens, lens_b, out=lens)
-        for j in range(0, int(lens.max(initial=0)), 8):
-            differ |= (_word(self.buf, starts_a, lens, j)
-                       != _word(self.buf, starts_b, lens, j))
-        if differ.any():
-            heads = np.flatnonzero(new)
-            runs = np.unique(np.searchsorted(heads, same[differ]) - 1)
-            for lo, hi in zip(heads[runs].tolist(),
-                              np.append(heads, order.size)[runs + 1].tolist()):
-                run = order[lo:hi]
-                at = tokens[run]
-                names = [self.buf[start:start + n].tobytes() for start, n in zip(
-                    self.starts[at].tolist(), self.lengths[at].tolist())]
-                by = sorted(range(run.size), key=names.__getitem__)
-                order[lo:hi] = run[by]
-                new[lo + 1:hi] = [names[x] != names[y] for x, y in zip(by[1:], by)]
-        ids = np.empty(order.size, dtype=np.int64)
-        ids[order] = np.cumsum(new) - 1
-        return ids, int(new.sum())
+        """:func:`_exact_ids` of the given tokens of the table."""
+        return _exact_ids(self.buf, self.keys, self.starts, self.lengths, tokens)
 
     @classmethod
     def from_records(cls, records: list[TransactionRecord]) -> "TransactionTable":
@@ -314,8 +314,8 @@ def _chunk_columns(buf: np.ndarray, lo: int, hi: int, rows: list[np.ndarray],
     numbers of rows and tokens written, or None when a line fails a check.
 
     ``rows`` are the slices of the timestamps, input and output counts and
-    tx-id keys, and ``tokens`` those of the address keys, starts and
-    lengths, in file order."""
+    tx-id keys, starts and lengths, and ``tokens`` those of the address
+    keys, starts and lengths, in file order."""
     chunk = buf[lo:hi]
     ends = np.flatnonzero((chunk == 10) | (chunk == 13))
     starts = np.concatenate(([0], ends[:-1] + 1))
@@ -344,13 +344,11 @@ def _chunk_columns(buf: np.ndarray, lo: int, hi: int, rows: list[np.ndarray],
         semis[in_address], field_of - field_of // 4 * 2 - 2)
     if not n[1::2].all():
         return None
-    ids = _hash(buf, lo + starts, lo + commas[:, 0])
-    for column, values in zip(rows, (stamps, n[::2], n[1::2], ids)):
-        column[:values.size] = values
-    tok_starts += lo
-    tok_ends += lo
-    for column, values in zip(tokens, (_hash(buf, tok_starts, tok_ends), tok_starts,
-                                       tok_ends - tok_starts)):
+    id_starts, tok_starts, tok_ends = lo + starts, lo + tok_starts, lo + tok_ends
+    for column, values in zip(rows + tokens, (
+            stamps, n[::2], n[1::2], _hash(buf, id_starts, lo + commas[:, 0]),
+            id_starts, commas[:, 0] - starts, _hash(buf, tok_starts, tok_ends),
+            tok_starts, tok_ends - tok_starts)):
         column[:values.size] = values
     return stamps.size, tok_starts.size
 
@@ -418,12 +416,11 @@ def _parse(buf: np.ndarray) -> TransactionTable:
     rows and tokens by its line ends and ``;`` bytes, so each column is
     allocated once.  Then each chunk fills its own slice, checked as whole
     columns, with each address token's hashed key and its span in ``buf``,
-    which the table keeps.  The gaps that blank lines and empty tokens
-    leave are closed afterwards.  When a check fails or two tx ids share a
-    key, :func:`_check_lines` reads the bytes once, line by line: the first
-    bad line in file order raises.  Two ids that share only a key are no
-    error, and address keys are not checked here at all: the graph that
-    reads them makes its ids exact."""
+    which the table keeps, and each tx id's, which it drops.  The gaps
+    that blank lines and empty tokens leave are closed afterwards.  The tx
+    ids whose keys repeat go to :func:`_exact_ids`.  When a check fails or
+    two ids are equal, :func:`_check_lines` reads the bytes once, line by
+    line, and raises the first bad line in file order."""
     size = buf.size - 9
     lo = _NEWLINE.search(buf).start()
     header = buf[:lo].tobytes().decode("utf-8", errors="replace")
@@ -435,14 +432,13 @@ def _parse(buf: np.ndarray) -> TransactionTable:
     bounds = np.array(_on_threads(lambda c: _line_bounds(buf[cuts[c]:cuts[c + 1]]),
                                   len(cuts) - 1), dtype=np.int64).reshape(-1, 2)
     row_at, token_at = indptr_from(bounds[:, 0]), indptr_from(bounds[:, 1])
-    rows = [np.empty(row_at[-1], dtype=np.int64) for _ in range(4)]
+    rows = [np.empty(row_at[-1], dtype=np.int64) for _ in range(6)]
     tokens = [np.empty(token_at[-1], dtype=dtype) for dtype in (np.int64, np.int64, np.int32)]
     chunks = _on_threads(lambda c: _chunk_columns(
         buf, cuts[c], cuts[c + 1], [column[row_at[c]:row_at[c + 1]] for column in rows],
         [column[token_at[c]:token_at[c + 1]] for column in tokens]), len(cuts) - 1)
     if None in chunks:
         _check_lines(buf[:size])
-        raise RuntimeError("a column check failed but no line is bad")
     sizes = np.array(chunks, dtype=np.int64).reshape(-1, 2)
     # close the gaps: chunk c's rows move from row_at[c] to row_to[c]
     row_to, token_to = indptr_from(sizes[:, 0]), indptr_from(sizes[:, 1])
@@ -450,9 +446,11 @@ def _parse(buf: np.ndarray) -> TransactionTable:
         for c in np.flatnonzero(at[:-1] > to[:-1]):
             for column in columns:
                 column[to[c]:to[c + 1]] = column[at[c]:at[c] + to[c + 1] - to[c]]
-    stamps, n_in, n_out, id_keys = (column[:row_to[-1]] for column in rows)
-    id_keys.sort()
-    if (id_keys[1:] == id_keys[:-1]).any():
+    stamps, n_in, n_out, *ids = (column[:row_to[-1]] for column in rows)
+    keys = np.sort(ids[0])
+    shared = np.flatnonzero(np.isin(ids[0], keys[1:][keys[1:] == keys[:-1]]))
+    del keys
+    if _exact_ids(buf, *ids, shared)[1] < shared.size:
         _check_lines(buf[:size])
     return TransactionTable(stamps, n_in, n_out,
                             *(column[:token_to[-1]] for column in tokens), buf)
@@ -465,8 +463,9 @@ def parse_transactions(path: str | Path) -> TransactionTable:
     if not path.exists():
         raise MissingFile(str(path))
     with path.open("rb") as fh:
-        # read straight into the padded buffer, sized from the file and
-        # doubled whenever a pipe or a growing file fills it
+        # read straight into the padded buffer, sized from the file,
+        # doubled whenever a pipe or a growing file fills it and then cut
+        # back, since the table keeps it
         buf = np.empty(os.fstat(fh.fileno()).st_size + 10, dtype=np.uint8)
         n = 0
         while got := fh.readinto(memoryview(buf)[n:buf.size - 9]):
@@ -474,7 +473,7 @@ def parse_transactions(path: str | Path) -> TransactionTable:
             if n == buf.size - 9:
                 buf = np.concatenate((buf[:n], np.empty(n + 9, dtype=np.uint8)))
     buf[n], buf[n + 1:n + 9] = 10, 0       # as _padded pads
-    return _parse(buf[:n + 9])
+    return _parse(buf[:n + 9] if buf.size <= n + 10 else buf[:n + 9].copy())
 
 
 def _text(raw: str) -> str:
@@ -484,9 +483,9 @@ def _text(raw: str) -> str:
 
 def _check_lines(data: np.ndarray) -> None:
     """Raise the error of the first line of a transactions file's bytes, in
-    file order, that fails a check, or return when none does; the checks of
-    one line run in a fixed order.  Latin-1 reads each byte as one
-    character, so fields compare as bytes."""
+    file order, that fails a check, or ``RuntimeError`` when none does; the
+    checks of one line run in a fixed order.  Latin-1 reads each byte as
+    one character, so fields compare as bytes."""
     seen: dict[str, int] = {}
     with io.TextIOWrapper(io.BytesIO(data), encoding="latin-1") as fh:
         fh.readline()
@@ -513,6 +512,7 @@ def _check_lines(data: np.ndarray) -> None:
             if not any(out_text.split(";")):
                 raise MalformedRow(lineno, "transaction has no outputs")
             seen[tx_id] = lineno
+    raise RuntimeError("the columns hold a bad line but no line is bad")
 
 
 def _csv(records: list[TransactionRecord]) -> bytes:

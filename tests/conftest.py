@@ -84,8 +84,8 @@ def toy_graph(toy_window):
 def hash_8_bits(monkeypatch) -> None:
     """Patch ``ingest._hash`` to keep the top 8 bits of each key, so that
     different addresses share keys, which the graph must tell apart by
-    their bytes, and different tx ids share keys, which send the parser to
-    the line reader once."""
+    their bytes, and different tx ids share keys, which the parse must
+    tell apart by their bytes too."""
     full_hash = ingest._hash
     monkeypatch.setattr(ingest, "_hash",
                         lambda buf, starts, ends: (full_hash(buf, starts, ends) >> 56) & 0xFF)

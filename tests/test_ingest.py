@@ -462,8 +462,9 @@ def test_chunk_size_and_threads_leave_the_table_alone(tmp_path, monkeypatch, chu
     # more threads than cores, switching often: a chunk parsed twice or
     # never, or written to another's slice, shows in the columns.  Then
     # under an 8-bit hash, where 30 addresses share fewer keys and 400 tx
-    # ids share keys: each chunk is still parsed once, the lines are read
-    # once, for the ids, and the day's graph tells the addresses apart
+    # ids share keys: each chunk is still parsed once, no line is read, as
+    # the ids are told apart by their bytes, and the day's graph tells the
+    # addresses apart
     path, path_8 = tmp_path / "tx.csv", tmp_path / "tx8.csv"
     records = _mixed_file(path, 400)
     records_8 = _mixed_file(path_8, 400, n_addresses=30)
@@ -489,7 +490,7 @@ def test_chunk_size_and_threads_leave_the_table_alone(tmp_path, monkeypatch, chu
             ended.clear()
             table = parse_transactions(path_8)
             assert _columns(table) == want_8
-            assert len(checks) == 1
+            assert len(checks) == 0
             assert _each_chunk_once(ended, path_8)
             assert_matches_reference(partition_daily(table), records_8)
     finally:
@@ -673,6 +674,38 @@ def test_crafted_pairs_get_two_ids_on_a_shared_day(tmp_path, monkeypatch, n_pair
     _assert_each_spent_address_is_a_node(windows, days)
 
 
+@pytest.mark.parametrize("n_pairs", [1, 1000])
+def test_tx_ids_sharing_a_key_of_the_real_hash_read_no_line(tmp_path, monkeypatch, n_pairs):
+    # a_i and b_i, as tx ids, share a key under the unpatched hash, and
+    # their rows lie on two days: no line is read, and each day's graph is
+    # the reference's.  A repeat of a_0 after them is still named with
+    # both its lines
+    pairs = _colliding_pairs(n_pairs)
+    ids = [pair[j] for j in (0, 1) for pair in pairs]
+    assert np.array_equal(_hashed_keys(ids[:n_pairs]), _hashed_keys(ids[n_pairs:]))
+    records = [TransactionRecord(f"t{i}", DAY0_TS + 86400 * (i % 2) + i,
+                                 (f"a{i % 7}",), (f"a{i % 11}", "p"))
+               for i in range(len(ids) + 1)]
+    path = tmp_path / "tx.csv"
+    lines = ingest._csv(records).splitlines(keepends=True)
+
+    def write(ids):
+        path.write_bytes(lines[0] + b"".join(
+            tx_id + line[line.index(b","):] for tx_id, line in zip(ids, lines[1:])))
+
+    write(ids)
+    checks = count_check_lines(monkeypatch)
+    windows = partition_daily(parse_transactions(path))
+    assert checks == []
+    assert len(windows) == 2
+    assert_matches_reference(windows, records[:-1])
+    write(ids + ids[:1])
+    with pytest.raises(DuplicateTxId) as err:
+        parse_transactions(path)
+    assert str(err.value) == (
+        f"duplicate tx_id '{ids[0].decode()}' on lines 2 and {len(ids) + 2}")
+
+
 def _chunk_spy(monkeypatch, wrap) -> list:
     """Patch ``_chunk_columns`` so that ``wrap(chunk, call)`` runs each
     chunk, where ``chunk`` is its bytes; return the list of (chunk, failed)
@@ -740,7 +773,9 @@ def test_a_chunk_that_raises_raises_after_every_thread_ends(tmp_path, monkeypatc
 
 
 def test_pipe_longer_than_its_first_read_parses_as_the_file(tmp_path):
-    # a fifo has no size to start from, so the read buffer grows
+    # a fifo has no size to start from, so the read buffer grows, and the
+    # table keeps the file's padded bytes alone, as a regular file's does
+    # with its one spare byte
     path, fifo = tmp_path / "tx.csv", tmp_path / "fifo"
     _big_file(path, 5_000, {})
     os.mkfifo(fifo)
@@ -752,7 +787,12 @@ def test_pipe_longer_than_its_first_read_parses_as_the_file(tmp_path):
     finally:
         writer.join(10)
     assert not writer.is_alive()
-    assert _columns(table) == _columns(parse_transactions(path))
+    from_file = parse_transactions(path)
+    assert _columns(table) == _columns(from_file)
+    for got, spare in ((table, 0), (from_file, 1)):
+        base = got.buf if got.buf.base is None else got.buf.base
+        assert got.buf.nbytes == path.stat().st_size + 9
+        assert base.nbytes == got.buf.nbytes + spare
 
 
 # any bytes but the separators, multi-byte UTF-8 included

@@ -1,6 +1,7 @@
 import importlib.util
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,14 @@ ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 
 
+def _src_env() -> dict[str, str]:
+    """The environment with the package's source first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 def test_all_names_resolve():
     for name in txpattern.__all__:
         assert hasattr(txpattern, name), name
@@ -32,6 +41,27 @@ def test_readme_library_example_runs(capsys):
     assert len(capsys.readouterr().out.splitlines()) == 2
 
 
+def test_readme_quick_start_runs(tmp_path):
+    # the quick start block, then the train and predict block, with
+    # txpattern a shell function that runs the CLI module: the backtest
+    # prints the summary line under "## Reports", and weights the values
+    # its comment gives
+    readme = README.read_text(encoding="utf-8")
+
+    def section(title):
+        return readme.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+    script = "".join(re.findall(r"```sh\n(.*?)```", section("Quick start"), re.S))
+    summary = re.search(r"```\n(.*?)\n```", section("Reports")).group(1)
+    weights = re.search(r"# prints: (.*)", script).group(1)
+    txpattern = f'txpattern() {{ {shlex.quote(sys.executable)} -m txpattern.cli "$@"; }}\n'
+    out = subprocess.run(["bash", "-euo", "pipefail", "-c", txpattern + script],
+                         cwd=tmp_path, env=_src_env(), check=True, capture_output=True,
+                         text=True).stdout.splitlines()
+    assert summary in out, f"no backtest summary {summary!r}"
+    assert weights in out, f"weights did not print {weights!r}"
+
+
 def test_package_runs_without_scipy():
     # scipy is a test extra: every module must import, and the kernels run,
     # with any scipy import failing
@@ -43,10 +73,7 @@ def test_package_runs_without_scipy():
             "    importlib.import_module('txpattern.' + name)\n"
             "txpattern.kernels.warmup()\n"
             "print(len(names))\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True,
                          capture_output=True, text=True).stdout
     assert int(out) == len(list((ROOT / "src" / "txpattern").glob("*.py"))) - 1
 

@@ -175,7 +175,7 @@ def test_keys_exact_under_an_8_bit_hash(tmp_path, monkeypatch):
     hash_8_bits(monkeypatch)
     checks = count_check_lines(monkeypatch)
     table = parse_transactions(path)
-    assert len(checks) <= 1             # only tx ids that share a key
+    assert checks == []
     assert table.keys.max() <= 0xFF
     windows = partition_daily(table)
     shared = []
@@ -243,10 +243,10 @@ def test_ids_within_a_day_are_the_addresses_bytes(bits, chunked, records):
         assert_matches_reference(day_windows(records), records, chunked)
 
 
-def test_ids_sharing_a_key_are_checked_line_by_line(tmp_path, monkeypatch):
-    # every tx id has the key 0: the ids' shared key sends the parse to
-    # the line-by-line reader once, which finds no repeat in a clean file
-    # and both lines of a real one
+def test_ids_sharing_a_key_are_told_apart_by_their_bytes(tmp_path, monkeypatch):
+    # every tx id has the key 0: the parse compares the ids' bytes and
+    # reads no line of a clean file, and the line-by-line reader names
+    # both lines of a real repeat
     records = random_records(np.random.default_rng(1), max_tx=40, max_addr=30)
     path = tmp_path / "tx.csv"
     ingest.write_transactions(records, path)
@@ -262,7 +262,7 @@ def test_ids_sharing_a_key_are_checked_line_by_line(tmp_path, monkeypatch):
     monkeypatch.setattr(ingest, "_hash", ids_zero)
     checks = count_check_lines(monkeypatch)
     table = parse_transactions(path)
-    assert len(checks) == 1
+    assert len(checks) == 0
     assert np.unique(table.keys).size == np.unique(want_table.keys).size
     assert np.array_equal(table.keys[:, None] == table.keys,
                           want_table.keys[:, None] == want_table.keys)

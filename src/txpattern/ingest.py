@@ -55,7 +55,7 @@ from .errors import (
     NonPositivePrice,
     UnparseableDate,
 )
-from .kernels import indptr_from
+from . import kernels
 
 _EPOCH = dt.date(1970, 1, 1)
 SECONDS_PER_DAY = 86400
@@ -70,8 +70,6 @@ PRICE_HEADER = "date,close"
 
 # bytes of the transactions file parsed per chunk; a chunk ends on a newline
 _CHUNK_BYTES = 1 << 19
-# threads that parse the chunks of a transactions file
-_THREADS = 2
 
 _FNV_BASIS = 0xCBF29CE484222325
 _FNV_PRIME = np.uint64(0x100000001B3)
@@ -179,7 +177,7 @@ class TransactionTable:
         self.timestamps = timestamps
         self.n_inputs = n_inputs
         self.n_outputs = n_outputs
-        self.indptr = indptr_from(n_inputs + n_outputs)
+        self.indptr = kernels.indptr_from(n_inputs + n_outputs)
         self.keys = keys
         self.starts = starts
         self.lengths = lengths
@@ -360,7 +358,7 @@ def _padded(data: bytes) -> np.ndarray:
 
 
 def _on_threads(task, n: int) -> list:
-    """``[task(i) for i in range(n)]``, run on up to ``_THREADS`` threads,
+    """``[task(i) for i in range(n)]``, run on up to ``kernels.CPUS`` threads,
     the calling one included, that each take the next ``i`` in turn.  Once
     a task returns None or raises, no thread starts another; every thread
     is joined, then the first exception is raised again."""
@@ -386,7 +384,7 @@ def _on_threads(task, n: int) -> list:
                 pass
 
     # each thread keeps a malloc arena, so start none that has no task
-    helpers = [threading.Thread(target=work) for _ in range(min(_THREADS, n) - 1)]
+    helpers = [threading.Thread(target=work) for _ in range(min(kernels.CPUS, n) - 1)]
     for thread in helpers:
         thread.start()
     work()
@@ -412,7 +410,7 @@ def _parse(buf: np.ndarray) -> TransactionTable:
     :func:`_padded`, in file order.
 
     The lines are cut into chunks of about ``_CHUNK_BYTES``, which
-    ``_THREADS`` threads take in turn.  A first pass bounds each chunk's
+    ``kernels.CPUS`` threads take in turn.  A first pass bounds each chunk's
     rows and tokens by its line ends and ``;`` bytes, so each column is
     allocated once.  Then each chunk fills its own slice, checked as whole
     columns, with each address token's hashed key and its span in ``buf``,
@@ -431,7 +429,7 @@ def _parse(buf: np.ndarray) -> TransactionTable:
         cuts.append(_NEWLINE.search(buf, min(cuts[-1] + _CHUNK_BYTES, size)).end())
     bounds = np.array(_on_threads(lambda c: _line_bounds(buf[cuts[c]:cuts[c + 1]]),
                                   len(cuts) - 1), dtype=np.int64).reshape(-1, 2)
-    row_at, token_at = indptr_from(bounds[:, 0]), indptr_from(bounds[:, 1])
+    row_at, token_at = kernels.indptr_from(bounds[:, 0]), kernels.indptr_from(bounds[:, 1])
     rows = [np.empty(row_at[-1], dtype=np.int64) for _ in range(6)]
     tokens = [np.empty(token_at[-1], dtype=dtype) for dtype in (np.int64, np.int64, np.int32)]
     chunks = _on_threads(lambda c: _chunk_columns(
@@ -441,15 +439,19 @@ def _parse(buf: np.ndarray) -> TransactionTable:
         _check_lines(buf[:size])
     sizes = np.array(chunks, dtype=np.int64).reshape(-1, 2)
     # close the gaps: chunk c's rows move from row_at[c] to row_to[c]
-    row_to, token_to = indptr_from(sizes[:, 0]), indptr_from(sizes[:, 1])
+    row_to, token_to = kernels.indptr_from(sizes[:, 0]), kernels.indptr_from(sizes[:, 1])
     for columns, at, to in ((rows, row_at, row_to), (tokens, token_at, token_to)):
         for c in np.flatnonzero(at[:-1] > to[:-1]):
             for column in columns:
                 column[to[c]:to[c + 1]] = column[at[c]:at[c] + to[c + 1] - to[c]]
     stamps, n_in, n_out, *ids = (column[:row_to[-1]] for column in rows)
     keys = np.sort(ids[0])
-    shared = np.flatnonzero(np.isin(ids[0], keys[1:][keys[1:] == keys[:-1]]))
+    repeated = keys[1:][keys[1:] == keys[:-1]]
     del keys
+    # each id's key looked up among the repeated ones: np.isin would sort
+    # the whole column again once more than a few dozen keys repeat
+    shared = np.flatnonzero(repeated.take(np.searchsorted(repeated, ids[0]), mode="clip")
+                            == ids[0]) if repeated.size else repeated
     if _exact_ids(buf, *ids, shared)[1] < shared.size:
         _check_lines(buf[:size])
     return TransactionTable(stamps, n_in, n_out,

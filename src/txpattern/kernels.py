@@ -28,6 +28,10 @@ import numpy as np
 
 from .errors import BadSpec, SingularSystem
 
+# CPUs that a stage shares its work between: the parse's threads and the
+# feature table's forked workers
+CPUS = 2
+
 
 # ---------------------------------------------------------------------------
 # Canonical CSR and the boolean product (set-semantics sparse matmul)

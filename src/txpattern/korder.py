@@ -119,8 +119,9 @@ def _capped_product(a: Csr, b: Csr, n_rows: int, n_cols: int) -> Csr:
     expanded.  Every other row expands whole and keeps its first
     ``CLAMP`` entries."""
     a_indptr, a_indices = a
-    hits = np.flatnonzero((np.diff(b[0]) == CLAMP)[a_indices])
-    if hits.size:
+    full = np.diff(b[0]) == CLAMP
+    # with no full row in B, A is kept whole without being read
+    if full.any() and (hits := np.flatnonzero(full[a_indices])).size:
         rows = np.searchsorted(a_indptr, hits, side="right") - 1
         first = np.ones(hits.size, dtype=bool)      # each row's first hit
         np.not_equal(rows[1:], rows[:-1], out=first[1:])

@@ -3,8 +3,14 @@
 Every row of a chunk must equal the grids of its day built alone, and the
 walk oracle's for that day, however the day's keys recur on other days of
 the chunk; and the grids of the whole chunk graph must equal the walk
-oracle run on that graph.
+oracle run on that graph.  A table whose chunks are shared with a forked
+worker must equal the serial build, raise its errors, and leave no child
+and no second copy of the caller's buffered output behind.
 """
+
+import io
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -144,7 +150,7 @@ def test_a_chunk_makes_four_csr_calls_at_order_2(monkeypatch):
     # spender rows without building a CSR
     windows = day_windows(toy_records() + [_rec(10, 1, ["x"], ["y"]),
                                            _rec(11, 1, ["y"], ["z"])])
-    assert features._chunks(windows) == [(0, 2)]
+    assert features._chunks(windows)[0] == [(0, 2)]
     want = assert_chunk_exact(windows, 2)
     graph = build_graph(*windows)
     calls = []
@@ -222,7 +228,121 @@ def test_chunks_walk_the_budget(monkeypatch):
     windows = day_windows(records)
     monkeypatch.setattr(features, "CHUNK_EDGES", 10)
     # a day above the budget is a chunk of one
-    assert features._chunks(windows) == [(0, 3), (3, 4), (4, 6)]
+    runs, at = features._chunks(windows)
+    assert runs == [(0, 3), (3, 4), (4, 6)]
+    assert at.tolist() == [0, 10, 90, 94]           # tokens before each run, and after
     monkeypatch.setattr(features, "CHUNK_EDGES", 1)
-    assert features._chunks(windows) == [(i, i + 1) for i in range(6)]
-    assert features._chunks([]) == []
+    assert features._chunks(windows)[0] == [(i, i + 1) for i in range(6)]
+    runs, at = features._chunks([])
+    assert runs == [] and at.tolist() == [0]
+
+
+# --- the forked worker ------------------------------------------------------
+
+def _chain_days(sizes: list[int]) -> list[TransactionRecord]:
+    """Days of the given sizes, each a chain: a row spends what the one
+    before it paid, so orders 2 and up count something."""
+    records: list[TransactionRecord] = []
+    for d, size in enumerate(sizes):
+        for i in range(size):
+            n = len(records)
+            records.append(_rec(n, d, [f"c{n - 1}"] if i else [], [f"c{n}", f"d{d}"]))
+    return records
+
+
+WIDE_FIRST = [60, 3, 3, 3, 3, 3]
+WIDE_LAST = WIDE_FIRST[::-1]
+
+
+def _split_windows(monkeypatch, sizes):
+    """The windows of :func:`_chain_days`, one run each, shared out on two
+    CPUs; and their shares, the caller's first."""
+    monkeypatch.setattr(kernels, "CPUS", 2)
+    monkeypatch.setattr(features, "CHUNK_EDGES", 1)
+    windows = day_windows(_chain_days(sizes))
+    return windows, features._shares(*features._chunks(windows))
+
+
+def _log_builds(monkeypatch, path):
+    """Patch ``build_graph`` to append the pid that builds each run and the
+    run's first date to ``path``; return a reader of {date: pid}."""
+    def logged(*windows):
+        with path.open("a") as fh:
+            fh.write(f"{windows[0].date} {os.getpid()}\n")
+        return build_graph(*windows)
+
+    monkeypatch.setattr(features, "build_graph", logged)
+    return lambda: dict(line.split() for line in path.read_text().splitlines())
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("sizes", [WIDE_FIRST, WIDE_LAST], ids=["wide-day-mine", "wide-day-theirs"])
+def test_worker_table_equals_single_window_builds(monkeypatch, tmp_path, sizes):
+    # the wide day's 120 tokens are most of the 150: it is a share alone,
+    # the caller's when it comes first and the worker's when it comes last
+    windows, shares = _split_windows(monkeypatch, sizes)
+    want = np.vstack([day_feature_table([w], 3)[1] for w in windows])
+    assert want[:, GRID_CELLS:].any()
+    wide = sizes.index(max(sizes))
+    assert shares == ([[(0, 1)], [(i, i + 1) for i in range(1, 6)]] if wide == 0
+                      else [[(i, i + 1) for i in range(5)], [(5, 6)]])
+    builders = _log_builds(monkeypatch, tmp_path / "builds")
+    _, got = day_feature_table(windows, 3)
+    assert got.tobytes() == want.tobytes()
+    pids = builders()
+    assert len(pids) == len(windows)
+    mine = {str(windows[lo].date) for lo, _ in shares[0]}
+    assert {pid for date, pid in pids.items() if date in mine} == {str(os.getpid())}
+    assert str(os.getpid()) not in {pid for date, pid in pids.items() if date not in mine}
+    _no_child_left()
+
+
+@pytest.mark.parametrize("failing", [[4], [0], [0, 4]], ids=["theirs", "mine", "both"])
+def test_worker_errors_are_the_serial_ones(monkeypatch, failing):
+    # the runs of day 0 are the caller's, those of day 4 the worker's; a
+    # serial build raises at the first failing run, and so does the shared
+    # one, from the caller, with no child left behind
+    windows, shares = _split_windows(monkeypatch, WIDE_FIRST)
+    assert shares[0] == [(0, 1)] and (4, 5) in shares[1]
+    bad = {windows[d].date for d in failing}
+
+    def failing_build(*ws):
+        if ws[0].date in bad:
+            raise BadSpec(f"no graph on {ws[0].date}")
+        return build_graph(*ws)
+
+    monkeypatch.setattr(features, "build_graph", failing_build)
+    monkeypatch.setattr(kernels, "CPUS", 1)
+    with pytest.raises(BadSpec) as serial:
+        day_feature_table(windows, 2)
+    monkeypatch.setattr(kernels, "CPUS", 2)
+    with pytest.raises(BadSpec) as shared:
+        day_feature_table(windows, 2)
+    assert str(shared.value) == str(serial.value) == f"no graph on {windows[failing[0]].date}"
+    _no_child_left()
+
+
+def test_worker_leaves_without_flushing_the_callers_output(monkeypatch, capfd):
+    # text buffered before the call reaches stdout once: the worker leaves
+    # through os._exit, so its copy of the buffer is never written
+    windows, shares = _split_windows(monkeypatch, WIDE_FIRST)
+    assert len(shares) == 2
+    out = io.TextIOWrapper(open(os.dup(sys.stdout.fileno()), "wb"))
+    monkeypatch.setattr(sys, "stdout", out)
+    print("buffered before the table")
+    day_feature_table(windows, 2)
+    out.close()
+    assert capfd.readouterr().out == "buffered before the table\n"
+
+
+def test_one_share_without_fork(monkeypatch):
+    windows, shares = _split_windows(monkeypatch, WIDE_FIRST)
+    want = day_feature_table(windows, 2)[1]
+    monkeypatch.delattr(os, "fork")
+    runs, at = features._chunks(windows)
+    assert features._shares(runs, at) == [runs]
+    assert np.array_equal(day_feature_table(windows, 2)[1], want)

@@ -4,6 +4,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from txpattern.errors import (
     NonPositivePrice,
     UnparseableDate,
 )
-from txpattern import ingest
+from txpattern import ingest, kernels
 from txpattern.ingest import (
     PriceSeries,
     TransactionRecord,
@@ -479,13 +480,13 @@ def test_chunk_size_and_threads_leave_the_table_alone(tmp_path, monkeypatch, chu
     sys.setswitchinterval(1e-5)
     try:
         for threads in (1, 2, 8):
-            monkeypatch.setattr(ingest, "_THREADS", threads)
+            monkeypatch.setattr(kernels, "CPUS", threads)
             assert _columns(parse_transactions(path)) == want
         hash_8_bits(monkeypatch)
         checks = count_check_lines(monkeypatch)
         ended = _chunk_spy(monkeypatch, lambda chunk, call: call())
         for threads in (1, 2, 8):
-            monkeypatch.setattr(ingest, "_THREADS", threads)
+            monkeypatch.setattr(kernels, "CPUS", threads)
             checks.clear()
             ended.clear()
             table = parse_transactions(path_8)
@@ -704,6 +705,40 @@ def test_tx_ids_sharing_a_key_of_the_real_hash_read_no_line(tmp_path, monkeypatc
         parse_transactions(path)
     assert str(err.value) == (
         f"duplicate tx_id '{ids[0].decode()}' on lines 2 and {len(ids) + 2}")
+
+
+# Bytes a row that the parse allocates after its last chunk, while it
+# finds the tx ids whose keys repeat: about 38 with 1000 pairs among 50k
+# rows, where np.isin, which sorts the whole key column again, took 73
+TAIL_BYTES_PER_ROW = 55
+
+
+def test_repeated_tx_id_keys_are_found_in_memory_linear_in_rows(tmp_path, monkeypatch):
+    # 1000 pairs of tx ids share keys under the unpatched hash, among 50k
+    # rows; the peak is taken from the end of the last chunk
+    pairs = _colliding_pairs(1000)
+    ids = [pair[j] for j in (0, 1) for pair in pairs]
+    ids += [b"x%d" % i for i in range(50_000 - len(ids))]
+    path = tmp_path / "tx.csv"
+    path.write_bytes(HEADER.encode() + b"".join(
+        b"%s,%d,a%d,b%d\n" % (tx_id, DAY0_TS + i, i % 7, i % 11) for i, tx_id in enumerate(ids)))
+    after_chunks = []
+
+    def reset_peak(chunk, call):
+        out = call()
+        tracemalloc.reset_peak()
+        after_chunks[:] = [tracemalloc.get_traced_memory()[0]]
+        return out
+
+    _chunk_spy(monkeypatch, reset_peak)
+    tracemalloc.start()
+    try:
+        table = parse_transactions(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == len(ids)
+    assert peak - after_chunks[0] <= TAIL_BYTES_PER_ROW * len(ids)
 
 
 def _chunk_spy(monkeypatch, wrap) -> list:

@@ -19,7 +19,11 @@ attaching to the nearest offset, and the weights always sum to one.
 The backtest and both sweeps are runs of one evaluation: the split's
 table of per-day features is built once, each offset model is fitted once
 for all runs, and a run predicts all its test rows at once, one
-matrix-vector product per offset on the rows j days behind them.
+matrix-vector product per offset on the rows j days behind them.  The
+offset fits do not depend on each other, so they are shared between
+processes by :func:`~txpattern.kernels.on_processes`, each offset at one
+cost; a fit's model and its warning come back to the caller as a serial
+run would give them.
 
 A report keeps its offset models (``BacktestReport.models``) and reads
 each JSON ``offsets`` entry from its model's ``train_range``.  Reports
@@ -36,6 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import kernels
 from .errors import (
     BadSpec,
     EmptyInput,
@@ -319,19 +324,19 @@ def _evaluate(
     rows, the offset models by offset in order of first use, each fitted
     once for all runs, and one prediction array per run."""
     table, n_train = _split_table(transactions, prices, split, max_order)
-    n = len(table.dates)
-    models: dict[int, FittedModel] = {}
+    n, cut = len(table.dates), table.dates[n_train - 1]
+    used = list(dict.fromkeys(j for horizon, alphas in runs
+                              for j in range(horizon, horizon + len(alphas))))
+    fitted = kernels.on_processes(lambda i: table.fit_offset(used[i], spec, cut),
+                                  np.ones(len(used)))
+    models: dict[int, FittedModel] = dict(zip(used, fitted))
+    for j, model in models.items():
+        # the last target reads the close j days after the last row
+        if model.train_range[1] + dt.timedelta(days=j) >= table.dates[n_train]:
+            raise RuntimeError("chronology violation: training touched the test range")
     preds = []
     for horizon, alphas in runs:
         offsets = range(horizon, horizon + len(alphas))
-        for j in offsets:
-            if j not in models:
-                models[j] = table.fit_offset(j, spec, table.dates[n_train - 1])
-                # the last target reads the close j days after the last row
-                last = models[j].train_range[1]
-                if last + dt.timedelta(days=j) >= table.dates[n_train]:
-                    raise RuntimeError(
-                        "chronology violation: training touched the test range")
         # each offset model trained on >= 2 rows before the test range, so
         # n_train >= j + 2 and every test row i has its row i - j
         preds.append(predict_price([models[j] for j in offsets], alphas,

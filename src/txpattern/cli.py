@@ -9,6 +9,11 @@ An argument ``@FILE`` is replaced by the arguments in FILE, one per line
 after ``@FILE`` overrides the file's value.  Flags must be spelled out in
 full: a prefix such as ``--ridge`` is not taken for ``--ridge-lambda``.
 
+``oracle-check`` walks the oracle over its days on
+:func:`~txpattern.kernels.on_processes`, costed by address tokens, as the
+feature table builds its chunks; the first mismatch is printed in day
+order.
+
 Exit codes: 0 success, 1 data, input or file-system errors, 2 usage errors.
 """
 
@@ -25,7 +30,7 @@ from . import kernels
 from .backtest import (INTERVALS, DayTable, SplitSpec, check_params, decay_weights,
                        horizon_sweep, run_backtest, window_sweep)
 from .errors import BadSpec, InsufficientData, PriceMissing, TxPatternError
-from .features import day_feature_table, write_feature_csv
+from .features import day_feature_table, window_tokens, write_feature_csv
 from .ingest import DayWindow, parse_prices, parse_transactions, partition_daily
 # occurrence_matrices is not called here; e2ebench/tracer.py wraps it by this name
 from .korder import GRID_CELLS, occurrence_matrices, occurrence_matrix_oracle
@@ -347,16 +352,22 @@ def _cmd_oracle_check(v: dict) -> int:
         idx = sorted(rng.choice(len(windows), size=v["sample"], replace=False))
         windows = [windows[i] for i in idx]
     _, table = day_feature_table(windows, v["order"])
-    checked = 0
-    for w, row in zip(windows, table):
-        graph = build_graph(w)
+
+    def first_mismatch(i: int) -> int:
+        """The first order whose grid on day i differs from the oracle's, or 0."""
+        graph = build_graph(windows[i])
         for k in range(1, v["order"] + 1):
             slow = occurrence_matrix_oracle(graph, k)
-            if not np.array_equal(row[(k - 1) * GRID_CELLS:k * GRID_CELLS], slow.to_flat()):
-                print(f"MISMATCH on {w.date.isoformat()} order {k}", file=sys.stderr)
-                return 1
-            checked += 1
-    print(f"oracle check passed: {len(windows)} days, {checked} grids")
+            if not np.array_equal(table[i, (k - 1) * GRID_CELLS:k * GRID_CELLS],
+                                  slow.to_flat()):
+                return k
+        return 0
+
+    for w, k in zip(windows, kernels.on_processes(first_mismatch, window_tokens(windows))):
+        if k:
+            print(f"MISMATCH on {w.date.isoformat()} order {k}", file=sys.stderr)
+            return 1
+    print(f"oracle check passed: {len(windows)} days, {len(windows) * v['order']} grids")
     return 0
 
 

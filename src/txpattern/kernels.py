@@ -16,6 +16,14 @@ one thread, as the command line runs.  Callers reach the kernels, and
 the end-to-end benchmark in ``e2ebench/`` wraps ``spgemm_bool`` and
 ``svr_epochs`` by these names to time them, so the names are kept
 stable.
+
+``on_processes`` shares independent tasks between ``CPUS`` processes, as
+the GIL would serialise their many small numpy calls on threads: the
+feature table's chunks, a run's offset fits and ``oracle-check``'s days.
+The caller runs the first share of about equal cost and forks a worker
+for each other one, which sends back its results and printed text and
+leaves through ``os._exit``; the caller runs again the share of a worker
+that did not exit 0, so an error is the serial one.
 """
 
 from __future__ import annotations
@@ -23,14 +31,86 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import importlib
+import io
+import os
+import pickle
+import sys
 
 import numpy as np
 
 from .errors import BadSpec, SingularSystem
 
 # CPUs that a stage shares its work between: the parse's threads and the
-# feature table's forked workers
+# processes of on_processes
 CPUS = 2
+
+
+# ---------------------------------------------------------------------------
+# Independent tasks on forked processes
+# ---------------------------------------------------------------------------
+
+
+def _shares(costs) -> list[range]:
+    """The items cut into up to ``CPUS`` contiguous shares at even steps of
+    their summed ``costs``; every share holds an item, and there is one
+    share on a platform that cannot fork."""
+    at = indptr_from(costs)
+    n = min(CPUS if hasattr(os, "fork") else 1, len(costs))
+    cuts = np.searchsorted(at, at[-1] * np.arange(1, n) / n)
+    cuts = np.unique(np.clip(cuts, 1, len(costs) - 1)).tolist()
+    return [range(lo, hi) for lo, hi in zip([0] + cuts, cuts + [len(costs)])]
+
+
+def _fork(task, share: range) -> tuple[int, io.BufferedReader]:
+    """A worker running ``task`` over ``share``, and the pipe that brings
+    back, pickled, its results and what it wrote to ``sys.stdout`` and
+    ``sys.stderr``.  It leaves through ``os._exit``, never back into the
+    caller's frames, so it flushes none of the caller's buffers."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                results = [task(i) for i in share]
+            with open(write, "wb") as pipe:
+                pickle.dump((results, out.getvalue(), err.getvalue()), pipe)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write)
+    return pid, open(read, "rb")
+
+
+def on_processes(task, costs) -> list:
+    """``[task(i) for i in range(len(costs))]``, the items cut by
+    :func:`_shares`.  The caller runs the first share and a forked worker
+    each other one; the caller then writes each worker's text after its
+    own, in share order, so the streams read as in a serial run.  Every
+    worker is waited for, also when the caller's share raises, and a share
+    whose worker did not exit 0 runs again in the caller, where its error,
+    if any, is raised."""
+    mine, *theirs = _shares(costs)
+    workers, done = [], []
+    try:
+        for share in theirs:
+            workers.append(_fork(task, share))
+        results = [task(i) for i in mine]
+    finally:
+        for pid, pipe in workers:
+            with pipe:
+                data = pipe.read()
+            done.append((os.waitpid(pid, 0)[1], data))
+    for share, (status, data) in zip(theirs, done):
+        if status:
+            results += [task(i) for i in share]
+            continue
+        got, out, err = pickle.loads(data)
+        results += got
+        sys.stdout.write(out)
+        sys.stderr.write(err)
+    return results
 
 
 # ---------------------------------------------------------------------------

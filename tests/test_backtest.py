@@ -1,10 +1,11 @@
 import datetime as dt
 import json
+import os
 
 import numpy as np
 import pytest
 
-from txpattern import backtest
+from txpattern import backtest, kernels
 from txpattern.backtest import (
     INTERVALS,
     SplitSpec,
@@ -178,14 +179,98 @@ def test_sweeps_match_single_runs(planted_corpus):
         assert got == want
 
 
-def test_horizon_sweep_reuses_a_repeated_horizon(planted_corpus, monkeypatch):
+def _log_fits(monkeypatch, path):
+    """Patch ``backtest.fit`` to append the last training date of each fit
+    and the pid that runs it to ``path``, from every process; return a
+    reader of the (date, pid) lines."""
+    def logged(*args, **kwargs):
+        with path.open("a") as fh:
+            fh.write(f"{kwargs['train_range'][1]} {os.getpid()}\n")
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(backtest, "fit", logged)
+    return lambda: [tuple(line.split()) for line in path.read_text().splitlines()]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_horizon_sweep_reuses_a_repeated_horizon(planted_corpus, monkeypatch, tmp_path):
     records, prices = planted_corpus
-    fits = []
-    monkeypatch.setattr(backtest, "fit", lambda *a, **k: fits.append(a) or fit(*a, **k))
+    fits = _log_fits(monkeypatch, tmp_path / "fits")
     rows = horizon_sweep(records, prices, SplitSpec(0.75, "t"), [1, 2, 1], spec=_ridge())
     assert [h for h, _ in rows] == [1, 2, 1]
     assert rows[0][1] == rows[2][1]
-    assert len(fits) == 2
+    assert len(fits()) == 2
+
+
+def test_window_sweep_fits_each_offset_once_across_processes(planted_corpus, monkeypatch,
+                                                             tmp_path):
+    # offsets 1-4 of equal cost: the caller fits 1 and 2, a worker 3 and 4
+    records, prices = planted_corpus
+    monkeypatch.setattr(kernels, "CPUS", 2)
+    fits = _log_fits(monkeypatch, tmp_path / "fits")
+    window_sweep(records, prices, SplitSpec(0.75, "t"), [1, 2, 3, 4], r=0.8, spec=_ridge())
+    by_date = dict(fits())
+    assert len(fits()) == len(by_date) == 4
+    # offset j trains on the rows up to day 59 - j of the 60 training days
+    last = [dt.date(2015, 1, 1) + dt.timedelta(days=59 - j) for j in (1, 2, 3, 4)]
+    assert sorted(by_date) == sorted(str(d) for d in last)
+    assert {by_date[str(d)] for d in last[:2]} == {str(os.getpid())}
+    assert str(os.getpid()) not in {by_date[str(d)] for d in last[2:]}
+    _no_child_left()
+
+
+def _models_on(monkeypatch, cpus, sweep):
+    """The offset models and the rows of ``sweep()`` on ``cpus`` processes."""
+    seen = []
+    real = backtest._evaluate
+    monkeypatch.setattr(kernels, "CPUS", cpus)
+    monkeypatch.setattr(backtest, "_evaluate", lambda *a: seen.append(real(*a)) or seen[-1])
+    rows = sweep()
+    return seen[0][2], rows
+
+
+@pytest.mark.parametrize("kind", ["ridge", "linear_svr"])
+@pytest.mark.parametrize("name", ["window", "horizon"])
+def test_offset_models_are_the_same_bytes_on_one_process_or_two(planted_corpus, monkeypatch,
+                                                                name, kind):
+    records, prices = planted_corpus
+    split, spec = SplitSpec(0.75, "t"), RegressorSpec(kind=kind)
+    sweep = {
+        "window": lambda: window_sweep(records, prices, split, [1, 2, 3, 4], r=0.8, spec=spec),
+        "horizon": lambda: horizon_sweep(records, prices, split, [7, 1, 2, 1], spec=spec),
+    }[name]
+    serial, serial_rows = _models_on(monkeypatch, 1, sweep)
+    shared, shared_rows = _models_on(monkeypatch, 2, sweep)
+    assert list(shared) == list(serial) == ([1, 2, 3, 4] if name == "window" else [7, 1, 2])
+    for j, model in serial.items():
+        other = shared[j]
+        assert other.weights.tobytes() == model.weights.tobytes()
+        assert other.bias == model.bias
+        assert other.epoch_losses.tobytes() == model.epoch_losses.tobytes()
+        assert other.converged == model.converged
+        assert other.train_range == model.train_range
+    assert shared_rows == serial_rows
+    _no_child_left()
+
+
+@pytest.mark.parametrize("horizons", [[1, 59], [59, 60]], ids=["theirs", "both"])
+def test_an_offset_error_is_the_serial_one(planted_corpus, monkeypatch, horizons):
+    # offset 59 of 60 training days has 1 usable row, 60 has none; the
+    # worker fits the second offset, the caller the first
+    records, prices = planted_corpus
+    split = SplitSpec(0.75, "t")
+    errors = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(kernels, "CPUS", cpus)
+        with pytest.raises(InsufficientData) as exc:
+            horizon_sweep(records, prices, split, horizons, spec=_ridge())
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1] == "offset 59: only 1 usable training rows"
+    _no_child_left()
 
 
 def _per_day_predictions(table, n_train, alphas, horizon, models):

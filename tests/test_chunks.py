@@ -228,13 +228,13 @@ def test_chunks_walk_the_budget(monkeypatch):
     windows = day_windows(records)
     monkeypatch.setattr(features, "CHUNK_EDGES", 10)
     # a day above the budget is a chunk of one
-    runs, at = features._chunks(windows)
+    runs, tokens = features._chunks(windows)
     assert runs == [(0, 3), (3, 4), (4, 6)]
-    assert at.tolist() == [0, 10, 90, 94]           # tokens before each run, and after
+    assert tokens.tolist() == [10, 80, 4]           # tokens of each run
     monkeypatch.setattr(features, "CHUNK_EDGES", 1)
     assert features._chunks(windows)[0] == [(i, i + 1) for i in range(6)]
-    runs, at = features._chunks([])
-    assert runs == [] and at.tolist() == [0]
+    runs, tokens = features._chunks([])
+    assert runs == [] and tokens.tolist() == []
 
 
 # --- the forked worker ------------------------------------------------------
@@ -260,7 +260,8 @@ def _split_windows(monkeypatch, sizes):
     monkeypatch.setattr(kernels, "CPUS", 2)
     monkeypatch.setattr(features, "CHUNK_EDGES", 1)
     windows = day_windows(_chain_days(sizes))
-    return windows, features._shares(*features._chunks(windows))
+    runs, tokens = features._chunks(windows)
+    return windows, [[runs[i] for i in share] for share in kernels._shares(tokens)]
 
 
 def _log_builds(monkeypatch, path):
@@ -343,6 +344,6 @@ def test_one_share_without_fork(monkeypatch):
     windows, shares = _split_windows(monkeypatch, WIDE_FIRST)
     want = day_feature_table(windows, 2)[1]
     monkeypatch.delattr(os, "fork")
-    runs, at = features._chunks(windows)
-    assert features._shares(runs, at) == [runs]
+    runs, tokens = features._chunks(windows)
+    assert kernels._shares(tokens) == [range(len(runs))]
     assert np.array_equal(day_feature_table(windows, 2)[1], want)

@@ -10,6 +10,8 @@ import txpattern
 from txpattern import cli, kernels
 from txpattern.cli import main
 from txpattern.errors import BadSpec
+from txpattern.features import window_tokens
+from txpattern.ingest import parse_transactions, partition_daily
 from txpattern.korder import GRID_CELLS
 from txpattern.regress import MODEL_SCHEMA_VERSION, RegressorSpec, load_model
 from txpattern.synth import SynthSpec
@@ -691,21 +693,30 @@ def test_oracle_check_coinbase_only_day(tmp_path, capsys):
     assert out == "oracle check passed: 1 days, 3 grids\n"
 
 
-def test_oracle_check_reads_the_feature_table(corpus, capsys, monkeypatch):
+@pytest.mark.parametrize("day, share", [(3, 0), (25, 1)], ids=["first-share", "second-share"])
+def test_oracle_check_reads_the_feature_table(corpus, capsys, monkeypatch, day, share):
     """The fast grids are the feature table's rows, so a wrong cell there
-    is a mismatch with exit 1."""
+    is a mismatch with exit 1, the same line whether the caller or a
+    worker walks that day."""
     tx, _ = corpus
+    windows = partition_daily(parse_transactions(tx))
+    monkeypatch.setattr(kernels, "CPUS", 2)
+    assert day in kernels._shares(window_tokens(windows))[share]
     real = cli.day_feature_table
 
     def off_by_one(windows, max_order):
         dates, table = real(windows, max_order)
-        table[3, GRID_CELLS + 7] += 1
+        table[day, GRID_CELLS + 7] += 1
         return dates, table
 
     monkeypatch.setattr(cli, "day_feature_table", off_by_one)
-    code, out, err = run(capsys, "oracle-check", "--tx", tx, "--k", "2")
-    assert code == 1 and out == ""
-    assert err.startswith("MISMATCH on ") and err.rstrip().endswith("order 2")
+    errs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(kernels, "CPUS", cpus)
+        code, out, err = run(capsys, "oracle-check", "--tx", tx, "--k", "2")
+        assert code == 1 and out == ""
+        errs.append(err)
+    assert errs[0] == errs[1] == f"MISMATCH on {windows[day].date.isoformat()} order 2\n"
 
 
 _MODEL = ["--model", "--ridge-lambda", "--svr-c", "--svr-epsilon", "--svr-tol"]

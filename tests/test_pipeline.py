@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from txpattern import kernels
 from txpattern.cli import main
 
 # the synth flags of each corpus, besides its output paths
@@ -90,3 +91,21 @@ def test_svr_backtest_on_sub_dollar_prices_fits_without_a_warning(corpus_tx, cap
     tx, prices = corpus_tx("corpD")
     _run(capsys, "backtest", "--tx", tx, "--prices", prices, "--model", "svr", "--k", "2",
          "--window", "2")
+
+
+def test_a_capped_svr_sweep_warns_once_per_offset_in_offset_order(corpus_tx, capsys,
+                                                                  monkeypatch):
+    # three iterations stop every fit: a worker's two warnings reach the
+    # caller's stderr after the caller's own two, as a serial run prints them
+    tx, prices = corpus_tx("corpA")
+    monkeypatch.setattr(kernels, "SVR_MAX_ITER", 3)
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(kernels, "CPUS", cpus)
+        capsys.readouterr()
+        assert main(["sweep-window", "--tx", tx, "--prices", prices, "--model", "svr",
+                     "--windows", "1,2,3,4", "--k", "2"]) == 0
+        runs.append(capsys.readouterr())
+    warnings = [line for line in runs[1].err.splitlines() if line.startswith("warning:")]
+    assert len(set(warnings)) == len(warnings) == 4
+    assert runs[1] == runs[0]

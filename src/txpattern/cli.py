@@ -14,6 +14,10 @@ full: a prefix such as ``--ridge`` is not taken for ``--ridge-lambda``.
 feature table builds its chunks; the first mismatch is printed in day
 order.
 
+``main`` fixes glibc's heap thresholds once
+(:func:`~txpattern.kernels.keep_heap`) before it parses, and runs numpy's
+BLAS on one thread.
+
 Exit codes: 0 success, 1 data, input or file-system errors, 2 usage errors.
 """
 
@@ -373,6 +377,7 @@ def _cmd_oracle_check(v: dict) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
+    kernels.keep_heap()
     try:
         # the fits' BLAS calls are small: one thread, the caller's count after
         with kernels.one_blas_thread():

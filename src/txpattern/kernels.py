@@ -23,7 +23,13 @@ feature table's chunks, a run's offset fits and ``oracle-check``'s days.
 The caller runs the first share of about equal cost and forks a worker
 for each other one, which sends back its results and printed text and
 leaves through ``os._exit``; the caller runs again the share of a worker
-that did not exit 0, so an error is the serial one.
+that did not exit 0, so an error is the serial one.  It trims the C heap
+just before each fork, so the worker shares none of its free pages.
+
+``keep_heap`` fixes glibc's mmap and trim thresholds for the rest of the
+process, as the command line does before it parses, so a parse's chunks
+reuse the memory that the chunk before them freed.  Where the C library
+has no ``mallopt`` and ``malloc_trim`` (macOS, musl), both are no-ops.
 """
 
 from __future__ import annotations
@@ -67,6 +73,7 @@ def _fork(task, share: range) -> tuple[int, io.BufferedReader]:
     ``sys.stderr``.  It leaves through ``os._exit``, never back into the
     caller's frames, so it flushes none of the caller's buffers."""
     read, write = os.pipe()
+    _trim_heap()
     pid = os.fork()
     if pid == 0:
         try:
@@ -368,6 +375,61 @@ def one_blas_thread():
         yield
     finally:
         set_(before)
+
+
+# ---------------------------------------------------------------------------
+# The C heap
+# ---------------------------------------------------------------------------
+#
+# glibc serves a block above its mmap threshold by its own mapping, and
+# hands the top of the heap back to the kernel once it passes the trim
+# threshold.  Both start low (128 KiB) and only rise as large blocks are
+# freed, so each 512 KiB chunk of a fresh process's parse gave back its
+# few MB of numpy temporaries and the next chunk faulted them in again.
+# keep_heap sets the first to glibc's 64-bit maximum and the second to
+# twice that, as glibc's own dynamic rule would (mallopt(3)).
+
+# mallopt's option numbers (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+# glibc's largest mmap threshold on 64-bit systems
+_MMAP_MAX = 32 << 20
+
+
+def _malloc():
+    """``(mallopt, malloc_trim)`` of the C library as ctypes functions;
+    None where it lacks either (macOS, musl)."""
+    try:
+        lib = ctypes.CDLL(None)
+    except (OSError, TypeError):         # TypeError: Windows has no handle for None
+        return None
+    if not (hasattr(lib, "mallopt") and hasattr(lib, "malloc_trim")):
+        return None
+    lib.mallopt.argtypes, lib.mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    lib.malloc_trim.argtypes, lib.malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return lib.mallopt, lib.malloc_trim
+
+
+def keep_heap() -> None:
+    """Fix glibc's mmap threshold at 32 MiB and its trim threshold at 64
+    MiB for the rest of the process, so memory freed between a parse's
+    chunks stays in the heap for the next; a no-op where :func:`_malloc`
+    finds nothing."""
+    found = _malloc()
+    if found is not None:
+        mallopt, _ = found
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_MAX)
+        mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_MAX)
+
+
+def _trim_heap() -> None:
+    """Give the heap's free pages back to the kernel (``malloc_trim(0)``),
+    so a fork shares none that the caller would then copy on write; a
+    no-op where :func:`_malloc` finds nothing."""
+    found = _malloc()
+    if found is not None:
+        _, malloc_trim = found
+        malloc_trim(0)
 
 
 def warmup() -> None:

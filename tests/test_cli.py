@@ -306,7 +306,7 @@ def test_invalid_utf8_in_transactions(tmp_path, capsys):
 def test_invalid_utf8_in_prices(corpus, tmp_path, capsys):
     tx, px = corpus
     bad = tmp_path / "px.csv"
-    lines = open(px, "rb").read().splitlines()
+    lines = Path(px).read_bytes().splitlines()
     lines[3] = b"2015-01-0\xff," + lines[3].split(b",")[1]
     bad.write_bytes(b"\n".join(lines) + b"\n")
     code, _, err = run(capsys, "backtest", "--tx", tx, "--prices", str(bad))
@@ -388,7 +388,7 @@ def test_synth_unwritable_prices_exit_1(tmp_path, capsys, argv, message):
 def test_non_finite_close_exit_1(corpus, tmp_path, capsys, close):
     tx, px = corpus
     bad = tmp_path / "px.csv"
-    lines = open(px).read().splitlines()
+    lines = Path(px).read_text().splitlines()
     lines[3] = lines[3].split(",")[0] + "," + close
     bad.write_text("\n".join(lines) + "\n")
     code, _, err = run(capsys, "backtest", "--tx", tx, "--prices", str(bad))
@@ -478,7 +478,7 @@ def test_predict_header_only_transactions(corpus, tmp_path, capsys, prices_exist
     assert main(["train", "--tx", tx, "--prices", px, "--out", model_path,
                  "--k", "1"]) == 0
     empty = tmp_path / "empty.csv"
-    empty.write_text(open(tx).readline())
+    empty.write_text(Path(tx).read_text().splitlines(keepends=True)[0])
     prices = px if prices_exist else str(tmp_path / "missing.csv")
     code, _, err = run(capsys, "predict", "--model-file", model_path,
                        "--tx", str(empty), "--prices", prices)
@@ -493,8 +493,8 @@ def test_synth_deterministic(tmp_path, capsys):
     assert main(args + ["--out-tx", a_tx, "--out-prices", a_px]) == 0
     assert main(args + ["--out-tx", b_tx, "--out-prices", b_px]) == 0
     capsys.readouterr()
-    assert open(a_tx, "rb").read() == open(b_tx, "rb").read()
-    assert open(a_px, "rb").read() == open(b_px, "rb").read()
+    assert Path(a_tx).read_bytes() == Path(b_tx).read_bytes()
+    assert Path(a_px).read_bytes() == Path(b_px).read_bytes()
 
 
 def test_features_writes_rows(corpus, tmp_path, capsys):
@@ -503,7 +503,7 @@ def test_features_writes_rows(corpus, tmp_path, capsys):
     code, stdout, _ = run(capsys, "features", "--tx", tx, "--out", out,
                           "--order", "2")
     assert code == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert len(lines) == 1 + 30
     assert lines[0].startswith("date,f_0,")
 
@@ -513,7 +513,7 @@ def test_k_flag_aliases_order(corpus, tmp_path, capsys):
     out = str(tmp_path / "f1.csv")
     code, _, _ = run(capsys, "features", "--tx", tx, "--out", out, "--k", "1")
     assert code == 0
-    header = open(out).read().splitlines()[0]
+    header = Path(out).read_text().splitlines()[0]
     assert header.count(",") == 400  # date column plus a single 20x20 grid
 
 
@@ -524,7 +524,7 @@ def test_config_supplies_paths(corpus, tmp_path, capsys):
     args.write_text(f"--tx={tx}\n--out={out}\n--order=1\n")
     code, _, _ = run(capsys, "features", f"@{args}")
     assert code == 0
-    assert open(out).read().splitlines()[0].startswith("date,f_0,")
+    assert Path(out).read_text().splitlines()[0].startswith("date,f_0,")
 
 
 def test_model_svr_alias(corpus, tmp_path, capsys):
@@ -584,7 +584,7 @@ def test_backtest_report(corpus, tmp_path, capsys):
                        "--report", report_path)
     assert code == 0
     assert "MAPE=" in out
-    payload = json.loads(open(report_path).read())
+    payload = json.loads(Path(report_path).read_text())
     assert payload["window"] == 2
     assert payload["schema_version"] == 3
     assert payload["n_test_days"] == len(payload["records"])
@@ -606,7 +606,7 @@ def test_backtest_repeated_runs_identical_report(corpus, tmp_path, capsys):
     assert main(base + ["--report", p1]) == 0
     assert main(base + ["--report", p2]) == 0
     capsys.readouterr()
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_sweep_horizon_output(corpus, capsys):
@@ -809,6 +809,53 @@ def test_main_without_a_known_blas_setter_prints_the_same_bytes(corpus, monkeypa
     monkeypatch.setattr(kernels, "blas_threads", lambda: None)
     assert run(capsys, *argv) == with_setter
     assert with_setter[0] == 0 and with_setter[1].startswith("window,mape_percent\n")
+
+
+def _sweep(corpus) -> list[str]:
+    tx, px = corpus
+    return ["sweep-window", "--tx", tx, "--prices", px, "--windows", "1,2", "--k", "2"]
+
+
+def test_main_fixes_the_heap_thresholds_and_trims_before_each_fork(corpus, monkeypatch,
+                                                                    capsys):
+    # the thresholds are set once, before the parse; the heap is trimmed
+    # just before every fork, so no freed page is shared with a worker
+    monkeypatch.setattr(kernels, "CPUS", 2)
+    events, fork = [], os.fork
+
+    def forked():
+        events.append("fork")
+        return fork()
+
+    monkeypatch.setattr(kernels, "_malloc", lambda: (
+        lambda option, value: events.append((option, value)),
+        lambda pad: events.append(("trim", pad))))
+    monkeypatch.setattr(os, "fork", forked)
+    assert run(capsys, *_sweep(corpus))[0] == 0
+    forks = events.count("fork")
+    assert forks >= 2        # the feature table's and the offset fits'
+    assert events == [(kernels._M_MMAP_THRESHOLD, 32 << 20),
+                      (kernels._M_TRIM_THRESHOLD, 64 << 20)] + [("trim", 0), "fork"] * forks
+
+
+@pytest.mark.parametrize("symbols", [[], ["mallopt"], ["malloc_trim"]],
+                         ids=["neither", "no-trim", "no-mallopt"])
+def test_heap_calls_do_nothing_without_the_c_library_s_symbols(corpus, monkeypatch, capsys,
+                                                               symbols):
+    # macOS and musl lack one or both: nothing is called, and every byte
+    # printed is the same
+    want = run(capsys, *_sweep(corpus))
+    called, cdll = [], kernels.ctypes.CDLL
+    lib = type("Lib", (), {name: staticmethod(lambda *a: called.append(a))
+                           for name in symbols})()
+    monkeypatch.setattr(kernels.ctypes, "CDLL",
+                        lambda name, *a, **kw: lib if name is None else cdll(name, *a, **kw))
+    monkeypatch.setattr(kernels, "CPUS", 2)
+    assert kernels._malloc() is None
+    kernels.keep_heap()
+    assert kernels.on_processes(lambda i: i * i, [1, 1, 1]) == [0, 1, 4]
+    assert run(capsys, *_sweep(corpus)) == want
+    assert called == []
 
 
 _DATA = ["--tx", "tx.csv", "--prices", "px.csv"]

@@ -1,5 +1,6 @@
 import datetime as dt
 import os
+import subprocess
 import sys
 import tempfile
 import threading
@@ -435,6 +436,37 @@ def test_big_file_parses_across_chunks(tmp_path):
     assert (input_keys[1:-1:2] == input_keys[2::2]).all()
     assert np.unique(input_keys).size == 150_001
     assert np.unique(table.keys).size == 300_001
+
+
+# a fresh process's minor faults over one parse of argv[1], after
+# kernels.keep_heap() when argv[2] is "keep"
+_PARSE_FAULTS = """\
+import resource, sys
+from txpattern import kernels
+from txpattern.ingest import parse_transactions
+if sys.argv[2] == "keep":
+    kernels.keep_heap()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+parse_transactions(sys.argv[1])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_a_kept_heap_halves_a_fresh_parse_s_minor_faults(tmp_path):
+    # with glibc's dynamic thresholds every chunk hands its freed
+    # temporaries back to the kernel, and the next chunk faults them in
+    if kernels._malloc() is None:
+        pytest.skip("the C library has no mallopt")
+    path = tmp_path / "tx.csv"
+    _big_file(path, 150_000, {})
+    assert path.stat().st_size > 16 * ingest._CHUNK_BYTES
+    src = str(Path(ingest.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    faults = {mode: int(subprocess.run(
+        [sys.executable, "-c", _PARSE_FAULTS, str(path), mode], env=env, check=True,
+        capture_output=True, text=True).stdout) for mode in ("keep", "default")}
+    assert faults["keep"] <= faults["default"] / 2, faults
 
 
 def _mixed_file(path, n: int, n_addresses: int = 60) -> list[TransactionRecord]:
